@@ -23,9 +23,9 @@
 
 use std::sync::Arc;
 
-use dblayout_disksim::{DiskSpec, Layout};
+use dblayout_disksim::{DiskSpec, Drives, Layout};
 use dblayout_obs::{f, Collector};
-use dblayout_planner::{PhysicalPlan, Subplan};
+use dblayout_planner::{ObjectAccess, PhysicalPlan, Subplan};
 
 /// Configurable cost model.
 #[derive(Debug, Clone)]
@@ -62,39 +62,31 @@ impl CostModel {
     /// Cost of one non-blocking sub-plan: the bottleneck disk's time.
     #[inline]
     pub fn subplan_cost(&self, sub: &Subplan, layout: &Layout, disks: &[DiskSpec]) -> f64 {
-        if self.collector.enabled() {
-            return self.subplan_cost_traced(sub, layout, disks);
-        }
-        self.subplan_cost_untraced(sub, layout, disks)
-    }
-
-    /// The collector-free hot path. The search costs thousands of layouts
-    /// per run, so the per-statement entry points branch on the collector
-    /// once and then stay on this function; it must not touch
-    /// `self.collector` at all.
-    #[inline]
-    fn subplan_cost_untraced(&self, sub: &Subplan, layout: &Layout, disks: &[DiskSpec]) -> f64 {
         let totals = object_totals(sub);
-        self.subplan_cost_untraced_with(sub, &totals, layout, disks)
+        let terms = &mut DiskTerms::default();
+        if self.collector.enabled() {
+            return self.subplan_cost_traced(sub, &totals, layout, disks, terms);
+        }
+        self.subplan_cost_untraced(sub, &totals, layout, disks, terms)
     }
 
-    /// The innermost cost kernel, taking pre-aggregated per-object totals.
-    /// `totals` must equal `object_totals(sub)` — the [`DeltaEvaluator`]
-    /// caches them per sub-plan (they are layout-independent) so the
-    /// mega-scale scoring loop allocates nothing per candidate.
+    /// The collector-free hot path, taking pre-aggregated per-object
+    /// totals. `totals` must equal `object_totals(sub)` — the
+    /// [`DeltaEvaluator`] caches them per sub-plan (they are
+    /// layout-independent) so the mega-scale scoring loop allocates nothing
+    /// per candidate. The search costs thousands of layouts per run, so the
+    /// per-statement entry points branch on the collector once and then
+    /// stay on this function; it must not touch `self.collector` at all.
     #[inline]
-    fn subplan_cost_untraced_with(
+    fn subplan_cost_untraced(
         &self,
         sub: &Subplan,
         totals: &[(u32, u64)],
         layout: &Layout,
         disks: &[DiskSpec],
+        terms: &mut DiskTerms,
     ) -> f64 {
-        let mut max_cost = 0.0f64;
-        for (j, disk) in disks.iter().enumerate() {
-            let (transfer, seek, _) = disk_term(sub, totals, layout, j, disk);
-            max_cost = max_cost.max(transfer + seek);
-        }
+        let (mut max_cost, _) = disk_bottleneck(sub, totals, layout, disks, terms, |_, _, _, _| {});
         if self.include_temp_io {
             // tempdb is its own drive: it participates in the bottleneck max.
             max_cost = max_cost.max(self.temp_ms(sub));
@@ -102,15 +94,22 @@ impl CostModel {
         max_cost
     }
 
-    /// [`CostModel::subplan_cost`] with per-disk term events — identical
-    /// arithmetic (both paths share [`disk_term`]), plus a
+    /// [`CostModel::subplan_cost`] with per-disk term events — the same
+    /// kernel (both paths call [`disk_bottleneck`]), plus a
     /// `costmodel.subplan` span recording each contributing disk's transfer
-    /// and seek milliseconds and the bottleneck. Kept out of line so the
-    /// untraced hot path stays small enough to inline into the search loop.
+    /// and seek milliseconds, in ascending disk order, and the bottleneck.
+    /// Kept out of line so the untraced hot path stays small enough to
+    /// inline into the search loop.
     #[cold]
     #[inline(never)]
-    fn subplan_cost_traced(&self, sub: &Subplan, layout: &Layout, disks: &[DiskSpec]) -> f64 {
-        let totals = object_totals(sub);
+    fn subplan_cost_traced(
+        &self,
+        sub: &Subplan,
+        totals: &[(u32, u64)],
+        layout: &Layout,
+        disks: &[DiskSpec],
+        terms: &mut DiskTerms,
+    ) -> f64 {
         let span = self.collector.span(
             "costmodel.subplan",
             vec![
@@ -118,26 +117,22 @@ impl CostModel {
                 f("accesses", sub.accesses.len()),
             ],
         );
-        let mut max_cost = 0.0f64;
-        let mut bottleneck: i64 = -1; // -1: no disk contributes (or tempdb)
-        for (j, disk) in disks.iter().enumerate() {
-            let (transfer, seek, k) = disk_term(sub, &totals, layout, j, disk);
-            if k > 0 {
-                span.event(
-                    "costmodel.disk",
-                    vec![
-                        f("disk", j),
-                        f("objects", k),
-                        f("transfer_ms", transfer),
-                        f("seek_ms", seek),
-                    ],
-                );
-            }
-            if transfer + seek > max_cost {
-                bottleneck = j as i64;
-            }
-            max_cost = max_cost.max(transfer + seek);
-        }
+        let (mut max_cost, disk) =
+            disk_bottleneck(sub, totals, layout, disks, terms, |j, transfer, seek, k| {
+                if k > 0 {
+                    span.event(
+                        "costmodel.disk",
+                        vec![
+                            f("disk", j),
+                            f("objects", k),
+                            f("transfer_ms", transfer),
+                            f("seek_ms", seek),
+                        ],
+                    );
+                }
+            });
+        // -1: no disk contributes (or tempdb is the bottleneck).
+        let mut bottleneck: i64 = disk.map_or(-1, |j| j as i64);
         let mut temp_ms = 0.0f64;
         if self.include_temp_io {
             temp_ms = self.temp_ms(sub);
@@ -182,14 +177,26 @@ impl CostModel {
         layout: &Layout,
         disks: &[DiskSpec],
     ) -> f64 {
+        self.statement_cost_with(subs, layout, disks, &mut DiskTerms::default())
+    }
+
+    /// [`CostModel::statement_cost_subplans`] with caller-owned kernel
+    /// accumulators.
+    fn statement_cost_with(
+        &self,
+        subs: &[Subplan],
+        layout: &Layout,
+        disks: &[DiskSpec],
+        terms: &mut DiskTerms,
+    ) -> f64 {
         if self.collector.enabled() {
             return subs
                 .iter()
-                .map(|s| self.subplan_cost_traced(s, layout, disks))
+                .map(|s| self.subplan_cost_traced(s, &object_totals(s), layout, disks, terms))
                 .sum();
         }
         subs.iter()
-            .map(|s| self.subplan_cost_untraced(s, layout, disks))
+            .map(|s| self.subplan_cost_untraced(s, &object_totals(s), layout, disks, terms))
             .sum()
     }
 
@@ -203,9 +210,10 @@ impl CostModel {
         layout: &Layout,
         disks: &[DiskSpec],
     ) -> f64 {
+        let terms = &mut DiskTerms::default();
         workload
             .iter()
-            .map(|(subs, w)| w * self.statement_cost_subplans(subs, layout, disks))
+            .map(|(subs, w)| w * self.statement_cost_with(subs, layout, disks, terms))
             .sum()
     }
 
@@ -283,12 +291,14 @@ impl SubplanTotals {
     }
 }
 
-/// Reusable buffers for [`DeltaEvaluator::cost_of_move`]. One per scoring
+/// Reusable buffers for [`DeltaEvaluator::cost_of_move`]: the touched
+/// sub-plan list and the kernel's per-drive accumulators. One per scoring
 /// worker; holding it outside the candidate loop makes scoring
 /// allocation-free.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     touched: Vec<(u32, u32)>,
+    terms: DiskTerms,
 }
 
 impl EvalScratch {
@@ -363,9 +373,10 @@ impl DeltaEvaluator<'_> {
         }
         touched.sort_unstable();
         touched.dedup();
+        let terms = &mut DiskTerms::default();
         let sub_updates: Vec<(u32, u32, f64)> = touched
             .iter()
-            .map(|&(s, p)| (s, p, self.recost_sub(s as usize, p as usize, layout)))
+            .map(|&(s, p)| (s, p, self.recost_sub(s as usize, p as usize, layout, terms)))
             .collect();
         self.finish(sub_updates)
     }
@@ -386,7 +397,7 @@ impl DeltaEvaluator<'_> {
         }
         scratch.touched.sort_unstable();
         scratch.touched.dedup();
-        let touched = &scratch.touched;
+        let (touched, terms) = (&scratch.touched, &mut scratch.terms);
         let mut total = 0.0f64;
         let mut i = 0usize;
         for (s, &stmt_cached) in self.stmt_costs.iter().enumerate() {
@@ -401,7 +412,7 @@ impl DeltaEvaluator<'_> {
                     .get(i)
                     .is_some_and(|&(ts, tp)| ts == s as u32 && tp == p as u32)
                 {
-                    sum += self.recost_sub(s, p, layout);
+                    sum += self.recost_sub(s, p, layout, terms);
                     i += 1;
                 } else {
                     sum += cached;
@@ -416,23 +427,27 @@ impl DeltaEvaluator<'_> {
     /// cached layout-independent object totals. Arithmetic is identical to
     /// [`CostModel::subplan_cost`] (both funnel into the same kernel).
     #[inline]
-    fn recost_sub(&self, s: usize, p: usize, layout: &Layout) -> f64 {
+    fn recost_sub(&self, s: usize, p: usize, layout: &Layout, terms: &mut DiskTerms) -> f64 {
         let sub = &self.workload[s].0[p];
+        let totals = self.totals.of(s, p);
         if self.model.collector.enabled() {
-            return self.model.subplan_cost_traced(sub, layout, self.disks);
+            return self
+                .model
+                .subplan_cost_traced(sub, totals, layout, self.disks, terms);
         }
         self.model
-            .subplan_cost_untraced_with(sub, self.totals.of(s, p), layout, self.disks)
+            .subplan_cost_untraced(sub, totals, layout, self.disks, terms)
     }
 
     /// Scores `layout` by recomputing every sub-plan — the fallback for
     /// arbitrary layout changes, and the reference the incremental path is
     /// differential-tested against (identical totals, bit for bit).
     pub fn evaluate_full(&self, layout: &Layout) -> CostDelta {
+        let terms = &mut DiskTerms::default();
         let mut sub_updates = Vec::new();
         for (s, (subs, _)) in self.workload.iter().enumerate() {
             for (p, _) in subs.iter().enumerate() {
-                sub_updates.push((s as u32, p as u32, self.recost_sub(s, p, layout)));
+                sub_updates.push((s as u32, p as u32, self.recost_sub(s, p, layout, terms)));
             }
         }
         self.finish(sub_updates)
@@ -443,11 +458,12 @@ impl DeltaEvaluator<'_> {
     /// used by the reference engine's scoring loop. Bit-identical to
     /// `evaluate_full(layout).total`.
     pub fn cost_of_full(&self, layout: &Layout) -> f64 {
+        let terms = &mut DiskTerms::default();
         let mut total = 0.0f64;
         for (s, (subs, w)) in self.workload.iter().enumerate() {
             let mut sum = 0.0f64;
             for (p, _) in subs.iter().enumerate() {
-                sum += self.recost_sub(s, p, layout);
+                sum += self.recost_sub(s, p, layout, terms);
             }
             total += w * sum;
         }
@@ -469,12 +485,14 @@ impl DeltaEvaluator<'_> {
     /// Rebuilds the whole ledger against `layout` — the full-evaluation
     /// fallback when the base layout changed in ways no move describes.
     pub fn rebase(&mut self, layout: &Layout) {
+        let terms = &mut DiskTerms::default();
         let sub_costs: Vec<Vec<f64>> = self
             .workload
             .iter()
-            .map(|(subs, _)| {
-                subs.iter()
-                    .map(|sub| self.model.subplan_cost(sub, layout, self.disks))
+            .enumerate()
+            .map(|(s, (subs, _))| {
+                (0..subs.len())
+                    .map(|p| self.recost_sub(s, p, layout, terms))
                     .collect()
             })
             .collect();
@@ -547,46 +565,141 @@ fn object_totals(sub: &Subplan) -> Vec<(u32, u64)> {
     totals
 }
 
-/// One disk's Figure-7 terms for a sub-plan: `(transfer_ms, seek_ms, k)`
-/// where `k` is how many accessed objects live on the disk. Shared by the
-/// traced and untraced cost paths so their arithmetic cannot diverge.
+/// Per-drive accumulators of the sparse Figure-7 kernel, sized to the drive
+/// count on first use. Each sub-plan initializes and reads only the drives
+/// its objects occupy, so one set serves every sub-plan a caller costs.
+#[derive(Debug, Default)]
+struct DiskTerms {
+    /// `Σ x·B/T` per drive, folded in access order.
+    transfer: Vec<f64>,
+    /// `min_i x·B_i` per drive over the objects it holds.
+    min_share: Vec<f64>,
+    /// `k`: how many accessed objects (with blocks) each drive holds.
+    objects: Vec<usize>,
+    /// Union of the sub-plan's objects' occupancy rows.
+    drives: Vec<u64>,
+}
+
+/// Milliseconds per block for `access` on `disk`: the read or the write
+/// rate, as the access kind selects.
 #[inline]
-fn disk_term(
+fn ms_per_block(access: &ObjectAccess, disk: &DiskSpec) -> f64 {
+    if access.kind.is_read() {
+        disk.read_ms_per_block()
+    } else {
+        disk.write_ms_per_block()
+    }
+}
+
+/// The Figure-7 bottleneck of one sub-plan, `max_j (transfer_j + seek_j)`
+/// from 0.0, and the first disk attaining it (`None` when no disk exceeds
+/// 0.0). Only the drives the sub-plan's objects occupy are visited
+/// ([`Layout::occupancy`]); `visit(j, transfer_ms, seek_ms, k)` sees each
+/// of them in ascending order. The traced path emits its `costmodel.disk`
+/// events from `visit`, the hot path passes a no-op, so the two share one
+/// arithmetic path.
+///
+/// Per drive, the float operations and their order are those of the dense
+/// loop over every drive: transfer folds `x·B·ms_per_block` over the
+/// accesses in access order, and `k` and the min share fold over `totals`
+/// in order. An unvisited drive would contribute exactly `0.0 + 0.0`,
+/// which never raises the max (it starts at 0.0) nor wins the strict `>`
+/// bottleneck test, so the result is bit-identical (DESIGN.md §7).
+#[inline]
+fn disk_bottleneck(
     sub: &Subplan,
     totals: &[(u32, u64)],
     layout: &Layout,
-    j: usize,
-    disk: &DiskSpec,
-) -> (f64, f64, usize) {
-    let mut k = 0usize;
-    let mut min_share = f64::INFINITY;
-    for &(obj, total_blocks) in totals {
-        let x = layout.fraction(obj as usize, j);
-        if x <= 0.0 || total_blocks == 0 {
-            continue;
+    disks: &[DiskSpec],
+    terms: &mut DiskTerms,
+    mut visit: impl FnMut(usize, f64, f64, usize),
+) -> (f64, Option<usize>) {
+    let mut max_cost = 0.0f64;
+    let mut bottleneck = None;
+    let mut fold = |j: usize, transfer: f64, seek: f64, k: usize| {
+        visit(j, transfer, seek, k);
+        if transfer + seek > max_cost {
+            bottleneck = Some(j);
         }
-        k += 1;
-        min_share = min_share.min(x * total_blocks as f64);
-    }
-    let mut transfer = 0.0;
-    for access in &sub.accesses {
-        let x = layout.fraction(access.object.index(), j);
-        if x <= 0.0 {
-            continue;
-        }
-        let ms_per_block = if access.kind.is_read() {
-            disk.read_ms_per_block()
-        } else {
-            disk.write_ms_per_block()
-        };
-        transfer += x * access.blocks as f64 * ms_per_block;
-    }
-    let seek = if k > 1 {
-        k as f64 * disk.avg_seek_ms * min_share
-    } else {
-        0.0
+        max_cost = max_cost.max(transfer + seek);
     };
-    (transfer, seek, k)
+    if let [(obj, total_blocks)] = *totals {
+        // One object (nearly every sub-plan): every access reads it, `k` is
+        // at most 1 on every drive, so there is no seek term and each
+        // occupied drive needs one fold over the accesses.
+        let (obj, k) = (obj as usize, usize::from(total_blocks != 0));
+        let row = layout.fractions_of(obj);
+        for j in layout.occupied(obj) {
+            let Some(disk) = disks.get(j) else { break };
+            let mut transfer = 0.0;
+            for access in &sub.accesses {
+                transfer += row[j] * access.blocks as f64 * ms_per_block(access, disk);
+            }
+            fold(j, transfer, 0.0, k);
+        }
+        return (max_cost, bottleneck);
+    }
+    let Some(&(first, _)) = totals.first() else {
+        return (max_cost, bottleneck);
+    };
+    let DiskTerms {
+        transfer,
+        min_share,
+        objects,
+        drives,
+    } = terms;
+    drives.clear();
+    drives.resize(layout.occupancy(first as usize).len(), 0);
+    for &(obj, _) in totals {
+        for (word, &occ) in drives.iter_mut().zip(layout.occupancy(obj as usize)) {
+            *word |= occ;
+        }
+    }
+    if transfer.len() < disks.len() {
+        transfer.resize(disks.len(), 0.0);
+        min_share.resize(disks.len(), f64::INFINITY);
+        objects.resize(disks.len(), 0);
+    }
+    for j in Drives::new(drives) {
+        if j >= disks.len() {
+            break;
+        }
+        transfer[j] = 0.0;
+        min_share[j] = f64::INFINITY;
+        objects[j] = 0;
+    }
+    for access in &sub.accesses {
+        let obj = access.object.index();
+        let row = layout.fractions_of(obj);
+        for j in layout.occupied(obj) {
+            let Some(disk) = disks.get(j) else { break };
+            transfer[j] += row[j] * access.blocks as f64 * ms_per_block(access, disk);
+        }
+    }
+    for &(obj, total_blocks) in totals {
+        if total_blocks == 0 {
+            continue;
+        }
+        let row = layout.fractions_of(obj as usize);
+        for j in layout.occupied(obj as usize) {
+            if j >= disks.len() {
+                break;
+            }
+            objects[j] += 1;
+            min_share[j] = min_share[j].min(row[j] * total_blocks as f64);
+        }
+    }
+    for j in Drives::new(drives) {
+        let Some(disk) = disks.get(j) else { break };
+        let k = objects[j];
+        let seek = if k > 1 {
+            k as f64 * disk.avg_seek_ms * min_share[j]
+        } else {
+            0.0
+        };
+        fold(j, transfer[j], seek, k);
+    }
+    (max_cost, bottleneck)
 }
 
 /// Decomposes a weighted workload once, for repeated cost evaluation.
@@ -751,7 +864,7 @@ mod tests {
         assert!((total - 3.0 * single).abs() < 1e-9);
     }
 
-    /// The traced path shares `disk_term` with the hot path; this guards
+    /// The traced path shares `disk_bottleneck` with the hot path; this guards
     /// against the two ever diverging.
     #[test]
     fn traced_cost_is_bit_identical_to_untraced() {

@@ -314,15 +314,17 @@ pub fn ts_greedy(
     // re-costs just the sub-plans reading that group's objects, re-summing
     // in full-evaluation order — bit-identical totals at a fraction of the
     // work. Validity is checked the same way: only the moved rows are
-    // re-examined and per-disk usage is patched with exact integer deltas,
-    // so the verdict matches `Layout::validate` on every candidate. Candidates are *scored* in parallel against an immutable
-    // per-iteration snapshot and *adopted* in the fixed sequential
-    // candidate order: each worker owns a contiguous chunk of the
-    // enumeration, tracks its chunk's earliest strict minimum, and the
-    // reduction merges chunk winners in worker (= candidate) order with a
-    // strict `<` — exactly the sequential scan's earliest-wins tie
-    // semantics, so the chosen layout is byte-identical at any thread
-    // count (DESIGN.md §7).
+    // re-examined, a group that fits in the smallest per-drive headroom
+    // passes the capacity check outright, and otherwise per-disk usage is
+    // patched with exact integer deltas, so the verdict matches
+    // `Layout::validate` on every candidate. Candidates are *scored* in
+    // parallel against an immutable per-iteration snapshot and *adopted*
+    // in the fixed sequential candidate order: each worker owns a
+    // contiguous chunk of the enumeration, tracks its chunk's earliest
+    // strict minimum, and the reduction merges chunk winners in worker
+    // (= candidate) order with a strict `<` — exactly the sequential
+    // scan's earliest-wins tie semantics, so the chosen layout is
+    // byte-identical at any thread count (DESIGN.md §7).
     let threads = cfg.threads.max(1);
     let full_reevaluation = cfg.full_reevaluation;
 
@@ -380,6 +382,9 @@ pub fn ts_greedy(
         base_blocks: Vec<u64>,
         /// `layout.disk_usage()` (incremental engine only).
         base_usage: Vec<u64>,
+        /// The smallest per-drive headroom `capacity − base_usage`, or
+        /// `None` when some drive is already over capacity.
+        headroom: Option<u64>,
         /// Per-object row verdicts of `layout` (incremental engine only).
         row_bad: Vec<bool>,
         /// How many entries of `row_bad` are true.
@@ -390,10 +395,13 @@ pub fn ts_greedy(
         /// Incremental Definition-2 check: the same verdict as
         /// `trial.validate(disks).is_ok()` given that `trial` differs from
         /// `self.layout` only in `moved`'s rows. Unmoved rows keep the
-        /// snapshot's verdicts, and per-disk usage is patched by swapping
-        /// the moved objects' old block counts for their new ones — exact
-        /// integer arithmetic (`blocks_on` is deterministic per row), so
-        /// the capacity comparison is bit-for-bit the full scan's.
+        /// snapshot's verdicts. A moved object adds at most its own size
+        /// to any drive, so a group no larger than the smallest headroom
+        /// passes the capacity check without apportioning. Otherwise
+        /// per-disk usage is patched by swapping the moved objects' old
+        /// block counts for their new ones — exact integer arithmetic
+        /// (`blocks_on` is deterministic per row), so the capacity
+        /// comparison is bit-for-bit the full scan's.
         fn trial_is_valid(
             &self,
             trial: &Layout,
@@ -410,6 +418,12 @@ pub fn ts_greedy(
             }
             if !moved.iter().all(|&i| trial.row_is_valid(i)) {
                 return false;
+            }
+            let moved_blocks = moved
+                .iter()
+                .fold(0u64, |sum, &i| sum.saturating_add(trial.object_size(i)));
+            if self.headroom.is_some_and(|h| moved_blocks <= h) {
+                return true;
             }
             let m = disks.len();
             scratch.usage.clear();
@@ -639,6 +653,12 @@ pub fn ts_greedy(
             workers,
             dims_ok: layout.disk_count() == disks.len(),
             base_blocks: base_blocks.clone(),
+            headroom: base_usage
+                .iter()
+                .zip(disks)
+                .try_fold(u64::MAX, |h, (&used, d)| {
+                    Some(h.min(d.capacity_blocks.checked_sub(used)?))
+                }),
             base_usage: base_usage.clone(),
             row_bad: row_bad.clone(),
             bad_rows,
@@ -1498,36 +1518,119 @@ mod tests {
     }
 
     /// Capacity-tight disks force `invalid_layout` rejections; the
-    /// incremental engine's patched-usage validity check must classify
-    /// every candidate exactly like the full engine's `Layout::validate`,
-    /// which the deterministic trace (with per-candidate reasons) records.
+    /// incremental engine's validity check — headroom accept or exact
+    /// patched usage — must classify every candidate exactly like the full
+    /// engine's `Layout::validate`, which the deterministic trace (with
+    /// per-candidate reasons) records. The second fixture adds a small
+    /// object, so within one search the headroom accept both fires (the
+    /// small group fits in every drive's headroom) and falls through (the
+    /// large groups do not, and some of them are over capacity).
     #[test]
     fn engines_agree_on_capacity_rejections() {
         use dblayout_obs::RingSink;
         let disks = uniform_disks(4, 160, 10.0, 20.0);
-        let sizes = vec![300u64, 200];
-        let plans = vec![
-            (merge_join(0, 300, 1, 200), 2.0),
-            (PhysicalPlan::new(scan(0, 300)), 1.0),
+        let fixtures = [
+            (
+                vec![300u64, 200],
+                vec![
+                    (merge_join(0, 300, 1, 200), 2.0),
+                    (PhysicalPlan::new(scan(0, 300)), 1.0),
+                ],
+            ),
+            (
+                vec![300u64, 200, 4],
+                vec![
+                    (merge_join(0, 300, 1, 200), 2.0),
+                    (PhysicalPlan::new(scan(0, 300)), 1.0),
+                    (PhysicalPlan::new(scan(2, 4)), 3.0),
+                ],
+            ),
         ];
-        let graph = build_access_graph(2, &plans);
-        let workload = decompose_workload(&plans);
-        let trace_with = |full: bool| -> Vec<String> {
-            let ring = Arc::new(RingSink::new(usize::MAX));
-            let cfg = TsGreedyConfig {
-                full_reevaluation: full,
-                collector: Collector::deterministic(ring.clone()),
-                ..Default::default()
+        for (f, (sizes, plans)) in fixtures.iter().enumerate() {
+            let graph = build_access_graph(sizes.len(), plans);
+            let workload = decompose_workload(plans);
+            let run = |full: bool| {
+                let ring = Arc::new(RingSink::new(usize::MAX));
+                let cfg = TsGreedyConfig {
+                    full_reevaluation: full,
+                    collector: Collector::deterministic(ring.clone()),
+                    ..Default::default()
+                };
+                let r = ts_greedy(sizes, &graph, &workload, &disks, &cfg).unwrap();
+                (r, ring.drain())
             };
-            ts_greedy(&sizes, &graph, &workload, &disks, &cfg).unwrap();
-            ring.drain().iter().map(|r| r.to_jsonl()).collect()
+            let jsonl = |records: &[dblayout_obs::Record]| -> Vec<String> {
+                records.iter().map(|r| r.to_jsonl()).collect()
+            };
+            let (_, full) = run(true);
+            let (r, incremental) = run(false);
+            assert!(
+                jsonl(&full).iter().any(|l| l.contains("invalid_layout")),
+                "fixture {f} produced no capacity rejections"
+            );
+            assert_eq!(jsonl(&incremental), jsonl(&full), "fixture {f}");
+            if f == 1 {
+                let (fired, fell_through) =
+                    headroom_outcomes(&r.initial_layout, &r.layout, &incremental, sizes, &disks);
+                assert!(fired > 0, "the headroom accept never fired");
+                assert!(fell_through > 0, "the headroom accept never fell through");
+            }
+        }
+    }
+
+    /// Replays a search's iteration snapshots from its deterministic trace
+    /// (the step-1 layout, then each adopted move) and counts the
+    /// candidates whose group fits within the snapshot's smallest
+    /// per-drive headroom (`fired`) and those that do not
+    /// (`fell_through`). A candidate the accept passes must not be
+    /// `invalid_layout`, and the replay must end on the search's layout.
+    fn headroom_outcomes(
+        initial: &Layout,
+        last: &Layout,
+        records: &[dblayout_obs::Record],
+        sizes: &[u64],
+        disks: &[DiskSpec],
+    ) -> (usize, usize) {
+        let ids = |s: Option<&str>| -> Vec<usize> {
+            s.unwrap_or("")
+                .split(',')
+                .filter(|t| !t.is_empty())
+                .map(|t| t.parse().unwrap())
+                .collect()
         };
-        let full = trace_with(true);
-        assert!(
-            full.iter().any(|l| l.contains("invalid_layout")),
-            "fixture produced no capacity rejections"
-        );
-        assert_eq!(trace_with(false), full);
+        let mut layout = initial.clone();
+        let (mut fired, mut fell_through) = (0, 0);
+        for rec in records {
+            let objects = ids(rec.field_str("objects"));
+            match rec.name.as_str() {
+                "tsgreedy.candidate" => {
+                    let headroom = layout
+                        .disk_usage()
+                        .iter()
+                        .zip(disks)
+                        .map(|(&used, d)| d.capacity_blocks.checked_sub(used))
+                        .collect::<Option<Vec<u64>>>()
+                        .and_then(|h| h.into_iter().min());
+                    let blocks: u64 = objects.iter().map(|&i| sizes[i]).sum();
+                    if headroom.is_some_and(|h| blocks <= h) {
+                        fired += 1;
+                        assert_ne!(rec.field_str("reason"), Some("invalid_layout"));
+                    } else {
+                        fell_through += 1;
+                    }
+                }
+                "tsgreedy.adopt" => {
+                    let mut set = layout.disks_of(objects[0]);
+                    set.extend(ids(rec.field_str("add_disks")));
+                    for &i in &objects {
+                        layout.place_proportional(i, &set, disks);
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(layout_bits(&layout), layout_bits(last), "replay diverged");
+        (fired, fell_through)
     }
 
     /// Deterministic traces are part of the identity contract: the same

@@ -10,6 +10,7 @@
 //! 3. `Σ_i |R_i|·x[i][j] ≤ C_j` for every disk (capacity).
 
 use std::fmt;
+use std::ops::Range;
 
 use crate::disk::DiskSpec;
 
@@ -48,6 +49,23 @@ pub enum LayoutError {
         /// Drives supplied.
         actual_disks: usize,
     },
+    /// A fraction matrix has a different number of rows than there are
+    /// objects.
+    ObjectCountMismatch {
+        /// Fraction rows supplied.
+        rows: usize,
+        /// Object sizes supplied.
+        objects: usize,
+    },
+    /// A fraction row is not as long as the first row.
+    RaggedRow {
+        /// Object index of the offending row.
+        object: usize,
+        /// Its length.
+        len: usize,
+        /// The first row's length (the layout's disk count).
+        expected: usize,
+    },
 }
 
 impl fmt::Display for LayoutError {
@@ -76,6 +94,18 @@ impl fmt::Display for LayoutError {
             } => write!(
                 f,
                 "layout has {layout_disks} disk columns but {actual_disks} drives were supplied"
+            ),
+            LayoutError::ObjectCountMismatch { rows, objects } => write!(
+                f,
+                "layout has {rows} fraction rows but {objects} object sizes were supplied"
+            ),
+            LayoutError::RaggedRow {
+                object,
+                len,
+                expected,
+            } => write!(
+                f,
+                "fraction row {object} has {len} disk columns but row 0 has {expected}"
             ),
         }
     }
@@ -131,6 +161,51 @@ pub fn apportion_into(
     }
 }
 
+/// Whether the Figure-7 kernel visits a drive holding fraction `x`: it
+/// skips exactly the fractions with `x <= 0.0`, so NaN counts as occupied.
+#[inline]
+fn occupies(x: f64) -> bool {
+    x > 0.0 || x.is_nan()
+}
+
+/// Ascending drive ids of the set bits in an occupancy bitset (bit `j % 64`
+/// of word `j / 64` stands for drive `j`) — see [`Layout::occupancy`].
+#[derive(Debug, Clone)]
+pub struct Drives<'a> {
+    rest: &'a [u64],
+    word: u64,
+    base: usize,
+}
+
+impl<'a> Drives<'a> {
+    /// Iterates the set bits of `words`.
+    pub fn new(words: &'a [u64]) -> Self {
+        let (&word, rest) = words.split_first().unwrap_or((&0, &[]));
+        Self {
+            rest,
+            word,
+            base: 0,
+        }
+    }
+}
+
+impl Iterator for Drives<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            let (&word, rest) = self.rest.split_first()?;
+            self.rest = rest;
+            self.word = word;
+            self.base += 64;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
+    }
+}
+
 /// A database layout (paper Definition 1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Layout {
@@ -138,17 +213,42 @@ pub struct Layout {
     fractions: Vec<Vec<f64>>,
     /// `|R_i|` in blocks.
     object_sizes: Vec<u64>,
+    /// The occupancy index: row `i` is `words` bitset words whose bit `j`
+    /// is set iff object `i` occupies drive `j` (`!(x[i][j] <= 0.0)`).
+    /// One flat vector rather than one per row, because the search clones
+    /// the layout into every iteration's snapshot. Every mutator keeps it
+    /// current.
+    occupancy: Vec<u64>,
+    /// Bitset words per row: `⌈disks / 64⌉`.
+    words: usize,
 }
 
 impl Layout {
+    /// Adopts `fractions` (rows of equal length) and builds the occupancy
+    /// index with one scan.
+    fn indexed(object_sizes: Vec<u64>, fractions: Vec<Vec<f64>>) -> Self {
+        let words = fractions.first().map_or(0, |r| r.len().div_ceil(64));
+        let mut occupancy = vec![0u64; fractions.len() * words];
+        for (row, bits) in fractions.iter().zip(occupancy.chunks_mut(words.max(1))) {
+            for (j, &x) in row.iter().enumerate() {
+                if occupies(x) {
+                    bits[j / 64] |= 1 << (j % 64);
+                }
+            }
+        }
+        Self {
+            fractions,
+            object_sizes,
+            occupancy,
+            words,
+        }
+    }
+
     /// An all-zero (entirely unallocated — invalid) layout to be filled via
     /// [`Layout::place`].
     pub fn empty(object_sizes: Vec<u64>, disks: usize) -> Self {
         let n = object_sizes.len();
-        Self {
-            fractions: vec![vec![0.0; disks]; n],
-            object_sizes,
-        }
+        Self::indexed(object_sizes, vec![vec![0.0; disks]; n])
     }
 
     /// Rebuilds a layout from raw fraction rows, adopting each row
@@ -163,24 +263,22 @@ impl Layout {
         fractions: Vec<Vec<f64>>,
     ) -> Result<Self, LayoutError> {
         if fractions.len() != object_sizes.len() {
-            return Err(LayoutError::DimensionMismatch {
-                layout_disks: fractions.len(),
-                actual_disks: object_sizes.len(),
+            return Err(LayoutError::ObjectCountMismatch {
+                rows: fractions.len(),
+                objects: object_sizes.len(),
             });
         }
         let disks = fractions.first().map_or(0, |r| r.len());
-        for row in &fractions {
+        for (object, row) in fractions.iter().enumerate() {
             if row.len() != disks {
-                return Err(LayoutError::DimensionMismatch {
-                    layout_disks: row.len(),
-                    actual_disks: disks,
+                return Err(LayoutError::RaggedRow {
+                    object,
+                    len: row.len(),
+                    expected: disks,
                 });
             }
         }
-        Ok(Self {
-            fractions,
-            object_sizes,
-        })
+        Ok(Self::indexed(object_sizes, fractions))
     }
 
     /// FULL STRIPING: every object striped across all drives with fractions
@@ -189,10 +287,7 @@ impl Layout {
         let total_rate: f64 = disks.iter().map(|d| d.read_mb_s).sum();
         let row: Vec<f64> = disks.iter().map(|d| d.read_mb_s / total_rate).collect();
         let n = object_sizes.len();
-        Self {
-            fractions: vec![row; n],
-            object_sizes,
-        }
+        Self::indexed(object_sizes, vec![row; n])
     }
 
     /// Number of objects.
@@ -225,6 +320,44 @@ impl Layout {
         &self.fractions[object]
     }
 
+    /// `object`'s row of the occupancy index: `⌈disks / 64⌉` words, where
+    /// bit `j % 64` of word `j / 64` is set iff `!(x[object][j] <= 0.0)` —
+    /// exactly the drives the Figure-7 kernel does not skip (NaN
+    /// included). Iterate it with [`Drives`].
+    pub fn occupancy(&self, object: usize) -> &[u64] {
+        &self.occupancy[self.row_words(object)]
+    }
+
+    /// Where `object`'s row sits in the flat occupancy index.
+    fn row_words(&self, object: usize) -> Range<usize> {
+        object * self.words..(object + 1) * self.words
+    }
+
+    /// The drives `object` occupies (see [`Layout::occupancy`]), ascending.
+    pub fn occupied(&self, object: usize) -> Drives<'_> {
+        Drives::new(self.occupancy(object))
+    }
+
+    /// Zeroes `object`'s row and its occupancy bits.
+    fn clear_row(&mut self, object: usize) {
+        self.fractions[object].fill(0.0);
+        let words = self.row_words(object);
+        self.occupancy[words].fill(0);
+    }
+
+    /// Writes `x[object][disk] = x` and its occupancy bit.
+    #[inline]
+    fn set(&mut self, object: usize, disk: usize, x: f64) {
+        self.fractions[object][disk] = x;
+        let word = &mut self.occupancy[object * self.words + disk / 64];
+        let bit = 1u64 << (disk % 64);
+        if occupies(x) {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+    }
+
     /// Places `object` on `disks` with the given relative weights
     /// (normalized internally). Weights of zero drop a disk.
     ///
@@ -236,11 +369,9 @@ impl Layout {
             total > 0.0 && disks.iter().all(|&(_, w)| w >= 0.0),
             "placement weights must be non-negative with a positive sum"
         );
-        for f in self.fractions[object].iter_mut() {
-            *f = 0.0;
-        }
+        self.clear_row(object);
         for &(j, w) in disks {
-            self.fractions[object][j] = w / total;
+            self.set(object, j, w / total);
         }
     }
 
@@ -257,11 +388,9 @@ impl Layout {
             total > 0.0 && disk_ids.iter().all(|&j| specs[j].read_mb_s >= 0.0),
             "placement weights must be non-negative with a positive sum"
         );
-        for f in self.fractions[object].iter_mut() {
-            *f = 0.0;
-        }
+        self.clear_row(object);
         for &j in disk_ids {
-            self.fractions[object][j] = specs[j].read_mb_s / total;
+            self.set(object, j, specs[j].read_mb_s / total);
         }
     }
 
@@ -275,6 +404,8 @@ impl Layout {
     /// Panics if the two layouts have different disk counts.
     pub fn copy_row_from(&mut self, other: &Layout, object: usize) {
         self.fractions[object].copy_from_slice(&other.fractions[object]);
+        let words = self.row_words(object);
+        self.occupancy[words].copy_from_slice(other.occupancy(object));
     }
 
     /// The disks holding any part of `object`.
@@ -507,6 +638,57 @@ mod tests {
             l.validate(&disks3()),
             Err(LayoutError::DimensionMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn from_fractions_reports_a_row_count_mismatch() {
+        let err = Layout::from_fractions(vec![10, 20, 30], vec![vec![1.0, 0.0]; 2]).unwrap_err();
+        assert_eq!(
+            err,
+            LayoutError::ObjectCountMismatch {
+                rows: 2,
+                objects: 3
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "layout has 2 fraction rows but 3 object sizes were supplied"
+        );
+    }
+
+    #[test]
+    fn from_fractions_reports_a_ragged_row() {
+        let rows = vec![vec![0.5, 0.5, 0.0], vec![1.0, 0.0], vec![0.0, 0.0, 1.0]];
+        let err = Layout::from_fractions(vec![10, 20, 30], rows).unwrap_err();
+        assert_eq!(
+            err,
+            LayoutError::RaggedRow {
+                object: 1,
+                len: 2,
+                expected: 3
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "fraction row 1 has 2 disk columns but row 0 has 3"
+        );
+    }
+
+    #[test]
+    fn occupancy_follows_the_kernels_skip_test() {
+        // 70 drives span two bitset words; NaN is occupied, zero, negative
+        // zero and negative fractions are not.
+        let mut row = vec![0.0; 70];
+        row[3] = 0.25;
+        row[5] = -0.0;
+        row[6] = -0.5;
+        row[64] = f64::NAN;
+        row[69] = 0.75;
+        let l = Layout::from_fractions(vec![10], vec![row]).unwrap();
+        assert_eq!(l.occupancy(0).len(), 2);
+        assert_eq!(l.occupied(0).collect::<Vec<_>>(), vec![3, 64, 69]);
+        assert_eq!(Drives::new(&[]).count(), 0);
+        assert_eq!(Drives::new(&[0, 0, 1 << 63]).collect::<Vec<_>>(), vec![191]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! small-instance oracle test additionally pins the parallel engine to the
 //! same quality bound against exhaustive enumeration as the sequential one.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use dblayout_obs::counters;
 
@@ -38,9 +38,16 @@ fn layout_bits(l: &Layout) -> Vec<u64> {
 }
 
 /// The work counters are process-global, so measuring a per-run delta is
-/// only sound while no other search runs concurrently. Both tests in this
-/// binary take this lock around every counted region.
+/// only sound while no other test in this binary bumps them — graph builds
+/// and cost sweeps count too, not only searches. Every test holds this lock
+/// for its whole body.
 static COUNTER_ISOLATION: Mutex<()> = Mutex::new(());
+
+/// Takes [`COUNTER_ISOLATION`] (a test that panicked while holding it
+/// leaves the counters consistent, so poisoning is ignored).
+fn isolate_counters() -> MutexGuard<'static, ()> {
+    COUNTER_ISOLATION.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Everything a caller can observe from one search run, fully serialized
 /// so the differential comparison is a single `assert_eq!`.
@@ -81,7 +88,8 @@ fn observe(
 }
 
 /// [`observe`] with a caller-supplied configuration (the collector is
-/// overwritten with a deterministic ring).
+/// overwritten with a deterministic ring). The caller must hold
+/// [`isolate_counters`].
 fn observe_with(
     sizes: &[u64],
     graph: &dblayout_partition::Graph,
@@ -94,12 +102,10 @@ fn observe_with(
         collector: Collector::deterministic(ring.clone()),
         ..cfg
     };
-    let guard = COUNTER_ISOLATION.lock().unwrap_or_else(|e| e.into_inner());
     let before = counters::snapshot();
     let r: TsGreedyResult =
         ts_greedy(sizes, graph, workload, disks, &cfg).expect("search succeeds");
     let work_counters = counters::snapshot().delta(&before).deterministic_pairs();
-    drop(guard);
     let records = ring.drain();
     let names = NarrativeNames {
         objects: &[],
@@ -123,6 +129,7 @@ fn observe_with(
 /// JSONL, and explain narrative byte for byte.
 #[test]
 fn seeded_matrix_is_byte_identical_across_thread_counts() {
+    let _guard = isolate_counters();
     let catalog = tpch_catalog(0.1);
     let sizes: Vec<u64> = catalog.objects().iter().map(|o| o.size_blocks).collect();
     let disk_configs: Vec<(&str, Vec<DiskSpec>)> = vec![
@@ -174,6 +181,7 @@ fn seeded_matrix_is_byte_identical_across_thread_counts() {
 /// small iterations to fewer workers — neither may move a bit).
 #[test]
 fn mega_family_row_is_byte_identical_across_thread_counts() {
+    let _guard = isolate_counters();
     let instance = generate_mega(&MegaConfig::scaled(200, 10, 21));
     let graph = build_access_graph_subplans(instance.sizes.len(), &instance.workload);
     let mega_cfg = |threads: usize, min_chunk: usize| TsGreedyConfig {
@@ -230,6 +238,7 @@ fn scan(obj: u32, blocks: u64) -> PlanNode {
 /// search — at every thread count, with bit-identical results.
 #[test]
 fn small_instance_tracks_the_exhaustive_oracle() {
+    let _guard = isolate_counters();
     let disks = uniform_disks(3, 100_000, 10.0, 20.0);
     let sizes = vec![240u64, 120, 60];
     let plans = vec![
@@ -251,7 +260,6 @@ fn small_instance_tracks_the_exhaustive_oracle() {
     opt_layout.validate(&disks).expect("oracle layout is valid");
 
     let mut final_costs = Vec::new();
-    let _guard = COUNTER_ISOLATION.lock().unwrap_or_else(|e| e.into_inner());
     for threads in [1usize, 2, 4, 8] {
         let cfg = TsGreedyConfig {
             threads,
