@@ -9,6 +9,8 @@
 //!
 //! * any configuration's layout or cost diverges from its partitioner's
 //!   1-thread run (byte-identity across thread counts);
+//! * the phase rows (instance generation, access-graph build, step-1
+//!   duel, search matrix) sum to more than 5% off the run's wall clock;
 //! * at mega scale (≥ 600 objects) the multilevel cut falls below the
 //!   direct cut (the cut saturates there, so parity is the expectation)
 //!   or the multilevel partition is *less* balanced than the direct one;
@@ -102,7 +104,11 @@ fn main() -> ExitCode {
                 ),
             ])
             .collect(),
-        phases_ms: Vec::new(),
+        phases_ms: report
+            .phases
+            .iter()
+            .map(|p| (p.phase.clone(), p.total_ms))
+            .collect(),
         counters: report.counters.clone(),
     };
     let history = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_search.json");
@@ -112,6 +118,21 @@ fn main() -> ExitCode {
     }
 
     let mut failed = false;
+    let phase_ms: f64 = report.phases.iter().map(|p| p.total_ms).sum();
+    println!(
+        "phases: {} = {phase_ms:.0} ms of {:.0} ms wall clock",
+        report
+            .phases
+            .iter()
+            .map(|p| format!("{} {:.0}", p.phase, p.total_ms))
+            .collect::<Vec<_>>()
+            .join(" + "),
+        report.wall_ms
+    );
+    if (phase_ms - report.wall_ms).abs() > 0.05 * report.wall_ms {
+        eprintln!("error: the phase rows do not account for the run's wall clock");
+        failed = true;
+    }
     if !report.all_identical {
         eprintln!("error: search output diverged across thread counts");
         failed = true;

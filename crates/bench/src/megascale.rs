@@ -34,8 +34,11 @@ use serde::Serialize;
 use dblayout_core::tsgreedy::{ts_greedy, Partitioner, TsGreedyConfig};
 use dblayout_core::{build_access_graph_subplans, Layout};
 use dblayout_obs::counters;
+use dblayout_obs::prof::PhaseTimer;
 use dblayout_partition::{max_cut_partition, multilevel_max_cut, Graph, MultilevelConfig};
 use dblayout_workloads::wkmega::{generate, MegaConfig};
+
+use crate::search_bench::PhaseMs;
 
 /// One measured search configuration on the mega instance.
 #[derive(Debug, Clone, Serialize)]
@@ -108,6 +111,11 @@ pub struct MegaBenchReport {
     pub rows: Vec<MegaSearchRow>,
     /// Deterministic work-counter deltas over the whole run.
     pub counters: Vec<(String, u64)>,
+    /// Wall-time attribution: instance generation, access-graph build,
+    /// the step-1 partition duel and the search matrix.
+    pub phases: Vec<PhaseMs>,
+    /// Wall time of the whole run, ms — the phases sum to nearly all of it.
+    pub wall_ms: f64,
 }
 
 /// Every placement fraction's bit pattern — the byte-level identity the
@@ -144,12 +152,21 @@ fn imbalance(g: &Graph, assignment: &[usize], parts: usize) -> f64 {
 /// repetitions each. Deterministic apart from wall times.
 pub fn run_with(cfg: &MegaConfig, thread_counts: &[usize], reps: usize) -> MegaBenchReport {
     let reps = reps.max(1);
+    let started = Instant::now();
+    let prof = PhaseTimer::new();
     let before = counters::snapshot();
-    let instance = generate(cfg);
-    let graph = build_access_graph_subplans(instance.sizes.len(), &instance.workload);
+    let instance = {
+        let _generate = prof.phase("generate");
+        generate(cfg)
+    };
+    let graph = {
+        let _build = prof.phase("build-graph");
+        build_access_graph_subplans(instance.sizes.len(), &instance.workload)
+    };
     let parts = instance.disks.len();
 
     // Step-1 duel: identical graph, identical target part count.
+    let duel = prof.phase("partition");
     let mut direct_ms = f64::INFINITY;
     let mut multilevel_ms = f64::INFINITY;
     let mut direct_assignment = Vec::new();
@@ -171,6 +188,7 @@ pub fn run_with(cfg: &MegaConfig, thread_counts: &[usize], reps: usize) -> MegaB
         direct_balance: imbalance(&graph, &direct_assignment, parts),
         multilevel_balance: imbalance(&graph, &multilevel_assignment, parts),
     };
+    drop(duel);
 
     // Search matrix: both partitioners at every thread count. Pruned
     // widening keeps per-iteration work bounded, and the iteration budget
@@ -208,6 +226,7 @@ pub fn run_with(cfg: &MegaConfig, thread_counts: &[usize], reps: usize) -> MegaB
         (best_ms, result.expect("at least one repetition ran"))
     };
 
+    let search = prof.phase("search");
     let mut rows = Vec::new();
     let mut final_costs = [0.0f64; 2];
     for (pi, (name, partitioner)) in [
@@ -245,10 +264,12 @@ pub fn run_with(cfg: &MegaConfig, thread_counts: &[usize], reps: usize) -> MegaB
             });
         }
     }
+    drop(search);
     let all_identical = rows.iter().all(|r| r.identical_to_one_thread);
     let cost_ratio = final_costs[0] / final_costs[1];
 
     let delta = counters::snapshot().delta(&before);
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     MegaBenchReport {
         instance: instance.name.clone(),
         objects: instance.sizes.len(),
@@ -268,6 +289,16 @@ pub fn run_with(cfg: &MegaConfig, thread_counts: &[usize], reps: usize) -> MegaB
             .into_iter()
             .map(|(name, value)| (name.to_string(), value))
             .collect(),
+        phases: prof
+            .rows()
+            .into_iter()
+            .map(|r| PhaseMs {
+                phase: r.name,
+                calls: r.calls,
+                total_ms: r.total_us as f64 / 1e3,
+            })
+            .collect(),
+        wall_ms,
     }
 }
 
@@ -297,5 +328,13 @@ mod tests {
         assert!(report.partition.direct_balance >= 1.0);
         assert!(report.partition.multilevel_balance >= 1.0);
         assert!(report.cost_ratio.is_finite() && report.cost_ratio > 0.0);
+        let phases: Vec<&str> = report.phases.iter().map(|p| p.phase.as_str()).collect();
+        assert_eq!(phases, ["generate", "build-graph", "partition", "search"]);
+        let sum: f64 = report.phases.iter().map(|p| p.total_ms).sum();
+        assert!(
+            sum <= report.wall_ms,
+            "{sum} ms of phases in {} ms",
+            report.wall_ms
+        );
     }
 }

@@ -75,22 +75,23 @@ impl HistoryEntry {
     }
 }
 
-/// The git revision of the tree at `root` (short hash), `unknown` when the
-/// `git` binary and `.git` metadata are both unavailable. Never fails: the
-/// observatory must work in tarball checkouts too.
+/// The git revision of the tree at `root`: the short `HEAD` hash, plus
+/// `+<12-hex tree hash>` when the working tree differs from `HEAD`, so a
+/// row measured before its change is committed is still attributable and
+/// tells parent rows from change rows. The bench outputs (`BENCH_*.json`
+/// histories, `results/`) are left out of that comparison: appending a
+/// row does not change what was measured. `unknown` when the `git` binary
+/// and `.git` metadata are both unavailable. Never fails: the observatory
+/// must work in tarball checkouts too.
 pub fn git_rev(root: &Path) -> String {
-    if let Ok(out) = std::process::Command::new("git")
-        .arg("-C")
-        .arg(root)
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-    {
-        if out.status.success() {
-            let rev = String::from_utf8_lossy(&out.stdout).trim().to_string();
-            if !rev.is_empty() {
-                return rev;
+    let git = |args: &[&str]| git_output(root, args, None).filter(|out| !out.is_empty());
+    if let Some(head) = git(&["rev-parse", "--short=12", "HEAD"]) {
+        return match (worktree_tree(root), git(&["rev-parse", "HEAD^{tree}"])) {
+            (Some(tree), Some(head_tree)) if tree != head_tree => {
+                format!("{head}+{}", &tree[..tree.len().min(12)])
             }
-        }
+            _ => head,
+        };
     }
     // Fallback: read `.git/HEAD` directly (detached or symbolic).
     let head_path = root.join(".git/HEAD");
@@ -107,6 +108,48 @@ pub fn git_rev(root: &Path) -> String {
         }
     }
     "unknown".to_string()
+}
+
+/// Trimmed stdout of `git -C root <args>`, `None` when git cannot run or
+/// fails. `index` points git at another index file than the repository's.
+fn git_output(root: &Path, args: &[&str], index: Option<&Path>) -> Option<String> {
+    let mut cmd = std::process::Command::new("git");
+    cmd.arg("-C").arg(root).args(args);
+    if let Some(index) = index {
+        cmd.env("GIT_INDEX_FILE", index);
+    }
+    let out = cmd.output().ok()?;
+    out.status
+        .success()
+        .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
+/// The tree hash `git write-tree` gives for the working tree at `root`
+/// (untracked files included, ignored ones not), with the bench outputs
+/// kept at their `HEAD` versions. It is staged in a temporary index, so
+/// the repository's own index is never touched.
+fn worktree_tree(root: &Path) -> Option<String> {
+    // `create_dir` is atomic, so concurrent stamps never share an index.
+    let dir = (0..1024).find_map(|n| {
+        let dir = std::env::temp_dir().join(format!("dblayout-rev-{}-{n}", std::process::id()));
+        std::fs::create_dir(&dir).ok().map(|()| dir)
+    })?;
+    let index = dir.join("index");
+    let stage = [
+        "add",
+        "-A",
+        "--",
+        ".",
+        ":(exclude,glob)BENCH_*.json",
+        ":(exclude)results",
+    ];
+    let tree = git_output(root, &["read-tree", "HEAD"], Some(&index))
+        .and_then(|_| git_output(root, &stage, Some(&index)))
+        .and_then(|_| git_output(root, &["write-tree"], Some(&index)));
+    if let Err(e) = std::fs::remove_dir_all(&dir) {
+        eprintln!("warning: cannot remove `{}`: {e}", dir.display());
+    }
+    tree.filter(|t| !t.is_empty())
 }
 
 /// Appends `entry` to the JSON-array history at `path`, creating the file
@@ -729,9 +772,65 @@ mod tests {
     fn git_rev_in_this_repo_is_a_short_hash() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let rev = git_rev(&root);
+        // `HEAD`, plus a tree hash while the working tree differs from it.
+        let hex12 = |s: &str| s.len() == 12 && s.chars().all(|c| c.is_ascii_hexdigit());
+        let mut parts = rev.split('+');
         assert!(
-            rev == "unknown" || rev.chars().all(|c| c.is_ascii_hexdigit()),
+            rev == "unknown"
+                || (parts.next().is_some_and(hex12)
+                    && parts.next().is_none_or(hex12)
+                    && parts.next().is_none()),
             "{rev}"
         );
+    }
+
+    /// On a scratch repository: a clean tree stamps `HEAD`; bench outputs
+    /// do not count as a difference; a changed or new source file stamps
+    /// `HEAD+<tree>`, where `<tree>` is what `git write-tree` gives once
+    /// the change is staged; the repository's own index stays untouched.
+    #[test]
+    fn git_rev_stamps_the_working_tree_hash_of_an_uncommitted_change() {
+        let dir = std::env::temp_dir().join(format!("dblayout-git-rev-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("results")).unwrap();
+        let git = |args: &[&str]| -> Option<String> {
+            let out = std::process::Command::new("git")
+                .arg("-C")
+                .arg(&dir)
+                .args(["-c", "user.name=bench", "-c", "user.email=bench@localhost"])
+                .args(["-c", "commit.gpgsign=false"])
+                .args(args)
+                .output()
+                .ok()?;
+            out.status
+                .success()
+                .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        };
+        if git(&["init", "-q"]).is_none() {
+            return; // no git here: nothing to stamp
+        }
+        std::fs::write(dir.join("src.rs"), "fn main() {}\n").unwrap();
+        git(&["add", "src.rs"]).unwrap();
+        git(&["commit", "-q", "-m", "init"]).unwrap();
+        let head = git(&["rev-parse", "--short=12", "HEAD"]).unwrap();
+        assert_eq!(git_rev(&dir), head);
+
+        std::fs::write(dir.join("BENCH_search.json"), "[]").unwrap();
+        std::fs::write(dir.join("results/search_bench.json"), "{}").unwrap();
+        assert_eq!(git_rev(&dir), head, "bench outputs changed the stamp");
+
+        std::fs::write(dir.join("src.rs"), "fn main() { println!(); }\n").unwrap();
+        std::fs::write(dir.join("new.rs"), "// new\n").unwrap();
+        let index = std::fs::read(dir.join(".git/index")).unwrap();
+        let rev = git_rev(&dir);
+        assert_eq!(
+            std::fs::read(dir.join(".git/index")).unwrap(),
+            index,
+            "the real index was touched"
+        );
+        git(&["add", "src.rs", "new.rs"]).unwrap();
+        let tree = git(&["write-tree"]).unwrap();
+        assert_eq!(rev, format!("{head}+{}", &tree[..12]));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -103,6 +103,15 @@ impl Constraints {
         self
     }
 
+    /// True when [`Constraints::check`] accepts every layout: no
+    /// co-location pair, no availability requirement, and no movement
+    /// bound (a bound without a current layout is never checked).
+    pub fn is_empty(&self) -> bool {
+        self.co_located.is_empty()
+            && self.avail.is_empty()
+            && (self.max_data_movement_blocks.is_none() || self.current_layout.is_none())
+    }
+
     /// Union-find grouping of objects by co-location: `group[i]` is the
     /// representative object index of object `i`'s co-location group.
     pub fn co_location_groups(&self, n_objects: usize) -> Vec<usize> {
@@ -218,6 +227,26 @@ mod tests {
         let mut ok = Layout::empty(vec![100], 4);
         ok.place(0, &[(0, 1.0), (1, 1.0)]);
         c.check(&ok, &disks()).unwrap();
+    }
+
+    #[test]
+    fn is_empty_only_without_any_checked_constraint() {
+        let ds = disks();
+        assert!(Constraints::none().is_empty());
+        assert!(!Constraints::none()
+            .co_locate(ObjectId(0), ObjectId(1))
+            .is_empty());
+        assert!(!Constraints::none()
+            .require_avail(ObjectId(0), Availability::Mirroring)
+            .is_empty());
+        let current = Layout::full_striping(vec![400], &ds);
+        assert!(!Constraints::none().bound_movement(current, 0).is_empty());
+        // A bound with no current layout is never checked.
+        let unanchored = Constraints {
+            max_data_movement_blocks: Some(0),
+            ..Constraints::none()
+        };
+        assert!(unanchored.is_empty());
     }
 
     #[test]

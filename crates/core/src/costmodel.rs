@@ -265,6 +265,7 @@ impl CostModel {
             sub_costs: Vec::new(),
             stmt_costs: Vec::new(),
             total: 0.0,
+            prefix: Vec::new(),
             touching,
             totals: Arc::new(SubplanTotals { flat, spans }),
         };
@@ -291,13 +292,11 @@ impl SubplanTotals {
     }
 }
 
-/// Reusable buffers for [`DeltaEvaluator::cost_of_move`]: the touched
-/// sub-plan list and the kernel's per-drive accumulators. One per scoring
-/// worker; holding it outside the candidate loop makes scoring
+/// Reusable kernel accumulators for [`DeltaEvaluator::recost_into`]. One
+/// per scoring worker; holding it outside the candidate loop makes scoring
 /// allocation-free.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
-    touched: Vec<(u32, u32)>,
     terms: DiskTerms,
 }
 
@@ -319,8 +318,12 @@ impl EvalScratch {
 /// reused. The resulting total is therefore bit-identical to a full
 /// re-evaluation (0 ULPs), not merely close: the search can score thousands
 /// of candidate moves incrementally without its trajectory ever diverging
-/// from a naive implementation's. When a layout change is not expressible
-/// as a known set of moved objects, fall back to
+/// from a naive implementation's. The search's scoring path splits that
+/// work in two: [`DeltaEvaluator::recost_into`] runs the kernel on the
+/// touched sub-plans, and [`DeltaEvaluator::fold`] sums any such values
+/// against the ledger, so values re-costed once can be folded again as
+/// long as their inputs are unchanged. When a layout change is not
+/// expressible as a known set of moved objects, fall back to
 /// [`DeltaEvaluator::evaluate_full`] or [`DeltaEvaluator::rebase`].
 #[derive(Debug, Clone)]
 pub struct DeltaEvaluator<'a> {
@@ -334,6 +337,10 @@ pub struct DeltaEvaluator<'a> {
     stmt_costs: Vec<f64>,
     /// `Σ_s stmt_costs[s]`, summed in `s` order — the workload objective.
     total: f64,
+    /// `prefix[s]` — the fold `0.0 + stmt_costs[0] + … + stmt_costs[s - 1]`
+    /// in `s` order (`statements + 1` entries), where [`DeltaEvaluator::fold`]
+    /// resumes.
+    prefix: Vec<f64>,
     /// For each object id, the sorted unique `(statement, sub-plan)` pairs
     /// whose sub-plan accesses it.
     touching: Vec<Vec<(u32, u32)>>,
@@ -365,14 +372,8 @@ impl DeltaEvaluator<'_> {
     /// relative to the base layout. Sub-plans not touching a moved object
     /// are reused from the ledger; everything else is recomputed.
     pub fn evaluate_move(&self, layout: &Layout, moved: &[usize]) -> CostDelta {
-        let mut touched: Vec<(u32, u32)> = Vec::new();
-        for &obj in moved {
-            if let Some(list) = self.touching.get(obj) {
-                touched.extend_from_slice(list);
-            }
-        }
-        touched.sort_unstable();
-        touched.dedup();
+        let mut touched = Vec::new();
+        self.touched(moved, &mut touched);
         let terms = &mut DiskTerms::default();
         let sub_updates: Vec<(u32, u32, f64)> = touched
             .iter()
@@ -381,26 +382,56 @@ impl DeltaEvaluator<'_> {
         self.finish(sub_updates)
     }
 
-    /// Workload cost of `layout` (ms) without materializing a
-    /// [`CostDelta`] — the allocation-free scoring kernel for the search's
-    /// candidate loop. Bit-identical to `evaluate_move(layout,
-    /// moved).total`: it replays the exact same addition order (per-statement
-    /// sub-plan sums in `p` order, then the workload sum in `s` order,
-    /// substituting recomputed terms), it just never stores the updates.
-    /// `scratch` carries the reusable buffers; one per worker.
-    pub fn cost_of_move(&self, layout: &Layout, moved: &[usize], scratch: &mut EvalScratch) -> f64 {
-        scratch.touched.clear();
+    /// Writes into `out` the sorted, unique `(statement, sub-plan)` pairs
+    /// whose sub-plan reads any object in `moved` — the sub-plans a move of
+    /// those objects re-costs. The list depends only on the workload, so a
+    /// caller can build it once per moved set.
+    pub fn touched(&self, moved: &[usize], out: &mut Vec<(u32, u32)>) {
+        out.clear();
         for &obj in moved {
             if let Some(list) = self.touching.get(obj) {
-                scratch.touched.extend_from_slice(list);
+                out.extend_from_slice(list);
             }
         }
-        scratch.touched.sort_unstable();
-        scratch.touched.dedup();
-        let (touched, terms) = (&scratch.touched, &mut scratch.terms);
-        let mut total = 0.0f64;
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// Appends to `out` the unweighted cost of each `touched` sub-plan
+    /// under `layout`, in `touched` order — one Figure-7 kernel call each.
+    /// `scratch` carries the kernel's reusable accumulators; one per worker.
+    pub fn recost_into(
+        &self,
+        layout: &Layout,
+        touched: &[(u32, u32)],
+        out: &mut Vec<f64>,
+        scratch: &mut EvalScratch,
+    ) {
+        let terms = &mut scratch.terms;
+        out.extend(
+            touched
+                .iter()
+                .map(|&(s, p)| self.recost_sub(s as usize, p as usize, layout, terms)),
+        );
+    }
+
+    /// Workload cost (ms) of a layout that differs from the base only in
+    /// the `touched` sub-plans' costs, which are `values` (as
+    /// [`DeltaEvaluator::recost_into`] writes them for `touched`, built by
+    /// [`DeltaEvaluator::touched`]). Bit-identical to
+    /// `evaluate_move(layout, moved).total`: it replays the same additions
+    /// in the same order (per-statement sub-plan sums in `p` order, then
+    /// the workload sum in `s` order), substituting `values` for the
+    /// touched terms. The workload sum resumes from the base's prefix fold
+    /// at the first touched statement — the running total a fold from 0.0
+    /// holds there — so statements before it cost nothing.
+    pub fn fold(&self, touched: &[(u32, u32)], values: &[f64]) -> f64 {
+        let first = touched
+            .first()
+            .map_or(self.stmt_costs.len(), |&(s, _)| s as usize);
+        let mut total = self.prefix[first];
         let mut i = 0usize;
-        for (s, &stmt_cached) in self.stmt_costs.iter().enumerate() {
+        for (s, &stmt_cached) in self.stmt_costs.iter().enumerate().skip(first) {
             if touched.get(i).is_none_or(|&(ts, _)| ts != s as u32) {
                 total += stmt_cached;
                 continue;
@@ -412,7 +443,7 @@ impl DeltaEvaluator<'_> {
                     .get(i)
                     .is_some_and(|&(ts, tp)| ts == s as u32 && tp == p as u32)
                 {
-                    sum += self.recost_sub(s, p, layout, terms);
+                    sum += values[i];
                     i += 1;
                 } else {
                     sum += cached;
@@ -454,8 +485,8 @@ impl DeltaEvaluator<'_> {
     }
 
     /// [`DeltaEvaluator::evaluate_full`] without materializing the delta —
-    /// the full-re-evaluation twin of [`DeltaEvaluator::cost_of_move`],
-    /// used by the reference engine's scoring loop. Bit-identical to
+    /// the reference engine's scoring path, which re-costs every sub-plan
+    /// and shares no code with [`DeltaEvaluator::fold`]. Bit-identical to
     /// `evaluate_full(layout).total`.
     pub fn cost_of_full(&self, layout: &Layout) -> f64 {
         let terms = &mut DiskTerms::default();
@@ -480,6 +511,19 @@ impl DeltaEvaluator<'_> {
             self.stmt_costs[s as usize] = c;
         }
         self.total = delta.total;
+        self.refold_prefix();
+    }
+
+    /// Recomputes [`DeltaEvaluator::fold`]'s prefix from the statement
+    /// ledger, folding from 0.0 in `s` order like every workload total.
+    fn refold_prefix(&mut self) {
+        self.prefix.clear();
+        let mut total = 0.0f64;
+        self.prefix.push(total);
+        for &c in &self.stmt_costs {
+            total += c;
+            self.prefix.push(total);
+        }
     }
 
     /// Rebuilds the whole ledger against `layout` — the full-evaluation
@@ -505,6 +549,7 @@ impl DeltaEvaluator<'_> {
         self.total = stmt_costs.iter().sum();
         self.sub_costs = sub_costs;
         self.stmt_costs = stmt_costs;
+        self.refold_prefix();
     }
 
     /// Folds recomputed sub-plan costs into statement and workload totals,
@@ -941,26 +986,36 @@ mod tests {
     }
 
     #[test]
-    fn cost_of_move_is_bit_identical_to_evaluate_move() {
+    fn fold_is_bit_identical_to_evaluate_move() {
         let (workload, disks, layout) = delta_fixture();
         let model = CostModel::default();
-        let eval = model.delta_evaluator(&workload, &layout, &disks);
+        let mut eval = model.delta_evaluator(&workload, &layout, &disks);
         let mut scratch = EvalScratch::new();
+        let (mut touched, mut values) = (Vec::new(), Vec::new());
+        let mut base = layout.clone();
         for (moved, split) in [
             (vec![1usize], vec![(0usize, 1.0), (1, 1.0), (2, 1.0)]),
             (vec![0], vec![(2, 1.0)]),
             (vec![2], vec![(0, 1.0), (1, 1.0)]),
             (vec![0, 1], vec![(1, 1.0)]),
+            (vec![], vec![]),
         ] {
-            let mut trial = layout.clone();
+            let mut trial = base.clone();
             for &obj in &moved {
                 trial.place(obj, &split);
             }
-            let fast = eval.cost_of_move(&trial, &moved, &mut scratch);
+            eval.touched(&moved, &mut touched);
+            values.clear();
+            eval.recost_into(&trial, &touched, &mut values, &mut scratch);
+            let fast = eval.fold(&touched, &values);
             let slow = eval.evaluate_move(&trial, &moved);
             assert_eq!(fast.to_bits(), slow.total.to_bits(), "moved {moved:?}");
             let full = eval.cost_of_full(&trial);
             assert_eq!(full.to_bits(), eval.evaluate_full(&trial).total.to_bits());
+            assert_eq!(full.to_bits(), fast.to_bits(), "moved {moved:?}");
+            // Adopt the move, so later folds resume from a moved prefix.
+            eval.apply(&slow);
+            base = trial;
         }
     }
 

@@ -6,9 +6,10 @@
 //! [`with_pool`] fans that scoring across a persistent worker pool while
 //! keeping the search's output **byte-identical at any thread count**:
 //!
-//! * Work is split into *contiguous* chunks ([`chunk_range`]), so worker
-//!   `w` always owns the same candidate indices for a given
-//!   `(len, threads)` — no work stealing, no racy assignment.
+//! * Work is split into *contiguous* chunks ([`chunk_range`], or
+//!   [`weighted_bounds`] when items cost unequal work), so worker `w`
+//!   always owns the same candidate indices for the same inputs — no work
+//!   stealing, no racy assignment.
 //! * Workers only *score*; they never adopt. The caller reduces the
 //!   per-worker results in worker order, which is candidate-enumeration
 //!   order, so tie-breaking ("earliest strictly-better candidate wins")
@@ -78,6 +79,30 @@ pub fn chunk_range(len: usize, workers: usize, w: usize) -> Range<usize> {
     let start = w * base + w.min(rem);
     let size = base + usize::from(w < rem);
     start..(start + size).min(len)
+}
+
+/// Chunk boundaries for items of unequal work: worker `w` of `workers`
+/// owns items `bounds[w]..bounds[w + 1]`, where `work[i]` is item `i`'s
+/// cost. Item `i` goes to the worker whose [`chunk_range`] of the
+/// `Σ work` units holds the work before it, so chunks carry near-equal
+/// work, are deterministic in their inputs, and concatenate to
+/// `0..work.len()` in order. Returns `workers + 1` entries.
+pub fn weighted_bounds(work: &[usize], workers: usize) -> Vec<usize> {
+    let workers = workers.max(1);
+    let total: usize = work.iter().sum();
+    let mut bounds = Vec::with_capacity(workers + 1);
+    bounds.push(0);
+    let (mut before, mut i) = (0usize, 0usize);
+    for w in 1..workers {
+        let start = chunk_range(total, workers, w).start;
+        while i < work.len() && before < start {
+            before += work[i];
+            i += 1;
+        }
+        bounds.push(i);
+    }
+    bounds.push(work.len());
+    bounds
 }
 
 /// One worker's channel pair: jobs in, results out. A dedicated result
@@ -243,6 +268,46 @@ mod tests {
         }
         // Out-of-range workers own nothing.
         assert!(chunk_range(10, 4, 4).is_empty());
+    }
+
+    #[test]
+    fn weighted_bounds_partition_the_input_by_work() {
+        let mut seed = 0x9E37_79B9u64;
+        for len in [0usize, 1, 2, 7, 64, 200] {
+            let work: Vec<usize> = (0..len)
+                .map(|_| {
+                    seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    if seed >> 62 == 0 {
+                        50 + (seed >> 40) as usize % 50
+                    } else {
+                        1
+                    }
+                })
+                .collect();
+            let total: usize = work.iter().sum();
+            let heaviest = work.iter().copied().max().unwrap_or(0);
+            for workers in [1usize, 2, 3, 4, 8] {
+                let bounds = weighted_bounds(&work, workers);
+                assert_eq!(bounds.len(), workers + 1);
+                assert_eq!((bounds[0], bounds[workers]), (0, len));
+                for w in 0..workers {
+                    assert!(bounds[w] <= bounds[w + 1], "len={len} workers={workers}");
+                    let chunk: usize = work[bounds[w]..bounds[w + 1]].iter().sum();
+                    assert!(
+                        chunk <= total.div_ceil(workers) + heaviest,
+                        "len={len} workers={workers} w={w}: {chunk} of {total}"
+                    );
+                }
+            }
+            // Unit work reproduces the count-balanced split.
+            let ones = vec![1usize; len];
+            for workers in [1usize, 2, 3, 4, 8] {
+                let bounds = weighted_bounds(&ones, workers);
+                for w in 0..workers {
+                    assert_eq!(bounds[w]..bounds[w + 1], chunk_range(len, workers, w));
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! the current layout.
 
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use dblayout_disksim::{DiskSpec, Layout};
@@ -109,12 +110,14 @@ pub struct TsGreedyConfig {
     /// decides between adopting and terminating, so a pruned search never
     /// stops while the unpruned one would keep going.
     pub prune_width: usize,
-    /// Adaptive dispatch: engage one worker per `min_chunk` candidates,
-    /// clamped to `[1, threads]` ([`par::effective_workers`]). Iterations
-    /// below the threshold run inline — the fix for small-instance
-    /// parallel regressions where two channel hops per worker outweighed
-    /// the scoring work. `0` always engages every worker. Either setting
-    /// yields byte-identical results at any thread count.
+    /// Adaptive dispatch: engage one worker per `min_chunk` sub-plans the
+    /// iteration re-costs through the Figure-7 kernel (a memoized
+    /// candidate re-costs none), clamped to `[1, threads]`
+    /// ([`par::effective_workers`]). Iterations below the threshold run
+    /// inline — the fix for small-instance parallel regressions where two
+    /// channel hops per worker outweighed the scoring work. `0` always
+    /// engages every worker. Either setting yields byte-identical results
+    /// at any thread count.
     pub min_chunk: usize,
     /// Stop after this many adopted moves (`0` = run to convergence).
     /// A measurement budget for benchmarks on mega-scale instances; the
@@ -261,7 +264,7 @@ pub fn ts_greedy(
     }
 
     let seeded = cfg.seed.is_some();
-    let mut layout = if let Some(seed) = &cfg.seed {
+    let layout = if let Some(seed) = &cfg.seed {
         // ---- Seeded mode (dblayout-relayout): adopt the caller's layout
         // as the starting point and skip step 1 entirely. The seed is the
         // deployed layout of a running system, so it must already be
@@ -298,13 +301,12 @@ pub fn ts_greedy(
     let model = &cfg.cost_model;
     let mut evals = 0usize;
 
-    let mut eval = model.delta_evaluator(workload, &layout, disks);
+    let eval = model.delta_evaluator(workload, &layout, disks);
     evals += 1;
     // Building the evaluator runs one full Figure-7 costing of `layout`.
     counters::incr(Counter::CostmodelFullRecosts);
-    let mut cost = eval.total();
     let initial_layout = layout.clone();
-    let initial_cost = cost;
+    let initial_cost = eval.total();
     if search_span.enabled() {
         search_span.event("tsgreedy.step1", vec![f("cost_ms", initial_cost)]);
     }
@@ -325,18 +327,43 @@ pub fn ts_greedy(
     // (= candidate) order with a strict `<` — exactly the sequential
     // scan's earliest-wins tie semantics, so the chosen layout is
     // byte-identical at any thread count (DESIGN.md §7).
+    //
+    // Candidate memo (DESIGN.md §7): a candidate's re-costed sub-plan
+    // values depend only on its group's new rows and on the rows of the
+    // groups those sub-plans read, so they stay exact until one of those
+    // groups moves. The memo keeps them across iterations, keyed by group
+    // and position in the group's move list; every candidate, memoized or
+    // freshly re-costed, is scored by the same fold against the ledger.
     let threads = cfg.threads.max(1);
     let full_reevaluation = cfg.full_reevaluation;
+    // The reference engine shares nothing with the memo, and a traced cost
+    // model must re-cost every candidate to emit its `costmodel.subplan`
+    // events, so both bypass it.
+    let memoize = !full_reevaluation && !model.collector.enabled();
+    // With no constraint to check, a memo hit that the headroom accept
+    // passes needs no trial layout at all.
+    let unconstrained = cfg.constraints.is_empty();
+    // The sub-plans each group's candidates re-cost: fixed for the search,
+    // since a move rewrites only its own group's rows.
+    let mut group_subs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); g_count];
+    for (subs, mem) in group_subs.iter_mut().zip(&members) {
+        eval.touched(mem, subs);
+    }
+    // The reference engine re-costs every sub-plan of every candidate.
+    let all_subs: usize = workload.iter().map(|(subs, _)| subs.len()).sum();
 
     /// One candidate move: re-place `group` onto (current ∖ `drop`) ∪
-    /// `add`. Classic widening keeps `drop` empty; seeded searches also
-    /// enumerate narrow (`add` empty) and swap (one of each) moves.
+    /// `add`. Classic widening has no `drop`; seeded searches also
+    /// enumerate narrow (no `add`) and swap (one of each) moves. `add`
+    /// indexes [`Job::drives`], so enumerating a move allocates nothing.
+    #[derive(Clone)]
     struct Move {
         group: usize,
-        add: Vec<usize>,
-        drop: Vec<usize>,
+        add: Range<usize>,
+        drop: Option<usize>,
     }
     /// Per-candidate scoring outcome, in enumeration order.
+    #[derive(Clone, Copy)]
     enum Scored {
         InvalidLayout,
         ConstraintViolation,
@@ -353,28 +380,61 @@ pub fn ts_greedy(
     struct Chunk {
         outcomes: Vec<Scored>,
         best: Option<ChunkBest>,
+        /// Candidates whose re-costed sub-plan values enter the memo, in
+        /// enumeration order.
+        fresh: Vec<usize>,
+        /// Their values, concatenated in `fresh` order (values the memo
+        /// does not admit live here only until folded).
+        values: Vec<f64>,
+        /// Sub-plans re-costed through the Figure-7 kernel.
+        recosts: u64,
     }
-    /// Reusable per-worker scratch: the cost evaluator's touched-set
-    /// buffer plus the incremental validity check's usage/apportionment
-    /// buffers. One per chunk invocation; every allocation in the
-    /// candidate loop lives here.
+    /// Reusable per-worker scratch: the kernel's accumulators, the
+    /// incremental validity check's usage/apportionment buffers, and the
+    /// moved group's new drive set. One per chunk invocation; every
+    /// allocation in the candidate loop lives here or in the chunk's
+    /// output.
     #[derive(Default)]
     struct WorkerScratch {
         eval: EvalScratch,
         usage: Vec<u64>,
         row: Vec<u64>,
         apportion: Vec<(usize, f64)>,
+        set: Vec<usize>,
     }
-    /// Immutable per-iteration snapshot shipped to every worker.
+    /// The memoized sub-plan values of one group's candidates.
+    #[derive(Clone, Default)]
+    struct MemoEntry {
+        /// `known[c]`: candidate `c` of the group's move list has values.
+        /// Empty once the group or a sub-plan neighbour moved.
+        known: Vec<bool>,
+        /// The group's `group_subs` values per candidate, candidate-major.
+        values: Vec<f64>,
+    }
+    /// The search state. Each iteration ships it to every worker as an
+    /// immutable snapshot and takes it back (the workers drop their
+    /// handles before replying) for the reduction and the adoption, so
+    /// nothing in it is cloned per iteration.
+    #[derive(Clone)]
     struct Job<'a> {
         layout: Layout,
         eval: DeltaEvaluator<'a>,
         cost: f64,
+        /// Each group's drives (`layout.disks_of` of its first member).
         current_sets: Vec<Vec<usize>>,
+        /// This iteration's moves, in the canonical order.
         moves: Vec<Move>,
-        /// Engaged worker count for this dispatch (adaptive chunking);
-        /// chunk ownership derives from this, not the pool width.
-        workers: usize,
+        /// The drives the moves add.
+        drives: Vec<usize>,
+        /// Each group's slice of `moves` (empty when pruned out).
+        group_moves: Vec<Range<usize>>,
+        /// Worker `w` scores `moves[bounds[w]..bounds[w + 1]]`; chunk
+        /// ownership derives from this, not the pool width.
+        bounds: Vec<usize>,
+        /// Whether this iteration's re-costed values enter the memo.
+        admit: bool,
+        /// Per-group memo (empty when the memo is bypassed).
+        memo: Vec<MemoEntry>,
         /// `layout.disk_count() == disks.len()` (Definition 2 dimensions).
         dims_ok: bool,
         /// `layout.blocks_on(i)` for every object, flattened with stride
@@ -392,16 +452,56 @@ pub fn ts_greedy(
     }
 
     impl Job<'_> {
+        /// Fills `set` with `mv`'s new drive set for its group.
+        fn new_set(&self, mv: &Move, set: &mut Vec<usize>) {
+            set.clear();
+            set.extend(
+                self.current_sets[mv.group]
+                    .iter()
+                    .copied()
+                    .filter(|&j| Some(j) != mv.drop),
+            );
+            set.extend_from_slice(&self.drives[mv.add.clone()]);
+        }
+
+        /// Candidate `idx`'s memoized sub-plan values (`width` of them),
+        /// if its group's memo entry has them.
+        fn memo_hit(&self, idx: usize, width: usize) -> Option<&[f64]> {
+            let g = self.moves[idx].group;
+            let c = idx - self.group_moves[g].start;
+            let entry = self.memo.get(g)?;
+            if entry.known.get(c) == Some(&true) {
+                entry.values.get(c * width..(c + 1) * width)
+            } else {
+                None
+            }
+        }
+
+        /// A moved group no larger than the smallest per-drive headroom
+        /// passes the capacity check: each moved object adds at most its
+        /// own size to any drive.
+        fn fits_headroom(&self, moved: &[usize]) -> bool {
+            let moved_blocks = moved.iter().fold(0u64, |sum, &i| {
+                sum.saturating_add(self.layout.object_size(i))
+            });
+            self.headroom.is_some_and(|h| moved_blocks <= h)
+        }
+
+        /// Whether some unmoved row of the snapshot is invalid.
+        fn unmoved_row_bad(&self, moved: &[usize]) -> bool {
+            let moved_bad = moved.iter().filter(|&&i| self.row_bad[i]).count();
+            self.bad_rows != moved_bad
+        }
+
         /// Incremental Definition-2 check: the same verdict as
         /// `trial.validate(disks).is_ok()` given that `trial` differs from
         /// `self.layout` only in `moved`'s rows. Unmoved rows keep the
-        /// snapshot's verdicts. A moved object adds at most its own size
-        /// to any drive, so a group no larger than the smallest headroom
-        /// passes the capacity check without apportioning. Otherwise
-        /// per-disk usage is patched by swapping the moved objects' old
-        /// block counts for their new ones — exact integer arithmetic
-        /// (`blocks_on` is deterministic per row), so the capacity
-        /// comparison is bit-for-bit the full scan's.
+        /// snapshot's verdicts. A group that fits the headroom passes the
+        /// capacity check without apportioning. Otherwise per-disk usage is
+        /// patched by swapping the moved objects' old block counts for
+        /// their new ones — exact integer arithmetic (`blocks_on` is
+        /// deterministic per row), so the capacity comparison is
+        /// bit-for-bit the full scan's.
         fn trial_is_valid(
             &self,
             trial: &Layout,
@@ -409,20 +509,13 @@ pub fn ts_greedy(
             disks: &[DiskSpec],
             scratch: &mut WorkerScratch,
         ) -> bool {
-            if !self.dims_ok {
+            if !self.dims_ok || self.unmoved_row_bad(moved) {
                 return false;
-            }
-            let moved_bad = moved.iter().filter(|&&i| self.row_bad[i]).count();
-            if self.bad_rows != moved_bad {
-                return false; // an unmoved row was already invalid
             }
             if !moved.iter().all(|&i| trial.row_is_valid(i)) {
                 return false;
             }
-            let moved_blocks = moved
-                .iter()
-                .fold(0u64, |sum, &i| sum.saturating_add(trial.object_size(i)));
-            if self.headroom.is_some_and(|h| moved_blocks <= h) {
+            if self.fits_headroom(moved) {
                 return true;
             }
             let m = disks.len();
@@ -444,91 +537,118 @@ pub fn ts_greedy(
                 .zip(disks)
                 .all(|(&used, d)| used <= d.capacity_blocks)
         }
+
+        /// [`Job::trial_is_valid`] for a memo hit, without a trial: its
+        /// values came from a valid trial of these very rows, so the moved
+        /// rows are valid. `None` when the verdict needs the exact patch.
+        fn hit_is_valid(&self, moved: &[usize]) -> Option<bool> {
+            if !self.dims_ok || self.unmoved_row_bad(moved) {
+                return Some(false);
+            }
+            self.fits_headroom(moved).then_some(true)
+        }
     }
 
     let members_ref = &members;
+    let group_subs_ref = &group_subs;
     let constraints = &cfg.constraints;
-    // Widen `mv.group` onto its current disks ∪ `mv.add` inside `trial`
-    // (which must hold the base placement for every other group).
-    let widen = |trial: &mut Layout, job: &Job<'_>, mv: &Move| {
-        let mut new_set: Vec<usize> = job.current_sets[mv.group]
-            .iter()
-            .copied()
-            .filter(|j| !mv.drop.contains(j))
-            .collect();
-        new_set.extend_from_slice(&mv.add);
-        for &i in &members_ref[mv.group] {
-            trial.place_proportional(i, &new_set, disks);
-        }
-    };
     let score = |w: usize, job: &Job<'_>| -> Chunk {
-        let range = par::chunk_range(job.moves.len(), job.workers, w);
+        let range = job.bounds[w]..job.bounds[w + 1];
         // Scheduling-class accounting: one relaxed add per chunk, so the
         // per-candidate loop below stays free of atomics. Chunk sizes
         // (and re-scored chunks after a dead-worker fallback) depend on
         // the engaged-worker count, so this never joins the deterministic
         // set.
         counters::add(Counter::ParChunkItems, range.len() as u64);
-        let mut outcomes = Vec::with_capacity(range.len());
-        let mut best: Option<ChunkBest> = None;
-        if full_reevaluation {
-            // Reference engine: the pre-dblayout-par per-candidate work —
-            // a fresh layout clone and a full Definition-2 scan per move.
-            for idx in range {
-                let mv = &job.moves[idx];
+        let mut chunk = Chunk {
+            outcomes: Vec::with_capacity(range.len()),
+            best: None,
+            fresh: Vec::new(),
+            values: Vec::new(),
+            recosts: 0,
+        };
+        let mut scratch = WorkerScratch::default();
+        // Incremental engine: one scratch layout per chunk. A candidate
+        // that needs a trial rewrites only the moved group's rows, is
+        // validated incrementally against the snapshot, and restores the
+        // rows afterwards — no per-candidate layout clone, no O(objects)
+        // validation, no delta materialization.
+        let mut trial = job.layout.clone();
+        for idx in range {
+            let mv = &job.moves[idx];
+            let moved: &[usize] = &members_ref[mv.group];
+            let subs: &[(u32, u32)] = &group_subs_ref[mv.group];
+            let outcome = if full_reevaluation {
+                // Reference engine: the pre-dblayout-par per-candidate work
+                // — a fresh layout clone, a full Definition-2 scan and a
+                // full re-cost per move.
                 let mut trial = job.layout.clone();
-                widen(&mut trial, job, mv);
+                job.new_set(mv, &mut scratch.set);
+                for &i in moved {
+                    trial.place_proportional(i, &scratch.set, disks);
+                }
                 if trial.validate(disks).is_err() {
-                    outcomes.push(Scored::InvalidLayout);
-                    continue;
+                    Scored::InvalidLayout
+                } else if constraints.check(&trial, disks).is_err() {
+                    Scored::ConstraintViolation
+                } else {
+                    chunk.recosts += all_subs as u64;
+                    Scored::Costed(job.eval.cost_of_full(&trial))
                 }
-                if constraints.check(&trial, disks).is_err() {
-                    outcomes.push(Scored::ConstraintViolation);
-                    continue;
+            } else {
+                let hit = job.memo_hit(idx, subs.len());
+                let quick = hit
+                    .filter(|_| unconstrained)
+                    .and_then(|values| Some((job.hit_is_valid(moved)?, values)));
+                match quick {
+                    Some((false, _)) => Scored::InvalidLayout,
+                    Some((true, values)) => Scored::Costed(job.eval.fold(subs, values)),
+                    None => {
+                        job.new_set(mv, &mut scratch.set);
+                        for &i in moved {
+                            trial.place_proportional(i, &scratch.set, disks);
+                        }
+                        let outcome = if !job.trial_is_valid(&trial, moved, disks, &mut scratch) {
+                            Scored::InvalidLayout
+                        } else if constraints.check(&trial, disks).is_err() {
+                            Scored::ConstraintViolation
+                        } else if let Some(values) = hit {
+                            Scored::Costed(job.eval.fold(subs, values))
+                        } else {
+                            chunk.recosts += subs.len() as u64;
+                            let start = chunk.values.len();
+                            job.eval.recost_into(
+                                &trial,
+                                subs,
+                                &mut chunk.values,
+                                &mut scratch.eval,
+                            );
+                            let c = job.eval.fold(subs, &chunk.values[start..]);
+                            if job.admit {
+                                chunk.fresh.push(idx);
+                            } else {
+                                chunk.values.truncate(start);
+                            }
+                            Scored::Costed(c)
+                        };
+                        for &i in moved {
+                            trial.copy_row_from(&job.layout, i);
+                        }
+                        outcome
+                    }
                 }
-                let c = job.eval.cost_of_full(&trial);
-                outcomes.push(Scored::Costed(c));
-                if c < job.cost - 1e-9 && best.as_ref().is_none_or(|b| c < b.cost) {
-                    best = Some(ChunkBest {
+            };
+            if let Scored::Costed(c) = outcome {
+                if c < job.cost - 1e-9 && chunk.best.as_ref().is_none_or(|b| c < b.cost) {
+                    chunk.best = Some(ChunkBest {
                         index: idx,
                         cost: c,
                     });
                 }
             }
-        } else {
-            // Incremental engine: one scratch layout per chunk. Each
-            // candidate rewrites only the moved group's rows, is validated
-            // incrementally against the snapshot, scored through the
-            // allocation-free kernel, and restores the rows afterwards —
-            // no per-candidate layout clone, no O(objects) validation, no
-            // delta materialization.
-            let mut trial = job.layout.clone();
-            let mut scratch = WorkerScratch::default();
-            for idx in range {
-                let mv = &job.moves[idx];
-                let moved: &[usize] = &members_ref[mv.group];
-                widen(&mut trial, job, mv);
-                let outcome = if !job.trial_is_valid(&trial, moved, disks, &mut scratch) {
-                    Scored::InvalidLayout
-                } else if constraints.check(&trial, disks).is_err() {
-                    Scored::ConstraintViolation
-                } else {
-                    let c = job.eval.cost_of_move(&trial, moved, &mut scratch.eval);
-                    if c < job.cost - 1e-9 && best.as_ref().is_none_or(|b| c < b.cost) {
-                        best = Some(ChunkBest {
-                            index: idx,
-                            cost: c,
-                        });
-                    }
-                    Scored::Costed(c)
-                };
-                outcomes.push(outcome);
-                for &i in moved {
-                    trial.copy_row_from(&job.layout, i);
-                }
-            }
+            chunk.outcomes.push(outcome);
         }
-        Chunk { outcomes, best }
+        chunk
     };
 
     // Validity snapshot for the incremental engine's O(moved) checks,
@@ -537,7 +657,6 @@ pub fn ts_greedy(
     let mut base_blocks: Vec<u64> = Vec::new(); // flat, stride m
     let mut base_usage: Vec<u64> = vec![0u64; m];
     let mut row_bad: Vec<bool> = Vec::new();
-    let mut bad_rows = 0usize;
     let mut rowbuf: Vec<u64> = Vec::new();
     let mut rembuf: Vec<(usize, f64)> = Vec::new();
     if !full_reevaluation {
@@ -550,8 +669,30 @@ pub fn ts_greedy(
             }
         }
         row_bad = (0..n).map(|i| !layout.row_is_valid(i)).collect();
-        bad_rows = row_bad.iter().filter(|&&b| b).count();
     }
+    let bad_rows = row_bad.iter().filter(|&&b| b).count();
+    let job = Job {
+        current_sets: members.iter().map(|mem| layout.disks_of(mem[0])).collect(),
+        dims_ok: layout.disk_count() == disks.len(),
+        layout,
+        eval,
+        cost: initial_cost,
+        moves: Vec::new(),
+        drives: Vec::new(),
+        group_moves: vec![0..0; g_count],
+        bounds: Vec::new(),
+        admit: false,
+        memo: if memoize {
+            vec![MemoEntry::default(); g_count]
+        } else {
+            Vec::new()
+        },
+        base_blocks,
+        base_usage,
+        headroom: None,
+        row_bad,
+        bad_rows,
+    };
 
     // Pruned widening state: optimistic (+∞) stale gains until a group is
     // first examined, then its best observed cost improvement. A full
@@ -559,296 +700,282 @@ pub fn ts_greedy(
     let mut group_gain: Vec<f64> = vec![f64::INFINITY; g_count];
     let mut force_full = false;
     let prune = cfg.prune_width;
+    let pruned_search = prune > 0 && prune < g_count;
 
     let mut iterations = 0usize;
-    par::with_pool(threads, &score, |pool| loop {
-        let iter_span = search_span.child(
-            "tsgreedy.iteration",
-            if search_span.enabled() {
-                vec![f("iter", iterations + 1)]
+    // Enumeration buffers, reused every iteration.
+    let mut work: Vec<usize> = Vec::new();
+    let mut candidates: Vec<usize> = Vec::new();
+    let mut combo: Vec<usize> = Vec::new();
+    let job = par::with_pool(threads, &score, |pool| {
+        let mut job = job;
+        loop {
+            let iter_span = search_span.child(
+                "tsgreedy.iteration",
+                if search_span.enabled() {
+                    vec![f("iter", iterations + 1)]
+                } else {
+                    Vec::new()
+                },
+            );
+            // Priority-queue pruning: pick the `prune` groups with the best
+            // stale gains (descending, ties to the smaller group id — the
+            // heap's ordering is total, so the active set is deterministic).
+            let pruning = pruned_search && !force_full;
+            let active: Vec<bool> = if pruning {
+                let mut heap: BinaryHeap<GroupRank> = (0..g_count)
+                    .map(|g| GroupRank {
+                        gain: group_gain[g],
+                        group: g,
+                    })
+                    .collect();
+                let mut act = vec![false; g_count];
+                for _ in 0..prune {
+                    if let Some(top) = heap.pop() {
+                        act[top.group] = true;
+                    }
+                }
+                act
             } else {
-                Vec::new()
-            },
-        );
-        // Priority-queue pruning: pick the `prune` groups with the best
-        // stale gains (descending, ties to the smaller group id — the
-        // heap's ordering is total, so the active set is deterministic).
-        let pruning = prune > 0 && prune < g_count && !force_full;
-        let active: Vec<bool> = if pruning {
-            let mut heap: BinaryHeap<GroupRank> = (0..g_count)
-                .map(|g| GroupRank {
-                    gain: group_gain[g],
-                    group: g,
-                })
-                .collect();
-            let mut act = vec![false; g_count];
-            for _ in 0..prune {
-                if let Some(top) = heap.pop() {
-                    act[top.group] = true;
-                }
-            }
-            act
-        } else {
-            vec![true; g_count]
-        };
-        // Enumerate this iteration's moves in the canonical sequential
-        // order (group-major, combination order preserved) — chunk indices
-        // and the reduction below both key off this ordering. Pruned-out
-        // groups contribute no moves but keep their `current_sets` slot
-        // (move records index into it by group id).
-        let mut current_sets: Vec<Vec<usize>> = Vec::with_capacity(g_count);
-        let mut moves: Vec<Move> = Vec::new();
-        for g in 0..g_count {
-            let current_set = layout.disks_of(members[g][0]);
-            if !active[g] {
-                current_sets.push(current_set);
-                continue;
-            }
-            let candidates: Vec<usize> = eligible[g]
-                .iter()
-                .copied()
-                .filter(|j| !current_set.contains(j))
-                .collect();
-            for combo in combinations_up_to(&candidates, cfg.k) {
-                moves.push(Move {
-                    group: g,
-                    add: combo,
-                    drop: Vec::new(),
-                });
-            }
-            if seeded {
-                // Narrow: shed one drive (an object must keep ≥ 1 drive).
-                if current_set.len() >= 2 {
-                    for &d in &current_set {
-                        moves.push(Move {
-                            group: g,
-                            add: Vec::new(),
-                            drop: vec![d],
-                        });
-                    }
-                }
-                // Swap: trade one current drive for one eligible candidate.
-                for &d in &current_set {
-                    for &c in &candidates {
-                        moves.push(Move {
-                            group: g,
-                            add: vec![c],
-                            drop: vec![d],
-                        });
+                vec![true; g_count]
+            };
+            // The memo admits values where they are scored again soon:
+            // every group of an unpruned search, the frontier of a pruned
+            // one. A pruned search evicts groups that left the frontier and
+            // admits nothing in an arbitration sweep, so its memo holds at
+            // most `prune_width` groups.
+            job.admit = memoize && (pruning || !pruned_search);
+            if pruning {
+                for (entry, &on) in job.memo.iter_mut().zip(&active) {
+                    if !on {
+                        *entry = MemoEntry::default();
                     }
                 }
             }
-            current_sets.push(current_set);
-        }
-        // Adaptive dispatch width: a pure function of the candidate count,
-        // so it is identical at every thread count (and trivially so for
-        // a 1-thread pool).
-        let workers = par::effective_workers(moves.len(), threads, cfg.min_chunk);
-        let job = Arc::new(Job {
-            layout: layout.clone(),
-            eval: eval.clone(),
-            cost,
-            current_sets,
-            moves,
-            workers,
-            dims_ok: layout.disk_count() == disks.len(),
-            base_blocks: base_blocks.clone(),
-            headroom: base_usage
+            // Enumerate this iteration's moves in the canonical sequential
+            // order (group-major, combination order preserved) into the
+            // reused buffers — chunk indices, memo keys and the reduction
+            // below all key off this ordering. Pruned-out groups contribute
+            // no moves.
+            job.moves.clear();
+            job.drives.clear();
+            work.clear();
+            for g in 0..g_count {
+                let start = job.moves.len();
+                if active[g] {
+                    let current_set = &job.current_sets[g];
+                    candidates.clear();
+                    candidates.extend(
+                        eligible[g]
+                            .iter()
+                            .copied()
+                            .filter(|j| !current_set.contains(j)),
+                    );
+                    for_each_combination(&candidates, cfg.k, &mut combo, 0, &mut |add| {
+                        let at = job.drives.len();
+                        job.drives.extend_from_slice(add);
+                        job.moves.push(Move {
+                            group: g,
+                            add: at..job.drives.len(),
+                            drop: None,
+                        });
+                    });
+                    if seeded {
+                        // Narrow: shed one drive (an object must keep ≥ 1 drive).
+                        if current_set.len() >= 2 {
+                            for &d in current_set {
+                                job.moves.push(Move {
+                                    group: g,
+                                    add: 0..0,
+                                    drop: Some(d),
+                                });
+                            }
+                        }
+                        // Swap: trade one current drive for one eligible candidate.
+                        for &d in current_set {
+                            for &c in &candidates {
+                                let at = job.drives.len();
+                                job.drives.push(c);
+                                job.moves.push(Move {
+                                    group: g,
+                                    add: at..at + 1,
+                                    drop: Some(d),
+                                });
+                            }
+                        }
+                    }
+                }
+                job.group_moves[g] = start..job.moves.len();
+                // Scoring work: one unit per candidate plus one per sub-plan
+                // it re-costs through the kernel (a memo hit re-costs none).
+                let width = if full_reevaluation {
+                    all_subs
+                } else {
+                    group_subs[g].len()
+                };
+                for idx in start..job.moves.len() {
+                    let hit = job.memo_hit(idx, width).is_some();
+                    work.push(if hit { 1 } else { 1 + width });
+                }
+            }
+            // Adaptive dispatch: width from the kernel work (the scoring
+            // work less one fold per candidate), chunks balanced by the
+            // scoring work. Both are pure functions of the enumeration
+            // and the memo, so they are identical at every thread count
+            // (and trivially so for a 1-thread pool).
+            let kernel_work = work.iter().sum::<usize>() - work.len();
+            let workers = par::effective_workers(kernel_work, threads, cfg.min_chunk);
+            job.bounds = par::weighted_bounds(&work, workers);
+            job.headroom = job
+                .base_usage
                 .iter()
                 .zip(disks)
                 .try_fold(u64::MAX, |h, (&used, d)| {
                     Some(h.min(d.capacity_blocks.checked_sub(used)?))
-                }),
-            base_usage: base_usage.clone(),
-            row_bad: row_bad.clone(),
-            bad_rows,
-        });
-        let chunks = pool.dispatch_to(job.clone(), workers);
+                });
+            let shared = Arc::new(job);
+            let chunks = pool.dispatch_to(shared.clone(), workers);
+            job = Arc::unwrap_or_clone(shared);
 
-        // Deterministic reduction. Concatenating chunk outcomes in worker
-        // order replays the candidate enumeration exactly, so trace events
-        // are emitted by this (the only emitting) thread with the same
-        // order and content as a sequential scan.
-        if iter_span.enabled() {
-            let mut idx = 0usize;
-            for chunk in &chunks {
-                for outcome in &chunk.outcomes {
-                    let mv = &job.moves[idx];
-                    idx += 1;
-                    let fields = match outcome {
-                        Scored::InvalidLayout => candidate_fields(
-                            mv.group,
-                            &members[mv.group],
-                            &mv.add,
-                            &mv.drop,
-                            None,
-                            "invalid_layout",
-                        ),
-                        Scored::ConstraintViolation => candidate_fields(
-                            mv.group,
-                            &members[mv.group],
-                            &mv.add,
-                            &mv.drop,
-                            None,
-                            "constraint_violation",
-                        ),
-                        Scored::Costed(c) => {
-                            let reason = if *c < cost - 1e-9 {
-                                "improves"
-                            } else {
-                                "no_improvement"
-                            };
+            // Deterministic reduction. Concatenating chunk outcomes in worker
+            // order replays the candidate enumeration exactly, so trace events
+            // are emitted by this (the only emitting) thread with the same
+            // order and content as a sequential scan.
+            let cost = job.cost;
+            if iter_span.enabled() {
+                let mut idx = 0usize;
+                for chunk in &chunks {
+                    for outcome in &chunk.outcomes {
+                        let mv = &job.moves[idx];
+                        idx += 1;
+                        let (costed, reason) = match *outcome {
+                            Scored::InvalidLayout => (None, "invalid_layout"),
+                            Scored::ConstraintViolation => (None, "constraint_violation"),
+                            Scored::Costed(c) if c < cost - 1e-9 => {
+                                (Some((c, c - cost)), "improves")
+                            }
+                            Scored::Costed(c) => (Some((c, c - cost)), "no_improvement"),
+                        };
+                        iter_span.event(
+                            "tsgreedy.candidate",
                             candidate_fields(
                                 mv.group,
                                 &members[mv.group],
-                                &mv.add,
-                                &mv.drop,
-                                Some((*c, *c - cost)),
+                                &job.drives[mv.add.clone()],
+                                mv.drop.as_slice(),
+                                costed,
                                 reason,
-                            )
-                        }
-                    };
-                    iter_span.event("tsgreedy.candidate", fields);
-                }
-            }
-            // Per-worker candidate counts are scheduling detail: they vary
-            // with the thread count, so they only appear on timed
-            // (wall-clock) collectors, never in deterministic traces.
-            if collector.timed() {
-                let counts: Vec<usize> = chunks.iter().map(|ch| ch.outcomes.len()).collect();
-                iter_span.event(
-                    "tsgreedy.workers",
-                    vec![
-                        f("threads", pool.threads()),
-                        f("candidates_per_worker", id_list(&counts)),
-                    ],
-                );
-            }
-        }
-        let scored = chunks
-            .iter()
-            .map(|ch| {
-                ch.outcomes
-                    .iter()
-                    .filter(|o| matches!(o, Scored::Costed(_)))
-                    .count()
-            })
-            .sum::<usize>();
-        evals += scored;
-        // Deterministic-class accounting, batched on the dispatcher
-        // thread so the reduction (not the workers) owns the counts: the
-        // totals replay the sequential enumeration exactly and are
-        // byte-identical at any thread count. Every enumerated candidate
-        // gets one Definition-2 validity check (incremental or full-scan
-        // — same verdicts, same count), and every scored candidate costs
-        // one re-cost on the engine's evaluator.
-        counters::add(
-            Counter::TsgreedyCandidatesEnumerated,
-            job.moves.len() as u64,
-        );
-        counters::add(Counter::TsgreedyValidityChecks, job.moves.len() as u64);
-        counters::add(Counter::TsgreedyCandidatesScored, scored as u64);
-        counters::add(
-            if full_reevaluation {
-                Counter::CostmodelFullRecosts
-            } else {
-                Counter::CostmodelDeltaRecosts
-            },
-            scored as u64,
-        );
-
-        // Refresh pruning gains for every group examined this iteration:
-        // a group's stale gain becomes its best observed improvement
-        // (negative when nothing improves, -∞ when nothing was even
-        // costable), so exhausted groups sink in the priority queue.
-        if prune > 0 {
-            for (g, gain) in group_gain.iter_mut().enumerate() {
-                if active[g] {
-                    *gain = f64::NEG_INFINITY;
-                }
-            }
-            let mut idx = 0usize;
-            for chunk in &chunks {
-                for outcome in &chunk.outcomes {
-                    let g = job.moves[idx].group;
-                    idx += 1;
-                    if let Scored::Costed(c) = outcome {
-                        let gain = cost - *c;
-                        if gain > group_gain[g] {
-                            group_gain[g] = gain;
-                        }
+                            ),
+                        );
                     }
                 }
-            }
-        }
-
-        let mut best: Option<ChunkBest> = None;
-        for chunk in chunks {
-            if let Some(b) = chunk.best {
-                if best.as_ref().is_none_or(|cur| b.cost < cur.cost) {
-                    best = Some(b);
+                // Per-worker candidate counts are scheduling detail: they vary
+                // with the thread count, so they only appear on timed
+                // (wall-clock) collectors, never in deterministic traces.
+                if collector.timed() {
+                    let counts: Vec<usize> = chunks.iter().map(|ch| ch.outcomes.len()).collect();
+                    iter_span.event(
+                        "tsgreedy.workers",
+                        vec![
+                            f("threads", pool.threads()),
+                            f("candidates_per_worker", id_list(&counts)),
+                        ],
+                    );
                 }
             }
-        }
-        match best {
-            Some(b) => {
-                let mv = &job.moves[b.index];
-                if iter_span.enabled() {
-                    let mut fields = vec![
-                        f("group", mv.group),
-                        f("objects", id_list(&members[mv.group])),
-                        f("add_disks", id_list(&mv.add)),
-                    ];
-                    if !mv.drop.is_empty() {
-                        fields.push(f("drop_disks", id_list(&mv.drop)));
-                    }
-                    fields.push(f("cost_ms", b.cost));
-                    fields.push(f("delta_ms", b.cost - cost));
-                    iter_span.event("tsgreedy.adopt", fields);
-                }
-                // Re-derive the winning trial and its delta — once per
-                // *adopted* iteration rather than inside every chunk's
-                // running-best update. `widen` is deterministic, so this
-                // is bit-for-bit the layout the worker scored.
-                let mut trial = job.layout.clone();
-                widen(&mut trial, &job, mv);
-                let delta = if full_reevaluation {
-                    counters::incr(Counter::CostmodelFullRecosts);
-                    eval.evaluate_full(&trial)
+            let scored = chunks
+                .iter()
+                .map(|ch| {
+                    ch.outcomes
+                        .iter()
+                        .filter(|o| matches!(o, Scored::Costed(_)))
+                        .count()
+                })
+                .sum::<usize>();
+            evals += scored;
+            // Deterministic-class accounting, batched on the dispatcher
+            // thread so the reduction (not the workers) owns the counts: the
+            // totals replay the sequential enumeration exactly and are
+            // byte-identical at any thread count. Every enumerated candidate
+            // gets one Definition-2 validity check (incremental or full-scan
+            // — same verdicts, same count), every scored candidate costs
+            // one re-cost on the engine's evaluator, and the kernel count
+            // sums the chunks' sub-plan re-costs.
+            counters::add(
+                Counter::TsgreedyCandidatesEnumerated,
+                job.moves.len() as u64,
+            );
+            counters::add(Counter::TsgreedyValidityChecks, job.moves.len() as u64);
+            counters::add(Counter::TsgreedyCandidatesScored, scored as u64);
+            counters::add(
+                if full_reevaluation {
+                    Counter::CostmodelFullRecosts
                 } else {
-                    counters::incr(Counter::CostmodelDeltaRecosts);
-                    eval.evaluate_move(&trial, &members[mv.group])
-                };
-                evals += 1;
-                debug_assert_eq!(delta.total.to_bits(), b.cost.to_bits());
-                layout = trial;
-                eval.apply(&delta);
-                cost = b.cost;
-                iterations += 1;
-                counters::incr(Counter::TsgreedyCandidatesAdopted);
-                force_full = false;
-                // Patch the validity snapshot's moved rows in place.
-                if !full_reevaluation {
-                    for &i in &members[mv.group] {
-                        layout.blocks_on_into(i, &mut rowbuf, &mut rembuf);
-                        let old = &base_blocks[i * m..(i + 1) * m];
-                        for (j, (&b_new, &b_old)) in rowbuf.iter().zip(old.iter()).enumerate() {
-                            base_usage[j] = base_usage[j] - b_old + b_new;
-                        }
-                        base_blocks[i * m..(i + 1) * m].copy_from_slice(&rowbuf);
-                        let was = row_bad[i];
-                        let now = !layout.row_is_valid(i);
-                        bad_rows -= usize::from(was);
-                        bad_rows += usize::from(now);
-                        row_bad[i] = now;
+                    Counter::CostmodelDeltaRecosts
+                },
+                scored as u64,
+            );
+            counters::add(
+                Counter::CostmodelSubplanRecosts,
+                chunks.iter().map(|ch| ch.recosts).sum(),
+            );
+
+            // Refresh pruning gains for every group examined this iteration:
+            // a group's stale gain becomes its best observed improvement
+            // (negative when nothing improves, -∞ when nothing was even
+            // costable), so exhausted groups sink in the priority queue.
+            if prune > 0 {
+                for (g, gain) in group_gain.iter_mut().enumerate() {
+                    if active[g] {
+                        *gain = f64::NEG_INFINITY;
                     }
                 }
-                iter_span.end();
-                if cfg.max_iterations != 0 && iterations >= cfg.max_iterations {
-                    break;
+                let mut idx = 0usize;
+                for chunk in &chunks {
+                    for outcome in &chunk.outcomes {
+                        let g = job.moves[idx].group;
+                        idx += 1;
+                        if let Scored::Costed(c) = outcome {
+                            let gain = cost - *c;
+                            if gain > group_gain[g] {
+                                group_gain[g] = gain;
+                            }
+                        }
+                    }
                 }
             }
-            None => {
+
+            // Admit the chunks' re-costed values, keyed by group and
+            // position in the group's move list.
+            for chunk in &chunks {
+                let mut at = 0usize;
+                for &idx in &chunk.fresh {
+                    let g = job.moves[idx].group;
+                    let width = group_subs[g].len();
+                    let slice = job.group_moves[g].clone();
+                    let entry = &mut job.memo[g];
+                    if entry.known.len() != slice.len() {
+                        entry.known.clear();
+                        entry.known.resize(slice.len(), false);
+                        entry.values.resize(slice.len() * width, 0.0);
+                    }
+                    let c = idx - slice.start;
+                    entry.values[c * width..(c + 1) * width]
+                        .copy_from_slice(&chunk.values[at..at + width]);
+                    entry.known[c] = true;
+                    at += width;
+                }
+            }
+
+            let mut best: Option<ChunkBest> = None;
+            for chunk in chunks {
+                if let Some(b) = chunk.best {
+                    if best.as_ref().is_none_or(|cur| b.cost < cur.cost) {
+                        best = Some(b);
+                    }
+                }
+            }
+            let Some(b) = best else {
                 if pruning {
                     // The pruned frontier is dry; one full sweep decides
                     // between another adoption and termination, so pruning
@@ -866,8 +993,82 @@ pub fn ts_greedy(
                 }
                 iter_span.end();
                 break;
+            };
+            let mv = job.moves[b.index].clone();
+            let g = mv.group;
+            if iter_span.enabled() {
+                let mut fields = vec![
+                    f("group", g),
+                    f("objects", id_list(&members[g])),
+                    f("add_disks", id_list(&job.drives[mv.add.clone()])),
+                ];
+                if let Some(d) = mv.drop {
+                    fields.push(f("drop_disks", id_list(&[d])));
+                }
+                fields.push(f("cost_ms", b.cost));
+                fields.push(f("delta_ms", b.cost - cost));
+                iter_span.event("tsgreedy.adopt", fields);
+            }
+            // Re-derive the winning layout — in place, once per *adopted*
+            // iteration — and its delta. The placement is deterministic,
+            // so this is bit-for-bit the layout the worker scored.
+            let mut set = Vec::new();
+            job.new_set(&mv, &mut set);
+            for &i in &members[g] {
+                job.layout.place_proportional(i, &set, disks);
+            }
+            let delta = if full_reevaluation {
+                counters::incr(Counter::CostmodelFullRecosts);
+                job.eval.evaluate_full(&job.layout)
+            } else {
+                counters::incr(Counter::CostmodelDeltaRecosts);
+                job.eval.evaluate_move(&job.layout, &members[g])
+            };
+            evals += 1;
+            debug_assert_eq!(delta.total.to_bits(), b.cost.to_bits());
+            job.eval.apply(&delta);
+            job.cost = b.cost;
+            job.current_sets[g] = job.layout.disks_of(members[g][0]);
+            iterations += 1;
+            counters::incr(Counter::TsgreedyCandidatesAdopted);
+            force_full = false;
+            // Invalidate the memo where the move changed an input: the
+            // moved group's own candidates (its drives, hence its move
+            // list, changed) and those of every group that reads a
+            // sub-plan the moved group reads — its access-graph
+            // neighbours. No other memoized value read a moved row.
+            if memoize {
+                job.memo[g].known.clear();
+                for &(s, p) in &group_subs[g] {
+                    for access in &workload[s as usize].0[p as usize].accesses {
+                        if let Some(&h) = group_index.get(access.object.index()) {
+                            job.memo[h].known.clear();
+                        }
+                    }
+                }
+            }
+            // Patch the validity snapshot's moved rows in place.
+            if !full_reevaluation {
+                for &i in &members[g] {
+                    job.layout.blocks_on_into(i, &mut rowbuf, &mut rembuf);
+                    let old = &job.base_blocks[i * m..(i + 1) * m];
+                    for (j, (&b_new, &b_old)) in rowbuf.iter().zip(old.iter()).enumerate() {
+                        job.base_usage[j] = job.base_usage[j] - b_old + b_new;
+                    }
+                    job.base_blocks[i * m..(i + 1) * m].copy_from_slice(&rowbuf);
+                    let was = job.row_bad[i];
+                    let now = !job.layout.row_is_valid(i);
+                    job.bad_rows -= usize::from(was);
+                    job.bad_rows += usize::from(now);
+                    job.row_bad[i] = now;
+                }
+            }
+            iter_span.end();
+            if cfg.max_iterations != 0 && iterations >= cfg.max_iterations {
+                break;
             }
         }
+        job
     });
 
     search_span.end_with(if collector.enabled() {
@@ -875,17 +1076,17 @@ pub fn ts_greedy(
             f("iterations", iterations),
             f("cost_evaluations", evals),
             f("initial_cost_ms", initial_cost),
-            f("final_cost_ms", cost),
+            f("final_cost_ms", job.cost),
         ]
     } else {
         Vec::new()
     });
 
     Ok(TsGreedyResult {
-        layout,
+        layout: job.layout,
         initial_layout,
         initial_cost,
-        final_cost: cost,
+        final_cost: job.cost,
         iterations,
         cost_evaluations: evals,
     })
@@ -1129,22 +1330,31 @@ fn fits(blocks: u64, set: &[usize], disks: &[DiskSpec], remaining: &[u64]) -> bo
     })
 }
 
-/// All non-empty subsets of `items` with at most `k` elements.
-fn combinations_up_to(items: &[usize], k: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    let mut stack: Vec<(usize, Vec<usize>)> = vec![(0, Vec::new())];
-    while let Some((start, prefix)) = stack.pop() {
-        #[allow(clippy::needless_range_loop)] // i seeds the next stack frame
-        for i in start..items.len() {
-            let mut next = prefix.clone();
-            next.push(items[i]);
-            if next.len() < k {
-                stack.push((i + 1, next.clone()));
-            }
-            out.push(next);
+/// Calls `emit` with every non-empty subset of `items[start..]` with at
+/// most `k` elements (at least singles), each extending `prefix`, without
+/// allocating per subset. The order is the search's canonical one: first
+/// every single in order, then, from the last item back to the first,
+/// everything that extends it. Candidate indices, memo keys and
+/// earliest-wins ties all depend on this order.
+fn for_each_combination(
+    items: &[usize],
+    k: usize,
+    prefix: &mut Vec<usize>,
+    start: usize,
+    emit: &mut impl FnMut(&[usize]),
+) {
+    for &item in &items[start..] {
+        prefix.push(item);
+        emit(prefix);
+        prefix.pop();
+    }
+    if prefix.len() + 1 < k {
+        for i in (start..items.len()).rev() {
+            prefix.push(items[i]);
+            for_each_combination(items, k, prefix, i + 1, emit);
+            prefix.pop();
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -1392,6 +1602,13 @@ mod tests {
         assert!((r2.final_cost - r1.final_cost).abs() < 1e-9);
     }
 
+    /// Every subset `for_each_combination` emits, in order.
+    fn combinations_up_to(items: &[usize], k: usize) -> Vec<Vec<usize>> {
+        let mut out = Vec::new();
+        for_each_combination(items, k, &mut Vec::new(), 0, &mut |c| out.push(c.to_vec()));
+        out
+    }
+
     #[test]
     fn combinations_enumeration() {
         let items = vec![3, 5, 9];
@@ -1403,6 +1620,33 @@ mod tests {
         let c3 = combinations_up_to(&items, 3);
         assert_eq!(c3.len(), 7);
         assert!(combinations_up_to(&[], 2).is_empty());
+        // The order is the stack-based enumeration's, which earlier
+        // searches (and their committed traces) were built on.
+        let stacked = |items: &[usize], k: usize| {
+            let mut out: Vec<Vec<usize>> = Vec::new();
+            let mut stack: Vec<(usize, Vec<usize>)> = vec![(0, Vec::new())];
+            while let Some((start, prefix)) = stack.pop() {
+                for (i, &item) in items.iter().enumerate().skip(start) {
+                    let mut next = prefix.clone();
+                    next.push(item);
+                    if next.len() < k {
+                        stack.push((i + 1, next.clone()));
+                    }
+                    out.push(next);
+                }
+            }
+            out
+        };
+        let items: Vec<usize> = (10..16).collect();
+        for len in 0..=items.len() {
+            for k in 0..=5 {
+                assert_eq!(
+                    combinations_up_to(&items[..len], k),
+                    stacked(&items[..len], k),
+                    "len={len} k={k}"
+                );
+            }
+        }
     }
 
     /// Every placement fraction's raw bits, for byte-level layout equality.

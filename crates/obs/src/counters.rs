@@ -50,7 +50,8 @@ pub enum Counter {
     /// Definition-2 validity re-checks (one per enumerated candidate,
     /// whether incremental or full-scan).
     TsgreedyValidityChecks = 3,
-    /// Incremental (delta) re-costs: `DeltaEvaluator::evaluate_move`.
+    /// Incremental (delta) re-costs: one per candidate the search scores
+    /// on the delta evaluator, plus `DeltaEvaluator::evaluate_move`.
     CostmodelDeltaRecosts = 4,
     /// Full re-costs: `evaluate_full` plus every from-scratch evaluator
     /// build (initial TS-GREEDY costing, what-if costing, baselines).
@@ -86,10 +87,13 @@ pub enum Counter {
     /// Malformed/truncated JSONL lines skipped by the lenient trace
     /// parser (`parse_trace_lenient`).
     TraceParseErrors = 17,
+    /// Sub-plans TS-GREEDY's candidate scoring re-costs through the
+    /// Figure-7 kernel (memoized candidates re-cost none).
+    CostmodelSubplanRecosts = 18,
 }
 
 /// Number of registered counters (slots in the backing array).
-pub const COUNT: usize = 18;
+pub const COUNT: usize = 19;
 
 impl Counter {
     /// Every counter, in declaration (= exposition) order.
@@ -112,6 +116,7 @@ impl Counter {
         Counter::MigrationBlocksPlanned,
         Counter::AuditRecordsWritten,
         Counter::TraceParseErrors,
+        Counter::CostmodelSubplanRecosts,
     ];
 
     /// Static snake_case name. Renderers add their own affixes (the
@@ -136,6 +141,7 @@ impl Counter {
             Counter::MigrationBlocksPlanned => "migration_blocks_planned",
             Counter::AuditRecordsWritten => "audit_records_written",
             Counter::TraceParseErrors => "trace_parse_errors",
+            Counter::CostmodelSubplanRecosts => "costmodel_subplan_recosts",
         }
     }
 

@@ -354,6 +354,7 @@ fn check_delta(
         "evaluator base",
     );
     let mut scratch = EvalScratch::new();
+    let (mut touched, mut values) = (Vec::new(), Vec::new());
     let mut current = base.clone();
     for step in 0..4 {
         let mut trial = current.clone();
@@ -369,10 +370,13 @@ fn check_delta(
         let context = format!("step {step}, moved {moved:?}");
         let delta = eval.evaluate_move(&trial, &moved);
         assert_same_bits(delta.total, want, &format!("evaluate_move, {context}"));
+        eval.touched(&moved, &mut touched);
+        values.clear();
+        eval.recost_into(&trial, &touched, &mut values, &mut scratch);
         assert_same_bits(
-            eval.cost_of_move(&trial, &moved, &mut scratch),
+            eval.fold(&touched, &values),
             want,
-            &format!("cost_of_move, {context}"),
+            &format!("fold, {context}"),
         );
         assert_same_bits(
             eval.evaluate_full(&trial).total,
