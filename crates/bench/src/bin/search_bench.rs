@@ -6,7 +6,8 @@
 //! appends one observatory entry to the repo-root `BENCH_search.json`
 //! history (see `dblayout benchdiff`), and exits non-zero if any
 //! configuration's layout or cost diverges from the baseline — the
-//! identity check the CI bench-smoke job enforces.
+//! identity check the CI bench-smoke job enforces. The history entry also
+//! carries `planner/tpch22-sf1`, the best time to plan TPC-H-22 at SF 1.
 
 use std::process::ExitCode;
 
@@ -45,6 +46,10 @@ fn main() -> ExitCode {
         report.migration.total_moved_bytes / 1_048_576,
         report.migration.total_step_ms
     );
+    println!(
+        "planner: all 22 TPC-H queries (SF 1) in {:.2} ms (best of {})",
+        report.plan_tpch22_sf1_best_ms, report.reps
+    );
     dblayout_bench::write_json("search_bench", &report);
 
     // Observatory: append this run to the repo-root history. The config
@@ -66,6 +71,10 @@ fn main() -> ExitCode {
             .rows
             .iter()
             .map(|r| (format!("{}/t{}", r.engine, r.threads), r.best_ms))
+            .chain([(
+                "planner/tpch22-sf1".to_string(),
+                report.plan_tpch22_sf1_best_ms,
+            )])
             .collect(),
         phases_ms: report
             .phases

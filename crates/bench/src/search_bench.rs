@@ -14,6 +14,9 @@
 //! Wall-clock speedup from *threads* requires actual cores; the report
 //! records the host's available parallelism so single-core CI results read
 //! honestly (there the speedup comes from the incremental evaluator).
+//!
+//! The run also times the planner on all 22 TPC-H queries at SF 1 (best
+//! of `reps`), so a planning speed-up lands in the same history.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -28,7 +31,8 @@ use dblayout_disksim::paper_disks;
 use dblayout_obs::counters::{self, Counter};
 use dblayout_obs::prof::PhaseTimer;
 use dblayout_planner::plan_statement;
-use dblayout_sql::parse_workload_file;
+use dblayout_sql::{parse_statement, parse_workload_file};
+use dblayout_workloads::tpch22::tpch22;
 
 /// One measured engine configuration.
 #[derive(Debug, Clone, Serialize)]
@@ -115,6 +119,9 @@ pub struct SearchBenchReport {
     pub counters: Vec<CounterValue>,
     /// Wall-time attribution per pipeline phase.
     pub phases: Vec<PhaseMs>,
+    /// Best (minimum) time to plan all 22 TPC-H queries at SF 1 over
+    /// `reps` repetitions, ms (parsing excluded).
+    pub plan_tpch22_sf1_best_ms: f64,
 }
 
 /// Every placement fraction's bit pattern — the byte-level identity the
@@ -234,6 +241,21 @@ pub fn run_with(thread_counts: &[usize], reps: usize) -> SearchBenchReport {
         }
     };
     let delta = counters::snapshot().delta(&before);
+
+    // Planning speed, outside the counted and phased regions: TPC-H-22
+    // binds up to 8 tables, so the join-order DP dominates it.
+    let tpch22: Vec<_> = tpch22()
+        .iter()
+        .map(|q| parse_statement(q).expect("TPC-H query parses"))
+        .collect();
+    let mut plan_tpch22_sf1_best_ms = f64::INFINITY;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        for stmt in &tpch22 {
+            plan_statement(&catalog, stmt).expect("TPC-H query plans");
+        }
+        plan_tpch22_sf1_best_ms = plan_tpch22_sf1_best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+    }
     SearchBenchReport {
         workload: "examples/workloads/tpch_mix.sql".to_string(),
         git_rev: crate::observatory::git_rev(
@@ -263,6 +285,7 @@ pub fn run_with(thread_counts: &[usize], reps: usize) -> SearchBenchReport {
                 total_ms: r.total_us as f64 / 1e3,
             })
             .collect(),
+        plan_tpch22_sf1_best_ms,
     }
 }
 
@@ -274,6 +297,7 @@ mod tests {
     fn every_engine_matches_the_sequential_baseline() {
         let report = run_with(&[1, 2, 4], 1);
         assert!(report.all_identical, "{report:?}");
+        assert!(report.plan_tpch22_sf1_best_ms.is_finite());
         assert_eq!(report.rows.len(), 4);
         let base = &report.rows[0];
         assert!(base.iterations >= 1, "search adopted no move");

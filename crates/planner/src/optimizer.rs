@@ -8,9 +8,9 @@
 //! exactly the division of labor in the paper, where the server's optimizer
 //! picks plans while being "insensitive to database layout" (§5).
 
-use std::collections::HashMap;
+use std::rc::Rc;
 
-use dblayout_catalog::{blocks_for_rows, Catalog, ObjectId, Table};
+use dblayout_catalog::{blocks_for_rows, Catalog, Index, ObjectId, Table};
 use dblayout_sql::ast::{BinaryOp, Expr, FromItem, InsertSource, Query, SelectItem, Statement};
 
 use crate::access::cardenas_blocks;
@@ -58,6 +58,12 @@ impl Default for OptimizerConfig {
     }
 }
 
+/// Most FROM-clause bindings one SELECT may join. The join-order DP visits
+/// every subset of the bindings, so its time and memory double with each
+/// binding: 16 bindings plan in about a second, and no bundled workload
+/// binds more than 8.
+pub const MAX_JOIN_BINDINGS: usize = 16;
+
 /// Plans `stmt` against `catalog` with default configuration.
 pub fn plan_statement(catalog: &Catalog, stmt: &Statement) -> PlanResult<PhysicalPlan> {
     Optimizer::new(catalog).plan(stmt)
@@ -96,8 +102,9 @@ struct Preds {
     cross: Vec<Expr>,
 }
 
-/// A candidate plan for a set of bindings during DP.
-#[derive(Debug, Clone)]
+/// A planned input: an access path, a joined subset's winner, or a
+/// finished (sub)query.
+#[derive(Debug)]
 struct Cand {
     node: PlanNode,
     cost: f64,
@@ -106,6 +113,97 @@ struct Cand {
     width: u32,
     /// Sort order of the output, if any.
     order: Option<ColRef>,
+}
+
+/// A candidate of the join-order DP. It carries what plan choice reads —
+/// cost, rows, width and order — and shares the recipe of its inputs, so
+/// enumeration copies no plan tree. `order` is an [`OrderKeys`] id.
+#[derive(Clone)]
+struct Entry<'a> {
+    cost: f64,
+    rows: f64,
+    width: u32,
+    order: Option<usize>,
+    recipe: Rc<Recipe<'a>>,
+}
+
+/// How a DP candidate's plan is built; only the full set's winners are.
+enum Recipe<'a> {
+    /// A base access path.
+    Access(PlanNode),
+    /// `left` (producing `left_rows` rows) joined with binding `ctx.b`.
+    Join {
+        ctx: Rc<JoinCtx<'a>>,
+        op: JoinOp<'a>,
+        rows: f64,
+        left: Rc<Recipe<'a>>,
+        left_rows: f64,
+    },
+}
+
+/// The physical join of a [`Recipe::Join`], with its right-side access
+/// path where the join reads one.
+enum JoinOp<'a> {
+    /// Merge join on key pair `key` of the context; `sort` holds the spill
+    /// of the sort that orders the left input, when it needs one.
+    Merge {
+        key: usize,
+        sort: Option<u64>,
+        right: Rc<Recipe<'a>>,
+    },
+    /// Hash join building on the left input when `build_left`.
+    Hash {
+        build_left: bool,
+        spill: u64,
+        right: Rc<Recipe<'a>>,
+    },
+    /// Indexed nested loops probing binding `ctx.b` through `ctx.probe`.
+    NestedLoops,
+}
+
+/// What joining binding `b` to a planned subset depends on, computed once
+/// per (subset, `b`) rather than once per candidate pair.
+struct JoinCtx<'a> {
+    b: usize,
+    /// Indices into [`Preds::joins`] of the equijoins linking the subset
+    /// to `b`; empty for a cartesian product.
+    links: Vec<usize>,
+    /// The links' key pairs as [`OrderKeys`] ids, oriented (subset side,
+    /// `b` side).
+    keys: Vec<(usize, usize)>,
+    /// Product of the links' selectivities (1 for a cartesian product).
+    sel: f64,
+    /// The links' `b`-side columns cover `b`'s clustered (unique) key.
+    covers_key: bool,
+    /// How nested loops would probe `b` on the first link's column.
+    probe: Option<NlProbe<'a>>,
+}
+
+/// The repeated-probe inner path of an indexed nested-loops join.
+enum NlProbe<'a> {
+    /// Seeks into the table, clustered on the join column.
+    Clustered,
+    /// Seeks into a nonclustered index led by the join column, then RID
+    /// lookups into the table.
+    Index(&'a Index, ObjectId),
+}
+
+/// The sort orders one join enumeration meets, interned so that DP
+/// candidates carry and compare a small id instead of a column name.
+#[derive(Default)]
+struct OrderKeys(Vec<ColRef>);
+
+impl OrderKeys {
+    fn id(&mut self, col: &ColRef) -> usize {
+        self.0.iter().position(|c| c == col).unwrap_or_else(|| {
+            self.0.push(col.clone());
+            self.0.len() - 1
+        })
+    }
+
+    fn col(&self, id: usize) -> &ColRef {
+        &self.0[id]
+    }
 }
 
 impl<'a> Optimizer<'a> {
@@ -149,76 +247,85 @@ impl<'a> Optimizer<'a> {
         if bindings.is_empty() {
             return Err(PlanError::Unsupported("SELECT without FROM".into()));
         }
+        if bindings.len() > MAX_JOIN_BINDINGS {
+            return Err(PlanError::Unsupported(format!(
+                "FROM clause binds {} tables; join enumeration plans at most {MAX_JOIN_BINDINGS}",
+                bindings.len()
+            )));
+        }
         let preds = self.classify_predicates(q, &bindings, outer)?;
         let needed = self.needed_columns(q, &bindings);
 
-        // Base access paths per binding.
-        let mut base: Vec<Vec<Cand>> = Vec::with_capacity(bindings.len());
-        for (i, b) in bindings.iter().enumerate() {
-            base.push(self.access_paths(i, b, &preds.local[i], &needed[i]));
-        }
+        // Base access paths per binding, pruned to their frontier.
+        let mut keys = OrderKeys::default();
+        let base: Vec<Vec<Entry>> = bindings
+            .iter()
+            .enumerate()
+            .map(|(i, b)| {
+                let mut frontier = Vec::new();
+                for c in self.access_paths(i, b, &preds.local[i], &needed[i]) {
+                    let order = c.order.as_ref().map(|o| keys.id(o));
+                    if !dominated(&frontier, order, c.cost) {
+                        let entry = Entry {
+                            cost: c.cost,
+                            rows: c.rows,
+                            width: c.width,
+                            order,
+                            recipe: Rc::new(Recipe::Access(c.node)),
+                        };
+                        admit(&mut frontier, entry, self.cfg.max_candidates);
+                    }
+                }
+                frontier
+            })
+            .collect();
+        let join_keys: Vec<(usize, usize)> = preds
+            .joins
+            .iter()
+            .map(|(a, c, _)| (keys.id(a), keys.id(c)))
+            .collect();
 
-        // Join-order DP over left-deep trees.
+        // Join-order DP over left-deep trees, indexed by binding bitmask.
+        // Masks are visited in ascending order within each size, and every
+        // mask is populated: a disconnected join graph still yields the
+        // cartesian candidates (no links → selectivity 1).
         let n = bindings.len();
-        let mut dp: HashMap<u64, Vec<Cand>> = HashMap::new();
-        for (i, cands) in base.iter().enumerate() {
-            dp.insert(1u64 << i, cands.clone());
+        let mut dp: Vec<Vec<Entry>> = vec![Vec::new(); 1 << n];
+        for (i, entries) in base.iter().enumerate() {
+            dp[1 << i] = entries.clone();
         }
         for size in 2..=n {
-            let mut masks: Vec<u64> = dp
-                .keys() // dblayout::allow(R6, reason = "the collected keys are sorted with sort_unstable two lines below before any order-sensitive use")
-                .copied()
-                .filter(|m| m.count_ones() as usize == size - 1)
-                .collect();
-            // Deterministic DP regardless of hash-map iteration order.
-            masks.sort_unstable();
-            let mut next: HashMap<u64, Vec<Cand>> = HashMap::new();
-            for mask in masks {
-                #[allow(clippy::needless_range_loop)] // b is a bitmask position
-                for b in 0..n {
-                    let bit = 1u64 << b;
-                    if mask & bit != 0 {
-                        continue;
-                    }
-                    let links: Vec<&(ColRef, ColRef, f64)> = preds
-                        .joins
-                        .iter()
-                        .filter(|(a, c, _)| {
-                            (mask >> a.0) & 1 == 1 && c.0 == b || (mask >> c.0) & 1 == 1 && a.0 == b
-                        })
-                        .collect();
-                    let left_cands = dp.get(&mask).expect("mask planned").clone();
-                    for left in &left_cands {
+            for mask in 1..dp.len() {
+                if mask.count_ones() as usize != size - 1 {
+                    continue;
+                }
+                // A subset is only ever a left input in this round, so its
+                // frontier can go; its recipes live on in the extensions.
+                let lefts = std::mem::take(&mut dp[mask]);
+                for b in (0..n).filter(|b| (mask >> b) & 1 == 0) {
+                    let ctx = Rc::new(self.join_context(mask, b, &preds, &join_keys, &bindings));
+                    let frontier = &mut dp[mask | (1 << b)];
+                    for left in &lefts {
                         for right in &base[b] {
-                            for cand in self.join_candidates(left, right, b, &links, &bindings) {
-                                insert_candidate(
-                                    next.entry(mask | bit).or_default(),
-                                    cand,
-                                    self.cfg.max_candidates,
-                                );
-                            }
+                            self.offer_joins(frontier, left, right, &ctx, &bindings[b].table);
                         }
                     }
                 }
             }
-            // Connected extensions may fail for disconnected join graphs; the
-            // cartesian candidates (links empty → sel 1.0) cover that, so
-            // every mask of this size is populated.
-            // dblayout::allow(R6, reason = "order-insensitive merge: each mask key is distinct, so dp's final content is identical under any iteration order")
-            for (mask, cands) in next {
-                dp.insert(mask, cands);
-            }
         }
 
-        let full = (1u64 << n) - 1;
-        let roots = dp
-            .remove(&full)
-            .ok_or_else(|| PlanError::Unsupported("join enumeration produced no plan".into()))?;
-
-        // Finish each candidate (filters, subqueries, aggregation, order) and
-        // keep the cheapest.
+        // Build each root (the full set's frontier), finish it (filters,
+        // subqueries, aggregation, order) and keep the cheapest.
+        let roots = dp.pop().unwrap_or_default();
         let mut best: Option<Cand> = None;
-        for cand in roots {
+        for root in roots {
+            let cand = Cand {
+                node: self.build(&root.recipe, &preds, &keys, &bindings),
+                cost: root.cost,
+                rows: root.rows,
+                width: root.width,
+                order: root.order.map(|k| keys.col(k).clone()),
+            };
             let finished = self.finish_select(q, cand, &preds, &bindings)?;
             if best.as_ref().is_none_or(|b| finished.cost < b.cost) {
                 best = Some(finished);
@@ -721,98 +828,128 @@ impl<'a> Optimizer<'a> {
             });
         }
 
-        // Keep the useful frontier: cheapest per order plus cheapest overall.
-        let mut frontier: Vec<Cand> = Vec::new();
-        for c in out {
-            insert_candidate(&mut frontier, c, self.cfg.max_candidates);
-        }
-        frontier
+        out
     }
 
     // ------------------------------------------------------------------
     // Join candidates
     // ------------------------------------------------------------------
 
-    /// Enumerates physical joins of `left` (a planned subset) with `right`
-    /// (an access path of binding `b`), given the connecting equijoin preds.
-    fn join_candidates(
+    /// The context of joining binding `b` to the planned subset `mask`.
+    fn join_context(
         &self,
-        left: &Cand,
-        right: &Cand,
+        mask: usize,
         b: usize,
-        links: &[&(ColRef, ColRef, f64)],
+        preds: &Preds,
+        join_keys: &[(usize, usize)],
         bindings: &[Binding],
-    ) -> Vec<Cand> {
-        let mut out = Vec::new();
-        let combined_sel: f64 = if links.is_empty() {
-            1.0 // cartesian
-        } else {
-            links.iter().map(|(_, _, s)| *s).product()
+    ) -> JoinCtx<'a> {
+        let links: Vec<usize> = (0..preds.joins.len())
+            .filter(|&i| {
+                let (a, c, _) = &preds.joins[i];
+                (mask >> a.0) & 1 == 1 && c.0 == b || (mask >> c.0) & 1 == 1 && a.0 == b
+            })
+            .collect();
+        let sel: f64 = links.iter().map(|&i| preds.joins[i].2).product();
+        // The link's column on `b`'s side.
+        let b_side = |i: usize| {
+            let (a, c, _) = &preds.joins[i];
+            if c.0 == b {
+                c.1.as_str()
+            } else {
+                a.1.as_str()
+            }
         };
         // Key-join detection: when the join columns on `b`'s side cover its
         // clustered (unique) key, each left row matches at most one `b` row
         // — a FK lookup. The independence product grossly underestimates
         // composite keys (e.g. lineitem ⋈ partsupp on partkey+suppkey), so
-        // use `left.rows × surviving fraction of b` instead.
-        let right_table = &bindings[b].table;
-        let b_side_cols: Vec<&str> = links
-            .iter()
-            .map(|(a, c, _)| if c.0 == b { c.1.as_str() } else { a.1.as_str() })
-            .collect();
+        // `offer_joins` uses `left.rows × surviving fraction of b` instead.
+        let table = &bindings[b].table;
         let covers_key = !links.is_empty()
-            && !right_table.clustered_on.is_empty()
-            && right_table
+            && !table.clustered_on.is_empty()
+            && table
                 .clustered_on
                 .iter()
-                .all(|k| b_side_cols.iter().any(|c| c.eq_ignore_ascii_case(k)));
-        let rows = if covers_key {
-            let fraction = (right.rows / right_table.row_count.max(1) as f64).min(1.0);
-            (left.rows * fraction).max(1e-3)
-        } else {
-            (left.rows * right.rows * combined_sel).max(1e-3)
-        };
-        let width = (left.width + right.width).min(256);
-        let on: String = if links.is_empty() {
-            "cartesian".to_string()
-        } else {
-            links
-                .iter()
-                .map(|(a, c, _)| format!("{}={}", a.1, c.1))
-                .collect::<Vec<_>>()
-                .join(" AND ")
-        };
-
-        // Key pair oriented as (left side col, right side col).
-        let oriented: Vec<(ColRef, ColRef)> = links
+                .all(|k| links.iter().any(|&i| b_side(i).eq_ignore_ascii_case(k)));
+        let keys = links
             .iter()
-            .map(|(a, c, _)| {
-                if c.0 == b {
-                    (a.clone(), c.clone())
+            .map(|&i| {
+                let (a, c) = join_keys[i];
+                if preds.joins[i].1 .0 == b {
+                    (a, c)
                 } else {
-                    (c.clone(), a.clone())
+                    (c, a)
                 }
             })
             .collect();
+        let probe = links.first().and_then(|&i| self.nl_probe(table, b_side(i)));
+        JoinCtx {
+            b,
+            links,
+            keys,
+            sel,
+            covers_key,
+            probe,
+        }
+    }
 
-        // Merge join: both inputs ordered on a connecting key pair.
-        for (lk, rk) in &oriented {
-            let l_ok = left.order.as_ref() == Some(lk);
-            let r_ok = right.order.as_ref() == Some(rk);
-            if l_ok && r_ok {
-                out.push(Cand {
-                    node: PlanNode::MergeJoin {
-                        on: on.clone(),
-                        rows,
-                        left: Box::new(left.node.clone()),
-                        right: Box::new(right.node.clone()),
-                    },
-                    cost: left.cost + right.cost + self.cfg.row_cpu_cost * (left.rows + right.rows),
+    /// Offers `frontier` every physical join of `left` (a planned subset)
+    /// with `right` (an access path of binding `ctx.b`, whose table is
+    /// `right_table`), in the order merge, hash, nested loops. Each
+    /// candidate is priced first and gets a recipe only when the frontier
+    /// does not already hold a cheaper one of its order.
+    fn offer_joins(
+        &self,
+        frontier: &mut Vec<Entry<'a>>,
+        left: &Entry<'a>,
+        right: &Entry<'a>,
+        ctx: &Rc<JoinCtx<'a>>,
+        right_table: &Table,
+    ) {
+        let rows = if ctx.covers_key {
+            let fraction = (right.rows / right_table.row_count.max(1) as f64).min(1.0);
+            (left.rows * fraction).max(1e-3)
+        } else {
+            (left.rows * right.rows * ctx.sel).max(1e-3)
+        };
+        let width = (left.width + right.width).min(256);
+        let mut offer = |cost: f64, order: Option<usize>, op: JoinOp<'a>| {
+            if dominated(frontier, order, cost) {
+                return;
+            }
+            let recipe = Recipe::Join {
+                ctx: Rc::clone(ctx),
+                op,
+                rows,
+                left: Rc::clone(&left.recipe),
+                left_rows: left.rows,
+            };
+            admit(
+                frontier,
+                Entry {
+                    cost,
                     rows,
                     width,
-                    order: Some(lk.clone()),
-                });
-            } else if r_ok {
-                // Sort the left (intermediate) side, then merge.
+                    order,
+                    recipe: Rc::new(recipe),
+                },
+                self.cfg.max_candidates,
+            );
+        };
+
+        // Merge join: both inputs ordered on a connecting key pair, the
+        // left (intermediate) side sorted first when it is not.
+        for (key, &(lk, rk)) in ctx.keys.iter().enumerate() {
+            if right.order != Some(rk) {
+                continue;
+            }
+            let (cost, sort) = if left.order == Some(lk) {
+                (
+                    left.cost + right.cost + self.cfg.row_cpu_cost * (left.rows + right.rows),
+                    None,
+                )
+            } else {
                 let blocks = est_blocks(left.rows, left.width);
                 let spill = if blocks > self.cfg.memory_grant_blocks {
                     blocks
@@ -824,141 +961,195 @@ impl<'a> Optimizer<'a> {
                 } else {
                     self.cfg.sort_cpu_factor * blocks as f64
                 };
-                out.push(Cand {
-                    node: PlanNode::MergeJoin {
-                        on: on.clone(),
-                        rows,
-                        left: Box::new(PlanNode::Sort {
-                            by: lk.1.clone(),
-                            rows: left.rows,
-                            spill_blocks: spill,
-                            child: Box::new(left.node.clone()),
-                        }),
-                        right: Box::new(right.node.clone()),
-                    },
-                    cost: left.cost
+                (
+                    left.cost
                         + right.cost
                         + sort_cost
                         + self.cfg.row_cpu_cost * (left.rows + right.rows),
-                    rows,
-                    width,
-                    order: Some(lk.clone()),
-                });
-            }
+                    Some(spill),
+                )
+            };
+            let right = Rc::clone(&right.recipe);
+            offer(cost, Some(lk), JoinOp::Merge { key, sort, right });
         }
 
         // Hash join: build on the smaller side; probe order is preserved.
-        {
-            let left_bytes = left.rows * left.width as f64;
-            let right_bytes = right.rows * right.width as f64;
-            let (build, probe, probe_order) = if left_bytes <= right_bytes {
-                (left, right, right.order.clone())
-            } else {
-                (right, left, left.order.clone())
-            };
-            let build_blocks = est_blocks(build.rows, build.width);
-            let spill = if build_blocks > self.cfg.memory_grant_blocks {
-                build_blocks
-            } else {
-                0
-            };
-            out.push(Cand {
-                node: PlanNode::HashJoin {
-                    on: on.clone(),
-                    rows,
-                    build: Box::new(build.node.clone()),
-                    probe: Box::new(probe.node.clone()),
-                    spill_blocks: spill,
-                },
-                cost: left.cost
-                    + right.cost
-                    + self.cfg.hash_build_factor * build_blocks as f64
-                    + self.cfg.spill_io_factor * spill as f64
-                    + self.cfg.row_cpu_cost * (left.rows + right.rows),
-                rows,
-                width,
-                order: probe_order,
-            });
-        }
+        let build_left = left.rows * left.width as f64 <= right.rows * right.width as f64;
+        let (build, probe) = if build_left {
+            (left, right)
+        } else {
+            (right, left)
+        };
+        let build_blocks = est_blocks(build.rows, build.width);
+        let spill = if build_blocks > self.cfg.memory_grant_blocks {
+            build_blocks
+        } else {
+            0
+        };
+        offer(
+            left.cost
+                + right.cost
+                + self.cfg.hash_build_factor * build_blocks as f64
+                + self.cfg.spill_io_factor * spill as f64
+                + self.cfg.row_cpu_cost * (left.rows + right.rows),
+            probe.order,
+            JoinOp::Hash {
+                build_left,
+                spill,
+                right: Rc::clone(&right.recipe),
+            },
+        );
 
         // Nested loops with an indexed inner (clustered key or nonclustered
         // index on the join column of `b`). Only worthwhile for selective
         // outers; enumerate and let cost decide.
-        if let Some((_, rk)) = oriented.first() {
-            if let Some((inner_node, inner_cost)) = self.nl_inner(&bindings[b], rk, left.rows, rows)
-            {
-                out.push(Cand {
-                    node: PlanNode::NestedLoops {
-                        on: on.clone(),
-                        rows,
-                        outer: Box::new(left.node.clone()),
-                        inner: Box::new(inner_node),
-                    },
-                    cost: left.cost + inner_cost + self.cfg.row_cpu_cost * left.rows,
-                    rows,
-                    width,
-                    order: left.order.clone(),
-                });
-            }
+        if let Some(probe) = &ctx.probe {
+            let (inner_cost, _) = self.nl_inner(probe, right_table, left.rows, rows);
+            offer(
+                left.cost + inner_cost + self.cfg.row_cpu_cost * left.rows,
+                left.order,
+                JoinOp::NestedLoops,
+            );
         }
-
-        out
     }
 
-    /// Builds the repeated-probe inner side of an indexed nested-loops join
-    /// into `binding` on column `rk.1`, for `probes` outer rows producing
-    /// `match_rows` total matches. Returns `(node, cost)` or `None` when no
-    /// index supports the probe.
-    fn nl_inner(
-        &self,
-        binding: &Binding,
-        rk: &ColRef,
-        probes: f64,
-        match_rows: f64,
-    ) -> Option<(PlanNode, f64)> {
-        let table = &binding.table;
-        let table_blocks = table.size_blocks().max(1);
-        if table.is_clustered_on(&rk.1) {
-            // Clustered seeks land directly on the matching data blocks.
-            let blocks = cardenas_blocks(probes.max(match_rows), table_blocks);
-            let node = PlanNode::Seek {
-                object: binding.object,
-                name: table.name.clone(),
-                blocks,
-                rows: match_rows,
-            };
-            return Some((
-                node,
-                self.cfg.random_io_weight * blocks as f64
-                    + self.cfg.row_cpu_cost * match_rows
-                    + self.cfg.nl_probe_cost * probes,
-            ));
+    /// How an indexed nested-loops join would probe `table` on column
+    /// `col`, or `None` when no index supports the probe.
+    fn nl_probe(&self, table: &Table, col: &str) -> Option<NlProbe<'a>> {
+        if table.is_clustered_on(col) {
+            return Some(NlProbe::Clustered);
         }
         let idx = self
             .catalog
             .indexes_on(&table.name)
-            .find(|i| i.key_columns[0].eq_ignore_ascii_case(&rk.1))?;
-        let idx_object = self.catalog.object_id(&idx.name).expect("index registered");
-        let idx_blocks = cardenas_blocks(probes, idx.size_blocks().max(1));
-        let lookup_blocks = cardenas_blocks(match_rows, table_blocks);
-        let node = PlanNode::RidLookup {
-            object: binding.object,
-            name: table.name.clone(),
-            blocks: lookup_blocks,
-            rows: match_rows,
-            child: Box::new(PlanNode::Seek {
-                object: idx_object,
-                name: idx.name.clone(),
-                blocks: idx_blocks,
-                rows: match_rows,
-            }),
+            .find(|i| i.key_columns[0].eq_ignore_ascii_case(col))?;
+        let object = self.catalog.object_id(&idx.name).expect("index registered");
+        Some(NlProbe::Index(idx, object))
+    }
+
+    /// The repeated-probe inner side of an indexed nested-loops join into
+    /// `table` through `probe`, for `probes` outer rows producing
+    /// `match_rows` total matches: its cost and the distinct blocks it
+    /// touches as `(probed, looked up)` — blocks of the probed object
+    /// (the table itself for a clustered probe) and RID-lookup blocks of
+    /// the table.
+    fn nl_inner(
+        &self,
+        probe: &NlProbe,
+        table: &Table,
+        probes: f64,
+        match_rows: f64,
+    ) -> (f64, (u64, u64)) {
+        let table_blocks = table.size_blocks().max(1);
+        let (probed, looked_up) = match probe {
+            // Clustered seeks land directly on the matching data blocks.
+            NlProbe::Clustered => (cardenas_blocks(probes.max(match_rows), table_blocks), 0),
+            NlProbe::Index(idx, _) => (
+                cardenas_blocks(probes, idx.size_blocks().max(1)),
+                cardenas_blocks(match_rows, table_blocks),
+            ),
         };
-        Some((
-            node,
-            self.cfg.random_io_weight * (idx_blocks + lookup_blocks) as f64
-                + self.cfg.row_cpu_cost * match_rows
-                + self.cfg.nl_probe_cost * probes,
-        ))
+        let cost = self.cfg.random_io_weight * (probed + looked_up) as f64
+            + self.cfg.row_cpu_cost * match_rows
+            + self.cfg.nl_probe_cost * probes;
+        (cost, (probed, looked_up))
+    }
+
+    /// Builds the plan tree of a DP candidate's recipe.
+    fn build(
+        &self,
+        recipe: &Recipe,
+        preds: &Preds,
+        keys: &OrderKeys,
+        bindings: &[Binding],
+    ) -> PlanNode {
+        let (ctx, op, rows, left, left_rows) = match recipe {
+            Recipe::Access(node) => return node.clone(),
+            Recipe::Join {
+                ctx,
+                op,
+                rows,
+                left,
+                left_rows,
+            } => (ctx, op, *rows, left, *left_rows),
+        };
+        let on = if ctx.links.is_empty() {
+            "cartesian".to_string()
+        } else {
+            ctx.links
+                .iter()
+                .map(|&i| format!("{}={}", preds.joins[i].0 .1, preds.joins[i].1 .1))
+                .collect::<Vec<_>>()
+                .join(" AND ")
+        };
+        let left = Box::new(self.build(left, preds, keys, bindings));
+        match op {
+            JoinOp::Merge { key, sort, right } => PlanNode::MergeJoin {
+                on,
+                rows,
+                left: match sort {
+                    Some(spill) => Box::new(PlanNode::Sort {
+                        by: keys.col(ctx.keys[*key].0).1.clone(),
+                        rows: left_rows,
+                        spill_blocks: *spill,
+                        child: left,
+                    }),
+                    None => left,
+                },
+                right: Box::new(self.build(right, preds, keys, bindings)),
+            },
+            JoinOp::Hash {
+                build_left,
+                spill,
+                right,
+            } => {
+                let right = Box::new(self.build(right, preds, keys, bindings));
+                let (build, probe) = if *build_left {
+                    (left, right)
+                } else {
+                    (right, left)
+                };
+                PlanNode::HashJoin {
+                    on,
+                    rows,
+                    build,
+                    probe,
+                    spill_blocks: *spill,
+                }
+            }
+            JoinOp::NestedLoops => {
+                let probe = ctx.probe.as_ref().expect("nested loops has a probe path");
+                let binding = &bindings[ctx.b];
+                let table = &binding.table;
+                let (_, (probed, looked_up)) = self.nl_inner(probe, table, left_rows, rows);
+                let inner = match probe {
+                    NlProbe::Clustered => PlanNode::Seek {
+                        object: binding.object,
+                        name: table.name.clone(),
+                        blocks: probed,
+                        rows,
+                    },
+                    NlProbe::Index(idx, object) => PlanNode::RidLookup {
+                        object: binding.object,
+                        name: table.name.clone(),
+                        blocks: looked_up,
+                        rows,
+                        child: Box::new(PlanNode::Seek {
+                            object: *object,
+                            name: idx.name.clone(),
+                            blocks: probed,
+                            rows,
+                        }),
+                    },
+                };
+                PlanNode::NestedLoops {
+                    on,
+                    rows,
+                    outer: left,
+                    inner: Box::new(inner),
+                }
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1318,16 +1509,16 @@ fn param_filter(original: Expr, _ndv: u64) -> Expr {
     }
 }
 
-/// Inserts `cand` into a candidate frontier: keeps the cheapest plan per
-/// distinct order, plus the overall cheapest, bounded by `max`.
-fn insert_candidate(frontier: &mut Vec<Cand>, cand: Cand, max: usize) {
-    // Dominated: an existing candidate with the same order and lower cost.
-    if frontier
-        .iter()
-        .any(|c| c.order == cand.order && c.cost <= cand.cost)
-    {
-        return;
-    }
+/// Whether a join-order frontier already holds a candidate of the same
+/// order at no greater cost, so that `cost` would add nothing.
+fn dominated(frontier: &[Entry], order: Option<usize>, cost: f64) -> bool {
+    frontier.iter().any(|c| c.order == order && c.cost <= cost)
+}
+
+/// Adds a candidate that is not [`dominated`] to a frontier: keeps the
+/// cheapest plan per distinct order, plus the overall cheapest, bounded by
+/// `max`.
+fn admit<'a>(frontier: &mut Vec<Entry<'a>>, cand: Entry<'a>, max: usize) {
     frontier.retain(|c| !(c.order == cand.order && c.cost > cand.cost));
     frontier.push(cand);
     if frontier.len() > max {
@@ -1628,6 +1819,42 @@ mod tests {
         let c = tpch_catalog(0.01);
         let p = plan(&c, "SELECT COUNT(*) FROM region, nation");
         assert_eq!(p.objects().len(), 2);
+    }
+
+    /// A chain join of `k` aliased copies of `nation`.
+    fn chain_join(k: usize) -> String {
+        let from: Vec<String> = (0..k).map(|i| format!("nation t{i}")).collect();
+        let on: Vec<String> = (1..k)
+            .map(|i| format!("t{}.n_nationkey = t{i}.n_nationkey", i - 1))
+            .collect();
+        format!(
+            "SELECT COUNT(*) FROM {} WHERE {}",
+            from.join(", "),
+            on.join(" AND ")
+        )
+    }
+
+    #[test]
+    fn join_wider_than_the_bound_is_refused_before_enumeration() {
+        let c = tpch_catalog(0.01);
+        let stmt = parse_statement(&chain_join(MAX_JOIN_BINDINGS + 1)).unwrap();
+        let t0 = std::time::Instant::now();
+        let err = plan_statement(&c, &stmt).unwrap_err();
+        // Enumerating 2^17 subsets takes seconds; the refusal takes none.
+        assert!(t0.elapsed() < std::time::Duration::from_secs(1));
+        let PlanError::Unsupported(msg) = &err else {
+            panic!("{err:?}");
+        };
+        assert!(msg.contains("17") && msg.contains("16"), "{msg}");
+    }
+
+    #[test]
+    fn join_at_the_bound_plans() {
+        let c = tpch_catalog(0.01);
+        let p = plan(&c, &chain_join(MAX_JOIN_BINDINGS));
+        let nation = c.object_id("nation").unwrap();
+        assert_eq!(p.objects(), vec![nation]);
+        assert!(p.total_blocks_of(nation) >= MAX_JOIN_BINDINGS as u64);
     }
 
     #[test]

@@ -199,6 +199,75 @@ fn malformed_requests_yield_structured_errors() {
     server.shutdown();
 }
 
+/// A FROM clause wider than the planner's join bound is answered with a
+/// `plan_error` instead of pinning a worker in a 2^n-subset enumeration,
+/// and the session keeps serving: it still takes statements and prices
+/// layouts afterwards.
+#[test]
+fn over_wide_join_is_refused_and_the_session_keeps_serving() {
+    let server = start(ServerConfig {
+        threads: 2,
+        ..Default::default()
+    });
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    let open = expect_result(
+        &client
+            .roundtrip(r#"{"op":"open_session","catalog":"tpch:0.1"}"#)
+            .unwrap(),
+    );
+    let sid = open.get("session").and_then(|v| v.as_u64()).unwrap();
+    let add = |client: &mut Client, sql: String| {
+        client
+            .roundtrip(&json_request(vec![
+                ("op", Value::Str("add_statements".into())),
+                ("session", Value::U64(sid)),
+                ("sql", Value::Str(sql)),
+            ]))
+            .expect("connection survives")
+    };
+
+    let width = dblayout_planner::optimizer::MAX_JOIN_BINDINGS + 1;
+    let from: Vec<String> = (0..width).map(|i| format!("nation t{i}")).collect();
+    let on: Vec<String> = (1..width)
+        .map(|i| format!("t{}.n_nationkey = t{i}.n_nationkey", i - 1))
+        .collect();
+    let wide = format!(
+        "SELECT COUNT(*) FROM {} WHERE {};",
+        from.join(", "),
+        on.join(" AND ")
+    );
+    let line = add(&mut client, wide);
+    let v: Value = serde_json::from_str(&line).unwrap();
+    assert_eq!(v.get("ok").and_then(|b| b.as_bool()), Some(false), "{line}");
+    let error = v.get("error").expect("errors carry `error`");
+    assert_eq!(
+        error.get("code").and_then(|c| c.as_str()),
+        Some("plan_error"),
+        "{line}"
+    );
+    assert!(
+        error
+            .get("message")
+            .and_then(|m| m.as_str())
+            .is_some_and(|m| m.contains("join enumeration")),
+        "{line}"
+    );
+
+    expect_result(&add(&mut client, "SELECT COUNT(*) FROM lineitem;".into()));
+    let cost = expect_result(
+        &client
+            .roundtrip(&json_request(vec![
+                ("op", Value::Str("whatif_cost".into())),
+                ("session", Value::U64(sid)),
+                ("layout", Value::Str("full_striping".into())),
+            ]))
+            .unwrap(),
+    );
+    assert!(cost.get("cost_ms").and_then(|c| c.as_f64()).unwrap() > 0.0);
+    drop(client);
+    server.shutdown();
+}
+
 /// dblayout-par stress: 8 concurrent sessions each running a
 /// multi-threaded recommend (`threads: 4`) against one server. No client
 /// may see an internal error (a poisoned lock surfaces as one), all
