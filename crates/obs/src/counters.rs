@@ -90,10 +90,13 @@ pub enum Counter {
     /// Sub-plans TS-GREEDY's candidate scoring re-costs through the
     /// Figure-7 kernel (memoized candidates re-cost none).
     CostmodelSubplanRecosts = 18,
+    /// Figure-7 drive terms TS-GREEDY's candidate scoring evaluates (one
+    /// per drive the kernel visits for a re-costed sub-plan).
+    CostmodelDriveTerms = 19,
 }
 
 /// Number of registered counters (slots in the backing array).
-pub const COUNT: usize = 19;
+pub const COUNT: usize = 20;
 
 impl Counter {
     /// Every counter, in declaration (= exposition) order.
@@ -117,6 +120,7 @@ impl Counter {
         Counter::AuditRecordsWritten,
         Counter::TraceParseErrors,
         Counter::CostmodelSubplanRecosts,
+        Counter::CostmodelDriveTerms,
     ];
 
     /// Static snake_case name. Renderers add their own affixes (the
@@ -142,6 +146,7 @@ impl Counter {
             Counter::AuditRecordsWritten => "audit_records_written",
             Counter::TraceParseErrors => "trace_parse_errors",
             Counter::CostmodelSubplanRecosts => "costmodel_subplan_recosts",
+            Counter::CostmodelDriveTerms => "costmodel_drive_terms",
         }
     }
 
