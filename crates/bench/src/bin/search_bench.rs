@@ -7,7 +7,9 @@
 //! history (see `dblayout benchdiff`), and exits non-zero if any
 //! configuration's layout or cost diverges from the baseline — the
 //! identity check the CI bench-smoke job enforces. The history entry also
-//! carries `planner/tpch22-sf1`, the best time to plan TPC-H-22 at SF 1.
+//! carries `planner/tpch22-sf1`, the best time to plan TPC-H-22 at SF 1,
+//! and `tpch64/t1` / `tpch64/t2`, the best search times on the
+//! `advise-tpch64` instance at 1 and 2 threads.
 
 use std::process::ExitCode;
 
@@ -50,6 +52,12 @@ fn main() -> ExitCode {
         "planner: all 22 TPC-H queries (SF 1) in {:.2} ms (best of {})",
         report.plan_tpch22_sf1_best_ms, report.reps
     );
+    for (threads, ms) in &report.tpch64_search_best_ms {
+        println!(
+            "advise-tpch64 search: {ms:.2} ms at {threads} thread(s) (best of {})",
+            report.reps
+        );
+    }
     dblayout_bench::write_json("search_bench", &report);
 
     // Observatory: append this run to the repo-root history. The config
@@ -75,6 +83,12 @@ fn main() -> ExitCode {
                 "planner/tpch22-sf1".to_string(),
                 report.plan_tpch22_sf1_best_ms,
             )])
+            .chain(
+                report
+                    .tpch64_search_best_ms
+                    .iter()
+                    .map(|(threads, ms)| (format!("tpch64/t{threads}"), *ms)),
+            )
             .collect(),
         phases_ms: report
             .phases

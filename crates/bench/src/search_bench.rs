@@ -16,7 +16,10 @@
 //! honestly (there the speedup comes from the incremental evaluator).
 //!
 //! The run also times the planner on all 22 TPC-H queries at SF 1 (best
-//! of `reps`), so a planning speed-up lands in the same history.
+//! of `reps`), so a planning speed-up lands in the same history, and the
+//! search on the `advise-tpch64` instance (those queries on 64 uniform
+//! drives) at 1 and 2 threads, where step 2 prices widening moves from
+//! shared drive terms (DESIGN.md §7).
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -27,7 +30,7 @@ use dblayout_catalog::tpch::tpch_catalog;
 use dblayout_core::costmodel::{decompose_workload, CostModel};
 use dblayout_core::tsgreedy::{ts_greedy, TsGreedyConfig};
 use dblayout_core::{build_access_graph, Layout};
-use dblayout_disksim::paper_disks;
+use dblayout_disksim::{paper_disks, uniform_disks};
 use dblayout_obs::counters::{self, Counter};
 use dblayout_obs::prof::PhaseTimer;
 use dblayout_planner::plan_statement;
@@ -122,6 +125,10 @@ pub struct SearchBenchReport {
     /// Best (minimum) time to plan all 22 TPC-H queries at SF 1 over
     /// `reps` repetitions, ms (parsing excluded).
     pub plan_tpch22_sf1_best_ms: f64,
+    /// Best (minimum) TS-GREEDY time on those plans over 64 uniform drives
+    /// (the `advise-tpch64` instance), ms, as `(threads, best_ms)` at 1
+    /// and 2 threads. Measured outside the counted and phased regions.
+    pub tpch64_search_best_ms: Vec<(usize, f64)>,
 }
 
 /// Every placement fraction's bit pattern — the byte-level identity the
@@ -249,13 +256,41 @@ pub fn run_with(thread_counts: &[usize], reps: usize) -> SearchBenchReport {
         .map(|q| parse_statement(q).expect("TPC-H query parses"))
         .collect();
     let mut plan_tpch22_sf1_best_ms = f64::INFINITY;
+    let mut tpch22_plans = Vec::new();
     for _ in 0..reps {
         let t0 = Instant::now();
-        for stmt in &tpch22 {
-            plan_statement(&catalog, stmt).expect("TPC-H query plans");
-        }
+        tpch22_plans = tpch22
+            .iter()
+            .map(|stmt| {
+                (
+                    plan_statement(&catalog, stmt).expect("TPC-H query plans"),
+                    1.0,
+                )
+            })
+            .collect();
         plan_tpch22_sf1_best_ms = plan_tpch22_sf1_best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
     }
+    // The advise-tpch64 search, also outside the counted region.
+    let tpch64_disks = uniform_disks(64, 400_000, 10.0, 20.0);
+    let tpch64_graph = build_access_graph(sizes.len(), &tpch22_plans);
+    let tpch64_workload = decompose_workload(&tpch22_plans);
+    let tpch64_search_best_ms = [1usize, 2]
+        .into_iter()
+        .map(|threads| {
+            let cfg = TsGreedyConfig {
+                threads,
+                ..Default::default()
+            };
+            let mut best_ms = f64::INFINITY;
+            for _ in 0..reps {
+                let t0 = Instant::now();
+                ts_greedy(&sizes, &tpch64_graph, &tpch64_workload, &tpch64_disks, &cfg)
+                    .expect("search succeeds");
+                best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+            }
+            (threads, best_ms)
+        })
+        .collect();
     SearchBenchReport {
         workload: "examples/workloads/tpch_mix.sql".to_string(),
         git_rev: crate::observatory::git_rev(
@@ -286,6 +321,7 @@ pub fn run_with(thread_counts: &[usize], reps: usize) -> SearchBenchReport {
             })
             .collect(),
         plan_tpch22_sf1_best_ms,
+        tpch64_search_best_ms,
     }
 }
 
@@ -298,6 +334,7 @@ mod tests {
         let report = run_with(&[1, 2, 4], 1);
         assert!(report.all_identical, "{report:?}");
         assert!(report.plan_tpch22_sf1_best_ms.is_finite());
+        assert_eq!(report.tpch64_search_best_ms.len(), 2);
         assert_eq!(report.rows.len(), 4);
         let base = &report.rows[0];
         assert!(base.iterations >= 1, "search adopted no move");

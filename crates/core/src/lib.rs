@@ -69,7 +69,7 @@ pub use concurrency::{
 };
 pub use constraints::{ConstraintViolation, Constraints};
 pub use costmodel::{
-    statement_cost, workload_cost, CostDelta, CostModel, DeltaEvaluator, EvalScratch,
+    statement_cost, workload_cost, CostDelta, CostModel, DeltaEvaluator, EvalScratch, WideningTable,
 };
 pub use dblayout_disksim::{Layout, LayoutError};
 pub use deploy::{compile_filegroups, render_script, DeploymentPlan, Filegroup};

@@ -19,12 +19,13 @@
 //!   interleaving.
 //!
 //! The pool is spawned once per search (not per iteration) via
-//! [`std::thread::scope`], so per-iteration dispatch costs two channel
-//! hops per worker rather than a thread spawn. A worker that dies
-//! mid-iteration (a panic in the scoring closure) is tolerated: its chunk
-//! is recomputed inline by the dispatcher, so a transient worker failure
-//! degrades throughput, never correctness. See DESIGN.md §7 for the full
-//! determinism argument.
+//! [`std::thread::scope`]: the calling thread scores chunk 0 itself and
+//! `threads − 1` helpers score the rest, so per-iteration dispatch costs
+//! two channel hops per helper rather than a thread spawn, and no thread
+//! idles while the others work. A helper that dies mid-iteration (a panic
+//! in the scoring closure) is tolerated: its chunk is recomputed inline by
+//! the dispatcher, so a transient worker failure degrades throughput,
+//! never correctness. See DESIGN.md §7 for the full determinism argument.
 
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -45,10 +46,9 @@ pub fn available_parallelism() -> usize {
 /// Adaptive chunking: how many of `threads` workers to actually engage for
 /// `items` units of work.
 ///
-/// At small scale the two channel hops per worker cost more than the work
-/// itself (the tpch_mix 4-thread regression: ~70 candidates per iteration
-/// split four ways lost to the 1-thread run), so dispatch width scales
-/// with the work: one worker per `min_chunk` items, clamped to
+/// At small scale a helper's hand-off costs more than the work it takes
+/// over, so dispatch width scales with the work: one worker per
+/// `min_chunk` items, clamped to
 /// `[1, threads]`. `min_chunk == 0` disables adaptation and always engages
 /// every worker (the escape hatch for tests that exercise the full fan-out
 /// on small fixtures). Deterministic: a pure function of its inputs, so a
@@ -105,8 +105,8 @@ pub fn weighted_bounds(work: &[usize], workers: usize) -> Vec<usize> {
     bounds
 }
 
-/// One worker's channel pair: jobs in, results out. A dedicated result
-/// lane per worker (rather than one shared channel) means a dead worker is
+/// One helper's channel pair: jobs in, results out. A dedicated result
+/// lane per helper (rather than one shared channel) means a dead helper is
 /// detected by its closed channel instead of a hung `recv`.
 struct Lane<J, O> {
     job_tx: Sender<Arc<J>>,
@@ -117,8 +117,9 @@ struct Lane<J, O> {
 pub struct Pool<'p, J, O> {
     threads: usize,
     process: &'p (dyn Fn(usize, &J) -> O + Sync),
-    /// Empty when `threads == 1`: dispatch then runs inline on the caller's
-    /// thread and no workers exist at all.
+    /// `lanes[h]` is the helper that scores chunk `h + 1`; chunk 0 is the
+    /// caller's. Empty when `threads == 1`: dispatch then runs inline and
+    /// no helpers exist at all.
     lanes: Vec<Lane<J, O>>,
 }
 
@@ -131,11 +132,11 @@ impl<J, O> Pool<'_, J, O> {
     /// Ships one job snapshot to every worker and collects their outputs
     /// in worker order (`outputs[w]` is worker `w`'s result).
     ///
-    /// With one thread the closure runs inline as worker 0. If a worker
-    /// died (its scoring closure panicked on an earlier job), its chunk is
-    /// recomputed inline here with the same `(w, job)` arguments, so the
-    /// returned vector always has `threads()` entries with identical
-    /// content to an all-healthy run.
+    /// The calling thread scores worker 0's chunk while the helpers score
+    /// the others. If a helper died (its scoring closure panicked on an
+    /// earlier job), its chunk is recomputed inline here with the same
+    /// `(w, job)` arguments, so the returned vector always has `threads()`
+    /// entries with identical content to an all-healthy run.
     pub fn dispatch(&self, job: Arc<J>) -> Vec<O> {
         self.dispatch_to(job, self.threads)
     }
@@ -145,23 +146,21 @@ impl<J, O> Pool<'_, J, O> {
     ///
     /// `workers` is clamped to `[1, threads()]`. With `workers == 1` the
     /// closure runs inline as worker 0 with zero channel hops even when
-    /// the pool has live workers — small iterations fall back to exactly
+    /// the pool has live helpers — small iterations fall back to exactly
     /// the serial path. The returned vector has `workers` entries; the
     /// caller's `process` must derive chunk ownership from the job (which
     /// therefore carries the engaged-worker count, not the pool width).
     pub fn dispatch_to(&self, job: Arc<J>, workers: usize) -> Vec<O> {
         let workers = workers.clamp(1, self.threads);
-        if self.lanes.is_empty() || workers == 1 {
-            return vec![(self.process)(0, &job)];
-        }
-        let engaged = &self.lanes[..workers];
-        let delivered: Vec<bool> = engaged
+        let helpers = &self.lanes[..workers - 1];
+        let delivered: Vec<bool> = helpers
             .iter()
             .map(|lane| lane.job_tx.send(job.clone()).is_ok())
             .collect();
         let mut outputs = Vec::with_capacity(workers);
-        for (w, lane) in engaged.iter().enumerate() {
-            let out = if delivered[w] {
+        outputs.push((self.process)(0, &job));
+        for (h, lane) in helpers.iter().enumerate() {
+            let out = if delivered[h] {
                 lane.result_rx.recv().ok()
             } else {
                 None
@@ -170,16 +169,17 @@ impl<J, O> Pool<'_, J, O> {
                 // Scheduling-class accounting: fallbacks vary with timing
                 // and never enter the deterministic fingerprint.
                 counters::incr(Counter::ParPoolFallbacks);
-                (self.process)(w, &job)
+                (self.process)(h + 1, &job)
             }));
         }
         outputs
     }
 }
 
-/// Runs `body` with a pool of `threads` workers, each applying `process`
-/// to every dispatched job; tears the pool down (joining all workers)
-/// before returning `body`'s result.
+/// Runs `body` with a pool of `threads` workers — the calling thread and
+/// `threads − 1` helpers — each applying `process` to its chunk of every
+/// dispatched job; tears the pool down (joining all helpers) before
+/// returning `body`'s result.
 ///
 /// `process(w, &job)` must derive worker `w`'s share of the work from the
 /// job itself (conventionally via [`chunk_range`]) and must not mutate
@@ -204,8 +204,8 @@ where
         });
     }
     std::thread::scope(|scope| {
-        let mut lanes = Vec::with_capacity(threads);
-        for w in 0..threads {
+        let mut lanes = Vec::with_capacity(threads - 1);
+        for w in 1..threads {
             let (job_tx, job_rx) = channel::<Arc<J>>();
             let (result_tx, result_rx) = channel::<O>();
             scope.spawn(move || {
@@ -399,6 +399,19 @@ mod tests {
                 let outs = pool.dispatch_to(Arc::new((items.clone(), eff)), workers);
                 assert_eq!(outs.len(), eff, "workers={workers}");
                 assert_eq!(outs.iter().sum::<u64>(), expected, "workers={workers}");
+            }
+        });
+    }
+
+    #[test]
+    fn the_caller_scores_chunk_zero() {
+        let caller = std::thread::current().id();
+        let on_caller = move |_w: usize, _job: &()| std::thread::current().id() == caller;
+        with_pool(3, &on_caller, |pool| {
+            for workers in [1usize, 2, 3] {
+                let outs = pool.dispatch_to(Arc::new(()), workers);
+                assert!(outs[0], "workers={workers}");
+                assert!(outs[1..].iter().all(|&here| !here), "workers={workers}");
             }
         });
     }

@@ -168,6 +168,13 @@ fn occupies(x: f64) -> bool {
     x > 0.0 || x.is_nan()
 }
 
+/// The rate total [`Layout::place_proportional`] divides by: the read
+/// rates of `disk_ids`, summed in order. Two placements with equal totals
+/// give every drive they share the same fraction, bit for bit.
+pub fn proportional_total(disk_ids: impl IntoIterator<Item = usize>, specs: &[DiskSpec]) -> f64 {
+    disk_ids.into_iter().map(|j| specs[j].read_mb_s).sum()
+}
+
 /// Ascending drive ids of the set bits in an occupancy bitset (bit `j % 64`
 /// of word `j / 64` stands for drive `j`) — see [`Layout::occupancy`].
 #[derive(Debug, Clone)]
@@ -338,6 +345,14 @@ impl Layout {
         Drives::new(self.occupancy(object))
     }
 
+    /// `object`'s fraction on `disk` if it occupies the drive (its bit in
+    /// [`Layout::occupancy`] is set), else `None`.
+    #[inline]
+    pub fn share(&self, object: usize, disk: usize) -> Option<f64> {
+        let x = self.fractions[object][disk];
+        occupies(x).then_some(x)
+    }
+
     /// Zeroes `object`'s row and its occupancy bits.
     fn clear_row(&mut self, object: usize) {
         self.fractions[object].fill(0.0);
@@ -383,7 +398,7 @@ impl Layout {
     /// # Panics
     /// Panics if the rate sum is not positive or any rate is negative.
     pub fn place_proportional(&mut self, object: usize, disk_ids: &[usize], specs: &[DiskSpec]) {
-        let total: f64 = disk_ids.iter().map(|&j| specs[j].read_mb_s).sum();
+        let total = proportional_total(disk_ids.iter().copied(), specs);
         assert!(
             total > 0.0 && disk_ids.iter().all(|&j| specs[j].read_mb_s >= 0.0),
             "placement weights must be non-negative with a positive sum"

@@ -34,5 +34,5 @@ pub mod trace;
 pub use allocation::AllocationMap;
 pub use bufferpool::BufferPool;
 pub use disk::{paper_disks, tempdb_disk, uniform_disks, Availability, DiskSpec};
-pub use layout::{apportion, apportion_into, Drives, Layout, LayoutError};
+pub use layout::{apportion, apportion_into, proportional_total, Drives, Layout, LayoutError};
 pub use sim::{SimConfig, SimReport, Simulator};

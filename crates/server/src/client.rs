@@ -9,6 +9,8 @@ use std::net::TcpStream;
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The request line being sent, reused across round trips.
+    line: Vec<u8>,
 }
 
 impl Client {
@@ -20,14 +22,19 @@ impl Client {
         Ok(Self {
             reader: BufReader::new(stream),
             writer,
+            line: Vec::new(),
         })
     }
 
     /// Sends one request line and reads the one-line response (both without
     /// trailing newlines).
     pub fn roundtrip(&mut self, request: &str) -> std::io::Result<String> {
-        self.writer.write_all(request.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One write: with TCP_NODELAY, a separate newline write would go
+        // out as a second segment.
+        self.line.clear();
+        self.line.extend_from_slice(request.as_bytes());
+        self.line.push(b'\n');
+        self.writer.write_all(&self.line)?;
         let mut line = String::new();
         let n = self.reader.read_line(&mut line)?;
         if n == 0 {

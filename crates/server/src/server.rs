@@ -4,8 +4,10 @@
 //! a structured `busy` error when the queue is full); a worker pops it,
 //! enforces the queue-wait deadline, then serves newline-delimited JSON
 //! requests until EOF, idle timeout, or shutdown. Shutdown is graceful: the
-//! accept loop stops, workers drain every queued connection and finish their
-//! in-flight request before exiting.
+//! accept loop stops, the read side of every served connection is shut
+//! (an idle client no longer holds a worker until its read timeout), and
+//! workers drain every queued connection and finish their in-flight
+//! request before exiting.
 //!
 //! The deadline guards *queueing* — a connection that waited longer than the
 //! per-request deadline is answered with `deadline_exceeded` instead of
@@ -16,10 +18,10 @@
 //! All request semantics live in [`crate::engine::Engine`]; this module only
 //! owns the transport: sockets, the queue, admission control, and shutdown.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -84,6 +86,10 @@ pub(crate) struct Shared {
     pub(crate) available: Condvar,
     pub(crate) shutdown: AtomicBool,
     pub(crate) engine: Engine,
+    /// A handle on every connection being served, keyed by its number, so
+    /// shutdown can close the idle ones' read side.
+    pub(crate) open: Mutex<BTreeMap<u64, TcpStream>>,
+    pub(crate) connections: AtomicU64,
 }
 
 /// A running server; dropping the handle does **not** stop it — call
@@ -118,6 +124,8 @@ impl Server {
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
             engine,
+            open: Mutex::new(BTreeMap::new()),
+            connections: AtomicU64::new(0),
             config,
         });
         shared
@@ -151,9 +159,16 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stops accepting, drains queued connections, and joins every thread.
+    /// Stops accepting, closes the read side of every served connection,
+    /// drains queued connections, and joins every thread.
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        // A worker blocked reading an idle client sees EOF now; one in
+        // the middle of a request answers it first. Requests already sent
+        // stay readable.
+        for stream in crate::lock_unpoisoned(&self.shared.open).values() {
+            let _ = stream.shutdown(Shutdown::Read); // dblayout::allow(R9, reason = "the peer may already have closed; either way the worker sees EOF")
+        }
         // Unblock the acceptor with a throwaway connection; it re-checks the
         // flag after every accept.
         let _ = TcpStream::connect(self.addr); // dblayout::allow(R9, reason = "throwaway self-connection only unblocks accept(); the acceptor re-checks the shutdown flag either way")
@@ -279,7 +294,21 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
         Ok(w) => w,
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
+    // Registered before the flag is read: a shutdown that starts later
+    // finds this connection in `open`, one that started earlier is seen
+    // here.
+    let id = shared.connections.fetch_add(1, Ordering::Relaxed);
+    if let Ok(handle) = stream.try_clone() {
+        crate::lock_unpoisoned(&shared.open).insert(id, handle);
+    }
+    if shared.shutdown.load(Ordering::SeqCst) {
+        let _ = stream.shutdown(Shutdown::Read); // dblayout::allow(R9, reason = "the peer may already have closed; either way the loop below sees EOF")
+    }
+    serve_requests(shared, BufReader::new(stream), &mut writer);
+    crate::lock_unpoisoned(&shared.open).remove(&id);
+}
+
+fn serve_requests(shared: &Arc<Shared>, reader: BufReader<TcpStream>, writer: &mut TcpStream) {
     for line in reader.lines() {
         let Ok(line) = line else { break }; // EOF, reset, or idle timeout.
         if line.trim().is_empty() {
@@ -570,6 +599,19 @@ mod tests {
         assert_eq!(stats.get("threads").and_then(|v| v.as_u64()), Some(2));
 
         server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_closes_an_idle_connection_promptly() {
+        let server = start();
+        let mut client = Client::connect(&server.addr().to_string()).unwrap();
+        result(&client.roundtrip(r#"{"op":"stats"}"#).unwrap());
+        // The client stays connected and idle while the server stops.
+        let started = Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+        assert!(client.roundtrip(r#"{"op":"stats"}"#).is_err());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! deployed layout was advised on (what `drift` compares against), and the
 //! last budgeted recommendation (the default `plan_migration` target).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -381,10 +381,12 @@ impl SessionRegistry {
 /// Memoized what-if costs, keyed on (session, statement-set version, layout
 /// hash) with least-recently-used eviction.
 pub struct CostCache {
-    map: HashMap<(u64, u64, u64), f64>,
-    /// Keys in use order, oldest first (small capacities keep the linear
-    /// scans in `touch` cheap).
-    order: Vec<(u64, u64, u64)>,
+    /// Each key's cost and the stamp of its last use.
+    map: HashMap<(u64, u64, u64), (f64, u64)>,
+    /// Keys by last-use stamp, oldest first.
+    order: BTreeMap<u64, (u64, u64, u64)>,
+    /// The next use's stamp; stamps only grow.
+    clock: u64,
     capacity: usize,
 }
 
@@ -393,36 +395,35 @@ impl CostCache {
     pub fn new(capacity: usize) -> Self {
         Self {
             map: HashMap::new(),
-            order: Vec::new(),
+            order: BTreeMap::new(),
+            clock: 0,
             capacity,
         }
     }
 
     /// Looks up a memoized cost, refreshing its recency on hit.
     pub fn get(&mut self, key: (u64, u64, u64)) -> Option<f64> {
-        let cost = *self.map.get(&key)?;
-        self.touch(key);
+        let cost = self.map.get(&key)?.0;
+        self.touch(key, cost);
         Some(cost)
     }
 
     /// Inserts (or refreshes) a memoized cost, evicting the least recently
     /// used entry when full.
     pub fn insert(&mut self, key: (u64, u64, u64), cost: f64) {
-        if self.map.insert(key, cost).is_none() {
-            self.order.push(key);
-            if self.order.len() > self.capacity {
-                let evicted = self.order.remove(0);
+        let fresh = !self.map.contains_key(&key);
+        self.touch(key, cost);
+        if fresh && self.map.len() > self.capacity {
+            if let Some((_, evicted)) = self.order.pop_first() {
                 self.map.remove(&evicted);
             }
-        } else {
-            self.touch(key);
         }
     }
 
     /// Drops every entry belonging to `session`.
     pub fn invalidate_session(&mut self, session: u64) {
         self.map.retain(|k, _| k.0 != session);
-        self.order.retain(|k| k.0 != session);
+        self.order.retain(|_, k| k.0 != session);
     }
 
     /// Current number of entries.
@@ -435,11 +436,14 @@ impl CostCache {
         self.map.is_empty()
     }
 
-    fn touch(&mut self, key: (u64, u64, u64)) {
-        if let Some(pos) = self.order.iter().position(|k| *k == key) {
-            self.order.remove(pos);
-            self.order.push(key);
+    /// Stores `cost` under `key` as the most recently used entry.
+    fn touch(&mut self, key: (u64, u64, u64), cost: f64) {
+        let stamp = self.clock;
+        self.clock += 1;
+        if let Some((_, old)) = self.map.insert(key, (cost, stamp)) {
+            self.order.remove(&old);
         }
+        self.order.insert(stamp, key);
     }
 }
 
@@ -580,6 +584,24 @@ mod tests {
         assert_eq!(s.deployed.object_count(), s.full_striping().object_count());
         assert!(s.last_target.is_none());
         assert_eq!(s.advised_graph.edge_count(), 0);
+    }
+
+    #[test]
+    fn cost_cache_evicts_in_least_recently_used_order() {
+        let mut cache = CostCache::new(3);
+        for k in 1..=3 {
+            cache.insert((1, 1, k), k as f64);
+        }
+        // Use order 1, 2, 3; a hit on 1 and a refresh of 2 make it 3, 1, 2.
+        assert_eq!(cache.get((1, 1, 1)), Some(1.0));
+        cache.insert((1, 1, 2), 20.0);
+        // Misses do not touch the order, so each probe reads it as is.
+        for (k, evicted) in [(4, 3), (5, 1), (6, 2)] {
+            cache.insert((1, 1, k), k as f64);
+            assert_eq!(cache.get((1, 1, evicted)), None, "inserting {k}");
+            assert_eq!(cache.len(), 3);
+        }
+        assert_eq!(cache.get((1, 1, 6)), Some(6.0));
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! the reference bit for bit: sub-plan, statement and workload costs, the
 //! traced path's per-disk events, and every `DeltaEvaluator` total. A
 //! second property checks the occupancy index against a dense scan of the
-//! fraction matrix after every `Layout` mutator.
+//! fraction matrix after every `Layout` mutator. A third prices co-location
+//! groups' widening moves through a `WideningTable` and checks every value
+//! against the dense reference on the widened layout.
 
 use std::sync::Arc;
 
@@ -18,8 +20,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dblayout_catalog::ObjectId;
-use dblayout_core::costmodel::{CostModel, EvalScratch};
-use dblayout_disksim::{Availability, DiskSpec, Layout};
+use dblayout_core::costmodel::{CostModel, EvalScratch, WideningTable};
+use dblayout_disksim::{uniform_disks, Availability, DiskSpec, Layout};
 use dblayout_obs::{Collector, RecordKind, RingSink};
 use dblayout_planner::{AccessKind, ObjectAccess, Subplan};
 
@@ -513,4 +515,199 @@ fn occupancy_index_tracks_every_mutator() {
         // A clone carries the index with it.
         assert_indexed(&layout.clone(), "clone");
     }
+}
+
+/// Drives for the widening-table oracle: uniform, or heterogeneous with
+/// read rates drawn from a few classes, so moves of one group share
+/// proportional totals either way.
+fn class_disks(rng: &mut StdRng, m: usize) -> Vec<DiskSpec> {
+    if rng.gen_bool(0.4) {
+        return uniform_disks(m, 10_000_000, 10.0, 20.0);
+    }
+    let mut disks = random_disks(rng, m);
+    for d in &mut disks {
+        d.read_mb_s = [10.0, 20.0, 35.0][rng.gen_range(0..3usize)];
+    }
+    disks
+}
+
+/// Every `k`-or-fewer subset of `items` (singles first), capped at `cap`
+/// by sampling beyond it.
+fn widening_adds(rng: &mut StdRng, items: &[usize], k: usize, cap: usize) -> Vec<Vec<usize>> {
+    let mut adds: Vec<Vec<usize>> = items.iter().map(|&j| vec![j]).collect();
+    if k >= 2 {
+        for (a, &x) in items.iter().enumerate() {
+            for &y in &items[a + 1..] {
+                adds.push(vec![x, y]);
+            }
+        }
+    }
+    while adds.len() > cap {
+        adds.swap_remove(rng.gen_range(0..adds.len()));
+    }
+    adds
+}
+
+#[test]
+fn widening_table_prices_match_the_dense_oracle() {
+    let (mut priced, mut shared_classes, mut seek_subs) = (0usize, 0usize, 0usize);
+    for seed in 0..120u64 {
+        let mut rng = StdRng::seed_from_u64(0x7AB1_E000 + seed);
+        let m = DISK_COUNTS[seed as usize % DISK_COUNTS.len()];
+        let k = 1 + (seed as usize / DISK_COUNTS.len()) % 2;
+        let n = rng.gen_range(2..=8usize);
+        let disks = class_disks(&mut rng, m);
+        let sizes: Vec<u64> = (0..n).map(|_| rng.gen_range(1..50_000u64)).collect();
+        let workload = random_workload(&mut rng, n);
+        let mut layout = Layout::empty(sizes.clone(), m);
+        for i in 0..n {
+            let ids = random_drives(&mut rng, m);
+            layout.place_proportional(i, &ids, &disks);
+        }
+        // A co-location group of one to three objects on one drive set.
+        let mut members: Vec<usize> = (0..rng.gen_range(1..=3usize))
+            .map(|_| rng.gen_range(0..n))
+            .collect();
+        members.sort_unstable();
+        members.dedup();
+        let ids = random_drives(&mut rng, m);
+        for &i in &members {
+            layout.place_proportional(i, &ids, &disks);
+        }
+        let drives = layout.disks_of(members[0]);
+        let model = CostModel {
+            include_temp_io: rng.gen_bool(0.5),
+            ..CostModel::default()
+        };
+        let eval = model.delta_evaluator(&workload, &layout, &disks);
+        let mut touched = Vec::new();
+        eval.touched(&members, &mut touched);
+        let outside: Vec<usize> = (0..m).filter(|j| !drives.contains(j)).collect();
+        let mut adds = widening_adds(&mut rng, &outside, k, 48);
+        // Moves that add a sub-plan's heaviest drives outside the group:
+        // their price needs the table's next-largest outside term.
+        for &(s, p) in &touched {
+            let sub = &workload[s as usize].0[p as usize];
+            let totals = object_totals(sub);
+            let mut heavy: Vec<(f64, usize)> = outside
+                .iter()
+                .map(|&j| {
+                    let (transfer, seek, _) = dense_disk_term(sub, &totals, &layout, j, &disks[j]);
+                    (transfer + seek, j)
+                })
+                .collect();
+            heavy.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            for take in 1..=k.min(heavy.len()) {
+                let mut add: Vec<usize> = heavy[..take].iter().map(|&(_, j)| j).collect();
+                add.sort_unstable();
+                if !adds.contains(&add) {
+                    adds.push(add);
+                }
+            }
+        }
+        let mut table = WideningTable::default();
+        table.reset(&members, &drives, &touched, k);
+        let classes: Vec<usize> = adds.iter().map(|a| table.class_of(a, &disks)).collect();
+        let mut probe = layout.clone();
+        let mut scratch = EvalScratch::new();
+        assert!(eval.fill_widening_table(&mut table, &layout, &mut probe, &mut scratch));
+        assert_eq!(probe, layout, "seed {seed}: the probe is restored");
+        shared_classes += adds.len() - classes.iter().max().map_or(0, |&c| c + 1);
+        let (mut values, mut kernel) = (Vec::new(), Vec::new());
+        for (add, &class) in adds.iter().zip(&classes) {
+            let mut trial = layout.clone();
+            let set: Vec<usize> = drives.iter().chain(add).copied().collect();
+            for &i in &members {
+                trial.place_proportional(i, &set, &disks);
+            }
+            values.clear();
+            eval.price_widening(&table, class, add, &trial, &mut values, &mut scratch);
+            kernel.clear();
+            eval.recost_into(&trial, &touched, &mut kernel, &mut scratch);
+            assert_eq!(values.len(), touched.len());
+            for ((&(s, p), &got), &via_kernel) in touched.iter().zip(&values).zip(&kernel) {
+                let sub = &workload[s as usize].0[p as usize];
+                let want = dense_subplan(&model, sub, &trial, &disks);
+                let context = format!("seed {seed}, m {m}, k {k}, add {add:?}, sub {s}.{p}");
+                assert_same_bits(got, want.cost, &context);
+                assert_same_bits(via_kernel, want.cost, &context);
+                seek_subs += usize::from(want.events.iter().any(|&(_, k, _, _)| k > 1));
+                priced += 1;
+            }
+        }
+    }
+    assert!(priced > 1_000, "only {priced} values priced");
+    assert!(
+        shared_classes > 0,
+        "no two moves shared a proportional total"
+    );
+    assert!(seek_subs > 0, "no priced sub-plan carried a seek term");
+}
+
+/// Adding a drive can lower its term: a tiny member joining two large
+/// co-accessed objects shrinks the seek term's min share. Here the move
+/// adds the two drives with the largest base terms and both fall below
+/// the third, so the price must come from the table's `(k + 1)`-th
+/// outside term.
+#[test]
+fn widening_table_keeps_one_more_outside_term_than_a_move_adds() {
+    let disks = uniform_disks(4, 10_000_000, 10.0, 20.0);
+    let sub = Subplan {
+        accesses: vec![
+            access(1, 30_000, AccessKind::SequentialRead),
+            access(2, 30_000, AccessKind::SequentialRead),
+            access(0, 3, AccessKind::SequentialRead),
+        ],
+        ..Subplan::default()
+    };
+    let workload = vec![(vec![sub], 1.0)];
+    let mut layout = Layout::empty(vec![3, 30_000, 30_000], 4);
+    layout.place_proportional(0, &[0], &disks);
+    layout.place(1, &[(1, 0.1), (2, 0.1), (3, 0.8)]);
+    layout.place(2, &[(1, 0.5), (2, 0.5)]);
+    let model = CostModel::default();
+    let eval = model.delta_evaluator(&workload, &layout, &disks);
+    let mut table = WideningTable::default();
+    table.reset(&[0], &[0], &[(0, 0)], 2);
+    let add = [1usize, 2];
+    let class = table.class_of(&add, &disks);
+    let mut probe = layout.clone();
+    let mut scratch = EvalScratch::new();
+    assert!(eval.fill_widening_table(&mut table, &layout, &mut probe, &mut scratch));
+    let mut trial = layout.clone();
+    trial.place_proportional(0, &[0, 1, 2], &disks);
+    let totals = object_totals(&workload[0].0[0]);
+    let term = |l: &Layout, j: usize| {
+        let (transfer, seek, _) = dense_disk_term(&workload[0].0[0], &totals, l, j, &disks[j]);
+        transfer + seek
+    };
+    // The premise: drives 1 and 2 lead before the move, trail drive 3 after.
+    assert!(term(&layout, 1) > term(&layout, 3) && term(&trial, 1) < term(&trial, 3));
+    let mut values = Vec::new();
+    eval.price_widening(&table, class, &add, &trial, &mut values, &mut scratch);
+    let want = dense_subplan(&model, &workload[0].0[0], &trial, &disks).cost;
+    assert_same_bits(values[0], want, "seek-lowering move");
+    assert_same_bits(values[0], term(&trial, 3), "drive 3 is the bottleneck");
+}
+
+#[test]
+fn widening_table_refuses_a_group_off_its_drives() {
+    let disks = uniform_disks(6, 10_000_000, 10.0, 20.0);
+    let mut rng = StdRng::seed_from_u64(7);
+    let workload = random_workload(&mut rng, 3);
+    let mut layout = Layout::empty(vec![1_000, 2_000, 3_000], 6);
+    layout.place_proportional(0, &[0, 1], &disks);
+    layout.place_proportional(1, &[1, 2], &disks);
+    layout.place_proportional(2, &[3], &disks);
+    let model = CostModel::default();
+    let eval = model.delta_evaluator(&workload, &layout, &disks);
+    let mut touched = Vec::new();
+    eval.touched(&[0, 1], &mut touched);
+    // Object 1 occupies drive 2, outside the group's drives {0, 1}.
+    let mut table = WideningTable::default();
+    table.reset(&[0, 1], &[0, 1], &touched, 1);
+    table.class_of(&[4], &disks);
+    let mut probe = layout.clone();
+    let mut scratch = EvalScratch::new();
+    assert!(!eval.fill_widening_table(&mut table, &layout, &mut probe, &mut scratch));
 }

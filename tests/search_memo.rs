@@ -158,13 +158,25 @@ fn assert_engines_agree(inst: &Instance, cfg: &TsGreedyConfig, label: &str) -> R
             ..cfg.clone()
         },
     );
+    let fanned4 = search(
+        inst,
+        &TsGreedyConfig {
+            threads: 4,
+            min_chunk: 0,
+            ..cfg.clone()
+        },
+    );
     assert!(
         reference.result.iterations >= 2,
         "{label}: the search adopted {} moves",
         reference.result.iterations
     );
     let want = jsonl(&reference.trace);
-    for (engine, run) in [("memo t1", &memo), ("memo t2", &fanned)] {
+    for (engine, run) in [
+        ("memo t1", &memo),
+        ("memo t2", &fanned),
+        ("memo t4", &fanned4),
+    ] {
         let r = &run.result;
         let context = format!("{label}, {engine}");
         assert_eq!(
@@ -221,11 +233,21 @@ fn assert_engines_agree(inst: &Instance, cfg: &TsGreedyConfig, label: &str) -> R
             "{context}"
         );
     }
-    assert_eq!(
-        memo.counts.get(Counter::CostmodelSubplanRecosts),
-        fanned.counts.get(Counter::CostmodelSubplanRecosts),
-        "{label}: the kernel count varies with the thread count"
-    );
+    // Widening tables are filled before dispatch and chunks tally their
+    // own terms, so the work counts cannot depend on the thread count.
+    for c in [
+        Counter::CostmodelSubplanRecosts,
+        Counter::CostmodelDriveTerms,
+    ] {
+        for (engine, run) in [("t2", &fanned), ("t4", &fanned4)] {
+            assert_eq!(
+                memo.counts.get(c),
+                run.counts.get(c),
+                "{label}: {} differs at {engine}",
+                c.name()
+            );
+        }
+    }
     memo
 }
 
@@ -296,6 +318,35 @@ fn memo_matches_full_reevaluation_on_sparse_instances() {
             &label,
         );
         assert_memo_dominates(&inst, &memo, &label);
+    }
+}
+
+/// Uniform drives: every fresh widening move of a group shares one table
+/// class, and with every worker engaged (`min_chunk: 0`) the groups whose
+/// moves the tables price straddle the chunk boundaries.
+#[test]
+fn widening_tables_agree_across_chunk_boundaries() {
+    for (seed, k) in [(31u64, 1usize), (32, 2)] {
+        let mut inst = instance(seed, 12, 20, 8.0);
+        for d in &mut inst.disks {
+            d.read_mb_s = 20.0;
+            d.write_mb_s = 16.0;
+        }
+        let cfg = TsGreedyConfig {
+            k,
+            ..TsGreedyConfig::default()
+        };
+        let label = format!("uniform seed {seed}, k {k}");
+        let memo = assert_engines_agree(&inst, &cfg, &label);
+        let terms = memo.counts.get(Counter::CostmodelDriveTerms);
+        let recosts = memo.counts.get(Counter::CostmodelSubplanRecosts);
+        // A table prices a value from the at most `k` drives the move adds
+        // (plus its share of the table's fill), the kernel from every
+        // drive its sub-plan's objects occupy.
+        assert!(
+            terms > 0 && terms < recosts * (k as u64 + 1),
+            "{label}: {terms} drive terms for {recosts} priced sub-plans"
+        );
     }
 }
 
