@@ -10,14 +10,12 @@
 //! and weight bits survive a write/read cycle exactly — the property
 //! [`crate::replay`]'s bit-identity check rests on.
 
-use std::sync::Arc;
-
 use dblayout_core::advisor::Recommendation;
 use dblayout_core::costmodel::{decompose_workload, CostModel};
 use dblayout_disksim::{Availability, DiskSpec, Layout};
 use dblayout_obs::counters::CounterSnapshot;
 use dblayout_obs::prof::PhaseRow;
-use dblayout_obs::{Collector, RingSink};
+use dblayout_obs::Collector;
 use dblayout_partition::Graph;
 use dblayout_planner::Subplan;
 use dblayout_relayout::{graph_bytes, BudgetedOutcome};
@@ -415,41 +413,30 @@ fn fractions_of_layout(layout: &Layout) -> Vec<Vec<f64>> {
 }
 
 /// Per-statement and per-disk predicted cost breakdown of `layout` under
-/// the default cost model, via the traced costing path: each statement is
-/// costed once with a deterministic collector, and the `costmodel.disk`
-/// events are folded into weighted per-disk transfer/seek totals.
+/// the default cost model, from one costing walk: each statement's cost,
+/// and every drive term (of the drives holding an accessed object) folded
+/// into weighted per-disk transfer/seek totals.
 pub fn predicted_breakdown(
     workload: &[(Vec<Subplan>, f64)],
     layout: &Layout,
     disks: &[DiskSpec],
 ) -> (Vec<StatementCost>, Vec<DiskCost>) {
-    let ring = Arc::new(RingSink::new(usize::MAX));
-    let model = CostModel {
-        collector: Collector::deterministic(ring.clone()),
-        ..CostModel::default()
-    };
-    let mut per_statement = Vec::with_capacity(workload.len());
     let mut per_disk = vec![DiskCost::default(); disks.len()];
-    for (subs, weight) in workload {
-        let cost_ms = model.statement_cost_subplans(subs, layout, disks);
-        per_statement.push(StatementCost {
+    let costs = CostModel::default().trace(workload, layout, disks, &Collector::disabled(), |t| {
+        let weight = workload[t.statement].1;
+        if let Some(slot) = per_disk.get_mut(t.disk) {
+            slot.transfer_ms += weight * t.transfer_ms;
+            slot.seek_ms += weight * t.seek_ms;
+        }
+    });
+    let per_statement = workload
+        .iter()
+        .zip(costs)
+        .map(|((_, weight), cost_ms)| StatementCost {
             weight: *weight,
             cost_ms,
-        });
-        for r in ring.drain() {
-            if r.name != "costmodel.disk" {
-                continue;
-            }
-            let Some(j) = r.field_u64("disk") else {
-                continue;
-            };
-            let Some(slot) = per_disk.get_mut(j as usize) else {
-                continue;
-            };
-            slot.transfer_ms += weight * r.field_f64("transfer_ms").unwrap_or(0.0);
-            slot.seek_ms += weight * r.field_f64("seek_ms").unwrap_or(0.0);
-        }
-    }
+        })
+        .collect();
     (per_statement, per_disk)
 }
 

@@ -73,11 +73,12 @@ fn bench_ts_greedy(c: &mut Criterion) {
     });
 }
 
-/// The instrumented paths against their disabled-collector twins above:
-/// `cost_model/tpch22_full_striping` and `ts_greedy/tpch22_sf0.1_8disks`
-/// run with the default (disabled) collector and must stay within noise of
-/// the uninstrumented baseline; these `_traced` variants bound what turning
-/// tracing on costs (emitting into a bounded ring that drops oldest).
+/// The instrumented paths against their untraced twins above:
+/// `cost_model/tpch22_full_striping` costs without a trace and
+/// `ts_greedy/tpch22_sf0.1_8disks` runs with the default (disabled)
+/// collector; these `_traced` variants bound what tracing costs (the
+/// costing walk, and a traced search, emitting into a bounded ring that
+/// drops oldest).
 fn bench_obs_overhead(c: &mut Criterion) {
     use dblayout_obs::{Collector, RingSink};
     use std::sync::Arc;
@@ -87,12 +88,10 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let plans = plan_sql_workload(&catalog, &tpch22());
     let workload = decompose_workload(&plans);
     let layout = Layout::full_striping(object_sizes(&catalog), &disks);
-    let model = CostModel {
-        collector: Collector::deterministic(Arc::new(RingSink::new(4096))),
-        ..CostModel::default()
-    };
+    let model = CostModel::default();
+    let collector = Collector::deterministic(Arc::new(RingSink::new(4096)));
     c.bench_function("cost_model/tpch22_full_striping_traced", |b| {
-        b.iter(|| model.workload_cost_subplans(&workload, &layout, &disks))
+        b.iter(|| model.trace(&workload, &layout, &disks, &collector, |_| {}))
     });
 
     let catalog = tpch_catalog(0.1);

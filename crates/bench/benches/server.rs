@@ -220,7 +220,10 @@ fn main() {
     let history = root.join("BENCH_server.json");
     match dblayout_bench::observatory::append_history(&history, &entry) {
         Ok(n) => eprintln!("(history appended to {} — {n} entries)", history.display()),
-        Err(e) => eprintln!("warning: {e}"),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     }
 
     eprintln!(

@@ -112,12 +112,15 @@ fn main() -> ExitCode {
         counters: report.counters.clone(),
     };
     let history = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_search.json");
+    let mut failed = false;
     match dblayout_bench::observatory::append_history(&history, &entry) {
         Ok(n) => eprintln!("(history appended to {} — {n} entries)", history.display()),
-        Err(e) => eprintln!("warning: {e}"),
+        Err(e) => {
+            eprintln!("error: {e}");
+            failed = true;
+        }
     }
 
-    let mut failed = false;
     let phase_ms: f64 = report.phases.iter().map(|p| p.total_ms).sum();
     println!(
         "phases: {} = {phase_ms:.0} ms of {:.0} ms wall clock",

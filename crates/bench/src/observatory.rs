@@ -154,6 +154,9 @@ fn worktree_tree(root: &Path) -> Option<String> {
 
 /// Appends `entry` to the JSON-array history at `path`, creating the file
 /// (and parent directories) on first use. Returns the new entry count.
+/// Only a missing file starts a new history: any other read error (an
+/// unreadable file, bytes that are not UTF-8) fails and leaves the file
+/// as it is.
 pub fn append_history(path: &Path, entry: &HistoryEntry) -> Result<usize, String> {
     let mut entries: Vec<Value> = match std::fs::read_to_string(path) {
         Ok(text) => {
@@ -163,7 +166,8 @@ pub fn append_history(path: &Path, entry: &HistoryEntry) -> Result<usize, String
                 .cloned()
                 .ok_or_else(|| format!("history `{}` is not a JSON array", path.display()))?
         }
-        Err(_) => Vec::new(),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(format!("cannot read history `{}`: {e}", path.display())),
     };
     entries.push(entry.to_value());
     let n = entries.len();
@@ -766,6 +770,20 @@ mod tests {
             Some(2.0)
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn unreadable_history_is_an_error_and_stays_untouched() {
+        let dir =
+            std::env::temp_dir().join(format!("dblayout_observatory_utf8_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_test.json");
+        let bytes = b"[{\"rev\": \"\xff\xfe\"}]".to_vec();
+        std::fs::write(&path, &bytes).unwrap();
+        let err = append_history(&path, &entry("c", 1.0, 1)).unwrap_err();
+        assert!(err.contains("cannot read history"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

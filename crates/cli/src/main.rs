@@ -632,13 +632,13 @@ fn run_explain(argv: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let counters_delta = dblayout_obs::counters::snapshot().delta(&counters_before);
 
-    // Cost the winning layout once more with a traced model so the
-    // narrative ends with the per-sub-plan breakdown (during the search the
-    // model stays untraced — candidate costings would swamp the trace).
-    let mut model = cfg.search.cost_model.clone();
-    model.collector = collector;
+    // Walk the winning layout's costing so the narrative ends with the
+    // per-sub-plan breakdown (the search itself never traces costings —
+    // candidate costings would swamp the trace).
     let subplans = dblayout_core::costmodel::decompose_workload(&rec.plans);
-    model.workload_cost_subplans(&subplans, &rec.layout, &disks);
+    cfg.search
+        .cost_model
+        .trace(&subplans, &rec.layout, &disks, &collector, |_| {});
 
     let records = ring.drain();
     let object_names: Vec<String> = catalog.objects().iter().map(|o| o.name.clone()).collect();

@@ -35,12 +35,6 @@ pub struct CostModel {
     pub include_temp_io: bool,
     /// The tempdb drive used when `include_temp_io` is set.
     pub tempdb: DiskSpec,
-    /// Trace collector for per-sub-plan cost terms. Disabled by default —
-    /// the search calls [`CostModel::subplan_cost`] thousands of times per
-    /// run, so the hot path pays exactly one branch when off. Enable only
-    /// for one-shot breakdowns (e.g. `dblayout explain`'s final costing of
-    /// the recommended layout).
-    pub collector: Collector,
 }
 
 impl Default for CostModel {
@@ -48,113 +42,27 @@ impl Default for CostModel {
         Self {
             include_temp_io: false,
             tempdb: dblayout_disksim::tempdb_disk(),
-            collector: Collector::default(),
         }
     }
 }
 
+/// One drive's Figure-7 term in one sub-plan, as [`CostModel::trace`]
+/// walks it.
+#[derive(Debug, Clone, Copy)]
+pub struct DriveTerm {
+    /// The statement's index in the workload.
+    pub statement: usize,
+    /// The drive.
+    pub disk: usize,
+    /// `k`: the accessed objects with blocks on the drive (at least 1).
+    pub objects: usize,
+    /// `TransferCost_j`, ms.
+    pub transfer_ms: f64,
+    /// `SeekCost_j`, ms.
+    pub seek_ms: f64,
+}
+
 impl CostModel {
-    /// `Cost(Q, L)` in milliseconds.
-    pub fn statement_cost(&self, plan: &PhysicalPlan, layout: &Layout, disks: &[DiskSpec]) -> f64 {
-        self.statement_cost_subplans(&plan.subplans(), layout, disks)
-    }
-
-    /// Cost of one non-blocking sub-plan: the bottleneck disk's time.
-    #[inline]
-    pub fn subplan_cost(&self, sub: &Subplan, layout: &Layout, disks: &[DiskSpec]) -> f64 {
-        let totals = object_totals(sub);
-        let terms = &mut DiskTerms::default();
-        if self.collector.enabled() {
-            return self.subplan_cost_traced(sub, &totals, layout, disks, terms);
-        }
-        self.subplan_cost_untraced(sub, &totals, layout, disks, terms)
-    }
-
-    /// The collector-free hot path, taking pre-aggregated per-object
-    /// totals. `totals` must equal `object_totals(sub)` — the
-    /// [`DeltaEvaluator`] caches them per sub-plan (they are
-    /// layout-independent) so the mega-scale scoring loop allocates nothing
-    /// per candidate. The search costs thousands of layouts per run, so the
-    /// per-statement entry points branch on the collector once and then
-    /// stay on this function; it must not touch `self.collector` at all.
-    #[inline]
-    fn subplan_cost_untraced(
-        &self,
-        sub: &Subplan,
-        totals: &[(u32, u64)],
-        layout: &Layout,
-        disks: &[DiskSpec],
-        terms: &mut DiskTerms,
-    ) -> f64 {
-        let (mut max_cost, _) = disk_bottleneck(sub, totals, layout, disks, terms, |_, _, _, _| {});
-        if self.include_temp_io {
-            // tempdb is its own drive: it participates in the bottleneck max.
-            max_cost = max_cost.max(self.temp_ms(sub));
-        }
-        max_cost
-    }
-
-    /// [`CostModel::subplan_cost`] with per-disk term events — the same
-    /// kernel (both paths call [`disk_bottleneck`]), plus a
-    /// `costmodel.subplan` span recording each contributing disk's transfer
-    /// and seek milliseconds, in ascending disk order, and the bottleneck.
-    /// Kept out of line so the untraced hot path stays small enough to
-    /// inline into the search loop.
-    #[cold]
-    #[inline(never)]
-    fn subplan_cost_traced(
-        &self,
-        sub: &Subplan,
-        totals: &[(u32, u64)],
-        layout: &Layout,
-        disks: &[DiskSpec],
-        terms: &mut DiskTerms,
-    ) -> f64 {
-        let span = self.collector.span(
-            "costmodel.subplan",
-            vec![
-                f("objects", totals.len()),
-                f("accesses", sub.accesses.len()),
-            ],
-        );
-        let (mut max_cost, disk) =
-            disk_bottleneck(sub, totals, layout, disks, terms, |j, transfer, seek, k| {
-                if k > 0 {
-                    span.event(
-                        "costmodel.disk",
-                        vec![
-                            f("disk", j),
-                            f("objects", k),
-                            f("transfer_ms", transfer),
-                            f("seek_ms", seek),
-                        ],
-                    );
-                }
-            });
-        // -1: no disk contributes (or tempdb is the bottleneck).
-        let mut bottleneck: i64 = disk.map_or(-1, |j| j as i64);
-        let mut temp_ms = 0.0f64;
-        if self.include_temp_io {
-            temp_ms = self.temp_ms(sub);
-            if temp_ms > max_cost {
-                bottleneck = -1;
-            }
-            max_cost = max_cost.max(temp_ms);
-        }
-        span.end_with(vec![
-            f("cost_ms", max_cost),
-            f("bottleneck_disk", bottleneck),
-            f("temp_ms", temp_ms),
-        ]);
-        max_cost
-    }
-
-    /// Tempdb spill time for one sub-plan (the extension lane).
-    fn temp_ms(&self, sub: &Subplan) -> f64 {
-        (sub.temp_write_blocks as f64) * self.tempdb.write_ms_per_block()
-            + (sub.temp_read_blocks as f64) * self.tempdb.read_ms_per_block()
-    }
-
     /// `Σ_Q w_Q · Cost(Q, L)` — the optimization objective (Figure 2).
     pub fn workload_cost(
         &self,
@@ -162,47 +70,14 @@ impl CostModel {
         layout: &Layout,
         disks: &[DiskSpec],
     ) -> f64 {
-        plans
-            .iter()
-            .map(|(plan, w)| w * self.statement_cost(plan, layout, disks))
-            .sum()
+        self.workload_cost_subplans(&decompose_workload(plans), layout, disks)
     }
 
-    /// Cost of one pre-decomposed statement (sum over its sub-plans). The
-    /// collector branch is taken once here, not per sub-plan — this is the
-    /// call the search's candidate loop makes.
-    pub fn statement_cost_subplans(
-        &self,
-        subs: &[Subplan],
-        layout: &Layout,
-        disks: &[DiskSpec],
-    ) -> f64 {
-        self.statement_cost_with(subs, layout, disks, &mut DiskTerms::default())
-    }
-
-    /// [`CostModel::statement_cost_subplans`] with caller-owned kernel
-    /// accumulators.
-    fn statement_cost_with(
-        &self,
-        subs: &[Subplan],
-        layout: &Layout,
-        disks: &[DiskSpec],
-        terms: &mut DiskTerms,
-    ) -> f64 {
-        if self.collector.enabled() {
-            return subs
-                .iter()
-                .map(|s| self.subplan_cost_traced(s, &object_totals(s), layout, disks, terms))
-                .sum();
-        }
-        subs.iter()
-            .map(|s| self.subplan_cost_untraced(s, &object_totals(s), layout, disks, terms))
-            .sum()
-    }
-
-    /// Workload cost over pre-decomposed sub-plans. The search invokes the
-    /// cost model thousands of times per run (paper §3: "the scalability of
-    /// the solution relies on the cost model being computationally
+    /// Workload cost over pre-decomposed sub-plans, in one pass: per
+    /// statement the sub-plan costs summed in order, weighted, then summed
+    /// over statements in order. The search invokes the cost model
+    /// thousands of times per run (paper §3: "the scalability of the
+    /// solution relies on the cost model being computationally
     /// efficient"), so it decomposes each plan once up front.
     pub fn workload_cost_subplans(
         &self,
@@ -213,8 +88,118 @@ impl CostModel {
         let terms = &mut DiskTerms::default();
         workload
             .iter()
-            .map(|(subs, w)| w * self.statement_cost_with(subs, layout, disks, terms))
+            .map(|(subs, w)| {
+                w * subs
+                    .iter()
+                    .map(|sub| {
+                        self.subplan(sub, &object_totals(sub), layout, disks, terms, no_visit)
+                            .0
+                    })
+                    .sum::<f64>()
+            })
             .sum()
+    }
+
+    /// Walks [`CostModel::workload_cost_subplans`]'s costing of `layout`
+    /// term by term and returns each statement's unweighted cost, bit for
+    /// bit the values that function weights and sums. Every sub-plan opens
+    /// a `costmodel.subplan` span on `collector` holding a
+    /// `costmodel.disk` event (transfer and seek milliseconds) per drive
+    /// an accessed object occupies, in ascending drive order, and ending
+    /// with the cost and its bottleneck drive; `visit` sees the same
+    /// terms. For one-shot breakdowns (`dblayout explain`'s final costing,
+    /// a decision record's per-disk totals): a search never traces.
+    pub fn trace(
+        &self,
+        workload: &[(Vec<Subplan>, f64)],
+        layout: &Layout,
+        disks: &[DiskSpec],
+        collector: &Collector,
+        mut visit: impl FnMut(&DriveTerm),
+    ) -> Vec<f64> {
+        let terms = &mut DiskTerms::default();
+        let mut subplan = |statement: usize, sub: &Subplan| {
+            let totals = object_totals(sub);
+            let span = collector.span(
+                "costmodel.subplan",
+                vec![
+                    f("objects", totals.len()),
+                    f("accesses", sub.accesses.len()),
+                ],
+            );
+            let drive = |disk, transfer_ms, seek_ms, objects| {
+                if objects == 0 {
+                    return;
+                }
+                if span.enabled() {
+                    span.event(
+                        "costmodel.disk",
+                        vec![
+                            f("disk", disk),
+                            f("objects", objects),
+                            f("transfer_ms", transfer_ms),
+                            f("seek_ms", seek_ms),
+                        ],
+                    );
+                }
+                visit(&DriveTerm {
+                    statement,
+                    disk,
+                    objects,
+                    transfer_ms,
+                    seek_ms,
+                });
+            };
+            let (cost, bottleneck, temp_ms) =
+                self.subplan(sub, &totals, layout, disks, terms, drive);
+            span.end_with(vec![
+                f("cost_ms", cost),
+                // -1: no drive contributes, or tempdb is the bottleneck.
+                f("bottleneck_disk", bottleneck.map_or(-1, |j| j as i64)),
+                f("temp_ms", temp_ms),
+            ]);
+            cost
+        };
+        workload
+            .iter()
+            .enumerate()
+            .map(|(s, (subs, _))| subs.iter().map(|sub| subplan(s, sub)).sum())
+            .collect()
+    }
+
+    /// Figure 7 for one sub-plan, the function every cost path runs: the
+    /// kernel's bottleneck over the drives ([`disk_bottleneck`], which
+    /// shows `visit` each drive's term), then, with
+    /// [`CostModel::include_temp_io`], the tempdb lane, its own drive in
+    /// the max. Returns the cost, the bottleneck drive (`None` when no
+    /// drive exceeds 0.0 or tempdb is the bottleneck) and the tempdb time
+    /// (0.0 with the lane off). `totals` must equal `object_totals(sub)`.
+    #[inline]
+    fn subplan(
+        &self,
+        sub: &Subplan,
+        totals: &[(u32, u64)],
+        layout: &Layout,
+        disks: &[DiskSpec],
+        terms: &mut DiskTerms,
+        visit: impl FnMut(usize, f64, f64, usize),
+    ) -> (f64, Option<usize>, f64) {
+        let (mut cost, mut bottleneck) = disk_bottleneck(sub, totals, layout, disks, terms, visit);
+        let mut temp_ms = 0.0;
+        if self.include_temp_io {
+            temp_ms = self.temp_ms(sub);
+            if temp_ms > cost {
+                bottleneck = None;
+            }
+            cost = cost.max(temp_ms);
+        }
+        (cost, bottleneck, temp_ms)
+    }
+
+    /// Tempdb spill time for one sub-plan (the extension lane).
+    fn temp_ms(&self, sub: &Subplan) -> f64 {
+        (sub.temp_write_blocks as f64) * self.tempdb.write_ms_per_block()
+            + (sub.temp_read_blocks as f64) * self.tempdb.read_ms_per_block()
     }
 
     /// Builds a [`DeltaEvaluator`] over `workload`, primed with a full
@@ -258,21 +243,44 @@ impl CostModel {
                     .collect()
             })
             .collect();
+        let totals = SubplanTotals { flat, spans };
+        let terms = &mut DiskTerms::default();
+        let sub_costs: Vec<Vec<f64>> = workload
+            .iter()
+            .enumerate()
+            .map(|(s, (subs, _))| {
+                subs.iter()
+                    .enumerate()
+                    .map(|(p, sub)| {
+                        self.subplan(sub, totals.of(s, p), layout, disks, terms, no_visit)
+                            .0
+                    })
+                    .collect()
+            })
+            .collect();
+        let stmt_costs: Vec<f64> = workload
+            .iter()
+            .zip(&sub_costs)
+            .map(|((_, w), subs)| w * subs.iter().sum::<f64>())
+            .collect();
         let mut eval = DeltaEvaluator {
             model: self,
             workload,
             disks,
-            sub_costs: Vec::new(),
-            stmt_costs: Vec::new(),
-            total: 0.0,
+            total: stmt_costs.iter().sum(),
+            sub_costs,
+            stmt_costs,
             prefix: Vec::new(),
             touching,
-            totals: Arc::new(SubplanTotals { flat, spans }),
+            totals: Arc::new(totals),
         };
-        eval.rebase(layout);
+        eval.refold_prefix();
         eval
     }
 }
+
+/// The visitor of a costing that reports no drive terms.
+fn no_visit(_: usize, _: f64, _: f64, _: usize) {}
 
 /// Layout-independent per-object block totals for every sub-plan, stored
 /// as one flat cache-friendly arena plus `(start, len)` spans per
@@ -394,24 +402,23 @@ impl WideningTable {
     }
 }
 
-/// Incremental Figure-7 evaluation over a fixed decomposed workload.
+/// Incremental Figure-7 evaluation over a fixed decomposed workload: the
+/// search's ledger.
 ///
-/// The evaluator keeps a ledger of every sub-plan's unweighted cost under a
-/// *base* layout. [`DeltaEvaluator::evaluate_move`] re-costs only the
-/// sub-plans touching the moved objects and re-sums statements and the
-/// workload **in the original evaluation order**, substituting the
-/// recomputed terms — the identical sequence of float additions a full
-/// [`CostModel::workload_cost_subplans`] performs, with unchanged terms
-/// reused. The resulting total is therefore bit-identical to a full
-/// re-evaluation (0 ULPs), not merely close: the search can score thousands
-/// of candidate moves incrementally without its trajectory ever diverging
-/// from a naive implementation's. The search's scoring path splits that
-/// work in two: [`DeltaEvaluator::recost_into`] runs the kernel on the
-/// touched sub-plans, and [`DeltaEvaluator::fold`] sums any such values
-/// against the ledger, so values re-costed once can be folded again as
-/// long as their inputs are unchanged. When a layout change is not
-/// expressible as a known set of moved objects, fall back to
-/// [`DeltaEvaluator::evaluate_full`] or [`DeltaEvaluator::rebase`].
+/// The evaluator keeps every sub-plan's unweighted cost under a *base*
+/// layout. A move re-places one co-location group, so it changes only the
+/// sub-plans reading the group's objects ([`DeltaEvaluator::touched`]).
+/// Scoring a move takes two steps: [`DeltaEvaluator::recost_into`] runs
+/// the kernel on those sub-plans (or [`DeltaEvaluator::price_widening`]
+/// prices them from a [`WideningTable`]), and [`DeltaEvaluator::fold`]
+/// re-sums statements and the workload **in the full evaluation's
+/// order**, substituting the new values — the identical sequence of float
+/// additions [`CostModel::workload_cost_subplans`] performs, with
+/// unchanged terms reused. The total is therefore bit-identical to a full
+/// re-evaluation (0 ULPs), not merely close, and values re-costed once
+/// can be folded again as long as their inputs are unchanged.
+/// [`DeltaEvaluator::adopt`] installs an adopted move's values as the new
+/// base.
 #[derive(Debug, Clone)]
 pub struct DeltaEvaluator<'a> {
     model: &'a CostModel,
@@ -435,38 +442,10 @@ pub struct DeltaEvaluator<'a> {
     totals: Arc<SubplanTotals>,
 }
 
-/// The outcome of one [`DeltaEvaluator`] evaluation: the recomputed
-/// sub-plan and statement costs, and the workload total under the trial
-/// layout. [`DeltaEvaluator::apply`] installs it as the new base.
-#[derive(Debug, Clone)]
-pub struct CostDelta {
-    /// Recomputed `(statement, sub-plan, unweighted cost)` triples, sorted.
-    sub_updates: Vec<(u32, u32, f64)>,
-    /// Recomputed weighted statement costs, sorted by statement.
-    stmt_updates: Vec<(u32, f64)>,
-    /// Workload cost (ms) under the evaluated layout — bit-identical to a
-    /// full re-evaluation of that layout.
-    pub total: f64,
-}
-
 impl DeltaEvaluator<'_> {
     /// Workload cost of the current base layout (ms).
     pub fn total(&self) -> f64 {
         self.total
-    }
-
-    /// Scores `layout`, where only the objects in `moved` changed placement
-    /// relative to the base layout. Sub-plans not touching a moved object
-    /// are reused from the ledger; everything else is recomputed.
-    pub fn evaluate_move(&self, layout: &Layout, moved: &[usize]) -> CostDelta {
-        let mut touched = Vec::new();
-        self.touched(moved, &mut touched);
-        let terms = &mut DiskTerms::default();
-        let sub_updates: Vec<(u32, u32, f64)> = touched
-            .iter()
-            .map(|&(s, p)| (s, p, self.recost_sub(s as usize, p as usize, layout, terms)))
-            .collect();
-        self.finish(sub_updates)
     }
 
     /// Writes into `out` the sorted, unique `(statement, sub-plan)` pairs
@@ -642,12 +621,12 @@ impl DeltaEvaluator<'_> {
     /// the `touched` sub-plans' costs, which are `values` (as
     /// [`DeltaEvaluator::recost_into`] writes them for `touched`, built by
     /// [`DeltaEvaluator::touched`]). Bit-identical to
-    /// `evaluate_move(layout, moved).total`: it replays the same additions
-    /// in the same order (per-statement sub-plan sums in `p` order, then
-    /// the workload sum in `s` order), substituting `values` for the
-    /// touched terms. The workload sum resumes from the base's prefix fold
-    /// at the first touched statement — the running total a fold from 0.0
-    /// holds there — so statements before it cost nothing.
+    /// [`CostModel::workload_cost_subplans`] on that layout: it replays the
+    /// same additions in the same order (per-statement sub-plan sums in `p`
+    /// order, then the workload sum in `s` order), substituting `values`
+    /// for the touched terms. The workload sum resumes from the base's
+    /// prefix fold at the first touched statement — the running total a
+    /// fold from 0.0 holds there — so statements before it cost nothing.
     pub fn fold(&self, touched: &[(u32, u32)], values: &[f64]) -> f64 {
         let first = touched
             .first()
@@ -677,64 +656,41 @@ impl DeltaEvaluator<'_> {
         total
     }
 
-    /// Recomputes one sub-plan's unweighted cost under `layout`, using the
-    /// cached layout-independent object totals. Arithmetic is identical to
-    /// [`CostModel::subplan_cost`] (both funnel into the same kernel).
+    /// Installs an adopted move as the new base: writes `values` (the
+    /// `touched` sub-plans' costs under the adopted layout, as for
+    /// [`DeltaEvaluator::fold`]) into the ledger, re-sums the touched
+    /// statements in `p` order and re-folds the prefix. The new
+    /// [`DeltaEvaluator::total`] is `fold(touched, values)` bit for bit:
+    /// the same additions in the same order.
+    pub fn adopt(&mut self, touched: &[(u32, u32)], values: &[f64]) {
+        for (&(s, p), &value) in touched.iter().zip(values) {
+            self.sub_costs[s as usize][p as usize] = value;
+        }
+        let mut last = None;
+        for &(s, _) in touched {
+            if last.replace(s) == Some(s) {
+                continue;
+            }
+            let s = s as usize;
+            let mut sum = 0.0f64;
+            for &cost in &self.sub_costs[s] {
+                sum += cost;
+            }
+            self.stmt_costs[s] = self.workload[s].1 * sum;
+        }
+        self.refold_prefix();
+        self.total = self.prefix[self.stmt_costs.len()];
+    }
+
+    /// Recomputes one sub-plan's unweighted cost under `layout` through the
+    /// kernel, using the cached layout-independent object totals.
     #[inline]
     fn recost_sub(&self, s: usize, p: usize, layout: &Layout, terms: &mut DiskTerms) -> f64 {
         let sub = &self.workload[s].0[p];
         let totals = self.totals.of(s, p);
-        if self.model.collector.enabled() {
-            return self
-                .model
-                .subplan_cost_traced(sub, totals, layout, self.disks, terms);
-        }
         self.model
-            .subplan_cost_untraced(sub, totals, layout, self.disks, terms)
-    }
-
-    /// Scores `layout` by recomputing every sub-plan — the fallback for
-    /// arbitrary layout changes, and the reference the incremental path is
-    /// differential-tested against (identical totals, bit for bit).
-    pub fn evaluate_full(&self, layout: &Layout) -> CostDelta {
-        let terms = &mut DiskTerms::default();
-        let mut sub_updates = Vec::new();
-        for (s, (subs, _)) in self.workload.iter().enumerate() {
-            for (p, _) in subs.iter().enumerate() {
-                sub_updates.push((s as u32, p as u32, self.recost_sub(s, p, layout, terms)));
-            }
-        }
-        self.finish(sub_updates)
-    }
-
-    /// [`DeltaEvaluator::evaluate_full`] without materializing the delta —
-    /// the reference engine's scoring path, which re-costs every sub-plan
-    /// and shares no code with [`DeltaEvaluator::fold`]. Bit-identical to
-    /// `evaluate_full(layout).total`.
-    pub fn cost_of_full(&self, layout: &Layout) -> f64 {
-        let terms = &mut DiskTerms::default();
-        let mut total = 0.0f64;
-        for (s, (subs, w)) in self.workload.iter().enumerate() {
-            let mut sum = 0.0f64;
-            for (p, _) in subs.iter().enumerate() {
-                sum += self.recost_sub(s, p, layout, terms);
-            }
-            total += w * sum;
-        }
-        total
-    }
-
-    /// Installs a previously evaluated delta as the new base (call after
-    /// the search adopts the corresponding layout).
-    pub fn apply(&mut self, delta: &CostDelta) {
-        for &(s, p, c) in &delta.sub_updates {
-            self.sub_costs[s as usize][p as usize] = c;
-        }
-        for &(s, c) in &delta.stmt_updates {
-            self.stmt_costs[s as usize] = c;
-        }
-        self.total = delta.total;
-        self.refold_prefix();
+            .subplan(sub, totals, layout, self.disks, terms, no_visit)
+            .0
     }
 
     /// Recomputes [`DeltaEvaluator::fold`]'s prefix from the statement
@@ -748,78 +704,13 @@ impl DeltaEvaluator<'_> {
             self.prefix.push(total);
         }
     }
-
-    /// Rebuilds the whole ledger against `layout` — the full-evaluation
-    /// fallback when the base layout changed in ways no move describes.
-    pub fn rebase(&mut self, layout: &Layout) {
-        let terms = &mut DiskTerms::default();
-        let sub_costs: Vec<Vec<f64>> = self
-            .workload
-            .iter()
-            .enumerate()
-            .map(|(s, (subs, _))| {
-                (0..subs.len())
-                    .map(|p| self.recost_sub(s, p, layout, terms))
-                    .collect()
-            })
-            .collect();
-        let stmt_costs: Vec<f64> = self
-            .workload
-            .iter()
-            .zip(&sub_costs)
-            .map(|((_, w), subs)| w * subs.iter().sum::<f64>())
-            .collect();
-        self.total = stmt_costs.iter().sum();
-        self.sub_costs = sub_costs;
-        self.stmt_costs = stmt_costs;
-        self.refold_prefix();
-    }
-
-    /// Folds recomputed sub-plan costs into statement and workload totals,
-    /// replaying the exact addition order of a full evaluation.
-    fn finish(&self, sub_updates: Vec<(u32, u32, f64)>) -> CostDelta {
-        let mut stmt_updates: Vec<(u32, f64)> = Vec::new();
-        let mut i = 0usize;
-        while i < sub_updates.len() {
-            let s = sub_updates[i].0;
-            let w = self.workload[s as usize].1;
-            let mut sum = 0.0f64;
-            for (p, &cached) in self.sub_costs[s as usize].iter().enumerate() {
-                let next_is_update = sub_updates
-                    .get(i)
-                    .is_some_and(|&(us, up, _)| us == s && up == p as u32);
-                if next_is_update {
-                    sum += sub_updates[i].2;
-                    i += 1;
-                } else {
-                    sum += cached;
-                }
-            }
-            stmt_updates.push((s, w * sum));
-        }
-        let mut total = 0.0f64;
-        let mut u = 0usize;
-        for (s, &cached) in self.stmt_costs.iter().enumerate() {
-            let updated = stmt_updates.get(u).is_some_and(|&(us, _)| us == s as u32);
-            if updated {
-                total += stmt_updates[u].1;
-                u += 1;
-            } else {
-                total += cached;
-            }
-        }
-        CostDelta {
-            sub_updates,
-            stmt_updates,
-            total,
-        }
-    }
 }
 
 /// Aggregates each object's total blocks across a sub-plan's accesses.
 /// Objects may appear once per access kind; the seek term needs per-object
-/// totals (built once — [`CostModel::subplan_cost`] is the search's hot
-/// loop), while transfer is charged at each access's own rate.
+/// totals (the ledger caches them, since the search's scoring re-costs
+/// sub-plans thousands of times), while transfer is charged at each
+/// access's own rate.
 #[inline]
 fn object_totals(sub: &Subplan) -> Vec<(u32, u64)> {
     let mut totals: Vec<(u32, u64)> = Vec::with_capacity(sub.accesses.len());
@@ -910,9 +801,9 @@ fn drive_term(
 /// from 0.0, and the first disk attaining it (`None` when no disk exceeds
 /// 0.0). Only the drives the sub-plan's objects occupy are visited
 /// ([`Layout::occupancy`]); `visit(j, transfer_ms, seek_ms, k)` sees each
-/// of them in ascending order. The traced path emits its `costmodel.disk`
-/// events from `visit`, the hot path passes a no-op, so the two share one
-/// arithmetic path. An unvisited drive would contribute exactly
+/// of them in ascending order. [`CostModel::trace`] reads its terms from
+/// `visit`, every other path passes a no-op, so all share one arithmetic
+/// path. An unvisited drive would contribute exactly
 /// `0.0 + 0.0`, which never raises the max (it starts at 0.0) nor wins the
 /// strict `>` bottleneck test, so the result is bit-identical to the dense
 /// loop over every drive (DESIGN.md §7).
@@ -964,22 +855,18 @@ pub fn decompose_workload(plans: &[(PhysicalPlan, f64)]) -> Vec<(Vec<Subplan>, f
     plans.iter().map(|(p, w)| (p.subplans(), *w)).collect()
 }
 
-/// [`CostModel::statement_cost`] with the default model.
-pub fn statement_cost(plan: &PhysicalPlan, layout: &Layout, disks: &[DiskSpec]) -> f64 {
-    CostModel::default().statement_cost(plan, layout, disks)
-}
-
-/// [`CostModel::workload_cost`] with the default model.
-pub fn workload_cost(plans: &[(PhysicalPlan, f64)], layout: &Layout, disks: &[DiskSpec]) -> f64 {
-    CostModel::default().workload_cost(plans, layout, disks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dblayout_catalog::ObjectId;
     use dblayout_disksim::uniform_disks;
     use dblayout_planner::PlanNode;
+
+    /// `Cost(Q, L)`: the default model's cost of one statement (a workload
+    /// of it at weight 1).
+    fn statement_cost(plan: &PhysicalPlan, layout: &Layout, disks: &[DiskSpec]) -> f64 {
+        CostModel::default().workload_cost(&[(plan.clone(), 1.0)], layout, disks)
+    }
 
     fn scan(obj: u32, blocks: u64) -> PlanNode {
         PlanNode::TableScan {
@@ -1107,7 +994,7 @@ mod tests {
             include_temp_io: true,
             ..CostModel::default()
         }
-        .statement_cost(&plan, &layout, &disks);
+        .workload_cost(&[(plan, 1.0)], &layout, &disks);
         assert!(with_temp > base * 10.0, "{with_temp} vs {base}");
     }
 
@@ -1117,37 +1004,55 @@ mod tests {
         let plan = PhysicalPlan::new(scan(0, 100));
         let layout = Layout::full_striping(vec![100], &disks);
         let single = statement_cost(&plan, &layout, &disks);
-        let total = workload_cost(&[(plan, 3.0)], &layout, &disks);
+        let total = CostModel::default().workload_cost(&[(plan, 3.0)], &layout, &disks);
         assert!((total - 3.0 * single).abs() < 1e-9);
     }
 
-    /// The traced path shares `disk_bottleneck` with the hot path; this guards
-    /// against the two ever diverging.
+    /// The costing walk shares `disk_bottleneck` with every other cost
+    /// path; this guards against the two ever diverging, and checks that
+    /// its events and its visitor report the same terms.
     #[test]
     fn traced_cost_is_bit_identical_to_untraced() {
         use dblayout_obs::{Collector, RingSink};
-        use std::sync::Arc;
         let (plan, disks, sizes) = example5();
         let layout = Layout::full_striping(sizes, &disks);
+        let workload = decompose_workload(&[(plan, 1.0)]);
+        let model = CostModel::default();
         let ring = Arc::new(RingSink::new(1024));
-        let traced = CostModel {
-            collector: Collector::deterministic(ring.clone()),
-            ..CostModel::default()
-        };
-        let c0 = CostModel::default().statement_cost(&plan, &layout, &disks);
-        let c1 = traced.statement_cost(&plan, &layout, &disks);
-        assert_eq!(c0.to_bits(), c1.to_bits());
+        let mut terms = Vec::new();
+        let collector = Collector::deterministic(ring.clone());
+        let costs = model.trace(&workload, &layout, &disks, &collector, |t| terms.push(*t));
+        let untraced = model.workload_cost_subplans(&workload, &layout, &disks);
+        assert_eq!(costs.len(), 1);
+        assert_eq!(costs[0].to_bits(), untraced.to_bits());
         let records = ring.drain();
         // One subplan span with per-disk term events and a bottleneck
         // summary on the span end.
-        assert!(records.iter().any(|r| r.name == "costmodel.disk"));
+        let events: Vec<_> = records
+            .iter()
+            .filter(|r| r.name == "costmodel.disk")
+            .collect();
+        assert!(!events.is_empty());
+        assert_eq!(events.len(), terms.len());
+        for (event, term) in events.iter().zip(&terms) {
+            assert_eq!(event.field_u64("disk"), Some(term.disk as u64));
+            assert_eq!(event.field_u64("objects"), Some(term.objects as u64));
+            assert_eq!(
+                event.field_f64("transfer_ms").map(f64::to_bits),
+                Some(term.transfer_ms.to_bits())
+            );
+            assert_eq!(
+                event.field_f64("seek_ms").map(f64::to_bits),
+                Some(term.seek_ms.to_bits())
+            );
+        }
         let end = records
             .iter()
             .find(|r| r.kind == dblayout_obs::RecordKind::SpanEnd)
             .unwrap();
         assert_eq!(
             end.field_f64("cost_ms").map(f64::to_bits),
-            Some(c1.to_bits())
+            Some(costs[0].to_bits())
         );
     }
 
@@ -1181,6 +1086,39 @@ mod tests {
         assert_eq!(eval.total().to_bits(), full.to_bits());
     }
 
+    /// A layout no known move describes gets a new ledger: its total is
+    /// the full cost, and its folds match a full re-evaluation.
+    #[test]
+    fn a_new_ledger_resyncs_after_arbitrary_layout_change() {
+        let (workload, disks, _) = delta_fixture();
+        let model = CostModel::default();
+        let other = Layout::full_striping(vec![300, 150, 90], &disks);
+        let eval = model.delta_evaluator(&workload, &other, &disks);
+        let full = model.workload_cost_subplans(&workload, &other, &disks);
+        assert_eq!(eval.total().to_bits(), full.to_bits());
+        let mut trial = other.clone();
+        trial.place(1, &[(2, 1.0)]);
+        let (mut touched, mut values) = (Vec::new(), Vec::new());
+        eval.touched(&[1], &mut touched);
+        eval.recost_into(&trial, &touched, &mut values, &mut EvalScratch::new());
+        let full = model.workload_cost_subplans(&workload, &trial, &disks);
+        assert_eq!(eval.fold(&touched, &values).to_bits(), full.to_bits());
+    }
+
+    /// Evaluates the move to `trial` the long way through `eval`'s ledger:
+    /// every sub-plan that reads an object re-costed under `trial` and the
+    /// workload folded from 0.0, with no prefix of the base to resume from.
+    fn evaluate_move(eval: &DeltaEvaluator<'_>, trial: &Layout, scratch: &mut EvalScratch) -> f64 {
+        let every: Vec<usize> = (0..trial.object_count()).collect();
+        let (mut touched, mut values) = (Vec::new(), Vec::new());
+        eval.touched(&every, &mut touched);
+        eval.recost_into(trial, &touched, &mut values, scratch);
+        eval.fold(&touched, &values)
+    }
+
+    /// A move scored as the search scores it — `touched`, `recost_into`,
+    /// `fold` — equals a full re-evaluation of the trial, and so does a
+    /// new ledger built on the trial.
     #[test]
     fn evaluate_move_is_bit_identical_to_full_reevaluation() {
         let (workload, disks, layout) = delta_fixture();
@@ -1189,14 +1127,19 @@ mod tests {
         // Move object 1 (touches only the join's sub-plan) onto all disks.
         let mut trial = layout.clone();
         trial.place(1, &[(0, 1.0), (1, 1.0), (2, 1.0)]);
-        let delta = eval.evaluate_move(&trial, &[1]);
+        let (mut touched, mut values) = (Vec::new(), Vec::new());
+        eval.touched(&[1], &mut touched);
+        eval.recost_into(&trial, &touched, &mut values, &mut EvalScratch::new());
         let full = model.workload_cost_subplans(&workload, &trial, &disks);
-        assert_eq!(delta.total.to_bits(), full.to_bits());
-        // The explicit full-evaluation fallback agrees too.
-        let via_full = eval.evaluate_full(&trial);
-        assert_eq!(via_full.total.to_bits(), full.to_bits());
+        assert_eq!(eval.fold(&touched, &values).to_bits(), full.to_bits());
+        let fresh = model.delta_evaluator(&workload, &trial, &disks);
+        assert_eq!(fresh.total().to_bits(), full.to_bits());
     }
 
+    /// `fold(touched, recost_into(trial))` on a walk of moves, each adopted
+    /// in turn so later folds resume from a moved prefix: every fold and
+    /// every adopted total equals the move evaluated the long way and a
+    /// full re-evaluation of the trial.
     #[test]
     fn fold_is_bit_identical_to_evaluate_move() {
         let (workload, disks, layout) = delta_fixture();
@@ -1206,6 +1149,7 @@ mod tests {
         let (mut touched, mut values) = (Vec::new(), Vec::new());
         let mut base = layout.clone();
         for (moved, split) in [
+            // Object 1 touches only the join's sub-plan.
             (vec![1usize], vec![(0usize, 1.0), (1, 1.0), (2, 1.0)]),
             (vec![0], vec![(2, 1.0)]),
             (vec![2], vec![(0, 1.0), (1, 1.0)]),
@@ -1220,48 +1164,40 @@ mod tests {
             values.clear();
             eval.recost_into(&trial, &touched, &mut values, &mut scratch);
             let fast = eval.fold(&touched, &values);
-            let slow = eval.evaluate_move(&trial, &moved);
-            assert_eq!(fast.to_bits(), slow.total.to_bits(), "moved {moved:?}");
-            let full = eval.cost_of_full(&trial);
-            assert_eq!(full.to_bits(), eval.evaluate_full(&trial).total.to_bits());
-            assert_eq!(full.to_bits(), fast.to_bits(), "moved {moved:?}");
-            // Adopt the move, so later folds resume from a moved prefix.
-            eval.apply(&slow);
+            let slow = evaluate_move(&eval, &trial, &mut scratch);
+            assert_eq!(fast.to_bits(), slow.to_bits(), "moved {moved:?}");
+            let full = model.workload_cost_subplans(&workload, &trial, &disks);
+            assert_eq!(fast.to_bits(), full.to_bits(), "moved {moved:?}");
+            eval.adopt(&touched, &values);
+            assert_eq!(eval.total().to_bits(), fast.to_bits(), "moved {moved:?}");
             base = trial;
         }
     }
 
     #[test]
-    fn apply_installs_the_trial_as_the_new_base() {
+    fn adopt_installs_the_trial_as_the_new_base() {
         let (workload, disks, layout) = delta_fixture();
         let model = CostModel::default();
         let mut eval = model.delta_evaluator(&workload, &layout, &disks);
+        let mut scratch = EvalScratch::new();
+        let (mut touched, mut values) = (Vec::new(), Vec::new());
         let mut trial = layout.clone();
         trial.place(2, &[(0, 1.0)]);
-        let delta = eval.evaluate_move(&trial, &[2]);
-        eval.apply(&delta);
-        // After apply, the evaluator behaves as if constructed on `trial`:
+        eval.touched(&[2], &mut touched);
+        eval.recost_into(&trial, &touched, &mut values, &mut scratch);
+        eval.adopt(&touched, &values);
+        // After adopt, the evaluator behaves as if constructed on `trial`:
         // further moves score bit-identically to a fresh evaluator.
         let fresh = model.delta_evaluator(&workload, &trial, &disks);
         assert_eq!(eval.total().to_bits(), fresh.total().to_bits());
         let mut next = trial.clone();
         next.place(0, &[(0, 1.0), (1, 1.0), (2, 1.0)]);
-        let a = eval.evaluate_move(&next, &[0]);
-        let b = fresh.evaluate_move(&next, &[0]);
-        assert_eq!(a.total.to_bits(), b.total.to_bits());
-    }
-
-    #[test]
-    fn rebase_resyncs_after_arbitrary_layout_change() {
-        let (workload, disks, layout) = delta_fixture();
-        let model = CostModel::default();
-        let mut eval = model.delta_evaluator(&workload, &layout, &disks);
-        // Change several objects at once without telling the evaluator
-        // which — rebase is the recovery path.
-        let other = Layout::full_striping(vec![300, 150, 90], &disks);
-        eval.rebase(&other);
-        let full = model.workload_cost_subplans(&workload, &other, &disks);
-        assert_eq!(eval.total().to_bits(), full.to_bits());
+        eval.touched(&[0], &mut touched);
+        values.clear();
+        eval.recost_into(&next, &touched, &mut values, &mut scratch);
+        let a = eval.fold(&touched, &values);
+        let b = fresh.fold(&touched, &values);
+        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]

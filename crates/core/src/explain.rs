@@ -242,12 +242,11 @@ mod tests {
                 &cfg,
             )
             .unwrap();
-        // Final costing of the winning layout with a traced model, as the
-        // CLI does.
-        let mut model = cfg.search.cost_model.clone();
-        model.collector = collector;
+        // The winning layout's costing walk, as the CLI does.
         let workload = crate::costmodel::decompose_workload(&rec.plans);
-        model.workload_cost_subplans(&workload, &rec.layout, &disks);
+        cfg.search
+            .cost_model
+            .trace(&workload, &rec.layout, &disks, &collector, |_| {});
         let records = ring.drain();
         let object_names: Vec<String> = catalog.objects().iter().map(|o| o.name.clone()).collect();
         let disk_names: Vec<String> = (0..disks.len()).map(|j| format!("d{j}")).collect();

@@ -68,9 +68,7 @@ pub use concurrency::{
     build_concurrent_access_graph, concurrent_cost_workload, ConcurrentWorkload,
 };
 pub use constraints::{ConstraintViolation, Constraints};
-pub use costmodel::{
-    statement_cost, workload_cost, CostDelta, CostModel, DeltaEvaluator, EvalScratch, WideningTable,
-};
+pub use costmodel::{CostModel, DeltaEvaluator, DriveTerm, EvalScratch, WideningTable};
 pub use dblayout_disksim::{Layout, LayoutError};
 pub use deploy::{compile_filegroups, render_script, DeploymentPlan, Filegroup};
 pub use exhaustive::exhaustive_search;

@@ -129,20 +129,15 @@ impl<J, O> Pool<'_, J, O> {
         self.threads
     }
 
-    /// Ships one job snapshot to every worker and collects their outputs
-    /// in worker order (`outputs[w]` is worker `w`'s result).
+    /// Ships one job snapshot to the first `workers` lanes and collects
+    /// their outputs in worker order (`outputs[w]` is worker `w`'s result)
+    /// — the adaptive-chunking entry point (see [`effective_workers`]).
     ///
     /// The calling thread scores worker 0's chunk while the helpers score
     /// the others. If a helper died (its scoring closure panicked on an
     /// earlier job), its chunk is recomputed inline here with the same
-    /// `(w, job)` arguments, so the returned vector always has `threads()`
+    /// `(w, job)` arguments, so the returned vector always has `workers`
     /// entries with identical content to an all-healthy run.
-    pub fn dispatch(&self, job: Arc<J>) -> Vec<O> {
-        self.dispatch_to(job, self.threads)
-    }
-
-    /// [`Pool::dispatch`] restricted to the first `workers` lanes — the
-    /// adaptive-chunking entry point (see [`effective_workers`]).
     ///
     /// `workers` is clamped to `[1, threads()]`. With `workers == 1` the
     /// closure runs inline as worker 0 with zero channel hops even when
@@ -213,7 +208,7 @@ where
                     // A panicking scorer must not unwind through the scope
                     // (that would re-raise at join and kill the search the
                     // dispatcher just rescued): catch it, drop this
-                    // worker's lanes, and let `dispatch` recompute the
+                    // worker's lanes, and let `dispatch_to` recompute the
                     // chunk inline. The job snapshot is immutable, so a
                     // mid-score panic leaves no partial state behind.
                     let out =
@@ -328,7 +323,7 @@ mod tests {
             };
             let flat: Vec<u64> = with_pool(threads, &score_t, |pool| {
                 assert_eq!(pool.threads(), threads.max(1));
-                pool.dispatch(Arc::new(items.clone()))
+                pool.dispatch_to(Arc::new(items.clone()), pool.threads())
                     .into_iter()
                     .flatten()
                     .collect()
@@ -345,7 +340,10 @@ mod tests {
         with_pool(3, &sum, |pool| {
             for round in 0..10u64 {
                 let items: Vec<u64> = (0..round * 10).collect();
-                let total: u64 = pool.dispatch(Arc::new(items.clone())).into_iter().sum();
+                let total: u64 = pool
+                    .dispatch_to(Arc::new(items.clone()), pool.threads())
+                    .into_iter()
+                    .sum();
                 assert_eq!(total, items.iter().sum::<u64>());
             }
         });
@@ -366,10 +364,16 @@ mod tests {
         with_pool(3, &score, |pool| {
             let items: Vec<u64> = (0..30).collect();
             let expected: u64 = items.iter().sum();
-            let first: u64 = pool.dispatch(Arc::new(items.clone())).into_iter().sum();
+            let first: u64 = pool
+                .dispatch_to(Arc::new(items.clone()), pool.threads())
+                .into_iter()
+                .sum();
             assert_eq!(first, expected);
             // Worker 1 is gone; its chunk keeps being served inline.
-            let second: u64 = pool.dispatch(Arc::new(items)).into_iter().sum();
+            let second: u64 = pool
+                .dispatch_to(Arc::new(items), pool.threads())
+                .into_iter()
+                .sum();
             assert_eq!(second, expected);
         });
     }
@@ -420,10 +424,14 @@ mod tests {
     fn single_thread_runs_inline_without_workers() {
         let tid = std::thread::current().id();
         let check = move |_w: usize, _job: &()| -> bool { std::thread::current().id() == tid };
-        let inline = with_pool(1, &check, |pool| pool.dispatch(Arc::new(())));
+        let inline = with_pool(1, &check, |pool| {
+            pool.dispatch_to(Arc::new(()), pool.threads())
+        });
         assert_eq!(inline, vec![true]);
         // threads == 0 is clamped to 1.
-        let clamped = with_pool(0, &check, |pool| pool.dispatch(Arc::new(())));
+        let clamped = with_pool(0, &check, |pool| {
+            pool.dispatch_to(Arc::new(()), pool.threads())
+        });
         assert_eq!(clamped, vec![true]);
     }
 }

@@ -18,7 +18,6 @@
 //! drives, and a data-movement bound rejects moves that stray too far from
 //! the current layout.
 
-use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -83,12 +82,6 @@ pub struct TsGreedyConfig {
     /// sequential candidate order (DESIGN.md §7). The CLI defaults this to
     /// the host's available parallelism.
     pub threads: usize,
-    /// Score every candidate with a full Figure-7 re-evaluation instead of
-    /// the incremental delta evaluator. The delta path is bit-identical to
-    /// full re-evaluation, so this knob never changes results; it is kept
-    /// as the reference engine (the differential baseline `search_bench`
-    /// measures speedup against).
-    pub full_reevaluation: bool,
     /// Start the greedy search from this layout instead of running step 1
     /// (`dblayout-relayout`). Seeded searches also enumerate *narrow*
     /// (drop one drive) and *swap* (drop one, add one) moves per group, so
@@ -134,7 +127,6 @@ impl Default for TsGreedyConfig {
             cost_model: CostModel::default(),
             collector: Collector::default(),
             threads: 1,
-            full_reevaluation: false,
             seed: None,
             partitioner: Partitioner::default(),
             prune_width: 0,
@@ -249,10 +241,8 @@ pub fn ts_greedy(
     for mem in &members {
         let mut allowed: Vec<usize> = (0..m).collect();
         for &i in mem {
-            if let Some(e) = cfg
-                .constraints
-                .eligible_disks(dblayout_catalog::ObjectId(i as u32), disks)
-            {
+            let object = dblayout_catalog::ObjectId(i as u32);
+            if let Some(e) = cfg.constraints.eligible_disks(object, disks) {
                 allowed.retain(|j| e.contains(j));
             }
         }
@@ -265,30 +255,9 @@ pub fn ts_greedy(
         eligible.push(allowed);
     }
 
-    let seeded = cfg.seed.is_some();
-    let layout = if let Some(seed) = &cfg.seed {
-        // ---- Seeded mode (dblayout-relayout): adopt the caller's layout
-        // as the starting point and skip step 1 entirely. The seed is the
-        // deployed layout of a running system, so it must already be
-        // Definition-2 valid for these objects and drives.
-        if seed.object_count() != n || seed.disk_count() != m {
-            return Err(SearchError::Infeasible(format!(
-                "seed layout is {}x{} but the search covers {n} objects on {m} disks",
-                seed.object_count(),
-                seed.disk_count()
-            )));
-        }
-        if let Err(e) = seed.validate(disks) {
-            return Err(SearchError::Infeasible(format!(
-                "seed layout is invalid: {e}"
-            )));
-        }
-        if search_span.enabled() {
-            search_span.event("tsgreedy.seed", vec![f("objects", n), f("disks", m)]);
-        }
-        seed.clone()
-    } else {
-        step1_layout(
+    let layout = match &cfg.seed {
+        Some(seed) => seed_layout(seed, n, disks, &search_span)?,
+        None => step1_layout(
             sizes,
             disks,
             &cg,
@@ -297,14 +266,10 @@ pub fn ts_greedy(
             &group_index,
             &cfg.partitioner,
             &search_span,
-        )
+        ),
     };
 
-    let model = &cfg.cost_model;
-    let mut evals = 0usize;
-
-    let eval = model.delta_evaluator(workload, &layout, disks);
-    evals += 1;
+    let eval = cfg.cost_model.delta_evaluator(workload, &layout, disks);
     // Building the evaluator runs one full Figure-7 costing of `layout`.
     counters::incr(Counter::CostmodelFullRecosts);
     let initial_layout = layout.clone();
@@ -314,377 +279,682 @@ pub fn ts_greedy(
     }
 
     // ---- Step 2: greedy parallelism widening (dblayout-par). ----
-    // A move touches only one co-location group, so the delta evaluator
-    // re-costs just the sub-plans reading that group's objects, re-summing
-    // in full-evaluation order — bit-identical totals at a fraction of the
-    // work. Validity is checked the same way: only the moved rows are
-    // re-examined, a group that fits in the smallest per-drive headroom
-    // passes the capacity check outright, and otherwise per-disk usage is
-    // patched with exact integer deltas, so the verdict matches
-    // `Layout::validate` on every candidate. Candidates are *scored* in
-    // parallel against an immutable per-iteration snapshot and *adopted*
-    // in the fixed sequential candidate order: each worker owns a
-    // contiguous chunk of the enumeration, tracks its chunk's earliest
-    // strict minimum, and the reduction merges chunk winners in worker
-    // (= candidate) order with a strict `<` — exactly the sequential
-    // scan's earliest-wins tie semantics, so the chosen layout is
-    // byte-identical at any thread count (DESIGN.md §7).
-    //
-    // Candidate memo (DESIGN.md §7): a candidate's re-costed sub-plan
-    // values depend only on its group's new rows and on the rows of the
-    // groups those sub-plans read, so they stay exact until one of those
-    // groups moves. The memo keeps them across iterations, keyed by group
-    // and position in the group's move list; every candidate, memoized or
-    // freshly re-costed, is scored by the same fold against the ledger.
-    let threads = cfg.threads.max(1);
-    let full_reevaluation = cfg.full_reevaluation;
-    // The reference engine shares nothing with the memo, and a traced cost
-    // model must re-cost every candidate to emit its `costmodel.subplan`
-    // events, so both bypass it.
-    let memoize = !full_reevaluation && !model.collector.enabled();
-    // With no constraint to check, a memo hit that the headroom accept
-    // passes needs no trial layout at all.
-    let unconstrained = cfg.constraints.is_empty();
-    // The sub-plans each group's candidates re-cost: fixed for the search,
-    // since a move rewrites only its own group's rows.
     let mut group_subs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); g_count];
     for (subs, mem) in group_subs.iter_mut().zip(&members) {
         eval.touched(mem, subs);
     }
-    // The reference engine re-costs every sub-plan of every candidate.
-    let all_subs: usize = workload.iter().map(|(subs, _)| subs.len()).sum();
-    // Scoring work, in Figure-7 drive terms (DESIGN.md §7): a candidate's
-    // fold walks every statement from its group's first touched one and
-    // the touched statements' sub-plans, about one term's time each.
-    let statements = workload.len();
-    let fold_work: Vec<usize> = group_subs
-        .iter()
-        .map(|subs| {
-            let first = subs.first().map_or(statements, |&(s, _)| s as usize);
-            statements - first + subs.len()
-        })
-        .collect();
+    let step2 = Step2 {
+        cfg,
+        workload,
+        disks,
+        members: &members,
+        group_index: &group_index,
+        eligible: &eligible,
+        group_subs,
+    };
+    let job = step2.run(Job::new(layout, eval, &members, m), &search_span);
 
-    /// One candidate move: re-place `group` onto (current ∖ `drop`) ∪
-    /// `add`. Classic widening has no `drop`; seeded searches also
-    /// enumerate narrow (no `add`) and swap (one of each) moves. `add`
-    /// indexes [`Job::drives`], so enumerating a move allocates nothing.
-    #[derive(Clone)]
-    struct Move {
-        group: usize,
-        add: Range<usize>,
-        drop: Option<usize>,
+    search_span.end_with(if collector.enabled() {
+        vec![
+            f("iterations", job.iterations),
+            f("cost_evaluations", job.evals),
+            f("initial_cost_ms", initial_cost),
+            f("final_cost_ms", job.cost),
+        ]
+    } else {
+        Vec::new()
+    });
+
+    Ok(TsGreedyResult {
+        layout: job.layout,
+        initial_layout,
+        initial_cost,
+        final_cost: job.cost,
+        iterations: job.iterations,
+        cost_evaluations: job.evals,
+    })
+}
+
+/// Seeded mode (dblayout-relayout): the caller's layout replaces step 1.
+/// The seed is the deployed layout of a running system, so it must
+/// already be Definition-2 valid for these `n` objects and drives.
+fn seed_layout(
+    seed: &Layout,
+    n: usize,
+    disks: &[DiskSpec],
+    search_span: &Span,
+) -> Result<Layout, SearchError> {
+    let m = disks.len();
+    if seed.object_count() != n || seed.disk_count() != m {
+        return Err(SearchError::Infeasible(format!(
+            "seed layout is {}x{} but the search covers {n} objects on {m} disks",
+            seed.object_count(),
+            seed.disk_count()
+        )));
     }
-    /// Per-candidate scoring outcome, in enumeration order.
-    #[derive(Clone, Copy)]
-    enum Scored {
-        InvalidLayout,
-        ConstraintViolation,
-        Costed(f64),
+    seed.validate(disks)
+        .map_err(|e| SearchError::Infeasible(format!("seed layout is invalid: {e}")))?;
+    if search_span.enabled() {
+        search_span.event("tsgreedy.seed", vec![f("objects", n), f("disks", m)]);
     }
-    /// A chunk's earliest strictly-improving minimum. Workers report only
-    /// the winning index and cost; the dispatcher re-derives the winning
-    /// layout and its cost delta once per *adopted* iteration, so the hot
-    /// scoring loop never clones a layout or materializes a delta.
-    struct ChunkBest {
-        index: usize,
-        cost: f64,
-    }
-    struct Chunk {
-        outcomes: Vec<Scored>,
-        best: Option<ChunkBest>,
-        /// Candidates whose re-costed sub-plan values enter the memo, in
-        /// enumeration order.
-        fresh: Vec<usize>,
-        /// Their values, concatenated in `fresh` order (values the memo
-        /// does not admit live here only until folded).
-        values: Vec<f64>,
-        /// Sub-plans re-costed through the Figure-7 kernel.
-        recosts: u64,
-        /// Figure-7 drive terms those re-costs evaluated.
-        drive_terms: u64,
-    }
-    /// Reusable per-worker scratch: the kernel's accumulators, the
-    /// incremental validity check's usage/apportionment buffers, and the
-    /// moved group's new drive set. One per chunk invocation; every
-    /// allocation in the candidate loop lives here or in the chunk's
-    /// output.
-    #[derive(Default)]
-    struct WorkerScratch {
-        eval: EvalScratch,
-        usage: Vec<u64>,
-        row: Vec<u64>,
-        apportion: Vec<(usize, f64)>,
-        set: Vec<usize>,
-    }
-    /// The memoized sub-plan values of one group's candidates.
-    #[derive(Clone, Default)]
-    struct MemoEntry {
-        /// `known[c]`: candidate `c` of the group's move list has values.
-        /// Empty once the group or a sub-plan neighbour moved.
-        known: Vec<bool>,
-        /// The group's `group_subs` values per candidate, candidate-major.
-        values: Vec<f64>,
-    }
-    /// The search state. Each iteration ships it to every worker as an
-    /// immutable snapshot and takes it back (the workers drop their
-    /// handles before replying) for the reduction and the adoption, so
-    /// nothing in it is cloned per iteration.
-    #[derive(Clone)]
-    struct Job<'a> {
-        layout: Layout,
-        eval: DeltaEvaluator<'a>,
-        cost: f64,
-        /// Each group's drives (`layout.disks_of` of its first member).
-        current_sets: Vec<Vec<usize>>,
-        /// This iteration's moves, in the canonical order.
-        moves: Vec<Move>,
-        /// The drives the moves add.
-        drives: Vec<usize>,
-        /// Each group's slice of `moves` (empty when pruned out).
-        group_moves: Vec<Range<usize>>,
-        /// Worker `w` scores `moves[bounds[w]..bounds[w + 1]]`; chunk
-        /// ownership derives from this, not the pool width.
-        bounds: Vec<usize>,
-        /// Whether this iteration's re-costed values enter the memo.
-        admit: bool,
-        /// Per-group memo (empty when the memo is bypassed).
-        memo: Vec<MemoEntry>,
-        /// Widening tables, buffers reused across iterations; `widen`
-        /// indexes this iteration's.
-        tables: Vec<WideningTable>,
-        /// Per move: the table and class that price it, or `None` when
-        /// the kernel re-costs it (DESIGN.md §7).
-        widen: Vec<Option<(u32, u32)>>,
-        /// `layout.disk_count() == disks.len()` (Definition 2 dimensions).
-        dims_ok: bool,
-        /// `layout.blocks_on(i)` for every object, flattened with stride
-        /// `disks.len()` (incremental engine only).
-        base_blocks: Vec<u64>,
-        /// `layout.disk_usage()` (incremental engine only).
-        base_usage: Vec<u64>,
-        /// The smallest per-drive headroom `capacity − base_usage`, or
-        /// `None` when some drive is already over capacity.
-        headroom: Option<u64>,
-        /// Per-object row verdicts of `layout` (incremental engine only).
-        row_bad: Vec<bool>,
-        /// How many entries of `row_bad` are true.
-        bad_rows: usize,
+    Ok(seed.clone())
+}
+
+/// One candidate move: re-place `group` onto (current ∖ `drop`) ∪ `add`.
+/// Classic widening has no `drop`; seeded searches also enumerate narrow
+/// (no `add`) and swap (one of each) moves. `add` indexes [`Job::drives`],
+/// so enumerating a move allocates nothing.
+#[derive(Clone)]
+struct Move {
+    group: usize,
+    add: Range<usize>,
+    drop: Option<usize>,
+}
+
+/// Per-candidate scoring outcome, in enumeration order.
+#[derive(Clone, Copy)]
+enum Scored {
+    InvalidLayout,
+    ConstraintViolation,
+    Costed(f64),
+}
+
+/// A chunk's earliest strictly-improving minimum. Workers report only the
+/// winning index and cost; the adoption re-derives the winning layout and
+/// its values once per *adopted* iteration, so the hot scoring loop never
+/// clones a layout.
+struct ChunkBest {
+    index: usize,
+    cost: f64,
+}
+
+/// One worker's scoring output.
+#[derive(Default)]
+struct Chunk {
+    outcomes: Vec<Scored>,
+    best: Option<ChunkBest>,
+    /// Candidates whose re-costed sub-plan values enter the memo, in
+    /// enumeration order.
+    fresh: Vec<usize>,
+    /// Their values, concatenated in `fresh` order (values the memo does
+    /// not admit live here only until folded).
+    values: Vec<f64>,
+    /// Sub-plans re-costed by a widening table or the Figure-7 kernel.
+    recosts: u64,
+    /// Figure-7 drive terms those re-costs evaluated.
+    drive_terms: u64,
+}
+
+/// Reusable per-worker scratch: the kernel's accumulators, the incremental
+/// validity check's usage/apportionment buffers, and the moved group's new
+/// drive set. One per chunk invocation; every allocation in the candidate
+/// loop lives here or in the chunk's output.
+#[derive(Default)]
+struct WorkerScratch {
+    eval: EvalScratch,
+    usage: Vec<u64>,
+    row: Vec<u64>,
+    apportion: Vec<(usize, f64)>,
+    set: Vec<usize>,
+}
+
+/// The enumeration's growing buffers, kept across iterations.
+#[derive(Default)]
+struct EnumBuffers {
+    work: Vec<usize>,
+    fresh: Vec<usize>,
+    candidates: Vec<usize>,
+}
+
+/// The memoized sub-plan values of one group's candidates.
+#[derive(Clone, Default)]
+struct MemoEntry {
+    /// `known[c]`: candidate `c` of the group's move list has values.
+    /// Empty once the group or a sub-plan neighbour moved.
+    known: Vec<bool>,
+    /// The group's `group_subs` values per candidate, candidate-major.
+    values: Vec<f64>,
+}
+
+/// The search state. Each iteration ships it to every worker as an
+/// immutable snapshot and takes it back (the workers drop their handles
+/// before replying) for the reduction and the adoption, so nothing in it is
+/// cloned per iteration.
+#[derive(Clone)]
+struct Job<'a> {
+    layout: Layout,
+    /// The ledger of `layout`'s sub-plan costs.
+    eval: DeltaEvaluator<'a>,
+    cost: f64,
+    /// Moves adopted so far.
+    iterations: usize,
+    /// Cost evaluations, the initial costing included.
+    evals: usize,
+    /// Per group, the pruned frontier's stale gain: optimistic (+∞) until
+    /// first examined, then its best observed cost improvement.
+    gain: Vec<f64>,
+    /// A dry pruned frontier forces one full (arbitration) sweep.
+    force_full: bool,
+    /// Kept equal to `layout`: the dispatcher fills widening tables on it
+    /// before dispatch, so the work and the counts are the same at every
+    /// thread count.
+    probe: Layout,
+    /// Each group's drives (`layout.disks_of` of its first member).
+    current_sets: Vec<Vec<usize>>,
+    /// This iteration's moves, in the canonical order.
+    moves: Vec<Move>,
+    /// The drives the moves add.
+    drives: Vec<usize>,
+    /// Each group's slice of `moves` (empty when pruned out).
+    group_moves: Vec<Range<usize>>,
+    /// Worker `w` scores `moves[bounds[w]..bounds[w + 1]]`; chunk ownership
+    /// derives from this, not the pool width.
+    bounds: Vec<usize>,
+    /// Whether this iteration's re-costed values enter the memo.
+    admit: bool,
+    /// Per-group memo.
+    memo: Vec<MemoEntry>,
+    /// Widening tables, buffers reused across iterations; `widen` indexes
+    /// this iteration's.
+    tables: Vec<WideningTable>,
+    /// Per move: the table and class that price it, or `None` when the
+    /// kernel re-costs it (DESIGN.md §7).
+    widen: Vec<Option<(u32, u32)>>,
+    /// `layout.blocks_on(i)` for every object, flattened with stride
+    /// `disks.len()`.
+    base_blocks: Vec<u64>,
+    /// `layout.disk_usage()`.
+    base_usage: Vec<u64>,
+    /// The smallest per-drive headroom `capacity − base_usage`, or `None`
+    /// when some drive is already over capacity.
+    headroom: Option<u64>,
+    /// Per-object row verdicts of `layout`.
+    row_bad: Vec<bool>,
+    /// How many entries of `row_bad` are true.
+    bad_rows: usize,
+}
+
+impl<'a> Job<'a> {
+    /// Step 2's starting point: `layout` (with `m` drives) and its ledger.
+    fn new(layout: Layout, eval: DeltaEvaluator<'a>, members: &[Vec<usize>], m: usize) -> Self {
+        let n = layout.object_count();
+        let mut job = Job {
+            current_sets: members.iter().map(|mem| layout.disks_of(mem[0])).collect(),
+            probe: layout.clone(),
+            layout,
+            cost: eval.total(),
+            eval,
+            iterations: 0,
+            evals: 1,
+            gain: vec![f64::INFINITY; members.len()],
+            force_full: false,
+            moves: Vec::new(),
+            drives: Vec::new(),
+            group_moves: vec![0..0; members.len()],
+            bounds: Vec::new(),
+            admit: false,
+            memo: vec![MemoEntry::default(); members.len()],
+            tables: Vec::new(),
+            widen: Vec::new(),
+            base_blocks: vec![0; n * m],
+            base_usage: vec![0; m],
+            headroom: None,
+            row_bad: vec![false; n],
+            bad_rows: 0,
+        };
+        job.refresh_rows(0..n);
+        job
     }
 
-    impl Job<'_> {
-        /// Fills `set` with `mv`'s new drive set for its group.
-        fn new_set(&self, mv: &Move, set: &mut Vec<usize>) {
-            set.clear();
-            set.extend(
-                self.current_sets[mv.group]
-                    .iter()
-                    .copied()
-                    .filter(|&j| Some(j) != mv.drop),
-            );
-            set.extend_from_slice(&self.drives[mv.add.clone()]);
+    /// Refreshes the validity snapshot's `rows` from `layout`: their
+    /// per-drive blocks, patching the usage with exact integer deltas, and
+    /// their verdicts.
+    fn refresh_rows(&mut self, rows: impl IntoIterator<Item = usize>) {
+        let m = self.base_usage.len();
+        let (mut row, mut apportion) = (Vec::with_capacity(m), Vec::with_capacity(m));
+        for i in rows {
+            self.layout.blocks_on_into(i, &mut row, &mut apportion);
+            let old = &self.base_blocks[i * m..(i + 1) * m];
+            for (j, (&b_new, &b_old)) in row.iter().zip(old).enumerate() {
+                self.base_usage[j] = self.base_usage[j] - b_old + b_new;
+            }
+            self.base_blocks[i * m..(i + 1) * m].copy_from_slice(&row);
+            let bad = !self.layout.row_is_valid(i);
+            self.bad_rows = self.bad_rows - usize::from(self.row_bad[i]) + usize::from(bad);
+            self.row_bad[i] = bad;
         }
+    }
 
-        /// Candidate `idx`'s memoized sub-plan values (`width` of them),
-        /// if its group's memo entry has them.
-        fn memo_hit(&self, idx: usize, width: usize) -> Option<&[f64]> {
-            let g = self.moves[idx].group;
-            let c = idx - self.group_moves[g].start;
-            let entry = self.memo.get(g)?;
-            if entry.known.get(c) == Some(&true) {
-                entry.values.get(c * width..(c + 1) * width)
-            } else {
-                None
+    /// Fills `set` with `mv`'s new drive set for its group.
+    fn new_set(&self, mv: &Move, set: &mut Vec<usize>) {
+        set.clear();
+        set.extend(
+            self.current_sets[mv.group]
+                .iter()
+                .copied()
+                .filter(|&j| Some(j) != mv.drop),
+        );
+        set.extend_from_slice(&self.drives[mv.add.clone()]);
+    }
+
+    /// Candidate `idx`'s memoized sub-plan values (`width` of them), if its
+    /// group's memo entry has them.
+    fn memo_hit(&self, idx: usize, width: usize) -> Option<&[f64]> {
+        let g = self.moves[idx].group;
+        let c = idx - self.group_moves[g].start;
+        let entry = self.memo.get(g)?;
+        if entry.known.get(c) == Some(&true) {
+            entry.values.get(c * width..(c + 1) * width)
+        } else {
+            None
+        }
+    }
+
+    /// A moved group no larger than the smallest per-drive headroom passes
+    /// the capacity check: each moved object adds at most its own size to
+    /// any drive.
+    fn fits_headroom(&self, moved: &[usize]) -> bool {
+        let moved_blocks = moved.iter().fold(0u64, |sum, &i| {
+            sum.saturating_add(self.layout.object_size(i))
+        });
+        self.headroom.is_some_and(|h| moved_blocks <= h)
+    }
+
+    /// Whether some unmoved row of the snapshot is invalid.
+    fn unmoved_row_bad(&self, moved: &[usize]) -> bool {
+        let moved_bad = moved.iter().filter(|&&i| self.row_bad[i]).count();
+        self.bad_rows != moved_bad
+    }
+
+    /// Incremental Definition-2 check: the same verdict as
+    /// `trial.validate(disks).is_ok()` given that `trial` differs from
+    /// `self.layout` only in `moved`'s rows. Unmoved rows keep the
+    /// snapshot's verdicts. A group that fits the headroom passes the
+    /// capacity check without apportioning. Otherwise per-disk usage is
+    /// patched by swapping the moved objects' old block counts for their
+    /// new ones — exact integer arithmetic (`blocks_on` is deterministic
+    /// per row), so the capacity comparison is bit-for-bit the full scan's.
+    fn trial_is_valid(
+        &self,
+        trial: &Layout,
+        moved: &[usize],
+        disks: &[DiskSpec],
+        scratch: &mut WorkerScratch,
+    ) -> bool {
+        if self.unmoved_row_bad(moved) {
+            return false;
+        }
+        if !moved.iter().all(|&i| trial.row_is_valid(i)) {
+            return false;
+        }
+        if self.fits_headroom(moved) {
+            return true;
+        }
+        let m = disks.len();
+        scratch.usage.clear();
+        scratch.usage.extend_from_slice(&self.base_usage);
+        for &i in moved {
+            trial.blocks_on_into(i, &mut scratch.row, &mut scratch.apportion);
+            let base = &self.base_blocks[i * m..(i + 1) * m];
+            for (j, &b) in base.iter().enumerate() {
+                // `usage[j]` still includes `base[j]` (each moved object is
+                // swapped out exactly once), so the subtraction cannot
+                // underflow.
+                scratch.usage[j] = scratch.usage[j] - b + scratch.row[j];
             }
         }
+        scratch
+            .usage
+            .iter()
+            .zip(disks)
+            .all(|(&used, d)| used <= d.capacity_blocks)
+    }
 
-        /// A moved group no larger than the smallest per-drive headroom
-        /// passes the capacity check: each moved object adds at most its
-        /// own size to any drive.
-        fn fits_headroom(&self, moved: &[usize]) -> bool {
-            let moved_blocks = moved.iter().fold(0u64, |sum, &i| {
-                sum.saturating_add(self.layout.object_size(i))
-            });
-            self.headroom.is_some_and(|h| moved_blocks <= h)
+    /// [`Job::trial_is_valid`] for a memo hit, without a trial: its values
+    /// came from a valid trial of these very rows, so the moved rows are
+    /// valid. `None` when the verdict needs the exact patch.
+    fn hit_is_valid(&self, moved: &[usize]) -> Option<bool> {
+        if self.unmoved_row_bad(moved) {
+            return Some(false);
         }
+        self.fits_headroom(moved).then_some(true)
+    }
+}
 
-        /// Whether some unmoved row of the snapshot is invalid.
-        fn unmoved_row_bad(&self, moved: &[usize]) -> bool {
-            let moved_bad = moved.iter().filter(|&&i| self.row_bad[i]).count();
-            self.bad_rows != moved_bad
-        }
+/// What step 2 fixes for the whole search, shared read-only by its phases
+/// (DESIGN.md §7): the groups, their eligible drives and the sub-plans
+/// their moves re-cost. Each iteration enumerates the moves in a canonical
+/// order, scores them in parallel against an immutable snapshot (each
+/// worker a contiguous chunk), reduces the chunks in candidate order — the
+/// sequential scan's earliest-wins strict minimum, so the chosen layout is
+/// byte-identical at any thread count — and adopts the winner.
+struct Step2<'a> {
+    cfg: &'a TsGreedyConfig,
+    workload: &'a [(Vec<Subplan>, f64)],
+    disks: &'a [DiskSpec],
+    members: &'a [Vec<usize>],
+    group_index: &'a [usize],
+    eligible: &'a [Vec<usize>],
+    /// The sub-plans each group's candidates re-cost: fixed for the search,
+    /// since a move rewrites only its own group's rows.
+    group_subs: Vec<Vec<(u32, u32)>>,
+}
 
-        /// Incremental Definition-2 check: the same verdict as
-        /// `trial.validate(disks).is_ok()` given that `trial` differs from
-        /// `self.layout` only in `moved`'s rows. Unmoved rows keep the
-        /// snapshot's verdicts. A group that fits the headroom passes the
-        /// capacity check without apportioning. Otherwise per-disk usage is
-        /// patched by swapping the moved objects' old block counts for
-        /// their new ones — exact integer arithmetic (`blocks_on` is
-        /// deterministic per row), so the capacity comparison is
-        /// bit-for-bit the full scan's.
-        fn trial_is_valid(
-            &self,
-            trial: &Layout,
-            moved: &[usize],
-            disks: &[DiskSpec],
-            scratch: &mut WorkerScratch,
-        ) -> bool {
-            if !self.dims_ok || self.unmoved_row_bad(moved) {
-                return false;
-            }
-            if !moved.iter().all(|&i| trial.row_is_valid(i)) {
-                return false;
-            }
-            if self.fits_headroom(moved) {
-                return true;
-            }
-            let m = disks.len();
-            scratch.usage.clear();
-            scratch.usage.extend_from_slice(&self.base_usage);
-            for &i in moved {
-                trial.blocks_on_into(i, &mut scratch.row, &mut scratch.apportion);
-                let base = &self.base_blocks[i * m..(i + 1) * m];
-                for (j, &b) in base.iter().enumerate() {
-                    // `usage[j]` still includes `base[j]` (each moved
-                    // object is swapped out exactly once), so the
-                    // subtraction cannot underflow.
-                    scratch.usage[j] = scratch.usage[j] - b + scratch.row[j];
+impl Step2<'_> {
+    /// Runs step 2 from `job` to convergence (or `max_iterations`):
+    /// enumerate, score in parallel, reduce, adopt.
+    fn run<'a>(&self, job: Job<'a>, search_span: &Span) -> Job<'a> {
+        let g_count = self.members.len();
+        let prune = self.cfg.prune_width;
+        let pruned_search = prune > 0 && prune < g_count;
+        let threads = self.cfg.threads.max(1);
+        let score = |w: usize, job: &Job<'_>| self.score(w, job);
+        par::with_pool(threads, &score, |pool| {
+            let mut job = job;
+            let mut bufs = EnumBuffers::default();
+            loop {
+                let iter_span = search_span.child(
+                    "tsgreedy.iteration",
+                    if search_span.enabled() {
+                        vec![f("iter", job.iterations + 1)]
+                    } else {
+                        Vec::new()
+                    },
+                );
+                let pruning = pruned_search && !job.force_full;
+                let active = if pruning {
+                    frontier(&job.gain, prune)
+                } else {
+                    vec![true; g_count]
+                };
+                // The memo admits values where they are scored again soon:
+                // every group of an unpruned search, the frontier of a
+                // pruned one. A pruned search evicts groups that left the
+                // frontier and admits nothing in an arbitration sweep, so
+                // its memo holds at most `prune_width` groups.
+                job.admit = pruning || !pruned_search;
+                if pruning {
+                    for (entry, &on) in job.memo.iter_mut().zip(&active) {
+                        if !on {
+                            *entry = MemoEntry::default();
+                        }
+                    }
+                }
+                let workers = self.enumerate(&mut job, &active, &mut bufs);
+                let shared = Arc::new(job);
+                let chunks = pool.dispatch_to(shared.clone(), workers);
+                job = Arc::unwrap_or_clone(shared);
+                let cost = job.cost;
+                let Some(best) = self.reduce(&mut job, chunks, &active, &iter_span, pool.threads())
+                else {
+                    if pruning {
+                        // The pruned frontier is dry; one full sweep
+                        // decides between another adoption and
+                        // termination, so pruning never stops a search the
+                        // full enumeration would still be improving.
+                        if iter_span.enabled() {
+                            iter_span.event("tsgreedy.prune_dry", vec![f("cost_ms", cost)]);
+                        }
+                        iter_span.end();
+                        job.force_full = true;
+                        continue;
+                    }
+                    if iter_span.enabled() {
+                        iter_span.event("tsgreedy.no_move", vec![f("cost_ms", cost)]);
+                    }
+                    iter_span.end();
+                    break;
+                };
+                self.adopt(&mut job, best, &iter_span);
+                iter_span.end();
+                if self.cfg.max_iterations != 0 && job.iterations >= self.cfg.max_iterations {
+                    break;
                 }
             }
-            scratch
-                .usage
-                .iter()
-                .zip(disks)
-                .all(|(&used, d)| used <= d.capacity_blocks)
-        }
-
-        /// [`Job::trial_is_valid`] for a memo hit, without a trial: its
-        /// values came from a valid trial of these very rows, so the moved
-        /// rows are valid. `None` when the verdict needs the exact patch.
-        fn hit_is_valid(&self, moved: &[usize]) -> Option<bool> {
-            if !self.dims_ok || self.unmoved_row_bad(moved) {
-                return Some(false);
-            }
-            self.fits_headroom(moved).then_some(true)
-        }
+            job
+        })
     }
 
-    let members_ref = &members;
-    let group_subs_ref = &group_subs;
-    let constraints = &cfg.constraints;
-    let score = |w: usize, job: &Job<'_>| -> Chunk {
+    /// Enumerates this iteration's moves of the `active` groups in the
+    /// canonical sequential order (group-major, combination order
+    /// preserved) into the snapshot's reused buffers — chunk indices, memo
+    /// keys and the reduction all key off this ordering — with each move's
+    /// scoring work; fills the widening tables that price the fresh
+    /// widening moves; and returns the workers to engage.
+    fn enumerate(&self, job: &mut Job<'_>, active: &[bool], bufs: &mut EnumBuffers) -> usize {
+        job.moves.clear();
+        job.drives.clear();
+        job.widen.clear();
+        let (work, fresh, candidates) = (&mut bufs.work, &mut bufs.fresh, &mut bufs.candidates);
+        work.clear();
+        let mut combo = Vec::new();
+        let mut in_set = vec![false; self.disks.len()];
+        let mut tables_used = 0usize;
+        let mut table_scratch = EvalScratch::new();
+        for (g, &on) in active.iter().enumerate() {
+            let start = job.moves.len();
+            if on {
+                // Every combination of at most `k` of the group's eligible
+                // drives outside its current ones.
+                let current_set = &job.current_sets[g];
+                for &j in current_set {
+                    in_set[j] = true;
+                }
+                candidates.clear();
+                candidates.extend(self.eligible[g].iter().copied().filter(|&j| !in_set[j]));
+                for &j in current_set {
+                    in_set[j] = false;
+                }
+                let (moves, drives) = (&mut job.moves, &mut job.drives);
+                for_each_combination(candidates, self.cfg.k, &mut combo, 0, &mut |add| {
+                    let at = drives.len();
+                    drives.extend_from_slice(add);
+                    moves.push(Move {
+                        group: g,
+                        add: at..drives.len(),
+                        drop: None,
+                    });
+                });
+                if self.cfg.seed.is_some() {
+                    // Narrow: shed one drive (an object must keep ≥ 1
+                    // drive). Swap: trade one current drive for one
+                    // eligible candidate.
+                    if current_set.len() >= 2 {
+                        moves.extend(current_set.iter().map(|&drop| Move {
+                            group: g,
+                            add: 0..0,
+                            drop: Some(drop),
+                        }));
+                    }
+                    for &drop in current_set {
+                        for &c in candidates.iter() {
+                            drives.push(c);
+                            moves.push(Move {
+                                group: g,
+                                add: drives.len() - 1..drives.len(),
+                                drop: Some(drop),
+                            });
+                        }
+                    }
+                }
+            }
+            job.group_moves[g] = start..job.moves.len();
+            job.widen.resize(job.moves.len(), None);
+            // Scoring work in drive-term units (DESIGN.md §7): every
+            // candidate folds (every statement from its group's first
+            // touched one, and the touched sub-plans); one the memo lacks
+            // also rewrites its group's rows in a trial and evaluates drive
+            // terms for each sub-plan, those of all its new drives through
+            // the kernel.
+            let subs = &self.group_subs[g];
+            let width = subs.len();
+            let statements = self.workload.len();
+            let fold_work =
+                statements - subs.first().map_or(statements, |&(s, _)| s as usize) + width;
+            let trial_work = self.members[g].len() * self.disks.len();
+            fresh.clear();
+            for idx in start..job.moves.len() {
+                let mv = &job.moves[idx];
+                let new_drives = job.current_sets[g].len() + mv.add.len();
+                work.push(if job.memo_hit(idx, width).is_some() {
+                    fold_work
+                } else {
+                    if width > 0 && mv.drop.is_none() {
+                        fresh.push(idx);
+                    }
+                    fold_work + trial_work + width * new_drives
+                });
+            }
+            // Price the group's fresh widening moves (those the memo
+            // lacks) from one table, filled here before dispatch; a
+            // table-priced move evaluates only its added drives.
+            if fresh.is_empty() {
+                continue;
+            }
+            if job.tables.len() == tables_used {
+                job.tables.push(WideningTable::default());
+            }
+            let table = &mut job.tables[tables_used];
+            table.reset(
+                &self.members[g],
+                &job.current_sets[g],
+                &self.group_subs[g],
+                self.cfg.k,
+            );
+            let mut classes = 0;
+            for &idx in fresh.iter() {
+                let class = table.class_of(&job.drives[job.moves[idx].add.clone()], self.disks);
+                classes = classes.max(class + 1);
+                job.widen[idx] = Some((tables_used as u32, class as u32));
+            }
+            // A table pays when moves share a class; with every total
+            // distinct (drives of distinct rates) its fill only adds work
+            // to the kernel's.
+            if classes < fresh.len()
+                && job.eval.fill_widening_table(
+                    table,
+                    &job.layout,
+                    &mut job.probe,
+                    &mut table_scratch,
+                )
+            {
+                tables_used += 1;
+                for &idx in fresh.iter() {
+                    work[idx] -= width * job.current_sets[g].len();
+                }
+            } else {
+                for &idx in fresh.iter() {
+                    job.widen[idx] = None;
+                }
+            }
+        }
+        counters::add(Counter::CostmodelDriveTerms, table_scratch.drive_terms());
+        // Adaptive dispatch: width and chunk bounds from the scoring work.
+        // Both are pure functions of the enumeration and the memo, so they
+        // are identical at every thread count (and trivially so for a
+        // 1-thread pool).
+        let workers = par::effective_workers(
+            work.iter().sum(),
+            self.cfg.threads.max(1),
+            self.cfg.min_chunk,
+        );
+        job.bounds = par::weighted_bounds(work, workers);
+        job.headroom = job
+            .base_usage
+            .iter()
+            .zip(self.disks)
+            .try_fold(u64::MAX, |h, (&used, d)| {
+                Some(h.min(d.capacity_blocks.checked_sub(used)?))
+            });
+        workers
+    }
+
+    /// Scores worker `w`'s chunk of the snapshot's moves — the pool's
+    /// scoring closure. A memo hit folds its values; any other candidate
+    /// rewrites its group's rows in a scratch trial (one per chunk, cloned
+    /// when its first candidate needs one), is validated incrementally
+    /// against the snapshot, re-costed and folded, and its rows are
+    /// restored: no per-candidate layout clone, no O(objects) validation.
+    fn score(&self, w: usize, job: &Job<'_>) -> Chunk {
         let range = job.bounds[w]..job.bounds[w + 1];
         // Scheduling-class accounting: one relaxed add per chunk, so the
-        // per-candidate loop below stays free of atomics. Chunk sizes
-        // (and re-scored chunks after a dead-worker fallback) depend on
-        // the engaged-worker count, so this never joins the deterministic
-        // set.
+        // per-candidate loop below stays free of atomics. Chunk sizes (and
+        // re-scored chunks after a dead-worker fallback) depend on the
+        // engaged-worker count, so this never joins the deterministic set.
         counters::add(Counter::ParChunkItems, range.len() as u64);
         let mut chunk = Chunk {
             outcomes: Vec::with_capacity(range.len()),
-            best: None,
-            fresh: Vec::new(),
-            values: Vec::new(),
-            recosts: 0,
-            drive_terms: 0,
+            ..Chunk::default()
         };
         let mut scratch = WorkerScratch::default();
-        // Incremental engine: one scratch layout per chunk, cloned when
-        // its first candidate needs a trial (a chunk of memo hits needs
-        // none). A candidate that needs a trial rewrites only the moved
-        // group's rows, is validated incrementally against the snapshot,
-        // and restores the rows afterwards — no per-candidate layout
-        // clone, no O(objects) validation, no delta materialization.
+        // With no constraint to check, a memo hit that the headroom accept
+        // passes needs no trial layout at all.
+        let unconstrained = self.cfg.constraints.is_empty();
         let mut scratch_trial: Option<Layout> = None;
         for idx in range {
             let mv = &job.moves[idx];
-            let moved: &[usize] = &members_ref[mv.group];
-            let subs: &[(u32, u32)] = &group_subs_ref[mv.group];
-            let outcome = if full_reevaluation {
-                // Reference engine: the pre-dblayout-par per-candidate work
-                // — a fresh layout clone, a full Definition-2 scan and a
-                // full re-cost per move.
-                let mut trial = job.layout.clone();
-                job.new_set(mv, &mut scratch.set);
-                for &i in moved {
-                    trial.place_proportional(i, &scratch.set, disks);
-                }
-                if trial.validate(disks).is_err() {
-                    Scored::InvalidLayout
-                } else if constraints.check(&trial, disks).is_err() {
-                    Scored::ConstraintViolation
-                } else {
-                    chunk.recosts += all_subs as u64;
-                    Scored::Costed(job.eval.cost_of_full(&trial))
-                }
-            } else {
-                let hit = job.memo_hit(idx, subs.len());
-                let quick = hit
-                    .filter(|_| unconstrained)
-                    .and_then(|values| Some((job.hit_is_valid(moved)?, values)));
-                match quick {
-                    Some((false, _)) => Scored::InvalidLayout,
-                    Some((true, values)) => Scored::Costed(job.eval.fold(subs, values)),
-                    None => {
-                        let trial = scratch_trial.get_or_insert_with(|| job.layout.clone());
-                        job.new_set(mv, &mut scratch.set);
-                        for &i in moved {
-                            trial.place_proportional(i, &scratch.set, disks);
-                        }
-                        let outcome = if !job.trial_is_valid(trial, moved, disks, &mut scratch) {
-                            Scored::InvalidLayout
-                        } else if constraints.check(trial, disks).is_err() {
-                            Scored::ConstraintViolation
-                        } else if let Some(values) = hit {
-                            Scored::Costed(job.eval.fold(subs, values))
-                        } else {
-                            chunk.recosts += subs.len() as u64;
-                            let start = chunk.values.len();
-                            if let Some((t, class)) = job.widen[idx] {
-                                job.eval.price_widening(
-                                    &job.tables[t as usize],
-                                    class as usize,
-                                    &job.drives[mv.add.clone()],
-                                    trial,
-                                    &mut chunk.values,
-                                    &mut scratch.eval,
-                                );
-                                if cfg!(debug_assertions) {
-                                    let mut kernel = Vec::new();
-                                    job.eval.recost_into(
-                                        trial,
-                                        subs,
-                                        &mut kernel,
-                                        &mut EvalScratch::new(),
-                                    );
-                                    let table = chunk.values[start..].iter().map(|v| v.to_bits());
-                                    assert!(
-                                        kernel.iter().map(|v| v.to_bits()).eq(table),
-                                        "widening table priced candidate {idx} off the kernel"
-                                    );
-                                }
-                            } else {
-                                job.eval.recost_into(
-                                    trial,
-                                    subs,
-                                    &mut chunk.values,
-                                    &mut scratch.eval,
-                                );
-                            }
-                            let c = job.eval.fold(subs, &chunk.values[start..]);
-                            if job.admit {
-                                chunk.fresh.push(idx);
-                            } else {
-                                chunk.values.truncate(start);
-                            }
-                            Scored::Costed(c)
-                        };
-                        for &i in moved {
-                            trial.copy_row_from(&job.layout, i);
-                        }
-                        outcome
+            let moved: &[usize] = &self.members[mv.group];
+            let subs: &[(u32, u32)] = &self.group_subs[mv.group];
+            let hit = job.memo_hit(idx, subs.len());
+            let quick = hit
+                .filter(|_| unconstrained)
+                .and_then(|values| Some((job.hit_is_valid(moved)?, values)));
+            let outcome = match quick {
+                Some((false, _)) => Scored::InvalidLayout,
+                Some((true, values)) => Scored::Costed(job.eval.fold(subs, values)),
+                None => {
+                    let trial = scratch_trial.get_or_insert_with(|| job.layout.clone());
+                    job.new_set(mv, &mut scratch.set);
+                    for &i in moved {
+                        trial.place_proportional(i, &scratch.set, self.disks);
                     }
+                    let outcome = if !job.trial_is_valid(trial, moved, self.disks, &mut scratch) {
+                        Scored::InvalidLayout
+                    } else if self.cfg.constraints.check(trial, self.disks).is_err() {
+                        Scored::ConstraintViolation
+                    } else if let Some(values) = hit {
+                        Scored::Costed(job.eval.fold(subs, values))
+                    } else {
+                        // Re-cost the group's sub-plans — from its widening
+                        // table, or through the kernel — into the chunk
+                        // (kept there when the memo admits them), and fold.
+                        chunk.recosts += subs.len() as u64;
+                        let start = chunk.values.len();
+                        if let Some((t, class)) = job.widen[idx] {
+                            job.eval.price_widening(
+                                &job.tables[t as usize],
+                                class as usize,
+                                &job.drives[mv.add.clone()],
+                                trial,
+                                &mut chunk.values,
+                                &mut scratch.eval,
+                            );
+                            if cfg!(debug_assertions) {
+                                let mut kernel = Vec::new();
+                                let fresh = &mut EvalScratch::new();
+                                job.eval.recost_into(trial, subs, &mut kernel, fresh);
+                                let table = chunk.values[start..].iter().map(|v| v.to_bits());
+                                assert!(
+                                    kernel.iter().map(|v| v.to_bits()).eq(table),
+                                    "widening table priced candidate {idx} off the kernel"
+                                );
+                            }
+                        } else {
+                            let values = &mut chunk.values;
+                            job.eval.recost_into(trial, subs, values, &mut scratch.eval);
+                        }
+                        let cost = job.eval.fold(subs, &chunk.values[start..]);
+                        if job.admit {
+                            chunk.fresh.push(idx);
+                        } else {
+                            chunk.values.truncate(start);
+                        }
+                        Scored::Costed(cost)
+                    };
+                    for &i in moved {
+                        trial.copy_row_from(&job.layout, i);
+                    }
+                    outcome
                 }
             };
             if let Scored::Costed(c) = outcome {
@@ -699,549 +969,201 @@ pub fn ts_greedy(
         }
         chunk.drive_terms = scratch.eval.drive_terms();
         chunk
-    };
+    }
 
-    // Validity snapshot for the incremental engine's O(moved) checks,
-    // maintained across iterations: adopting a move refreshes only the
-    // moved rows. (The full engine re-derives everything per candidate.)
-    let mut base_blocks: Vec<u64> = Vec::new(); // flat, stride m
-    let mut base_usage: Vec<u64> = vec![0u64; m];
-    let mut row_bad: Vec<bool> = Vec::new();
-    let mut rowbuf: Vec<u64> = Vec::new();
-    let mut rembuf: Vec<(usize, f64)> = Vec::new();
-    if !full_reevaluation {
-        base_blocks = vec![0u64; n * m];
-        for i in 0..n {
-            layout.blocks_on_into(i, &mut rowbuf, &mut rembuf);
-            base_blocks[i * m..(i + 1) * m].copy_from_slice(&rowbuf);
-            for (j, b) in rowbuf.iter().enumerate() {
-                base_usage[j] += b;
+    /// Reduces the chunks in worker (= candidate) order, which replays the
+    /// sequential enumeration exactly: emits each candidate's trace event
+    /// (this is the only emitting thread, so the order and content are a
+    /// sequential scan's), adds the deterministic counters, refreshes the
+    /// pruned frontier's stale gains, admits the re-costed values into the
+    /// memo, and returns the earliest strict minimum.
+    fn reduce(
+        &self,
+        job: &mut Job<'_>,
+        chunks: Vec<Chunk>,
+        active: &[bool],
+        iter_span: &Span,
+        threads: usize,
+    ) -> Option<ChunkBest> {
+        let cost = job.cost;
+        let outcomes = || chunks.iter().flat_map(|ch| &ch.outcomes).zip(&job.moves);
+        if iter_span.enabled() {
+            for (outcome, mv) in outcomes() {
+                let (costed, reason) = match *outcome {
+                    Scored::InvalidLayout => (None, "invalid_layout"),
+                    Scored::ConstraintViolation => (None, "constraint_violation"),
+                    Scored::Costed(c) if c < cost - 1e-9 => (Some((c, c - cost)), "improves"),
+                    Scored::Costed(c) => (Some((c, c - cost)), "no_improvement"),
+                };
+                iter_span.event(
+                    "tsgreedy.candidate",
+                    candidate_fields(
+                        mv.group,
+                        &self.members[mv.group],
+                        &job.drives[mv.add.clone()],
+                        mv.drop.as_slice(),
+                        costed,
+                        Some(reason),
+                    ),
+                );
+            }
+            // Per-worker candidate counts are scheduling detail: they vary
+            // with the thread count, so they only appear on timed
+            // (wall-clock) collectors, never in deterministic traces.
+            if self.cfg.collector.timed() {
+                let counts: Vec<usize> = chunks.iter().map(|ch| ch.outcomes.len()).collect();
+                iter_span.event(
+                    "tsgreedy.workers",
+                    vec![
+                        f("threads", threads),
+                        f("candidates_per_worker", id_list(&counts)),
+                    ],
+                );
             }
         }
-        row_bad = (0..n).map(|i| !layout.row_is_valid(i)).collect();
-    }
-    let bad_rows = row_bad.iter().filter(|&&b| b).count();
-    let job = Job {
-        current_sets: members.iter().map(|mem| layout.disks_of(mem[0])).collect(),
-        dims_ok: layout.disk_count() == disks.len(),
-        layout,
-        eval,
-        cost: initial_cost,
-        moves: Vec::new(),
-        drives: Vec::new(),
-        group_moves: vec![0..0; g_count],
-        bounds: Vec::new(),
-        admit: false,
-        memo: if memoize {
-            vec![MemoEntry::default(); g_count]
-        } else {
-            Vec::new()
-        },
-        tables: Vec::new(),
-        widen: Vec::new(),
-        base_blocks,
-        base_usage,
-        headroom: None,
-        row_bad,
-        bad_rows,
-    };
-
-    // Pruned widening state: optimistic (+∞) stale gains until a group is
-    // first examined, then its best observed cost improvement. A full
-    // sweep arbitrates before any termination.
-    let mut group_gain: Vec<f64> = vec![f64::INFINITY; g_count];
-    let mut force_full = false;
-    let prune = cfg.prune_width;
-    let pruned_search = prune > 0 && prune < g_count;
-
-    let mut iterations = 0usize;
-    // Widening tables are filled on this thread before dispatch, against
-    // `probe` (kept equal to the snapshot's layout), so the work and the
-    // counts are the same at every thread count.
-    let mut probe = if memoize {
-        job.layout.clone()
-    } else {
-        Layout::empty(Vec::new(), m)
-    };
-    let mut table_scratch = EvalScratch::new();
-    // Enumeration buffers, reused every iteration.
-    let mut work: Vec<usize> = Vec::new();
-    let mut fresh: Vec<usize> = Vec::new();
-    let mut candidates: Vec<usize> = Vec::new();
-    let mut combo: Vec<usize> = Vec::new();
-    let mut in_set: Vec<bool> = vec![false; m];
-    let job = par::with_pool(threads, &score, |pool| {
-        let mut job = job;
-        loop {
-            let iter_span = search_span.child(
-                "tsgreedy.iteration",
-                if search_span.enabled() {
-                    vec![f("iter", iterations + 1)]
-                } else {
-                    Vec::new()
-                },
-            );
-            // Priority-queue pruning: pick the `prune` groups with the best
-            // stale gains (descending, ties to the smaller group id — the
-            // heap's ordering is total, so the active set is deterministic).
-            let pruning = pruned_search && !force_full;
-            let active: Vec<bool> = if pruning {
-                let mut heap: BinaryHeap<GroupRank> = (0..g_count)
-                    .map(|g| GroupRank {
-                        gain: group_gain[g],
-                        group: g,
-                    })
-                    .collect();
-                let mut act = vec![false; g_count];
-                for _ in 0..prune {
-                    if let Some(top) = heap.pop() {
-                        act[top.group] = true;
-                    }
-                }
-                act
-            } else {
-                vec![true; g_count]
-            };
-            // The memo admits values where they are scored again soon:
-            // every group of an unpruned search, the frontier of a pruned
-            // one. A pruned search evicts groups that left the frontier and
-            // admits nothing in an arbitration sweep, so its memo holds at
-            // most `prune_width` groups.
-            job.admit = memoize && (pruning || !pruned_search);
-            if pruning {
-                for (entry, &on) in job.memo.iter_mut().zip(&active) {
-                    if !on {
-                        *entry = MemoEntry::default();
-                    }
+        let scored = outcomes()
+            .filter(|(o, _)| matches!(o, Scored::Costed(_)))
+            .count();
+        job.evals += scored;
+        // Deterministic-class accounting, batched on the dispatcher thread
+        // so the reduction (not the workers) owns the counts: the totals
+        // replay the sequential enumeration exactly and are byte-identical
+        // at any thread count. Every enumerated candidate gets one
+        // Definition-2 validity check, every scored candidate one re-cost
+        // on the ledger, and the sub-plan and drive-term counts sum the
+        // chunks'.
+        let enumerated = job.moves.len() as u64;
+        counters::add(Counter::TsgreedyCandidatesEnumerated, enumerated);
+        counters::add(Counter::TsgreedyValidityChecks, enumerated);
+        counters::add(Counter::TsgreedyCandidatesScored, scored as u64);
+        counters::add(Counter::CostmodelDeltaRecosts, scored as u64);
+        counters::add(
+            Counter::CostmodelSubplanRecosts,
+            chunks.iter().map(|ch| ch.recosts).sum(),
+        );
+        counters::add(
+            Counter::CostmodelDriveTerms,
+            chunks.iter().map(|ch| ch.drive_terms).sum(),
+        );
+        // Refresh pruning gains for every group examined this iteration: a
+        // group's stale gain becomes its best observed improvement
+        // (negative when nothing improves, -∞ when nothing was even
+        // costable), so exhausted groups sink in the priority queue.
+        if self.cfg.prune_width > 0 {
+            for (gain, &on) in job.gain.iter_mut().zip(active) {
+                if on {
+                    *gain = f64::NEG_INFINITY;
                 }
             }
-            // Enumerate this iteration's moves in the canonical sequential
-            // order (group-major, combination order preserved) into the
-            // reused buffers — chunk indices, memo keys and the reduction
-            // below all key off this ordering. Pruned-out groups contribute
-            // no moves.
-            job.moves.clear();
-            job.drives.clear();
-            job.widen.clear();
-            work.clear();
-            let mut tables_used = 0usize;
-            let terms_before = table_scratch.drive_terms();
-            for g in 0..g_count {
-                let start = job.moves.len();
-                if active[g] {
-                    let current_set = &job.current_sets[g];
-                    candidates.clear();
-                    for &j in current_set {
-                        in_set[j] = true;
-                    }
-                    candidates.extend(eligible[g].iter().copied().filter(|&j| !in_set[j]));
-                    for &j in current_set {
-                        in_set[j] = false;
-                    }
-                    for_each_combination(&candidates, cfg.k, &mut combo, 0, &mut |add| {
-                        let at = job.drives.len();
-                        job.drives.extend_from_slice(add);
-                        job.moves.push(Move {
-                            group: g,
-                            add: at..job.drives.len(),
-                            drop: None,
-                        });
-                    });
-                    if seeded {
-                        // Narrow: shed one drive (an object must keep ≥ 1 drive).
-                        if current_set.len() >= 2 {
-                            for &d in current_set {
-                                job.moves.push(Move {
-                                    group: g,
-                                    add: 0..0,
-                                    drop: Some(d),
-                                });
-                            }
-                        }
-                        // Swap: trade one current drive for one eligible candidate.
-                        for &d in current_set {
-                            for &c in &candidates {
-                                let at = job.drives.len();
-                                job.drives.push(c);
-                                job.moves.push(Move {
-                                    group: g,
-                                    add: at..at + 1,
-                                    drop: Some(d),
-                                });
-                            }
-                        }
+            for (outcome, mv) in outcomes() {
+                if let Scored::Costed(c) = outcome {
+                    let gain = cost - *c;
+                    if gain > job.gain[mv.group] {
+                        job.gain[mv.group] = gain;
                     }
                 }
-                job.group_moves[g] = start..job.moves.len();
-                job.widen.resize(job.moves.len(), None);
-                // Scoring work in drive-term units (DESIGN.md §7): every
-                // candidate folds; one the memo lacks also rewrites its
-                // group's rows in a trial and evaluates drive terms for
-                // each sub-plan, those of all its new drives through the
-                // kernel. The reference engine re-costs every sub-plan on
-                // a layout clone.
-                let width = group_subs[g].len();
-                let trial_work = members[g].len() * m;
-                fresh.clear();
-                for idx in start..job.moves.len() {
-                    let mv = &job.moves[idx];
-                    let new_drives = job.current_sets[g].len() + mv.add.len();
-                    work.push(if full_reevaluation {
-                        statements + all_subs + n * m + all_subs * new_drives
-                    } else if job.memo_hit(idx, width).is_some() {
-                        fold_work[g]
-                    } else {
-                        if memoize && job.dims_ok && width > 0 && mv.drop.is_none() {
-                            fresh.push(idx);
-                        }
-                        fold_work[g] + trial_work + width * new_drives
-                    });
-                }
-                // Price the group's fresh widening moves (those the memo
-                // lacks) from one table, filled here before dispatch; a
-                // table-priced move evaluates only its added drives.
-                if !fresh.is_empty() {
-                    if job.tables.len() == tables_used {
-                        job.tables.push(WideningTable::default());
-                    }
-                    let table = &mut job.tables[tables_used];
-                    table.reset(&members[g], &job.current_sets[g], &group_subs[g], cfg.k);
-                    let mut classes = 0;
-                    for &idx in &fresh {
-                        let class = table.class_of(&job.drives[job.moves[idx].add.clone()], disks);
-                        classes = classes.max(class + 1);
-                        job.widen[idx] = Some((tables_used as u32, class as u32));
-                    }
-                    // A table pays when moves share a class; with every
-                    // total distinct (drives of distinct rates) its fill
-                    // only adds work to the kernel's.
-                    if classes < fresh.len()
-                        && job.eval.fill_widening_table(
-                            table,
-                            &job.layout,
-                            &mut probe,
-                            &mut table_scratch,
-                        )
-                    {
-                        tables_used += 1;
-                        for &idx in &fresh {
-                            work[idx] -= width * job.current_sets[g].len();
-                        }
-                    } else {
-                        for &idx in &fresh {
-                            job.widen[idx] = None;
-                        }
-                    }
-                }
-            }
-            counters::add(
-                Counter::CostmodelDriveTerms,
-                table_scratch.drive_terms() - terms_before,
-            );
-            // Adaptive dispatch: width and chunk bounds from the scoring
-            // work. Both are pure functions of the enumeration and the
-            // memo, so they are identical at every thread count (and
-            // trivially so for a 1-thread pool).
-            let workers = par::effective_workers(work.iter().sum(), threads, cfg.min_chunk);
-            job.bounds = par::weighted_bounds(&work, workers);
-            job.headroom = job
-                .base_usage
-                .iter()
-                .zip(disks)
-                .try_fold(u64::MAX, |h, (&used, d)| {
-                    Some(h.min(d.capacity_blocks.checked_sub(used)?))
-                });
-            let shared = Arc::new(job);
-            let chunks = pool.dispatch_to(shared.clone(), workers);
-            job = Arc::unwrap_or_clone(shared);
-
-            // Deterministic reduction. Concatenating chunk outcomes in worker
-            // order replays the candidate enumeration exactly, so trace events
-            // are emitted by this (the only emitting) thread with the same
-            // order and content as a sequential scan.
-            let cost = job.cost;
-            if iter_span.enabled() {
-                let mut idx = 0usize;
-                for chunk in &chunks {
-                    for outcome in &chunk.outcomes {
-                        let mv = &job.moves[idx];
-                        idx += 1;
-                        let (costed, reason) = match *outcome {
-                            Scored::InvalidLayout => (None, "invalid_layout"),
-                            Scored::ConstraintViolation => (None, "constraint_violation"),
-                            Scored::Costed(c) if c < cost - 1e-9 => {
-                                (Some((c, c - cost)), "improves")
-                            }
-                            Scored::Costed(c) => (Some((c, c - cost)), "no_improvement"),
-                        };
-                        iter_span.event(
-                            "tsgreedy.candidate",
-                            candidate_fields(
-                                mv.group,
-                                &members[mv.group],
-                                &job.drives[mv.add.clone()],
-                                mv.drop.as_slice(),
-                                costed,
-                                reason,
-                            ),
-                        );
-                    }
-                }
-                // Per-worker candidate counts are scheduling detail: they vary
-                // with the thread count, so they only appear on timed
-                // (wall-clock) collectors, never in deterministic traces.
-                if collector.timed() {
-                    let counts: Vec<usize> = chunks.iter().map(|ch| ch.outcomes.len()).collect();
-                    iter_span.event(
-                        "tsgreedy.workers",
-                        vec![
-                            f("threads", pool.threads()),
-                            f("candidates_per_worker", id_list(&counts)),
-                        ],
-                    );
-                }
-            }
-            let scored = chunks
-                .iter()
-                .map(|ch| {
-                    ch.outcomes
-                        .iter()
-                        .filter(|o| matches!(o, Scored::Costed(_)))
-                        .count()
-                })
-                .sum::<usize>();
-            evals += scored;
-            // Deterministic-class accounting, batched on the dispatcher
-            // thread so the reduction (not the workers) owns the counts: the
-            // totals replay the sequential enumeration exactly and are
-            // byte-identical at any thread count. Every enumerated candidate
-            // gets one Definition-2 validity check (incremental or full-scan
-            // — same verdicts, same count), every scored candidate costs
-            // one re-cost on the engine's evaluator, and the kernel count
-            // sums the chunks' sub-plan re-costs.
-            counters::add(
-                Counter::TsgreedyCandidatesEnumerated,
-                job.moves.len() as u64,
-            );
-            counters::add(Counter::TsgreedyValidityChecks, job.moves.len() as u64);
-            counters::add(Counter::TsgreedyCandidatesScored, scored as u64);
-            counters::add(
-                if full_reevaluation {
-                    Counter::CostmodelFullRecosts
-                } else {
-                    Counter::CostmodelDeltaRecosts
-                },
-                scored as u64,
-            );
-            counters::add(
-                Counter::CostmodelSubplanRecosts,
-                chunks.iter().map(|ch| ch.recosts).sum(),
-            );
-            counters::add(
-                Counter::CostmodelDriveTerms,
-                chunks.iter().map(|ch| ch.drive_terms).sum(),
-            );
-
-            // Refresh pruning gains for every group examined this iteration:
-            // a group's stale gain becomes its best observed improvement
-            // (negative when nothing improves, -∞ when nothing was even
-            // costable), so exhausted groups sink in the priority queue.
-            if prune > 0 {
-                for (g, gain) in group_gain.iter_mut().enumerate() {
-                    if active[g] {
-                        *gain = f64::NEG_INFINITY;
-                    }
-                }
-                let mut idx = 0usize;
-                for chunk in &chunks {
-                    for outcome in &chunk.outcomes {
-                        let g = job.moves[idx].group;
-                        idx += 1;
-                        if let Scored::Costed(c) = outcome {
-                            let gain = cost - *c;
-                            if gain > group_gain[g] {
-                                group_gain[g] = gain;
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Admit the chunks' re-costed values, keyed by group and
-            // position in the group's move list.
-            for chunk in &chunks {
-                let mut at = 0usize;
-                for &idx in &chunk.fresh {
-                    let g = job.moves[idx].group;
-                    let width = group_subs[g].len();
-                    let slice = job.group_moves[g].clone();
-                    let entry = &mut job.memo[g];
-                    if entry.known.len() != slice.len() {
-                        entry.known.clear();
-                        entry.known.resize(slice.len(), false);
-                        entry.values.resize(slice.len() * width, 0.0);
-                    }
-                    let c = idx - slice.start;
-                    entry.values[c * width..(c + 1) * width]
-                        .copy_from_slice(&chunk.values[at..at + width]);
-                    entry.known[c] = true;
-                    at += width;
-                }
-            }
-
-            let mut best: Option<ChunkBest> = None;
-            for chunk in chunks {
-                if let Some(b) = chunk.best {
-                    if best.as_ref().is_none_or(|cur| b.cost < cur.cost) {
-                        best = Some(b);
-                    }
-                }
-            }
-            let Some(b) = best else {
-                if pruning {
-                    // The pruned frontier is dry; one full sweep decides
-                    // between another adoption and termination, so pruning
-                    // never stops a search the full enumeration would
-                    // still be improving.
-                    if iter_span.enabled() {
-                        iter_span.event("tsgreedy.prune_dry", vec![f("cost_ms", cost)]);
-                    }
-                    iter_span.end();
-                    force_full = true;
-                    continue;
-                }
-                if iter_span.enabled() {
-                    iter_span.event("tsgreedy.no_move", vec![f("cost_ms", cost)]);
-                }
-                iter_span.end();
-                break;
-            };
-            let mv = job.moves[b.index].clone();
-            let g = mv.group;
-            if iter_span.enabled() {
-                let mut fields = vec![
-                    f("group", g),
-                    f("objects", id_list(&members[g])),
-                    f("add_disks", id_list(&job.drives[mv.add.clone()])),
-                ];
-                if let Some(d) = mv.drop {
-                    fields.push(f("drop_disks", id_list(&[d])));
-                }
-                fields.push(f("cost_ms", b.cost));
-                fields.push(f("delta_ms", b.cost - cost));
-                iter_span.event("tsgreedy.adopt", fields);
-            }
-            // Re-derive the winning layout — in place, once per *adopted*
-            // iteration — and its delta. The placement is deterministic,
-            // so this is bit-for-bit the layout the worker scored.
-            let mut set = Vec::new();
-            job.new_set(&mv, &mut set);
-            for &i in &members[g] {
-                job.layout.place_proportional(i, &set, disks);
-            }
-            let delta = if full_reevaluation {
-                counters::incr(Counter::CostmodelFullRecosts);
-                job.eval.evaluate_full(&job.layout)
-            } else {
-                counters::incr(Counter::CostmodelDeltaRecosts);
-                job.eval.evaluate_move(&job.layout, &members[g])
-            };
-            evals += 1;
-            debug_assert_eq!(delta.total.to_bits(), b.cost.to_bits());
-            job.eval.apply(&delta);
-            job.cost = b.cost;
-            job.current_sets[g] = job.layout.disks_of(members[g][0]);
-            if memoize {
-                for &i in &members[g] {
-                    probe.copy_row_from(&job.layout, i);
-                }
-            }
-            iterations += 1;
-            counters::incr(Counter::TsgreedyCandidatesAdopted);
-            force_full = false;
-            // Invalidate the memo where the move changed an input: the
-            // moved group's own candidates (its drives, hence its move
-            // list, changed) and those of every group that reads a
-            // sub-plan the moved group reads — its access-graph
-            // neighbours. No other memoized value read a moved row.
-            if memoize {
-                job.memo[g].known.clear();
-                for &(s, p) in &group_subs[g] {
-                    for access in &workload[s as usize].0[p as usize].accesses {
-                        if let Some(&h) = group_index.get(access.object.index()) {
-                            job.memo[h].known.clear();
-                        }
-                    }
-                }
-            }
-            // Patch the validity snapshot's moved rows in place.
-            if !full_reevaluation {
-                for &i in &members[g] {
-                    job.layout.blocks_on_into(i, &mut rowbuf, &mut rembuf);
-                    let old = &job.base_blocks[i * m..(i + 1) * m];
-                    for (j, (&b_new, &b_old)) in rowbuf.iter().zip(old.iter()).enumerate() {
-                        job.base_usage[j] = job.base_usage[j] - b_old + b_new;
-                    }
-                    job.base_blocks[i * m..(i + 1) * m].copy_from_slice(&rowbuf);
-                    let was = job.row_bad[i];
-                    let now = !job.layout.row_is_valid(i);
-                    job.bad_rows -= usize::from(was);
-                    job.bad_rows += usize::from(now);
-                    job.row_bad[i] = now;
-                }
-            }
-            iter_span.end();
-            if cfg.max_iterations != 0 && iterations >= cfg.max_iterations {
-                break;
             }
         }
-        job
-    });
+        // Admit the chunks' re-costed values, keyed by group and position
+        // in the group's move list.
+        for chunk in &chunks {
+            let mut at = 0usize;
+            for &idx in &chunk.fresh {
+                let g = job.moves[idx].group;
+                let width = self.group_subs[g].len();
+                let slice = job.group_moves[g].clone();
+                let entry = &mut job.memo[g];
+                if entry.known.len() != slice.len() {
+                    entry.known.clear();
+                    entry.known.resize(slice.len(), false);
+                    entry.values.resize(slice.len() * width, 0.0);
+                }
+                let c = idx - slice.start;
+                entry.values[c * width..(c + 1) * width]
+                    .copy_from_slice(&chunk.values[at..at + width]);
+                entry.known[c] = true;
+                at += width;
+            }
+        }
+        chunks
+            .into_iter()
+            .filter_map(|ch| ch.best)
+            .reduce(|best, b| if b.cost < best.cost { b } else { best })
+    }
 
-    search_span.end_with(if collector.enabled() {
-        vec![
-            f("iterations", iterations),
-            f("cost_evaluations", evals),
-            f("initial_cost_ms", initial_cost),
-            f("final_cost_ms", job.cost),
-        ]
-    } else {
-        Vec::new()
-    });
-
-    Ok(TsGreedyResult {
-        layout: job.layout,
-        initial_layout,
-        initial_cost,
-        final_cost: job.cost,
-        iterations,
-        cost_evaluations: evals,
-    })
-}
-
-/// Priority-queue entry for pruned widening: max-heap on stale gain with
-/// ascending-group-id ties, so the active set is a deterministic function
-/// of the gain table.
-#[derive(PartialEq)]
-struct GroupRank {
-    gain: f64,
-    group: usize,
-}
-
-impl Eq for GroupRank {}
-
-impl Ord for GroupRank {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.gain
-            .total_cmp(&other.gain)
-            .then_with(|| other.group.cmp(&self.group))
+    /// Adopts `best`: re-places its group in the snapshot's layout (the
+    /// placement is deterministic, so this is bit-for-bit the layout the
+    /// worker scored), installs its re-costed values in the ledger,
+    /// invalidates the memo where the move changed an input and patches
+    /// the validity snapshot's moved rows.
+    fn adopt(&self, job: &mut Job<'_>, best: ChunkBest, iter_span: &Span) {
+        let mv = job.moves[best.index].clone();
+        let g = mv.group;
+        let (members, subs) = (&self.members[g], &self.group_subs[g]);
+        if iter_span.enabled() {
+            iter_span.event(
+                "tsgreedy.adopt",
+                candidate_fields(
+                    g,
+                    members,
+                    &job.drives[mv.add.clone()],
+                    mv.drop.as_slice(),
+                    Some((best.cost, best.cost - job.cost)),
+                    None,
+                ),
+            );
+        }
+        let mut set = Vec::new();
+        job.new_set(&mv, &mut set);
+        for &i in members {
+            job.layout.place_proportional(i, &set, self.disks);
+        }
+        // The winner's values, re-costed through the kernel (bit-identical
+        // to the memo's or the table's); the adoption is not scoring work,
+        // so its sub-plans and drive terms are not counted.
+        let mut values = Vec::with_capacity(subs.len());
+        job.eval
+            .recost_into(&job.layout, subs, &mut values, &mut EvalScratch::new());
+        job.eval.adopt(subs, &values);
+        counters::incr(Counter::CostmodelDeltaRecosts);
+        job.evals += 1;
+        debug_assert_eq!(job.eval.total().to_bits(), best.cost.to_bits());
+        job.cost = best.cost;
+        job.current_sets[g] = job.layout.disks_of(members[0]);
+        for &i in members {
+            job.probe.copy_row_from(&job.layout, i);
+        }
+        job.iterations += 1;
+        counters::incr(Counter::TsgreedyCandidatesAdopted);
+        job.force_full = false;
+        // Invalidate the memo where the move changed an input: the moved
+        // group's own candidates (its drives, hence its move list, changed)
+        // and those of every group that reads a sub-plan the moved group
+        // reads — its access-graph neighbours. No other memoized value read
+        // a moved row.
+        job.memo[g].known.clear();
+        for &(s, p) in subs {
+            for access in &self.workload[s as usize].0[p as usize].accesses {
+                if let Some(&h) = self.group_index.get(access.object.index()) {
+                    job.memo[h].known.clear();
+                }
+            }
+        }
+        job.refresh_rows(members.iter().copied());
     }
 }
 
-impl PartialOrd for GroupRank {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+/// The pruned frontier: the `prune` groups with the best stale gains
+/// (descending in `total_cmp` order, ties to the smaller group id — a
+/// total order, so the active set is deterministic).
+fn frontier(gain: &[f64], prune: usize) -> Vec<bool> {
+    let mut order: Vec<usize> = (0..gain.len()).collect();
+    order.sort_unstable_by(|&a, &b| gain[b].total_cmp(&gain[a]).then(a.cmp(&b)));
+    let mut active = vec![false; gain.len()];
+    for &g in order.iter().take(prune) {
+        active[g] = true;
     }
+    active
 }
 
 /// Step 1 of TS-GREEDY (Figure 9): max-cut partition the contracted group
@@ -1419,17 +1341,18 @@ fn id_list(ids: &[usize]) -> String {
     out
 }
 
-/// Fields for a `tsgreedy.candidate` event; `outcome` carries the
-/// predicted cost and delta when the candidate was actually costed. The
-/// `drop_disks` field appears only for seeded-mode narrow/swap moves, so
-/// classic (unseeded) traces keep their exact pre-seeding bytes.
+/// Fields for a `tsgreedy.candidate` event (a `tsgreedy.adopt` event has
+/// no `reason`); `outcome` carries the predicted cost and delta when the
+/// candidate was actually costed. The `drop_disks` field appears only for
+/// seeded-mode narrow/swap moves, so classic (unseeded) traces keep their
+/// exact pre-seeding bytes.
 fn candidate_fields(
     group: usize,
     members: &[usize],
     combo: &[usize],
     dropped: &[usize],
     outcome: Option<(f64, f64)>,
-    reason: &str,
+    reason: Option<&str>,
 ) -> Vec<(String, dblayout_obs::FieldValue)> {
     let mut fields = vec![
         f("group", group),
@@ -1443,7 +1366,9 @@ fn candidate_fields(
         fields.push(f("cost_ms", cost_ms));
         fields.push(f("delta_ms", delta_ms));
     }
-    fields.push(f("reason", reason));
+    if let Some(reason) = reason {
+        fields.push(f("reason", reason));
+    }
     fields
 }
 
@@ -1853,155 +1778,6 @@ mod tests {
                 assert_eq!(r.cost_evaluations, reference.cost_evaluations);
             }
         }
-    }
-
-    /// The incremental delta evaluator never changes what the search does:
-    /// forcing full re-evaluation of every candidate lands on the same
-    /// bits (it is the reference engine the bench measures against).
-    #[test]
-    fn full_reevaluation_engine_is_bit_identical_to_incremental() {
-        let (sizes, graph, workload, disks) = parallel_fixture();
-        let incremental = ts_greedy(
-            &sizes,
-            &graph,
-            &workload,
-            &disks,
-            &TsGreedyConfig::default(),
-        )
-        .unwrap();
-        let full = ts_greedy(
-            &sizes,
-            &graph,
-            &workload,
-            &disks,
-            &TsGreedyConfig {
-                full_reevaluation: true,
-                threads: 2,
-                min_chunk: 0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(layout_bits(&full.layout), layout_bits(&incremental.layout));
-        assert_eq!(full.final_cost.to_bits(), incremental.final_cost.to_bits());
-        assert_eq!(full.iterations, incremental.iterations);
-        assert_eq!(full.cost_evaluations, incremental.cost_evaluations);
-    }
-
-    /// Capacity-tight disks force `invalid_layout` rejections; the
-    /// incremental engine's validity check — headroom accept or exact
-    /// patched usage — must classify every candidate exactly like the full
-    /// engine's `Layout::validate`, which the deterministic trace (with
-    /// per-candidate reasons) records. The second fixture adds a small
-    /// object, so within one search the headroom accept both fires (the
-    /// small group fits in every drive's headroom) and falls through (the
-    /// large groups do not, and some of them are over capacity).
-    #[test]
-    fn engines_agree_on_capacity_rejections() {
-        use dblayout_obs::RingSink;
-        let disks = uniform_disks(4, 160, 10.0, 20.0);
-        let fixtures = [
-            (
-                vec![300u64, 200],
-                vec![
-                    (merge_join(0, 300, 1, 200), 2.0),
-                    (PhysicalPlan::new(scan(0, 300)), 1.0),
-                ],
-            ),
-            (
-                vec![300u64, 200, 4],
-                vec![
-                    (merge_join(0, 300, 1, 200), 2.0),
-                    (PhysicalPlan::new(scan(0, 300)), 1.0),
-                    (PhysicalPlan::new(scan(2, 4)), 3.0),
-                ],
-            ),
-        ];
-        for (f, (sizes, plans)) in fixtures.iter().enumerate() {
-            let graph = build_access_graph(sizes.len(), plans);
-            let workload = decompose_workload(plans);
-            let run = |full: bool| {
-                let ring = Arc::new(RingSink::new(usize::MAX));
-                let cfg = TsGreedyConfig {
-                    full_reevaluation: full,
-                    collector: Collector::deterministic(ring.clone()),
-                    ..Default::default()
-                };
-                let r = ts_greedy(sizes, &graph, &workload, &disks, &cfg).unwrap();
-                (r, ring.drain())
-            };
-            let jsonl = |records: &[dblayout_obs::Record]| -> Vec<String> {
-                records.iter().map(|r| r.to_jsonl()).collect()
-            };
-            let (_, full) = run(true);
-            let (r, incremental) = run(false);
-            assert!(
-                jsonl(&full).iter().any(|l| l.contains("invalid_layout")),
-                "fixture {f} produced no capacity rejections"
-            );
-            assert_eq!(jsonl(&incremental), jsonl(&full), "fixture {f}");
-            if f == 1 {
-                let (fired, fell_through) =
-                    headroom_outcomes(&r.initial_layout, &r.layout, &incremental, sizes, &disks);
-                assert!(fired > 0, "the headroom accept never fired");
-                assert!(fell_through > 0, "the headroom accept never fell through");
-            }
-        }
-    }
-
-    /// Replays a search's iteration snapshots from its deterministic trace
-    /// (the step-1 layout, then each adopted move) and counts the
-    /// candidates whose group fits within the snapshot's smallest
-    /// per-drive headroom (`fired`) and those that do not
-    /// (`fell_through`). A candidate the accept passes must not be
-    /// `invalid_layout`, and the replay must end on the search's layout.
-    fn headroom_outcomes(
-        initial: &Layout,
-        last: &Layout,
-        records: &[dblayout_obs::Record],
-        sizes: &[u64],
-        disks: &[DiskSpec],
-    ) -> (usize, usize) {
-        let ids = |s: Option<&str>| -> Vec<usize> {
-            s.unwrap_or("")
-                .split(',')
-                .filter(|t| !t.is_empty())
-                .map(|t| t.parse().unwrap())
-                .collect()
-        };
-        let mut layout = initial.clone();
-        let (mut fired, mut fell_through) = (0, 0);
-        for rec in records {
-            let objects = ids(rec.field_str("objects"));
-            match rec.name.as_str() {
-                "tsgreedy.candidate" => {
-                    let headroom = layout
-                        .disk_usage()
-                        .iter()
-                        .zip(disks)
-                        .map(|(&used, d)| d.capacity_blocks.checked_sub(used))
-                        .collect::<Option<Vec<u64>>>()
-                        .and_then(|h| h.into_iter().min());
-                    let blocks: u64 = objects.iter().map(|&i| sizes[i]).sum();
-                    if headroom.is_some_and(|h| blocks <= h) {
-                        fired += 1;
-                        assert_ne!(rec.field_str("reason"), Some("invalid_layout"));
-                    } else {
-                        fell_through += 1;
-                    }
-                }
-                "tsgreedy.adopt" => {
-                    let mut set = layout.disks_of(objects[0]);
-                    set.extend(ids(rec.field_str("add_disks")));
-                    for &i in &objects {
-                        layout.place_proportional(i, &set, disks);
-                    }
-                }
-                _ => {}
-            }
-        }
-        assert_eq!(layout_bits(&layout), layout_bits(last), "replay diverged");
-        (fired, fell_through)
     }
 
     /// Deterministic traces are part of the identity contract: the same

@@ -51,10 +51,13 @@ pub enum Counter {
     /// whether incremental or full-scan).
     TsgreedyValidityChecks = 3,
     /// Incremental (delta) re-costs: one per candidate the search scores
-    /// on the delta evaluator, plus `DeltaEvaluator::evaluate_move`.
+    /// on its ledger (`DeltaEvaluator::fold`), plus one per adopted move
+    /// (`DeltaEvaluator::adopt`).
     CostmodelDeltaRecosts = 4,
-    /// Full re-costs: `evaluate_full` plus every from-scratch evaluator
-    /// build (initial TS-GREEDY costing, what-if costing, baselines).
+    /// Full costings: one per ledger build (`CostModel::delta_evaluator`,
+    /// the search's initial costing) and one per whole-workload costing
+    /// outside a search (what-if costing, baselines such as the advisor's
+    /// FULL STRIPING).
     CostmodelFullRecosts = 5,
     /// Access-graph node-weight folds accumulated (one per object touched
     /// per plan).

@@ -7,8 +7,9 @@
 //! write penalties), read+write of one object in one sub-plan, multi-object
 //! sub-plans (the seek term), rows with zero entries, `from_fractions`
 //! rows, with and without tempdb I/O — every cost entry point must match
-//! the reference bit for bit: sub-plan, statement and workload costs, the
-//! traced path's per-disk events, and every `DeltaEvaluator` total. A
+//! the reference bit for bit: the costing walk's sub-plan and statement
+//! costs, per-disk events and visited terms, the workload cost, and every
+//! `DeltaEvaluator` total (built, folded, adopted). A
 //! second property checks the occupancy index against a dense scan of the
 //! fraction matrix after every `Layout` mutator. A third prices co-location
 //! groups' widening moves through a `WideningTable` and checks every value
@@ -319,28 +320,86 @@ fn assert_same_bits(got: f64, want: f64, context: &str) {
     assert_eq!(got.to_bits(), want.to_bits(), "{context}: {got} vs {want}");
 }
 
-/// Every `CostModel` entry point equals the dense reference.
-fn check_model(model: &CostModel, workload: &[(Vec<Subplan>, f64)], l: &Layout, d: &[DiskSpec]) {
-    for (s, (subs, _)) in workload.iter().enumerate() {
-        for (p, sub) in subs.iter().enumerate() {
-            let want = dense_subplan(model, sub, l, d).cost;
-            assert_same_bits(model.subplan_cost(sub, l, d), want, &format!("sub {s}.{p}"));
-        }
-        assert_same_bits(
-            model.statement_cost_subplans(subs, l, d),
-            dense_statement(model, subs, l, d),
-            &format!("statement {s}"),
-        );
-    }
+/// Every `CostModel` entry point equals the dense reference: the workload
+/// cost, and the costing walk's statement costs, each sub-plan span's cost
+/// and bottleneck, and its per-disk events and visited terms — the dense
+/// loop's, in ascending disk order. Returns how many of those terms carry
+/// a seek (`k > 1`).
+fn check_model(
+    model: &CostModel,
+    workload: &[(Vec<Subplan>, f64)],
+    l: &Layout,
+    d: &[DiskSpec],
+) -> usize {
     assert_same_bits(
         model.workload_cost_subplans(workload, l, d),
         dense_workload(model, workload, l, d),
         "workload",
     );
+    let ring = Arc::new(RingSink::new(usize::MAX));
+    let collector = Collector::deterministic(ring.clone());
+    let mut visited = Vec::new();
+    let costs = model.trace(workload, l, d, &collector, |t| {
+        visited.push((
+            t.statement,
+            t.disk,
+            t.objects,
+            t.transfer_ms.to_bits(),
+            t.seek_ms.to_bits(),
+        ))
+    });
+    let records = ring.drain();
+    let (mut events, mut ends) = (Vec::new(), Vec::new());
+    for r in &records {
+        if r.name == "costmodel.disk" {
+            events.push((
+                r.field_u64("disk").unwrap_or(u64::MAX) as usize,
+                r.field_u64("objects").unwrap_or(u64::MAX) as usize,
+                r.field_f64("transfer_ms").map_or(0, f64::to_bits),
+                r.field_f64("seek_ms").map_or(0, f64::to_bits),
+            ));
+        } else if r.kind == RecordKind::SpanEnd {
+            ends.push(r);
+        }
+    }
+    let (mut want_events, mut want_visited, mut seeks) = (Vec::new(), Vec::new(), 0);
+    let mut sub_no = 0;
+    assert_eq!(costs.len(), workload.len());
+    for (s, (subs, _)) in workload.iter().enumerate() {
+        assert_same_bits(
+            costs[s],
+            dense_statement(model, subs, l, d),
+            &format!("statement {s}"),
+        );
+        for (p, sub) in subs.iter().enumerate() {
+            let want = dense_subplan(model, sub, l, d);
+            let end = ends.get(sub_no).expect("one span per sub-plan");
+            sub_no += 1;
+            let context = format!("sub {s}.{p}");
+            let cost = end.field_f64("cost_ms").expect("span end carries cost_ms");
+            assert_same_bits(cost, want.cost, &context);
+            assert_eq!(
+                end.field_f64("bottleneck_disk"),
+                Some(want.bottleneck as f64),
+                "{context}: bottleneck disk"
+            );
+            for &(j, k, t, sk) in &want.events {
+                want_events.push((j, k, t.to_bits(), sk.to_bits()));
+                want_visited.push((s, j, k, t.to_bits(), sk.to_bits()));
+                seeks += usize::from(k > 1);
+            }
+        }
+    }
+    assert_eq!(ends.len(), sub_no, "one span per sub-plan");
+    assert_eq!(events, want_events, "costmodel.disk events");
+    assert_eq!(visited, want_visited, "visited terms");
+    seeks
 }
 
-/// Every `DeltaEvaluator` total — base, full, moved, applied, rebased —
-/// equals the dense reference on the layout it scores.
+/// Every `DeltaEvaluator` total equals the dense reference on the layout
+/// it scores: the ledger built on the base, each move's fold, the total
+/// after adopting it (also a fresh ledger's on the trial), and a ledger
+/// built on an unrelated layout.
 fn check_delta(
     rng: &mut StdRng,
     model: &CostModel,
@@ -370,8 +429,6 @@ fn check_delta(
         }
         let want = dense_workload(model, workload, &trial, disks);
         let context = format!("step {step}, moved {moved:?}");
-        let delta = eval.evaluate_move(&trial, &moved);
-        assert_same_bits(delta.total, want, &format!("evaluate_move, {context}"));
         eval.touched(&moved, &mut touched);
         values.clear();
         eval.recost_into(&trial, &touched, &mut values, &mut scratch);
@@ -380,79 +437,22 @@ fn check_delta(
             want,
             &format!("fold, {context}"),
         );
+        eval.adopt(&touched, &values);
+        assert_same_bits(eval.total(), want, &format!("adopt, {context}"));
+        let fresh = model.delta_evaluator(workload, &trial, disks);
         assert_same_bits(
-            eval.evaluate_full(&trial).total,
-            want,
-            &format!("evaluate_full, {context}"),
+            eval.total(),
+            fresh.total(),
+            &format!("fresh ledger, {context}"),
         );
-        assert_same_bits(
-            eval.cost_of_full(&trial),
-            want,
-            &format!("cost_of_full, {context}"),
-        );
-        eval.apply(&delta);
-        assert_same_bits(eval.total(), want, &format!("apply, {context}"));
         current = trial;
     }
     let other = random_layout(rng, base.object_sizes(), disks);
-    eval.rebase(&other);
     assert_same_bits(
-        eval.total(),
+        model.delta_evaluator(workload, &other, disks).total(),
         dense_workload(model, workload, &other, disks),
-        "rebase",
+        "ledger on an unrelated layout",
     );
-}
-
-/// The traced path emits the dense loop's per-disk terms, in ascending
-/// disk order, and its bottleneck, and returns the same cost bits.
-/// Returns how many of those terms carry a seek (`k > 1`).
-fn check_traced(
-    include_temp_io: bool,
-    sub: &Subplan,
-    layout: &Layout,
-    disks: &[DiskSpec],
-) -> usize {
-    let ring = Arc::new(RingSink::new(usize::MAX));
-    let traced = CostModel {
-        include_temp_io,
-        collector: Collector::deterministic(ring.clone()),
-        ..CostModel::default()
-    };
-    let want = dense_subplan(&traced, sub, layout, disks);
-    assert_same_bits(traced.subplan_cost(sub, layout, disks), want.cost, "traced");
-    let records = ring.drain();
-    let events: Vec<(usize, usize, u64, u64)> = records
-        .iter()
-        .filter(|r| r.name == "costmodel.disk")
-        .map(|r| {
-            (
-                r.field_u64("disk").unwrap_or(u64::MAX) as usize,
-                r.field_u64("objects").unwrap_or(u64::MAX) as usize,
-                r.field_f64("transfer_ms").map_or(0, f64::to_bits),
-                r.field_f64("seek_ms").map_or(0, f64::to_bits),
-            )
-        })
-        .collect();
-    let expected: Vec<(usize, usize, u64, u64)> = want
-        .events
-        .iter()
-        .map(|&(j, k, t, s)| (j, k, t.to_bits(), s.to_bits()))
-        .collect();
-    assert_eq!(events, expected, "costmodel.disk events");
-    let end = records
-        .iter()
-        .find(|r| r.kind == RecordKind::SpanEnd)
-        .expect("sub-plan span closed");
-    assert_eq!(
-        end.field_f64("bottleneck_disk"),
-        Some(want.bottleneck as f64),
-        "bottleneck disk"
-    );
-    assert_eq!(
-        end.field_f64("cost_ms").map(f64::to_bits),
-        Some(want.cost.to_bits())
-    );
-    want.events.iter().filter(|&&(_, k, _, _)| k > 1).count()
 }
 
 #[test]
@@ -471,13 +471,8 @@ fn sparse_kernel_is_bit_identical_to_the_dense_oracle() {
             include_temp_io: rng.gen_bool(0.5),
             ..CostModel::default()
         };
-        check_model(&model, &workload, &layout, &disks);
+        seek_terms += check_model(&model, &workload, &layout, &disks);
         check_delta(&mut rng, &model, &workload, &layout, &disks);
-        for (subs, _) in &workload {
-            for sub in subs {
-                seek_terms += check_traced(model.include_temp_io, sub, &layout, &disks);
-            }
-        }
     }
     assert!(seek_terms > 0, "no drive ever held two accessed objects");
 }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use dblayout_catalog::ObjectId;
-use dblayout_core::costmodel::CostModel;
+use dblayout_core::costmodel::{CostModel, EvalScratch};
 use dblayout_disksim::{apportion, uniform_disks, AllocationMap, Layout};
 use dblayout_partition::{max_cut_partition, Graph};
 use dblayout_planner::{ObjectAccess, PhysicalPlan, PlanNode, Subplan};
@@ -115,9 +115,10 @@ proptest! {
     }
 
     /// dblayout-par: after a random single-object move on a randomized
-    /// fractional layout, the incremental delta evaluator's total equals a
-    /// full Figure-7 re-evaluation within 0 ULPs (`total_cmp` equality) —
-    /// the identity that lets the parallel search swap engines freely.
+    /// fractional layout, the ledger's fold of the re-costed sub-plans, and
+    /// its total once the move is adopted, equal a full Figure-7
+    /// re-evaluation within 0 ULPs (`total_cmp` equality) — the identity
+    /// that lets the search score moves incrementally.
     #[test]
     fn incremental_delta_matches_full_reevaluation_to_the_bit(
         base_w in proptest::collection::vec(proptest::collection::vec(0.1f64..10.0, 4..5), 3..4),
@@ -153,19 +154,24 @@ proptest! {
             let weights: Vec<(usize, f64)> = w.iter().copied().enumerate().collect();
             base.place(i, &weights);
         }
-        let eval = model.delta_evaluator(&workload, &base, &disks);
+        let mut eval = model.delta_evaluator(&workload, &base, &disks);
         let base_full = model.workload_cost_subplans(&workload, &base, &disks);
         prop_assert_eq!(eval.total().total_cmp(&base_full), std::cmp::Ordering::Equal);
 
         let mut trial = base.clone();
         let weights: Vec<(usize, f64)> = move_w.iter().copied().enumerate().collect();
         trial.place(moved, &weights);
-        let delta = eval.evaluate_move(&trial, &[moved]);
+        let (mut touched, mut values) = (Vec::new(), Vec::new());
+        eval.touched(&[moved], &mut touched);
+        eval.recost_into(&trial, &touched, &mut values, &mut EvalScratch::new());
+        let incremental = eval.fold(&touched, &values);
         let full = model.workload_cost_subplans(&workload, &trial, &disks);
         prop_assert!(
-            delta.total.total_cmp(&full) == std::cmp::Ordering::Equal,
-            "incremental {} != full {}", delta.total, full
+            incremental.total_cmp(&full) == std::cmp::Ordering::Equal,
+            "incremental {} != full {}", incremental, full
         );
+        eval.adopt(&touched, &values);
+        prop_assert_eq!(eval.total().total_cmp(&full), std::cmp::Ordering::Equal);
     }
 
     /// Sub-plan cost is superadditive in accesses: adding a co-accessed
@@ -191,8 +197,8 @@ proptest! {
             rows: 1.0,
             kind: dblayout_planner::AccessKind::SequentialRead,
         });
-        let cs = model.subplan_cost(&small, &layout, &disks);
-        let cb = model.subplan_cost(&big, &layout, &disks);
+        let cost = |sub: Subplan| model.workload_cost_subplans(&[(vec![sub], 1.0)], &layout, &disks);
+        let (cs, cb) = (cost(small), cost(big));
         prop_assert!(cb >= cs - 1e-9);
     }
 }

@@ -1,13 +1,16 @@
-//! Oracle for TS-GREEDY's candidate memo.
+//! Oracle for TS-GREEDY's step 2: the candidate memo, the ledger, the
+//! widening tables and the incremental validity checks.
 //!
-//! The default engine keeps each candidate's re-costed sub-plan values
-//! across iterations and re-costs a candidate only after its own group, or
-//! a group sharing a sub-plan with it, moved. The `full_reevaluation`
-//! engine keeps nothing: it clones, validates and fully re-costs every
-//! candidate. On seeded instances where memoized candidates dominate (at
-//! least 8 groups, sparse co-access, 16–64 drives) both engines — the
-//! default one at 1 and 2 threads — must agree on layout bits, cost bits,
-//! the work counters and the deterministic trace, byte for byte. The
+//! The search keeps each candidate's re-costed sub-plan values across
+//! iterations and re-costs a candidate only after its own group, or a
+//! group sharing a sub-plan with it, moved. The naive reference
+//! (`dblayout_integration::reference_step2`) keeps nothing: it clones,
+//! validates and fully re-costs every candidate. On seeded instances where
+//! memoized candidates dominate (at least 8 groups, sparse co-access,
+//! 16–64 drives) the search at 1, 2 and 4 threads must agree with the
+//! reference on layout bits, cost bits, iterations, cost evaluations,
+//! every candidate and adoption event field for field, and the work
+//! counts; the threads' deterministic traces must be byte-identical. The
 //! instances cover `k = 2`, seeded searches (narrow and swap moves),
 //! pruned widening with arbitration sweeps, capacity-tight drives where a
 //! memoized candidate falls through the headroom accept, co-location
@@ -22,11 +25,13 @@ use rand::{Rng, SeedableRng};
 use dblayout_catalog::ObjectId;
 use dblayout_core::build_access_graph_subplans;
 use dblayout_core::constraints::Constraints;
+use dblayout_core::costmodel::decompose_workload;
 use dblayout_core::tsgreedy::{ts_greedy, TsGreedyConfig, TsGreedyResult};
-use dblayout_disksim::{DiskSpec, Layout};
+use dblayout_disksim::{uniform_disks, DiskSpec, Layout};
+use dblayout_integration::{decision_events, reference_step2};
 use dblayout_obs::counters::{self, Counter, CounterSnapshot};
 use dblayout_obs::{Collector, Record, RingSink};
-use dblayout_planner::{AccessKind, ObjectAccess, Subplan};
+use dblayout_planner::{AccessKind, ObjectAccess, PhysicalPlan, PlanNode, Subplan};
 
 /// The work counters are process-global, so the searches of this binary's
 /// tests take turns.
@@ -130,124 +135,100 @@ fn jsonl(records: &[Record]) -> Vec<String> {
     records.iter().map(Record::to_jsonl).collect()
 }
 
-/// Runs `cfg` on the reference engine and on the default engine at 1 and
-/// 2 threads (real fan-out), asserts every observable agrees, and returns
-/// the default engine's run.
+/// [`engines_agree`] on a search that adopts at least two moves.
 fn assert_engines_agree(inst: &Instance, cfg: &TsGreedyConfig, label: &str) -> Run {
-    let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-    let reference = search(
-        inst,
-        &TsGreedyConfig {
-            full_reevaluation: true,
-            threads: 1,
-            ..cfg.clone()
-        },
-    );
-    let memo = search(
-        inst,
-        &TsGreedyConfig {
-            threads: 1,
-            ..cfg.clone()
-        },
-    );
-    let fanned = search(
-        inst,
-        &TsGreedyConfig {
-            threads: 2,
-            min_chunk: 0,
-            ..cfg.clone()
-        },
-    );
-    let fanned4 = search(
-        inst,
-        &TsGreedyConfig {
-            threads: 4,
-            min_chunk: 0,
-            ..cfg.clone()
-        },
-    );
+    let run = engines_agree(inst, cfg, label);
     assert!(
-        reference.result.iterations >= 2,
+        run.result.iterations >= 2,
         "{label}: the search adopted {} moves",
-        reference.result.iterations
+        run.result.iterations
     );
-    let want = jsonl(&reference.trace);
-    for (engine, run) in [
-        ("memo t1", &memo),
-        ("memo t2", &fanned),
-        ("memo t4", &fanned4),
-    ] {
+    run
+}
+
+/// Runs `cfg` at 1, 2 and 4 threads (real fan-out) and the naive step-2
+/// reference from the search's own starting layout, asserts every
+/// observable agrees, and returns the 1-thread run.
+fn engines_agree(inst: &Instance, cfg: &TsGreedyConfig, label: &str) -> Run {
+    let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let at = |threads: usize| {
+        search(
+            inst,
+            &TsGreedyConfig {
+                threads,
+                min_chunk: if threads == 1 { cfg.min_chunk } else { 0 },
+                ..cfg.clone()
+            },
+        )
+    };
+    let runs = [at(1), at(2), at(4)];
+    let reference = reference_step2(
+        &inst.workload,
+        &inst.disks,
+        cfg,
+        &runs[0].result.initial_layout,
+    );
+    let want_events = reference.decision_events();
+    let want_trace = jsonl(&runs[0].trace);
+    for (run, threads) in runs.iter().zip([1, 2, 4]) {
         let r = &run.result;
-        let context = format!("{label}, {engine}");
+        let context = format!("{label}, t{threads}");
         assert_eq!(
             layout_bits(&r.layout),
-            layout_bits(&reference.result.layout),
+            layout_bits(&reference.layout),
             "{context}"
         );
         assert_eq!(
             r.final_cost.to_bits(),
-            reference.result.final_cost.to_bits(),
+            reference.cost.to_bits(),
             "{context}"
         );
         assert_eq!(
             r.initial_cost.to_bits(),
-            reference.result.initial_cost.to_bits(),
+            reference.initial_cost.to_bits(),
             "{context}"
         );
-        assert_eq!(r.iterations, reference.result.iterations, "{context}");
-        assert_eq!(
-            r.cost_evaluations, reference.result.cost_evaluations,
-            "{context}"
-        );
+        assert_eq!(r.iterations, reference.iterations, "{context}");
+        assert_eq!(r.cost_evaluations, reference.cost_evaluations, "{context}");
+        let got = decision_events(&run.trace);
+        assert_eq!(got.len(), want_events.len(), "{context}: event count");
+        for (line, (g, w)) in got.iter().zip(&want_events).enumerate() {
+            assert_eq!(g, w, "{context}: decision event {line}");
+        }
         let got = jsonl(&run.trace);
-        assert_eq!(got.len(), want.len(), "{context}: trace length");
-        for (line, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(got.len(), want_trace.len(), "{context}: trace length");
+        for (line, (g, w)) in got.iter().zip(&want_trace).enumerate() {
             assert_eq!(g, w, "{context}: trace line {line}");
         }
+        let adopted = reference.iterations as u64;
+        for (c, want) in [
+            (Counter::TsgreedyCandidatesEnumerated, reference.enumerated),
+            (Counter::TsgreedyValidityChecks, reference.enumerated),
+            (Counter::TsgreedyCandidatesScored, reference.scored),
+            (Counter::TsgreedyCandidatesAdopted, adopted),
+            // One ledger re-cost per scored or adopted candidate, one
+            // full costing to build the ledger.
+            (Counter::CostmodelDeltaRecosts, reference.scored + adopted),
+            (Counter::CostmodelFullRecosts, 1),
+        ] {
+            assert_eq!(run.counts.get(c), want, "{context}: {}", c.name());
+        }
+        // Widening tables are filled before dispatch and chunks tally
+        // their own terms, so the work counts cannot depend on the thread
+        // count.
         for c in [
-            Counter::TsgreedyCandidatesEnumerated,
-            Counter::TsgreedyCandidatesScored,
-            Counter::TsgreedyCandidatesAdopted,
-            Counter::TsgreedyValidityChecks,
+            Counter::CostmodelSubplanRecosts,
+            Counter::CostmodelDriveTerms,
         ] {
             assert_eq!(
                 run.counts.get(c),
-                reference.counts.get(c),
+                runs[0].counts.get(c),
                 "{context}: {}",
                 c.name()
             );
         }
-        // One re-cost per scored or adopted candidate plus the initial
-        // costing: delta re-costs here, full re-costs on the reference.
-        let recosts = |s: &CounterSnapshot| {
-            s.get(Counter::CostmodelDeltaRecosts) + s.get(Counter::CostmodelFullRecosts)
-        };
-        assert_eq!(
-            recosts(&run.counts),
-            recosts(&reference.counts),
-            "{context}"
-        );
-        assert_eq!(
-            run.counts.get(Counter::CostmodelFullRecosts),
-            1,
-            "{context}"
-        );
     }
-    // Widening tables are filled before dispatch and chunks tally their
-    // own terms, so the work counts cannot depend on the thread count.
-    for c in [
-        Counter::CostmodelSubplanRecosts,
-        Counter::CostmodelDriveTerms,
-    ] {
-        for (engine, run) in [("t2", &fanned), ("t4", &fanned4)] {
-            assert_eq!(
-                memo.counts.get(c),
-                run.counts.get(c),
-                "{label}: {} differs at {engine}",
-                c.name()
-            );
-        }
-    }
+    let [memo, ..] = runs;
     memo
 }
 
@@ -540,4 +521,136 @@ fn fell_through_hits(inst: &Instance, result: &TsGreedyResult, records: &[Record
         "trace replay diverged"
     );
     hits
+}
+
+fn scan(obj: u32, blocks: u64) -> PlanNode {
+    PlanNode::TableScan {
+        object: ObjectId(obj),
+        name: format!("t{obj}"),
+        blocks,
+        rows: blocks as f64,
+    }
+}
+
+fn merge_join(a: u32, ab: u64, b: u32, bb: u64) -> PhysicalPlan {
+    PhysicalPlan::new(PlanNode::MergeJoin {
+        on: "k".into(),
+        rows: 1.0,
+        left: Box::new(scan(a, ab)),
+        right: Box::new(scan(b, bb)),
+    })
+}
+
+fn plan_instance(sizes: Vec<u64>, plans: &[(PhysicalPlan, f64)], disks: Vec<DiskSpec>) -> Instance {
+    Instance {
+        sizes,
+        workload: decompose_workload(plans),
+        disks,
+    }
+}
+
+/// Two joins and a hot scan on six uniform drives: the search runs several
+/// iterations, enough that chunking splits candidates.
+#[test]
+fn full_reevaluation_engine_is_bit_identical_to_incremental() {
+    let plans = [
+        (merge_join(0, 500, 1, 250), 4.0),
+        (merge_join(2, 180, 3, 120), 2.0),
+        (PhysicalPlan::new(scan(4, 90)), 1.0),
+    ];
+    let disks = uniform_disks(6, 100_000, 10.0, 20.0);
+    let inst = plan_instance(vec![500, 250, 180, 120, 90], &plans, disks);
+    assert_engines_agree(&inst, &TsGreedyConfig::default(), "joins and a scan");
+}
+
+/// Capacity-tight drives force `invalid_layout` rejections; the search's
+/// incremental validity check — headroom accept or exact patched usage —
+/// must classify every candidate exactly like the reference's
+/// `Layout::validate`. The second fixture adds a small object, so within
+/// one search the headroom accept both fires (the small group fits in
+/// every drive's headroom) and falls through (the large groups do not,
+/// and some of them are over capacity).
+#[test]
+fn engines_agree_on_capacity_rejections() {
+    let fixtures = [
+        (
+            vec![300u64, 200],
+            vec![
+                (merge_join(0, 300, 1, 200), 2.0),
+                (PhysicalPlan::new(scan(0, 300)), 1.0),
+            ],
+        ),
+        (
+            vec![300u64, 200, 4],
+            vec![
+                (merge_join(0, 300, 1, 200), 2.0),
+                (PhysicalPlan::new(scan(0, 300)), 1.0),
+                (PhysicalPlan::new(scan(2, 4)), 3.0),
+            ],
+        ),
+    ];
+    for (f, (sizes, plans)) in fixtures.into_iter().enumerate() {
+        let inst = plan_instance(sizes, &plans, uniform_disks(4, 160, 10.0, 20.0));
+        let label = format!("capacity fixture {f}");
+        let run = engines_agree(&inst, &TsGreedyConfig::default(), &label);
+        assert!(
+            count(&run.trace, "tsgreedy.candidate", Some("invalid_layout")) > 0,
+            "{label}: no capacity rejection"
+        );
+        if f == 1 {
+            let (fired, fell_through) = headroom_outcomes(&inst, &run.result, &run.trace);
+            assert!(fired > 0, "the headroom accept never fired");
+            assert!(fell_through > 0, "the headroom accept never fell through");
+        }
+    }
+}
+
+/// Replays a search's iteration snapshots from its deterministic trace
+/// (the step-1 layout, then each adopted move) and counts the candidates
+/// whose group fits within the snapshot's smallest per-drive headroom
+/// (`fired`) and those that do not (`fell_through`). A candidate the
+/// accept passes must not be `invalid_layout`, and the replay must end on
+/// the search's layout.
+fn headroom_outcomes(
+    inst: &Instance,
+    result: &TsGreedyResult,
+    records: &[Record],
+) -> (usize, usize) {
+    let mut layout = result.initial_layout.clone();
+    let (mut fired, mut fell_through) = (0, 0);
+    for rec in records {
+        let objects = ids(rec.field_str("objects"));
+        match rec.name.as_str() {
+            "tsgreedy.candidate" => {
+                let headroom = layout
+                    .disk_usage()
+                    .iter()
+                    .zip(&inst.disks)
+                    .map(|(&used, d)| d.capacity_blocks.checked_sub(used))
+                    .collect::<Option<Vec<u64>>>()
+                    .and_then(|h| h.into_iter().min());
+                let blocks: u64 = objects.iter().map(|&i| inst.sizes[i]).sum();
+                if headroom.is_some_and(|h| blocks <= h) {
+                    fired += 1;
+                    assert_ne!(rec.field_str("reason"), Some("invalid_layout"));
+                } else {
+                    fell_through += 1;
+                }
+            }
+            "tsgreedy.adopt" => {
+                let mut set = layout.disks_of(objects[0]);
+                set.extend(ids(rec.field_str("add_disks")));
+                for &i in &objects {
+                    layout.place_proportional(i, &set, &inst.disks);
+                }
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(
+        layout_bits(&layout),
+        layout_bits(&result.layout),
+        "replay diverged"
+    );
+    (fired, fell_through)
 }
