@@ -30,6 +30,16 @@
 //! hash-map iteration, and total error paths — an audit layer that can
 //! panic or drift across runs would defeat its own purpose.
 
+// R1: no panic shortcuts outside tests (DESIGN.md §5).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod log;
 pub mod record;
 pub mod replay;

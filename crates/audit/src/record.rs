@@ -514,7 +514,10 @@ pub fn record_recommendation(
 /// decision. `current` is the deployed layout the search was seeded from;
 /// its fraction matrix is embedded bit-exact so replay can reconstruct
 /// the identical seed.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per recorded input of a budgeted decision"
+)]
 pub fn record_budgeted(
     inputs: &RecordInputs<'_>,
     outcome: &BudgetedOutcome,

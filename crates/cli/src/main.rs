@@ -179,37 +179,24 @@ OPTIONS:
 ";
 
 const LINT_USAGE: &str = "\
-dblayout lint — workspace static analysis (panic-safety, lock discipline,
-float hygiene, determinism zones, registry coherence; rule catalog R1–R10
-in DESIGN.md, \"Static analysis\")
+dblayout lint — workspace static analysis for what clippy cannot check:
+float hygiene, lock order, protocol coverage, determinism zones, atomics
+policy, registry coherence (rules R3–R7 and R10 in DESIGN.md, \"Static
+analysis\"; R1, R2, R8 and R9 are clippy lints)
 
 USAGE:
-    dblayout lint [--deny-warnings] [--json] [--root <dir>]
-                  [--diff <base>] [--sarif <path>] [--no-cache]
+    dblayout lint [--deny-warnings] [--root <dir>]
 
 Scans every Rust source under <root>/crates/*/src plus DESIGN.md, prints a
 diagnostic per finding, and writes the machine-readable report to
-<root>/results/lint_report.json. Per-file scan results are cached in
-<root>/results/lint_cache.json keyed by content hash, so warm runs
-re-analyze only changed files (findings are bit-identical either way).
-
-With --diff, findings outside the change scope (files unchanged vs <base>
-whose rules also have no changed cross-file dependency) are reported under
-`out_of_scope` instead of failing the run — CI gates a PR on what it
-touched while the JSON still records the whole picture.
+<root>/results/lint_report.json.
 
 Exit status: non-zero on any error-severity diagnostic (unlexable file,
-malformed suppression), and — under --deny-warnings — on any in-scope
-finding.
+malformed suppression), and — under --deny-warnings — on any finding.
 
 OPTIONS:
     --deny-warnings     treat rule findings as fatal (CI mode)
-    --json              print the JSON report to stdout instead of text
     --root <dir>        workspace root to scan (default: .)
-    --diff <base>       scope findings to files changed vs the git ref
-                        <base> (uses `git diff --name-only <base>`)
-    --sarif <path>      also write the report as SARIF 2.1.0 to <path>
-    --no-cache          ignore and overwrite results/lint_cache.json
     --help              this text
 ";
 
@@ -1011,59 +998,23 @@ fn run_client(args: &[String]) -> Result<(), String> {
 
 fn run_lint(args: &[String]) -> Result<ExitCode, String> {
     let mut deny_warnings = false;
-    let mut json = false;
     let mut root = ".".to_string();
-    let mut diff_base: Option<String> = None;
-    let mut sarif_path: Option<String> = None;
-    let mut no_cache = false;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--deny-warnings" => deny_warnings = true,
-            "--json" => json = true,
-            "--no-cache" => no_cache = true,
             "--root" => {
                 root = it
                     .next()
                     .cloned()
                     .ok_or_else(|| "--root needs a value".to_string())?
             }
-            "--diff" => {
-                diff_base = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| "--diff needs a git ref".to_string())?,
-                )
-            }
-            "--sarif" => {
-                sarif_path = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| "--sarif needs a path".to_string())?,
-                )
-            }
             "--help" | "-h" => return Err(LINT_USAGE.to_string()),
             other => return Err(format!("unknown flag `{other}`\n\n{LINT_USAGE}")),
         }
     }
     let root = std::path::PathBuf::from(root);
-    let cache_path = root.join("results").join("lint_cache.json");
-    let cache = if no_cache {
-        dblayout_lint::LintCache::default()
-    } else {
-        dblayout_lint::LintCache::load(&cache_path)
-    };
-    let changed = match &diff_base {
-        Some(base) => Some(changed_files(&root, base)?),
-        None => None,
-    };
-    let opts = dblayout_lint::AnalyzeOptions {
-        cache: Some(&cache),
-        changed: changed.as_deref(),
-        diff_base: diff_base.clone(),
-    };
-    let (report, next_cache) = dblayout_lint::lint_workspace_with(&root, &opts)
-        .map_err(|e| format!("lint failed: {e}"))?;
+    let report = dblayout_lint::lint_workspace(&root).map_err(|e| format!("lint failed: {e}"))?;
     let report_json = serde_json::to_string_pretty(&report.to_json()).map_err(|e| e.to_string())?;
     let results_dir = root.join("results");
     std::fs::create_dir_all(&results_dir)
@@ -1071,47 +1022,13 @@ fn run_lint(args: &[String]) -> Result<ExitCode, String> {
     let out_path = results_dir.join("lint_report.json");
     std::fs::write(&out_path, &report_json)
         .map_err(|e| format!("cannot write `{}`: {e}", out_path.display()))?;
-    next_cache
-        .save(&cache_path)
-        .map_err(|e| format!("cannot write `{}`: {e}", cache_path.display()))?;
-    if let Some(sarif_path) = &sarif_path {
-        let sarif = serde_json::to_string_pretty(&dblayout_lint::sarif::to_sarif(&report))
-            .map_err(|e| e.to_string())?;
-        std::fs::write(sarif_path, &sarif)
-            .map_err(|e| format!("cannot write `{sarif_path}`: {e}"))?;
-    }
-    if json {
-        println!("{report_json}");
-    } else {
-        print!("{}", report.render());
-        println!("(JSON report written to {})", out_path.display());
-    }
+    print!("{}", report.render());
+    println!("(JSON report written to {})", out_path.display());
     Ok(if report.is_clean(deny_warnings) {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     })
-}
-
-/// Workspace-relative paths changed vs `base`, via `git diff --name-only`.
-fn changed_files(root: &std::path::Path, base: &str) -> Result<Vec<String>, String> {
-    let out = std::process::Command::new("git")
-        .arg("-C")
-        .arg(root)
-        .args(["diff", "--name-only", base, "--"])
-        .output()
-        .map_err(|e| format!("cannot run git diff: {e}"))?;
-    if !out.status.success() {
-        return Err(format!(
-            "`git diff --name-only {base}` failed: {}",
-            String::from_utf8_lossy(&out.stderr).trim()
-        ));
-    }
-    Ok(String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .map(|l| l.trim().to_string())
-        .filter(|l| !l.is_empty())
-        .collect())
 }
 
 /// Plans every statement of a workload file against `catalog` — the

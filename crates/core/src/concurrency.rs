@@ -130,6 +130,10 @@ pub fn concurrent_cost_workload(
                 merged.temp_write_blocks += sub.temp_write_blocks;
                 merged.temp_read_blocks += sub.temp_read_blocks;
                 for a in &sub.accesses {
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "blocks·w·overlap is a non-negative block count (w ≥ 0, overlap in [0, 1]); rounding is the merge, and `as` saturates"
+                    )]
                     let blocks = ((a.blocks as f64) * w * overlap).round() as u64;
                     merged.add(ObjectAccess {
                         object: a.object,

@@ -214,6 +214,10 @@ impl CostModel {
         let mut touching: Vec<Vec<(u32, u32)>> = vec![Vec::new(); layout.object_count()];
         for (s, (subs, _)) in workload.iter().enumerate() {
             for (p, sub) in subs.iter().enumerate() {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "statement and sub-plan counts are far below 2^32; u32 pairs keep the touched lists small"
+                )]
                 let pair = (s as u32, p as u32);
                 for access in &sub.accesses {
                     if let Some(list) = touching.get_mut(access.object.index()) {
@@ -231,6 +235,10 @@ impl CostModel {
         // arena is shared (`Arc`) because the search clones the evaluator
         // into every per-iteration job snapshot.
         let mut flat: Vec<(u32, u64)> = Vec::new();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the arena holds one entry per (sub-plan, object) pair, far below 2^32"
+        )]
         let spans: Vec<Vec<(u32, u32)>> = workload
             .iter()
             .map(|(subs, _)| {
@@ -633,6 +641,10 @@ impl DeltaEvaluator<'_> {
             .map_or(self.stmt_costs.len(), |&(s, _)| s as usize);
         let mut total = self.prefix[first];
         let mut i = 0usize;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "statement and sub-plan counts are far below 2^32, the range of the touched pairs"
+        )]
         for (s, &stmt_cached) in self.stmt_costs.iter().enumerate().skip(first) {
             if touched.get(i).is_none_or(|&(ts, _)| ts != s as u32) {
                 total += stmt_cached;

@@ -44,6 +44,10 @@ pub fn compile_filegroups(layout: &Layout) -> DeploymentPlan {
     // placement share a group even across float noise.
     let mut groups: BTreeMap<Vec<u32>, Vec<usize>> = BTreeMap::new();
     for i in 0..layout.object_count() {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "fractions are in [0, 1], so the per-mille key is in [0, 1000]"
+        )]
         let key: Vec<u32> = layout
             .fractions_of(i)
             .iter()
@@ -124,11 +128,17 @@ pub fn render_script(
     let _ = writeln!(out, "-- object relocations");
     for fg in &plan.filegroups {
         for &i in &fg.objects {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "layout objects mirror the catalog's objects, whose ids are u32"
+            )]
             let meta = catalog.meta(dblayout_catalog::ObjectId(i as u32));
             match meta.kind {
                 ObjectKind::Table => {
-                    let table = catalog.table(&meta.name).expect("table meta");
-                    if let Some(key) = table.clustered_on.first() {
+                    let clustered_on = catalog
+                        .table(&meta.name)
+                        .and_then(|t| t.clustered_on.first());
+                    if let Some(key) = clustered_on {
                         let _ = writeln!(
                             out,
                             "CREATE CLUSTERED INDEX [cix_{name}] ON [{name}] ([{key}]) \
@@ -146,7 +156,9 @@ pub fn render_script(
                     }
                 }
                 ObjectKind::Index => {
-                    let index = catalog.index(&meta.name).expect("index meta");
+                    let Some(index) = catalog.index(&meta.name) else {
+                        continue;
+                    };
                     let cols = index.key_columns.join("], [");
                     let _ = writeln!(
                         out,

@@ -32,7 +32,7 @@ pub fn exhaustive_search(
         "disk count out of range for exhaustive search"
     );
     let subsets_per_object = (1u64 << m) - 1;
-    let states = (subsets_per_object as f64).powi(n as i32);
+    let states = i32::try_from(n).map_or(f64::INFINITY, |n| (subsets_per_object as f64).powi(n));
     assert!(
         states <= 4e6,
         "search space {states:.0} too large for exhaustive enumeration"
@@ -57,6 +57,10 @@ pub fn exhaustive_search(
         let mut i = 0;
         loop {
             if i >= n {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "documented panic: a capacity-infeasible instance has no layout to return"
+                )]
                 return best.expect("at least one valid layout (e.g. full striping)");
             }
             masks[i] += 1;

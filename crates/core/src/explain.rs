@@ -203,7 +203,7 @@ pub fn render_narrative(records: &[Record], names: &NarrativeNames) -> String {
                     Some((j, transfer, seek)) => out.push_str(&format!(
                         "  sub-plan {subplan_no}: {} ms — bottleneck {} (transfer {} + seek {} ms)\n",
                         ms(cost),
-                        names.disk(j as usize),
+                        names.disk(usize::try_from(j).unwrap_or(usize::MAX)),
                         ms(transfer),
                         ms(seek),
                     )),

@@ -1,4 +1,15 @@
 #![warn(missing_docs)]
+// R1: no panic shortcuts outside tests (DESIGN.md §5).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// R8: every truncating `as` carries a range argument (DESIGN.md §5).
+#![deny(clippy::cast_possible_truncation)]
 
 //! `dblayout-core` — the database layout advisor of *Automating Layout of
 //! Relational Databases* (Agrawal, Chaudhuri, Das, Narasayya — ICDE 2003).

@@ -241,6 +241,10 @@ pub fn ts_greedy(
     for mem in &members {
         let mut allowed: Vec<usize> = (0..m).collect();
         for &i in mem {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "object indices mirror the catalog's objects, whose ids are u32"
+            )]
             let object = dblayout_catalog::ObjectId(i as u32);
             if let Some(e) = cfg.constraints.eligible_disks(object, disks) {
                 allowed.retain(|j| e.contains(j));
@@ -822,6 +826,10 @@ impl Step2<'_> {
                 self.cfg.k,
             );
             let mut classes = 0;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "tables_used counts this iteration's groups and class a group's distinct drive-rate totals, both far below 2^32"
+            )]
             for &idx in fresh.iter() {
                 let class = table.class_of(&job.drives[job.moves[idx].add.clone()], self.disks);
                 classes = classes.max(class + 1);
@@ -1171,7 +1179,10 @@ fn frontier(gain: &[f64], prune: usize) -> Vec<bool> {
 /// prefix of unused drives that fits, merge with the least co-accessed
 /// placed partition when drives run out, and stripe eligible-wide as a
 /// last-resort repair if the result is invalid.
-#[allow(clippy::too_many_arguments)] // internal plumbing for ts_greedy only
+#[allow(
+    clippy::too_many_arguments,
+    reason = "internal plumbing for ts_greedy only"
+)]
 fn step1_layout(
     sizes: &[u64],
     disks: &[DiskSpec],
@@ -1377,6 +1388,10 @@ fn candidate_fields(
 fn fits(blocks: u64, set: &[usize], disks: &[DiskSpec], remaining: &[u64]) -> bool {
     let total_rate: f64 = set.iter().map(|&j| disks[j].read_mb_s).sum();
     set.iter().all(|&j| {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the share is a non-negative part of `blocks` rounded up; `as` saturates, so an oversized share still fails the fit"
+        )]
         let share = (blocks as f64 * disks[j].read_mb_s / total_rate).ceil() as u64;
         share <= remaining[j]
     })

@@ -52,7 +52,11 @@ impl AllocationMap {
             // the disk with the largest credit that still has quota left.
             let fracs = layout.fractions_of(i);
             let mut credit = vec![0.0f64; m];
-            let mut locations = Vec::with_capacity(size as usize);
+            let mut locations = Vec::with_capacity(usize::try_from(size).unwrap_or(0));
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "j indexes the layout's drives; the simulator models tens of drives, far below u16::MAX"
+            )]
             for _k in 0..size {
                 for j in 0..m {
                     credit[j] += fracs[j];
@@ -83,7 +87,7 @@ impl AllocationMap {
 
     /// Location of logical block `k` of object `i`.
     pub fn locate(&self, object: usize, block: u64) -> BlockLocation {
-        self.map[object][block as usize]
+        self.map[object][usize::try_from(block).unwrap_or(usize::MAX)]
     }
 
     /// Number of blocks allocated on each disk.

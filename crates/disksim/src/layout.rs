@@ -143,7 +143,11 @@ pub fn apportion_into(
     let mut assigned = 0u64;
     for (j, &w) in fractions.iter().enumerate() {
         let exact = size as f64 * (w / total);
-        let floor = exact.floor() as u64; // dblayout::allow(R8, reason = "largest-remainder apportionment: exact is in [0, size], flooring is the method")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "largest-remainder apportionment: exact is in [0, size], flooring is the method"
+        )]
+        let floor = exact.floor() as u64;
         shares.push(floor);
         assigned += floor;
         scratch.push((j, exact - floor as f64));

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+// R8: every truncating `as` carries a range argument (DESIGN.md §5).
+#![deny(clippy::cast_possible_truncation)]
 
 //! Disk subsystem substrate: drive models, database layouts, block
 //! allocation, and an event-level I/O simulator.

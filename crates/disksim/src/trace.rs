@@ -53,7 +53,11 @@ fn scattered(count: u64, size: u64, seed: u64) -> Vec<u64> {
     if size == 0 {
         return Vec::new();
     }
-    let mut stride = (size as f64 * 0.618_034).round() as u64 % size; // dblayout::allow(R8, reason = "golden-ratio stride seed: value is in [0, size], any nearby integer works")
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "golden-ratio stride seed: value is in [0, size], any nearby integer works"
+    )]
+    let mut stride = (size as f64 * 0.618_034).round() as u64 % size;
     stride = stride.max(1);
     while gcd(stride, size) != 1 {
         stride += 1;

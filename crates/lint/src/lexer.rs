@@ -42,6 +42,24 @@ pub struct Tok {
     pub line: u32,
 }
 
+/// Whether `t` is the punctuation `s`.
+pub(crate) fn is_punct(t: &Tok, s: &str) -> bool {
+    matches!(&t.kind, TokKind::Punct(p) if p == s)
+}
+
+/// Whether `t` is the identifier `s`.
+pub(crate) fn is_ident(t: &Tok, s: &str) -> bool {
+    matches!(&t.kind, TokKind::Ident(i) if i == s)
+}
+
+/// The identifier text of `t`, if it is one.
+pub(crate) fn ident_text(t: &Tok) -> Option<&str> {
+    match &t.kind {
+        TokKind::Ident(s) => Some(s),
+        _ => None,
+    }
+}
+
 /// A comment, collected out-of-band for suppression parsing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Comment {

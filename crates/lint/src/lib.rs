@@ -1,40 +1,34 @@
-//! dblayout-lint: a syntax-aware workspace static-analysis pass for
-//! panic-safety, lock discipline, float hygiene, and — since
-//! `dblayout-sema` — determinism and registry coherence.
+//! dblayout-lint: a syntax-aware workspace static-analysis pass for the
+//! properties clippy cannot express — float hygiene, lock order,
+//! protocol coverage, determinism zones, atomics policy and registry
+//! coherence.
 //!
-//! PR 2 turned three hand-found defect families into token-stream rules;
-//! `dblayout-sema` grows the analyzer a lightweight parser (items, fn
+//! Token-stream rules catch local shapes; a lightweight parser (items, fn
 //! signatures, bodies, call/method-chain expressions — no full Rust
-//! grammar) and five semantic rules guarding the workspace's headline
+//! grammar) feeds the semantic rules guarding the workspace's headline
 //! property: TS-GREEDY layouts, costs, counters, and migration plans are
 //! byte-identical at any thread count.
 //!
 //! | id  | rule |
 //! |-----|------|
-//! | R1  | no unwrap/expect/panic-macros (and no index expressions in the server) in hot-path code |
-//! | R2  | every `Mutex::lock()` in `crates/server` recovers poisoning (`lock_unpoisoned`) |
 //! | R3  | no `partial_cmp`, no `==`/`!=` against float literals |
 //! | R4  | lock-acquisition order across `crates/server` is cycle-free |
 //! | R5  | every `Request` variant is dispatched in `engine.rs` and documented in `DESIGN.md` |
 //! | R6  | no hash-order iteration / wall-clock values / thread identity reachable from the deterministic paths |
 //! | R7  | raw atomics only in sanctioned zones, `Ordering`s per the declared policy table |
-//! | R8  | float→int / f64→f32 casts in the numeric kernels carry a range argument |
-//! | R9  | no `let _ =` / statement-`.ok()` error discards on server/planner/relayout paths |
 //! | R10 | the `obs::counters` registry, Prometheus op, `explain`, and DESIGN.md §8 agree |
 //!
-//! ## Two-phase engine and the cache
+//! R1 (no panic shortcuts), R2 (poison-safe locking), R8 (lossy casts)
+//! and R9 (swallowed errors) are clippy lints, denied at the root of the
+//! crates they cover and configured in the workspace `clippy.toml`; see
+//! DESIGN.md §5.
+//!
+//! ## Two-phase engine
 //!
 //! Every rule runs a per-file **scan** (local findings + cross-file
 //! facts; a pure function of the file text) and a whole-workspace
-//! **finish** (graph joins over the facts). Scan results are cached in
-//! `results/lint_cache.json` keyed by content hash, so a warm run
-//! re-lexes/re-parses only changed files — the finish phase, suppression
-//! matching, and unused-suppression detection always re-run (they are
-//! cheap and depend on the whole workspace). `--diff <base>` keeps the
-//! same full-fidelity analysis but splits the report into in-scope
-//! diagnostics (changed files + cross-file rules whose declared
-//! dependencies changed) and `out_of_scope` ones, so CI on a PR can gate
-//! on what the PR touched while still recording everything.
+//! **finish** (graph joins over the facts). Suppression matching and
+//! unused-suppression detection run after both phases.
 //!
 //! Findings are warnings (fatal under `--deny-warnings`); infrastructure
 //! problems — an unlexable file, a malformed suppression — are errors and
@@ -45,95 +39,42 @@
 //! so the audit trail cannot rot.
 //!
 //! Entry points: [`lint_workspace`] walks `crates/*/src` + `DESIGN.md`
-//! from a workspace root; [`analyze`] / [`analyze_with`] run on in-memory
-//! sources (the fixture tests use these). The CLI front-end is
-//! `dblayout lint [--deny-warnings] [--json] [--sarif <path>] [--diff <base>] [--no-cache]`.
+//! from a workspace root; [`analyze`] runs on in-memory sources (the
+//! fixture tests use it). The CLI front-end is
+//! `dblayout lint [--deny-warnings] [--root <dir>]`.
 
-pub mod cache;
 pub mod lexer;
 pub mod parse;
 pub mod report;
 pub mod rules;
-pub mod sarif;
 pub mod sema;
 pub mod summary;
 pub mod suppress;
 pub mod workspace;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
-use std::time::Instant;
 
-pub use cache::LintCache;
-pub use report::{Diagnostic, FileTiming, LintReport, RuleTiming, Severity};
+pub use report::{Diagnostic, LintReport, Severity};
 pub use workspace::InputFile;
 
 use report::Severity::{Error, Warning};
-use rules::{all_rules, FinishCtx, Rule, ScanCtx, RULE_IDS};
+use rules::{all_rules, FinishCtx, Rule, ScanCtx};
 use summary::{Facts, FileSummary, RawFinding};
 use workspace::build_file_ctx;
 
-/// Knobs for [`analyze_with`].
-#[derive(Default)]
-pub struct AnalyzeOptions<'a> {
-    /// Prior-run cache; files whose content hash matches skip the scan.
-    pub cache: Option<&'a LintCache>,
-    /// Diff scope: workspace-relative paths changed vs the base. When
-    /// set, diagnostics outside the scope move to `out_of_scope`.
-    pub changed: Option<&'a [String]>,
-    /// Label for the diff base (report metadata only).
-    pub diff_base: Option<String>,
-}
-
-/// Runs every rule over in-memory sources (cold, uncached).
+/// Runs every rule over in-memory sources.
 ///
 /// `design_md` is `DESIGN.md`'s text when available; without it the
 /// documentation checks (R5, R10) are skipped. Files that fail to lex and
 /// malformed suppression directives surface as error diagnostics rather
 /// than aborting the run.
 pub fn analyze(files: &[InputFile], design_md: Option<&str>) -> LintReport {
-    analyze_with(files, design_md, &AnalyzeOptions::default()).0
-}
-
-/// [`analyze`] with cache reuse and diff scoping. Returns the report and
-/// the refreshed cache (every file's current summary) for persisting.
-pub fn analyze_with(
-    files: &[InputFile],
-    design_md: Option<&str>,
-    opts: &AnalyzeOptions<'_>,
-) -> (LintReport, LintCache) {
-    let wall_start = Instant::now();
     let rules = all_rules();
     let mut report = LintReport::default();
-    let mut next_cache = LintCache::default();
-    let mut scan_micros: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut finish_micros: BTreeMap<&'static str, u64> = BTreeMap::new();
 
-    // Scan phase (cache-accelerated).
-    let mut summaries: Vec<FileSummary> = Vec::with_capacity(files.len());
-    for f in files {
-        let hash = cache::content_hash(&f.text);
-        if let Some(hit) = opts.cache.and_then(|c| c.lookup(&f.path, hash)) {
-            report.file_timings.push(FileTiming {
-                path: f.path.clone(),
-                micros: 0,
-                cached: true,
-            });
-            next_cache.store(hit.clone());
-            summaries.push(hit.clone());
-            continue;
-        }
-        let t0 = Instant::now();
-        let summary = scan_file(f, hash, &rules, &mut scan_micros);
-        report.file_timings.push(FileTiming {
-            path: f.path.clone(),
-            micros: t0.elapsed().as_micros() as u64,
-            cached: false,
-        });
-        next_cache.store(summary.clone());
-        summaries.push(summary);
-    }
+    let summaries: Vec<FileSummary> = files.iter().map(|f| scan_file(f, &rules)).collect();
     report.files_scanned = summaries.iter().filter(|s| s.lex_error.is_none()).count();
 
     // Infrastructure errors: unlexable files, malformed suppressions.
@@ -160,24 +101,18 @@ pub fn analyze_with(
         }
     }
 
-    // Collect rule findings: scan-phase (from summaries, possibly cached)
-    // then finish-phase.
+    // Collect rule findings: scan-phase, then finish-phase.
     let mut findings: Vec<(&'static str, rules::Finding)> = Vec::new();
     for s in &summaries {
         for rf in &s.findings {
-            // A rule id the current binary doesn't know (stale cache
-            // schema) is dropped — the versioned cache should prevent
-            // this, but a stale finding must never resurface silently.
-            if let Some(id) = intern_rule(&rf.rule) {
-                findings.push((
-                    id,
-                    rules::Finding {
-                        file: s.path.clone(),
-                        line: rf.line,
-                        message: rf.message.clone(),
-                    },
-                ));
-            }
+            findings.push((
+                rf.rule,
+                rules::Finding {
+                    file: s.path.clone(),
+                    line: rf.line,
+                    message: rf.message.clone(),
+                },
+            ));
         }
     }
     let finish_ctx = FinishCtx {
@@ -185,13 +120,10 @@ pub fn analyze_with(
         design_md,
     };
     for rule in &rules {
-        let t0 = Instant::now();
         for f in rule.finish(&finish_ctx) {
             findings.push((rule.id(), f));
         }
-        *finish_micros.entry(rule.id()).or_insert(0) += t0.elapsed().as_micros() as u64;
     }
-
     // Suppression matching, tracking which directives earn their keep.
     let mut used: BTreeSet<(usize, usize)> = BTreeSet::new();
     for (rule_id, finding) in &findings {
@@ -244,62 +176,19 @@ pub fn analyze_with(
         }
     }
 
-    // Diff scoping: real findings in untouched files (whose rules also
-    // have no changed cross-file dependency) move aside. Errors always
-    // stay in scope — infrastructure rot fails the run regardless.
-    if let Some(changed) = opts.changed {
-        let mut in_scope = Vec::new();
-        for d in std::mem::take(&mut report.diagnostics) {
-            let dep_changed = rules
-                .iter()
-                .find(|r| r.id() == d.rule)
-                .map(|r| {
-                    let deps = r.global_deps();
-                    !deps.is_empty()
-                        && changed
-                            .iter()
-                            .any(|c| deps.iter().any(|dep| c.starts_with(dep)))
-                })
-                .unwrap_or(false);
-            if d.severity == Error || changed.contains(&d.file) || dep_changed {
-                in_scope.push(d);
-            } else {
-                report.out_of_scope.push(d);
-            }
-        }
-        report.diagnostics = in_scope;
-    }
-    report.diff_base = opts.diff_base.clone();
-
     let key = |d: &Diagnostic| (d.file.clone(), d.line, d.rule);
     report.diagnostics.sort_by_key(key);
     report.suppressed.sort_by_key(key);
-    report.out_of_scope.sort_by_key(key);
-    report.rule_timings = rules
-        .iter()
-        .map(|r| RuleTiming {
-            rule: r.id(),
-            scan_micros: scan_micros.get(r.id()).copied().unwrap_or(0),
-            finish_micros: finish_micros.get(r.id()).copied().unwrap_or(0),
-        })
-        .collect();
-    report.wall_micros = wall_start.elapsed().as_micros() as u64;
-    (report, next_cache)
+    report
 }
 
 /// Lexes, parses, and runs every rule's scan phase over one file.
-fn scan_file(
-    f: &InputFile,
-    hash: u64,
-    rules: &[Box<dyn Rule>],
-    scan_micros: &mut BTreeMap<&'static str, u64>,
-) -> FileSummary {
+fn scan_file(f: &InputFile, rules: &[Box<dyn Rule>]) -> FileSummary {
     let ctx = match build_file_ctx(f) {
         Ok(ctx) => ctx,
         Err(msg) => {
             return FileSummary {
                 path: f.path.clone(),
-                hash,
                 lex_error: Some(msg),
                 findings: Vec::new(),
                 suppressions: Vec::new(),
@@ -315,44 +204,28 @@ fn scan_file(
     let mut facts = Facts::default();
     let mut findings: Vec<RawFinding> = Vec::new();
     for rule in rules {
-        let t0 = Instant::now();
         let mut local = Vec::new();
         rule.scan(&scan_ctx, &mut facts, &mut local);
-        *scan_micros.entry(rule.id()).or_insert(0) += t0.elapsed().as_micros() as u64;
         findings.extend(local.into_iter().map(|l| RawFinding {
-            rule: rule.id().to_string(),
+            rule: rule.id(),
             line: l.line,
             message: l.message,
         }));
     }
     FileSummary {
         path: f.path.clone(),
-        hash,
         lex_error: None,
         findings,
-        suppressions: ctx.suppressions.clone(),
+        suppressions: ctx.suppressions,
         facts,
     }
 }
 
-fn intern_rule(s: &str) -> Option<&'static str> {
-    RULE_IDS.iter().find(|r| **r == s).copied()
-}
-
 /// Lints a workspace on disk: every `.rs` under `<root>/crates/*/src`
-/// plus `<root>/DESIGN.md` (cold, uncached).
+/// plus `<root>/DESIGN.md`.
 pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     let (files, design_md) = workspace::load_workspace(root)?;
     Ok(analyze(&files, design_md.as_deref()))
-}
-
-/// [`lint_workspace`] with cache reuse and diff scoping.
-pub fn lint_workspace_with(
-    root: &Path,
-    opts: &AnalyzeOptions<'_>,
-) -> io::Result<(LintReport, LintCache)> {
-    let (files, design_md) = workspace::load_workspace(root)?;
-    Ok(analyze_with(&files, design_md.as_deref(), opts))
 }
 
 #[cfg(test)]
@@ -380,8 +253,8 @@ mod tests {
     #[test]
     fn finding_is_a_warning_and_suppression_moves_it_aside() {
         let bare = [file(
-            "crates/server/src/bad.rs",
-            "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
+            "crates/core/src/bad.rs",
+            "fn f(x: f64) -> bool {\n    x == 0.0\n}\n",
         )];
         let r = analyze(&bare, None);
         assert_eq!(r.warnings(), 1);
@@ -389,22 +262,20 @@ mod tests {
         assert!(!r.is_clean(true));
 
         let allowed = [file(
-            "crates/server/src/bad.rs",
-            "fn f(x: Option<u32>) -> u32 {\n    x.unwrap() // dblayout::allow(R1, reason = \"input validated by caller\")\n}\n",
+            "crates/core/src/bad.rs",
+            "fn f(x: f64) -> bool {\n    x == 0.0 // dblayout::allow(R3, reason = \"exact zero sentinel\")\n}\n",
         )];
         let r = analyze(&allowed, None);
         assert!(r.is_clean(true), "{}", r.render());
         assert_eq!(r.suppressed.len(), 1);
-        assert!(r.suppressed[0]
-            .message
-            .contains("input validated by caller"));
+        assert!(r.suppressed[0].message.contains("exact zero sentinel"));
     }
 
     #[test]
     fn malformed_suppression_is_an_error() {
         let files = [file(
-            "crates/server/src/bad.rs",
-            "fn f(x: Option<u32>) -> u32 {\n    x.unwrap() // dblayout::allow(R1)\n}\n",
+            "crates/core/src/bad.rs",
+            "fn f(x: f64) -> bool {\n    x == 0.0 // dblayout::allow(R3)\n}\n",
         )];
         let r = analyze(&files, None);
         assert_eq!(r.errors(), 1);
@@ -422,11 +293,11 @@ mod tests {
     #[test]
     fn suppression_for_a_different_rule_does_not_silence() {
         let files = [file(
-            "crates/server/src/bad.rs",
-            "fn f(x: Option<u32>) -> u32 {\n    x.unwrap() // dblayout::allow(R3, reason = \"wrong rule\")\n}\n",
+            "crates/core/src/bad.rs",
+            "fn f(x: f64) -> bool {\n    x == 0.0 // dblayout::allow(R6, reason = \"wrong rule\")\n}\n",
         )];
         let r = analyze(&files, None);
-        // The R1 finding stays active, and the mismatched R3 directive is
+        // The R3 finding stays active, and the mismatched R6 directive is
         // itself flagged as unused.
         assert_eq!(r.warnings(), 2);
         assert!(r.suppressed.is_empty());
@@ -436,9 +307,9 @@ mod tests {
     #[test]
     fn unused_suppression_is_flagged_and_used_one_is_not() {
         let files = [file(
-            "crates/server/src/bad.rs",
-            "fn f(x: Option<u32>) -> u32 {\n    x.unwrap() // dblayout::allow(R1, reason = \"validated\")\n}\n\
-             // dblayout::allow(R1, reason = \"stale: the unwrap below was removed\")\nfn g() -> u32 { 0 }\n",
+            "crates/core/src/bad.rs",
+            "fn f(x: f64) -> bool {\n    x == 0.0 // dblayout::allow(R3, reason = \"sentinel\")\n}\n\
+             // dblayout::allow(R3, reason = \"stale: the comparison below was removed\")\nfn g() -> u32 { 0 }\n",
         )];
         let r = analyze(&files, None);
         assert_eq!(r.suppressed.len(), 1, "{}", r.render());
@@ -450,60 +321,5 @@ mod tests {
         assert_eq!(unused.len(), 1);
         assert_eq!(unused[0].line, 4);
         assert!(unused[0].message.contains("stale"));
-    }
-
-    #[test]
-    fn warm_run_reuses_cache_and_reports_identical_findings() {
-        let files = [
-            file(
-                "crates/server/src/bad.rs",
-                "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
-            ),
-            file(
-                "crates/core/src/ok.rs",
-                "pub fn add(a: u64, b: u64) -> u64 { a + b }\n",
-            ),
-        ];
-        let (cold, cache) = analyze_with(&files, None, &AnalyzeOptions::default());
-        assert!(cold.file_timings.iter().all(|t| !t.cached));
-        let opts = AnalyzeOptions {
-            cache: Some(&cache),
-            ..AnalyzeOptions::default()
-        };
-        let (warm, _) = analyze_with(&files, None, &opts);
-        assert!(warm.file_timings.iter().all(|t| t.cached), "all files warm");
-        let key = |d: &Diagnostic| (d.rule, d.file.clone(), d.line, d.message.clone());
-        assert_eq!(
-            cold.diagnostics.iter().map(key).collect::<Vec<_>>(),
-            warm.diagnostics.iter().map(key).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn diff_scope_moves_untouched_findings_aside() {
-        let files = [
-            file(
-                "crates/server/src/bad.rs",
-                "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
-            ),
-            file(
-                "crates/relayout/src/also_bad.rs",
-                "fn g(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
-            ),
-        ];
-        let changed = vec!["crates/server/src/bad.rs".to_string()];
-        let opts = AnalyzeOptions {
-            changed: Some(&changed),
-            diff_base: Some("origin/main".into()),
-            ..AnalyzeOptions::default()
-        };
-        let (r, _) = analyze_with(&files, None, &opts);
-        assert_eq!(r.warnings(), 1);
-        assert_eq!(r.out_of_scope.len(), 1);
-        assert_eq!(r.out_of_scope[0].file, "crates/relayout/src/also_bad.rs");
-        // Union equals the cold run's findings.
-        let cold = analyze(&files, None);
-        assert_eq!(cold.warnings(), r.warnings() + r.out_of_scope.len());
-        assert_eq!(r.diff_base.as_deref(), Some("origin/main"));
     }
 }

@@ -1,15 +1,14 @@
 //! Lightweight syntax recovery over the token stream.
 //!
-//! The token-stream rules of PR 2 (R1–R5) match local shapes — `.unwrap()`
-//! after a dot, `lock()` receivers — and never need to know *which
-//! function* a token lives in. The semantic rules added with `dblayout-sema`
-//! (R6–R10) do: determinism-zone analysis is "no hash-order iteration in
-//! any function *reachable from* the deterministic search paths", and
-//! lossy-cast analysis wants the declared type of the cast's source
-//! binding. This module recovers just enough structure for those
-//! flow-insensitive questions — items, `impl` context, `fn` signatures,
-//! body extents, local `let` bindings with syntactic type heads, struct
-//! fields, and call/method-chain expressions. It is **not** a Rust
+//! Most rules match local token shapes — a `partial_cmp` after a dot,
+//! `lock()` receivers — and never need to know *which function* a token
+//! lives in. The determinism-zone rule (R6) does: it asks for "no
+//! hash-order iteration in any function *reachable from* the
+//! deterministic search paths", and it wants the declared type of a
+//! method call's receiver. This module recovers just enough structure
+//! for those flow-insensitive questions — items, `impl` context, `fn`
+//! signatures, body extents, local `let` bindings with syntactic type
+//! heads, struct fields, and call/method-chain expressions. It is **not** a Rust
 //! grammar: expressions are never tree-shaped here, and anything
 //! ambiguous degrades to "unknown", which the rules treat conservatively.
 //!
@@ -17,7 +16,7 @@
 //! not get here) produces a partial [`ParsedFile`], and rules built on
 //! partial syntax simply see fewer facts.
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{ident_text, is_ident, is_punct, Tok, TokKind};
 
 /// One recognized call site inside a function body.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,31 +92,6 @@ pub struct ParsedFile {
     pub fns: Vec<FnSyntax>,
     /// Struct fields with type heads, across every struct in the file.
     pub fields: Vec<TypedName>,
-}
-
-impl ParsedFile {
-    /// The innermost function whose body covers token index `ti`.
-    pub fn enclosing_fn(&self, ti: usize) -> Option<&FnSyntax> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.is_some_and(|(lo, hi)| lo <= ti && ti <= hi))
-            .min_by_key(|f| f.body.map(|(lo, hi)| hi - lo).unwrap_or(usize::MAX))
-    }
-}
-
-fn is_punct(t: &Tok, s: &str) -> bool {
-    matches!(&t.kind, TokKind::Punct(p) if p == s)
-}
-
-fn is_ident(t: &Tok, s: &str) -> bool {
-    matches!(&t.kind, TokKind::Ident(i) if i == s)
-}
-
-fn ident_text(t: &Tok) -> Option<&str> {
-    match &t.kind {
-        TokKind::Ident(s) => Some(s),
-        _ => None,
-    }
 }
 
 /// Index of the `}` matching the `{` at `open` (balanced over all bracket

@@ -25,7 +25,8 @@ impl Severity {
 /// One reported problem.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule id (`R1`..`R5`) or `lint` for infrastructure errors.
+    /// Rule id (`R3`..`R10`), `unused-suppression`, or `lint` for
+    /// infrastructure errors.
     pub rule: &'static str,
     /// Severity class.
     pub severity: Severity,
@@ -37,29 +38,6 @@ pub struct Diagnostic {
     pub message: String,
 }
 
-/// Per-file analysis timing — the evidence that a warm incremental run
-/// re-analyzed only what changed.
-#[derive(Debug, Clone)]
-pub struct FileTiming {
-    /// Workspace-relative path.
-    pub path: String,
-    /// Scan wall time in microseconds (0 for cache hits).
-    pub micros: u64,
-    /// Whether the summary came from `results/lint_cache.json`.
-    pub cached: bool,
-}
-
-/// Per-rule analysis timing across both phases.
-#[derive(Debug, Clone)]
-pub struct RuleTiming {
-    /// Rule id.
-    pub rule: &'static str,
-    /// Total scan-phase time across all (non-cached) files, microseconds.
-    pub scan_micros: u64,
-    /// Finish-phase time, microseconds.
-    pub finish_micros: u64,
-}
-
 /// The outcome of a lint run.
 #[derive(Debug, Clone, Default)]
 pub struct LintReport {
@@ -69,22 +47,8 @@ pub struct LintReport {
     /// justification appended — kept for the JSON report so suppressions
     /// stay auditable.
     pub suppressed: Vec<Diagnostic>,
-    /// Diagnostics outside the `--diff` scope: real findings in files the
-    /// diff did not touch (and whose rules have no changed dependency).
-    /// Kept so a diff-scoped run still records the whole picture — the
-    /// union of `diagnostics` and `out_of_scope` is bit-identical to a
-    /// full run's `diagnostics`.
-    pub out_of_scope: Vec<Diagnostic>,
     /// Number of Rust files analyzed.
     pub files_scanned: usize,
-    /// Per-file scan timing (cache hits included, marked).
-    pub file_timings: Vec<FileTiming>,
-    /// Per-rule timing across scan and finish phases.
-    pub rule_timings: Vec<RuleTiming>,
-    /// Total analysis wall time in microseconds.
-    pub wall_micros: u64,
-    /// The `--diff` base ref, when diff scoping was active.
-    pub diff_base: Option<String>,
 }
 
 impl LintReport {
@@ -110,11 +74,6 @@ impl LintReport {
         self.errors() == 0 && (!deny_warnings || self.warnings() == 0)
     }
 
-    /// Number of files whose summary came from the cache.
-    pub fn cached_files(&self) -> usize {
-        self.file_timings.iter().filter(|t| t.cached).count()
-    }
-
     /// Human-readable report.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -129,20 +88,12 @@ impl LintReport {
             ));
         }
         out.push_str(&format!(
-            "dblayout-lint: {} file(s) scanned ({} cached), {} warning(s), {} error(s), {} suppressed",
+            "dblayout-lint: {} file(s) scanned, {} warning(s), {} error(s), {} suppressed\n",
             self.files_scanned,
-            self.cached_files(),
             self.warnings(),
             self.errors(),
             self.suppressed.len()
         ));
-        if let Some(base) = &self.diff_base {
-            out.push_str(&format!(
-                ", {} out-of-scope vs {base}",
-                self.out_of_scope.len()
-            ));
-        }
-        out.push('\n');
         out
     }
 
@@ -162,20 +113,8 @@ impl LintReport {
                 "files_scanned".into(),
                 Value::U64(self.files_scanned as u64),
             ),
-            (
-                "cached_files".into(),
-                Value::U64(self.cached_files() as u64),
-            ),
             ("warnings".into(), Value::U64(self.warnings() as u64)),
             ("errors".into(), Value::U64(self.errors() as u64)),
-            ("wall_micros".into(), Value::U64(self.wall_micros)),
-            (
-                "diff_base".into(),
-                match &self.diff_base {
-                    Some(b) => Value::Str(b.clone()),
-                    None => Value::Null,
-                },
-            ),
             (
                 "diagnostics".into(),
                 Value::Seq(self.diagnostics.iter().map(diag).collect()),
@@ -183,45 +122,6 @@ impl LintReport {
             (
                 "suppressed".into(),
                 Value::Seq(self.suppressed.iter().map(diag).collect()),
-            ),
-            (
-                "out_of_scope".into(),
-                Value::Seq(self.out_of_scope.iter().map(diag).collect()),
-            ),
-            (
-                "timings".into(),
-                Value::Map(vec![
-                    (
-                        "files".into(),
-                        Value::Seq(
-                            self.file_timings
-                                .iter()
-                                .map(|t| {
-                                    Value::Map(vec![
-                                        ("path".into(), Value::Str(t.path.clone())),
-                                        ("micros".into(), Value::U64(t.micros)),
-                                        ("cached".into(), Value::Bool(t.cached)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "rules".into(),
-                        Value::Seq(
-                            self.rule_timings
-                                .iter()
-                                .map(|t| {
-                                    Value::Map(vec![
-                                        ("rule".into(), Value::Str(t.rule.to_string())),
-                                        ("scan_micros".into(), Value::U64(t.scan_micros)),
-                                        ("finish_micros".into(), Value::U64(t.finish_micros)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
             ),
         ])
     }
@@ -236,11 +136,11 @@ mod tests {
         LintReport {
             diagnostics: vec![
                 Diagnostic {
-                    rule: "R1",
+                    rule: "R3",
                     severity: Severity::Warning,
                     file: "crates/server/src/x.rs".into(),
                     line: 3,
-                    message: "bare unwrap".into(),
+                    message: "float equality".into(),
                 },
                 Diagnostic {
                     rule: "lint",
@@ -252,7 +152,6 @@ mod tests {
             ],
             suppressed: vec![],
             files_scanned: 2,
-            ..LintReport::default()
         }
     }
 
@@ -266,7 +165,7 @@ mod tests {
         assert!(!s.is_clean(false), "errors always fail");
         let warn_only = LintReport {
             diagnostics: vec![Diagnostic {
-                rule: "R1",
+                rule: "R3",
                 severity: Severity::Warning,
                 file: "f".into(),
                 line: 1,
@@ -285,13 +184,13 @@ mod tests {
         assert_eq!(v.get("errors").and_then(|x| x.as_u64()), Some(1));
         let diags = v.get("diagnostics").and_then(|x| x.as_array()).unwrap();
         assert_eq!(diags.len(), 2);
-        assert_eq!(diags[0].get("rule").and_then(|x| x.as_str()), Some("R1"));
+        assert_eq!(diags[0].get("rule").and_then(|x| x.as_str()), Some("R3"));
     }
 
     #[test]
     fn render_mentions_every_diagnostic() {
         let text = sample().render();
-        assert!(text.contains("warning: [R1]"));
+        assert!(text.contains("warning: [R3]"));
         assert!(text.contains("error: [lint]"));
         assert!(text.contains("2 file(s) scanned"));
     }

@@ -20,7 +20,8 @@
 //! regions are exempt (tests legitimately use Acquire/Release handshakes
 //! to order their own assertions).
 
-use super::{ident_text, is_ident, is_punct, Finding, Rule, ScanCtx};
+use super::{Finding, Rule, ScanCtx};
+use crate::lexer::{ident_text, is_ident, is_punct};
 use crate::summary::Facts;
 
 /// See module docs.
@@ -80,11 +81,6 @@ fn policy_for(path: &str) -> Policy {
 impl Rule for AtomicHygiene {
     fn id(&self) -> &'static str {
         "R7"
-    }
-
-    fn description(&self) -> &'static str {
-        "raw atomics only in sanctioned zones, with Ordering choices matching the declared \
-         policy table (counters go through the obs::counters registry)"
     }
 
     fn scan(&self, ctx: &ScanCtx<'_>, _facts: &mut Facts, findings: &mut Vec<Finding>) {

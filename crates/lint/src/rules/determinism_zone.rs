@@ -26,7 +26,8 @@
 //! (e.g. a timed path that deterministic runs disable by construction)
 //! carries a reasoned suppression.
 
-use super::{ident_text, is_ident, is_punct, Finding, FinishCtx, Rule, ScanCtx};
+use super::{Finding, FinishCtx, Rule, ScanCtx};
+use crate::lexer::{ident_text, is_ident, is_punct};
 use crate::parse::{FnSyntax, ParsedFile};
 use crate::sema::deterministic_reachability;
 use crate::summary::{CallFact, DetSite, Facts, FnFact};
@@ -54,11 +55,6 @@ const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
 impl Rule for DeterminismZone {
     fn id(&self) -> &'static str {
         "R6"
-    }
-
-    fn description(&self) -> &'static str {
-        "no hash-order iteration, wall-clock-derived values, or thread-identity branching \
-         reachable from the deterministic search paths"
     }
 
     fn scan(&self, ctx: &ScanCtx<'_>, facts: &mut Facts, _findings: &mut Vec<Finding>) {
@@ -98,12 +94,6 @@ impl Rule for DeterminismZone {
             }
         }
         findings
-    }
-
-    fn global_deps(&self) -> &'static [&'static str] {
-        // Reachability spans the whole workspace: any file can add a call
-        // edge into the zone.
-        &["crates/"]
     }
 }
 

@@ -15,8 +15,8 @@
 //!   equality is occasionally right (bit-exact zero filters) and must then
 //!   say so via suppression.
 
-use super::{is_ident, is_punct, Finding, Rule, ScanCtx};
-use crate::lexer::TokKind;
+use super::{Finding, Rule, ScanCtx};
+use crate::lexer::{is_ident, is_punct, TokKind};
 use crate::summary::Facts;
 use crate::workspace::FileCtx;
 
@@ -26,10 +26,6 @@ pub struct FloatHygiene;
 impl Rule for FloatHygiene {
     fn id(&self) -> &'static str {
         "R3"
-    }
-
-    fn description(&self) -> &'static str {
-        "no partial_cmp (use f64::total_cmp) and no ==/!= against float literals"
     }
 
     fn scan(&self, ctx: &ScanCtx<'_>, _facts: &mut Facts, findings: &mut Vec<Finding>) {

@@ -20,7 +20,8 @@
 
 use std::collections::BTreeMap;
 
-use super::{ident_text, is_ident, is_punct, Finding, FinishCtx, Rule, ScanCtx};
+use super::{Finding, FinishCtx, Rule, ScanCtx};
+use crate::lexer::{ident_text, is_ident, is_punct};
 use crate::summary::{Facts, LockEdge};
 use crate::workspace::FileCtx;
 
@@ -30,10 +31,6 @@ pub struct LockOrder;
 impl Rule for LockOrder {
     fn id(&self) -> &'static str {
         "R4"
-    }
-
-    fn description(&self) -> &'static str {
-        "lock-acquisition order over crates/server must be cycle-free (deadlock freedom)"
     }
 
     fn scan(&self, ctx: &ScanCtx<'_>, facts: &mut Facts, _findings: &mut Vec<Finding>) {
@@ -58,10 +55,6 @@ impl Rule for LockOrder {
             }
         }
         find_cycles(&edges)
-    }
-
-    fn global_deps(&self) -> &'static [&'static str] {
-        &["crates/server/"]
     }
 }
 

@@ -5,20 +5,15 @@
 //!
 //! * **scan** — per file, seeing only that file's tokens, parsed syntax,
 //!   and test regions. Scan output (local findings + cross-file [`Facts`])
-//!   is a pure function of the file text, which is what makes it cacheable
-//!   in `results/lint_cache.json`.
+//!   is a pure function of the file text.
 //! * **finish** — once, over every file's facts. Cross-file rules (R4
 //!   lock-order graph, R5 protocol join, R6 determinism-zone reachability,
 //!   R10 registry coherence) do their joins here; purely local rules keep
 //!   the default empty finish.
 //!
-//! A cross-file rule also declares [`Rule::global_deps`] — the path
-//! prefixes whose changes can move its verdict — so `--diff` mode knows
-//! which finish-phase findings a changed file can affect. The engine in
-//! [`crate`] applies suppressions after both phases, so rules never need
-//! to think about them.
+//! The engine in [`crate`] applies suppressions after both phases, so
+//! rules never need to think about them.
 
-use crate::lexer::{Tok, TokKind};
 use crate::parse::ParsedFile;
 use crate::summary::{Facts, FileSummary};
 use crate::workspace::FileCtx;
@@ -27,16 +22,12 @@ mod atomic_hygiene;
 mod determinism_zone;
 mod float_hygiene;
 mod lock_order;
-mod lossy_cast;
-mod no_panic;
-mod poison_lock;
 mod protocol_exhaustive;
 mod registry_coherence;
-mod swallowed_errors;
 
 /// Every known rule id, in catalog order (also the set the suppression
-/// parser accepts).
-pub const RULE_IDS: &[&str] = &["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10"];
+/// parser accepts). R1, R2, R8 and R9 are clippy lints (DESIGN.md §5).
+pub const RULE_IDS: &[&str] = &["R3", "R4", "R5", "R6", "R7", "R10"];
 
 /// What a rule's scan phase sees: one lexed + parsed file.
 pub struct ScanCtx<'a> {
@@ -68,59 +59,28 @@ pub struct Finding {
 
 /// A lint rule.
 pub trait Rule {
-    /// Stable id (`R1`..`R10`).
+    /// Stable id (`R3`..`R10`).
     fn id(&self) -> &'static str;
-    /// One-line summary for reports and docs.
-    fn description(&self) -> &'static str;
     /// Per-file phase: local findings into `findings`, cross-file facts
-    /// into `facts`. Must depend only on `ctx` (cacheability contract).
+    /// into `facts`. Must depend only on `ctx`.
     fn scan(&self, ctx: &ScanCtx<'_>, facts: &mut Facts, findings: &mut Vec<Finding>);
     /// Whole-workspace phase over the collected facts.
     fn finish(&self, ctx: &FinishCtx<'_>) -> Vec<Finding> {
         let _ = ctx;
         Vec::new()
     }
-    /// Path prefixes whose changes can alter this rule's finish-phase
-    /// verdict (diff-mode dependency scoping). Empty for local rules.
-    fn global_deps(&self) -> &'static [&'static str] {
-        &[]
-    }
 }
 
 /// The shipped rule set, in catalog order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(no_panic::NoPanicInHotPath),
-        Box::new(poison_lock::PoisonSafeLocking),
         Box::new(float_hygiene::FloatHygiene),
         Box::new(lock_order::LockOrder),
         Box::new(protocol_exhaustive::ProtocolExhaustiveness),
         Box::new(determinism_zone::DeterminismZone),
         Box::new(atomic_hygiene::AtomicHygiene),
-        Box::new(lossy_cast::LossyCast),
-        Box::new(swallowed_errors::SwallowedErrors),
         Box::new(registry_coherence::RegistryCoherence),
     ]
-}
-
-// ---- Shared token helpers ----
-
-/// Whether `t` is the punctuation `s`.
-pub(crate) fn is_punct(t: &Tok, s: &str) -> bool {
-    matches!(&t.kind, TokKind::Punct(p) if p == s)
-}
-
-/// Whether `t` is the identifier `s`.
-pub(crate) fn is_ident(t: &Tok, s: &str) -> bool {
-    matches!(&t.kind, TokKind::Ident(i) if i == s)
-}
-
-/// The identifier text of `t`, if it is one.
-pub(crate) fn ident_text(t: &Tok) -> Option<&str> {
-    match &t.kind {
-        TokKind::Ident(s) => Some(s),
-        _ => None,
-    }
 }
 
 /// `WhatifCost` → `whatif_cost` — the wire-op / metric naming convention
@@ -139,11 +99,3 @@ pub(crate) fn camel_to_snake(name: &str) -> String {
     }
     out
 }
-
-/// Rust keywords that can precede `[` without it being an index
-/// expression (`let [a, b] = ...`, `match x { [..] => ... }`, `return [..]`).
-pub(crate) const NON_INDEX_KEYWORDS: &[&str] = &[
-    "let", "in", "if", "else", "match", "return", "mut", "ref", "move", "break", "continue",
-    "while", "for", "loop", "as", "where", "unsafe", "dyn", "impl", "fn", "use", "pub", "const",
-    "static", "struct", "enum", "type", "trait", "mod",
-];

@@ -10,7 +10,8 @@
 //! snake_case op name somewhere in `DESIGN.md`. When `protocol.rs` is not
 //! among the scanned files (fixture runs) the rule is inert.
 
-use super::{camel_to_snake, ident_text, is_ident, is_punct, Finding, FinishCtx, Rule, ScanCtx};
+use super::{camel_to_snake, Finding, FinishCtx, Rule, ScanCtx};
+use crate::lexer::{ident_text, is_ident, is_punct};
 use crate::summary::{Facts, FileSummary};
 use crate::workspace::FileCtx;
 
@@ -20,10 +21,6 @@ pub struct ProtocolExhaustiveness;
 impl Rule for ProtocolExhaustiveness {
     fn id(&self) -> &'static str {
         "R5"
-    }
-
-    fn description(&self) -> &'static str {
-        "every Request variant has a dispatch arm in engine.rs and a DESIGN.md table entry"
     }
 
     fn scan(&self, ctx: &ScanCtx<'_>, facts: &mut Facts, _findings: &mut Vec<Finding>) {
@@ -69,14 +66,6 @@ impl Rule for ProtocolExhaustiveness {
             }
         }
         findings
-    }
-
-    fn global_deps(&self) -> &'static [&'static str] {
-        &[
-            "crates/server/src/protocol.rs",
-            "crates/server/src/engine.rs",
-            "DESIGN.md",
-        ]
     }
 }
 

@@ -30,7 +30,8 @@
 //! When `counters.rs` is not among the scanned files (fixture runs) the
 //! rule is inert.
 
-use super::{camel_to_snake, ident_text, is_ident, is_punct, Finding, FinishCtx, Rule, ScanCtx};
+use super::{camel_to_snake, Finding, FinishCtx, Rule, ScanCtx};
+use crate::lexer::{ident_text, is_ident, is_punct};
 use crate::summary::{CounterFacts, Facts};
 use crate::workspace::FileCtx;
 
@@ -40,11 +41,6 @@ pub struct RegistryCoherence;
 impl Rule for RegistryCoherence {
     fn id(&self) -> &'static str {
         "R10"
-    }
-
-    fn description(&self) -> &'static str {
-        "every obs counter is in COUNT/ALL, exported via pairs() (Prometheus), rendered via \
-         deterministic_pairs() (explain), and listed in DESIGN.md"
     }
 
     fn scan(&self, ctx: &ScanCtx<'_>, facts: &mut Facts, _findings: &mut Vec<Finding>) {
@@ -154,15 +150,6 @@ impl Rule for RegistryCoherence {
             );
         }
         findings
-    }
-
-    fn global_deps(&self) -> &'static [&'static str] {
-        &[
-            "crates/obs/src/counters.rs",
-            "crates/server/",
-            "crates/cli/",
-            "DESIGN.md",
-        ]
     }
 }
 

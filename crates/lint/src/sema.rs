@@ -212,7 +212,6 @@ mod tests {
     fn file(path: &str, fns: Vec<FnFact>) -> FileSummary {
         FileSummary {
             path: path.into(),
-            hash: 0,
             lex_error: None,
             findings: vec![],
             suppressions: vec![],

@@ -1,29 +1,19 @@
-//! Per-file scan summaries: the cacheable unit of analysis.
+//! Per-file scan summaries.
 //!
 //! The two-phase engine (see [`crate`]) splits every rule into a per-file
 //! **scan** — local findings plus the cross-file *facts* the finish phase
 //! joins (lock edges, protocol variants, fn/call tables, counter-registry
 //! shape) — and a whole-workspace **finish**. A [`FileSummary`] captures
-//! everything the finish phase and the reporter need from one file, so an
-//! unchanged file (same content hash) can skip lexing, parsing, and
-//! scanning entirely on a warm run: its summary is deserialized from
-//! `results/lint_cache.json` instead.
-//!
-//! Everything here round-trips through the vendored `serde_json` `Value`
-//! exactly — a lossy field would make warm findings diverge from cold
-//! ones, which the cache-correctness test forbids.
-
-use serde_json::{Value, ValueExt};
+//! everything the finish phase and the reporter need from one file.
 
 use crate::suppress::Suppression;
 
 /// One finding as produced by a rule's scan phase, before suppression
-/// matching. The rule id is a `String` here (summaries cross the cache
-/// boundary); the engine interns it back to the static id.
-#[derive(Debug, Clone, PartialEq)]
+/// matching.
+#[derive(Debug)]
 pub struct RawFinding {
-    /// Rule id (`R1`..`R10`).
-    pub rule: String,
+    /// Rule id (`R3`..`R10`).
+    pub rule: &'static str,
     /// 1-based line.
     pub line: u32,
     /// What and why, with the suggested fix.
@@ -32,7 +22,7 @@ pub struct RawFinding {
 
 /// One lock-acquisition-order edge (R4): `to` was acquired while `from`
 /// was held, first seen at `line`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct LockEdge {
     /// Held mutex name.
     pub from: String,
@@ -43,7 +33,7 @@ pub struct LockEdge {
 }
 
 /// One call site inside a function (R6 call-graph edge source).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct CallFact {
     /// Callee's final path segment.
     pub name: String,
@@ -57,7 +47,7 @@ pub struct CallFact {
 }
 
 /// A determinism-sensitive site inside a function (R6).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct DetSite {
     /// 1-based line.
     pub line: u32,
@@ -66,7 +56,7 @@ pub struct DetSite {
 }
 
 /// One function with the facts R6's reachability analysis needs.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Default)]
 pub struct FnFact {
     /// Plain name.
     pub name: String,
@@ -82,7 +72,7 @@ pub struct FnFact {
 
 /// Shape of the `obs::counters` registry (R10), extracted from
 /// `counters.rs`.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Default)]
 pub struct CounterFacts {
     /// `enum Counter` variants in declaration order, with lines.
     pub variants: Vec<(String, u32)>,
@@ -97,7 +87,7 @@ pub struct CounterFacts {
 }
 
 /// Cross-file facts extracted from one file during the scan phase.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Default)]
 pub struct Facts {
     /// R4: lock-order edges.
     pub lock_edges: Vec<LockEdge>,
@@ -116,12 +106,10 @@ pub struct Facts {
 }
 
 /// Everything the finish phase and reporter need from one scanned file.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct FileSummary {
     /// Workspace-relative, forward-slash path.
     pub path: String,
-    /// FNV-1a 64 hash of the file text (cache key).
-    pub hash: u64,
     /// Lex failure, when the file could not be analyzed at all.
     pub lex_error: Option<String>,
     /// Local (scan-phase) findings.
@@ -130,397 +118,4 @@ pub struct FileSummary {
     pub suppressions: Vec<Suppression>,
     /// Cross-file facts.
     pub facts: Facts,
-}
-
-// ---- JSON round-trip ----
-//
-// Hand-rolled against the vendored `Value`; keys are emitted in a fixed
-// order so the cache file is diffable.
-
-fn map(entries: Vec<(&str, Value)>) -> Value {
-    Value::Map(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn str_v(s: &str) -> Value {
-    Value::Str(s.to_string())
-}
-
-fn opt_str(s: &Option<String>) -> Value {
-    match s {
-        Some(s) => str_v(s),
-        None => Value::Null,
-    }
-}
-
-fn get_str(v: &Value, key: &str) -> Option<String> {
-    v.get(key).and_then(|x| x.as_str()).map(str::to_string)
-}
-
-fn get_opt_str(v: &Value, key: &str) -> Option<String> {
-    // Missing key and explicit null both mean `None`.
-    v.get(key).and_then(|x| x.as_str()).map(str::to_string)
-}
-
-fn get_u32(v: &Value, key: &str) -> Option<u32> {
-    v.get(key).and_then(|x| x.as_u64()).map(|n| n as u32)
-}
-
-fn get_bool(v: &Value, key: &str) -> bool {
-    v.get(key).and_then(|x| x.as_bool()).unwrap_or(false)
-}
-
-fn get_seq<'a>(v: &'a Value, key: &str) -> &'a [Value] {
-    v.get(key)
-        .and_then(|x| x.as_array())
-        .map(Vec::as_slice)
-        .unwrap_or_default()
-}
-
-fn named_lines_to_value(items: &[(String, u32)]) -> Value {
-    Value::Seq(
-        items
-            .iter()
-            .map(|(n, l)| map(vec![("name", str_v(n)), ("line", Value::U64(*l as u64))]))
-            .collect(),
-    )
-}
-
-fn named_lines_from_value(v: &[Value]) -> Option<Vec<(String, u32)>> {
-    v.iter()
-        .map(|e| Some((get_str(e, "name")?, get_u32(e, "line")?)))
-        .collect()
-}
-
-fn strings_to_value(items: &[String]) -> Value {
-    Value::Seq(items.iter().map(|s| str_v(s)).collect())
-}
-
-fn strings_from_value(v: &[Value]) -> Option<Vec<String>> {
-    v.iter().map(|e| e.as_str().map(str::to_string)).collect()
-}
-
-impl FileSummary {
-    /// Serializes for the cache.
-    pub fn to_value(&self) -> Value {
-        map(vec![
-            ("path", str_v(&self.path)),
-            // u64 hashes exceed f64 precision; store as a hex string.
-            ("hash", str_v(&format!("{:016x}", self.hash))),
-            ("lex_error", opt_str(&self.lex_error)),
-            (
-                "findings",
-                Value::Seq(
-                    self.findings
-                        .iter()
-                        .map(|f| {
-                            map(vec![
-                                ("rule", str_v(&f.rule)),
-                                ("line", Value::U64(f.line as u64)),
-                                ("message", str_v(&f.message)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "suppressions",
-                Value::Seq(
-                    self.suppressions
-                        .iter()
-                        .map(|s| {
-                            map(vec![
-                                ("rule", str_v(&s.rule)),
-                                ("reason", str_v(&s.reason)),
-                                ("line", Value::U64(s.line as u64)),
-                                ("effective_line", Value::U64(s.effective_line as u64)),
-                                ("error", opt_str(&s.error)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("facts", facts_to_value(&self.facts)),
-        ])
-    }
-
-    /// Deserializes a cache entry; `None` on any shape mismatch (the
-    /// caller treats that as a cache miss).
-    pub fn from_value(v: &Value) -> Option<FileSummary> {
-        let hash = u64::from_str_radix(&get_str(v, "hash")?, 16).ok()?;
-        let findings = get_seq(v, "findings")
-            .iter()
-            .map(|f| {
-                Some(RawFinding {
-                    rule: get_str(f, "rule")?,
-                    line: get_u32(f, "line")?,
-                    message: get_str(f, "message")?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let suppressions = get_seq(v, "suppressions")
-            .iter()
-            .map(|s| {
-                Some(Suppression {
-                    rule: get_str(s, "rule")?,
-                    reason: get_str(s, "reason")?,
-                    line: get_u32(s, "line")?,
-                    effective_line: get_u32(s, "effective_line")?,
-                    error: get_opt_str(s, "error"),
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(FileSummary {
-            path: get_str(v, "path")?,
-            hash,
-            lex_error: get_opt_str(v, "lex_error"),
-            findings,
-            suppressions,
-            facts: facts_from_value(v.get("facts")?)?,
-        })
-    }
-}
-
-fn facts_to_value(f: &Facts) -> Value {
-    let mut entries = vec![(
-        "lock_edges",
-        Value::Seq(
-            f.lock_edges
-                .iter()
-                .map(|e| {
-                    map(vec![
-                        ("from", str_v(&e.from)),
-                        ("to", str_v(&e.to)),
-                        ("line", Value::U64(e.line as u64)),
-                    ])
-                })
-                .collect(),
-        ),
-    )];
-    entries.push((
-        "request_variants",
-        named_lines_to_value(&f.request_variants),
-    ));
-    entries.push(("dispatched", strings_to_value(&f.dispatched)));
-    entries.push((
-        "fns",
-        Value::Seq(
-            f.fns
-                .iter()
-                .map(|fun| {
-                    map(vec![
-                        ("name", str_v(&fun.name)),
-                        ("qualified", opt_str(&fun.qualified)),
-                        ("line", Value::U64(fun.line as u64)),
-                        (
-                            "calls",
-                            Value::Seq(
-                                fun.calls
-                                    .iter()
-                                    .map(|c| {
-                                        map(vec![
-                                            ("name", str_v(&c.name)),
-                                            ("qualifier", opt_str(&c.qualifier)),
-                                            ("receiver_type", opt_str(&c.receiver_type)),
-                                            ("method", Value::Bool(c.method)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                        (
-                            "det_sites",
-                            Value::Seq(
-                                fun.det_sites
-                                    .iter()
-                                    .map(|d| {
-                                        map(vec![
-                                            ("line", Value::U64(d.line as u64)),
-                                            ("what", str_v(&d.what)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
-    entries.push((
-        "counters",
-        match &f.counters {
-            None => Value::Null,
-            Some(c) => map(vec![
-                ("variants", named_lines_to_value(&c.variants)),
-                (
-                    "count_const",
-                    c.count_const.map(Value::U64).unwrap_or(Value::Null),
-                ),
-                ("all_entries", strings_to_value(&c.all_entries)),
-                ("scheduling", strings_to_value(&c.scheduling)),
-                ("enum_line", Value::U64(c.enum_line as u64)),
-            ]),
-        },
-    ));
-    entries.push(("renders_pairs", Value::Bool(f.renders_pairs)));
-    entries.push((
-        "renders_deterministic_pairs",
-        Value::Bool(f.renders_deterministic_pairs),
-    ));
-    map(entries)
-}
-
-fn facts_from_value(v: &Value) -> Option<Facts> {
-    let lock_edges = get_seq(v, "lock_edges")
-        .iter()
-        .map(|e| {
-            Some(LockEdge {
-                from: get_str(e, "from")?,
-                to: get_str(e, "to")?,
-                line: get_u32(e, "line")?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let fns = get_seq(v, "fns")
-        .iter()
-        .map(|fun| {
-            Some(FnFact {
-                name: get_str(fun, "name")?,
-                qualified: get_opt_str(fun, "qualified"),
-                line: get_u32(fun, "line")?,
-                calls: get_seq(fun, "calls")
-                    .iter()
-                    .map(|c| {
-                        Some(CallFact {
-                            name: get_str(c, "name")?,
-                            qualifier: get_opt_str(c, "qualifier"),
-                            receiver_type: get_opt_str(c, "receiver_type"),
-                            method: get_bool(c, "method"),
-                        })
-                    })
-                    .collect::<Option<Vec<_>>>()?,
-                det_sites: get_seq(fun, "det_sites")
-                    .iter()
-                    .map(|d| {
-                        Some(DetSite {
-                            line: get_u32(d, "line")?,
-                            what: get_str(d, "what")?,
-                        })
-                    })
-                    .collect::<Option<Vec<_>>>()?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let counters = match v.get("counters") {
-        None | Some(Value::Null) => None,
-        Some(c) => Some(CounterFacts {
-            variants: named_lines_from_value(get_seq(c, "variants"))?,
-            count_const: c.get("count_const").and_then(|x| x.as_u64()),
-            all_entries: strings_from_value(get_seq(c, "all_entries"))?,
-            scheduling: strings_from_value(get_seq(c, "scheduling"))?,
-            enum_line: get_u32(c, "enum_line")?,
-        }),
-    };
-    Some(Facts {
-        lock_edges,
-        request_variants: named_lines_from_value(get_seq(v, "request_variants"))?,
-        dispatched: strings_from_value(get_seq(v, "dispatched"))?,
-        fns,
-        counters,
-        renders_pairs: get_bool(v, "renders_pairs"),
-        renders_deterministic_pairs: get_bool(v, "renders_deterministic_pairs"),
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> FileSummary {
-        FileSummary {
-            path: "crates/server/src/x.rs".into(),
-            hash: 0xdead_beef_0badu64.wrapping_mul(0x1_0000_0001),
-            lex_error: None,
-            findings: vec![RawFinding {
-                rule: "R1".into(),
-                line: 3,
-                message: "bare unwrap".into(),
-            }],
-            suppressions: vec![Suppression {
-                rule: "R3".into(),
-                reason: "exact zero".into(),
-                line: 7,
-                effective_line: 8,
-                error: None,
-            }],
-            facts: Facts {
-                lock_edges: vec![LockEdge {
-                    from: "queue".into(),
-                    to: "sessions".into(),
-                    line: 12,
-                }],
-                request_variants: vec![("OpenSession".into(), 4)],
-                dispatched: vec!["OpenSession".into()],
-                fns: vec![FnFact {
-                    name: "run".into(),
-                    qualified: Some("Engine::run".into()),
-                    line: 20,
-                    calls: vec![CallFact {
-                        name: "iter".into(),
-                        qualifier: None,
-                        receiver_type: Some("HashMap".into()),
-                        method: true,
-                    }],
-                    det_sites: vec![DetSite {
-                        line: 22,
-                        what: "std HashMap iteration".into(),
-                    }],
-                }],
-                counters: Some(CounterFacts {
-                    variants: vec![("A".into(), 1), ("B".into(), 2)],
-                    count_const: Some(2),
-                    all_entries: vec!["A".into(), "B".into()],
-                    scheduling: vec!["B".into()],
-                    enum_line: 1,
-                }),
-                renders_pairs: true,
-                renders_deterministic_pairs: false,
-            },
-        }
-    }
-
-    #[test]
-    fn summary_round_trips_through_json_text() {
-        let s = sample();
-        let text = serde_json::to_string(&s.to_value()).unwrap();
-        let back: serde_json::Value = serde_json::from_str(&text).unwrap();
-        let s2 = FileSummary::from_value(&back).unwrap();
-        assert_eq!(s, s2);
-    }
-
-    #[test]
-    fn empty_facts_round_trip() {
-        let s = FileSummary {
-            path: "p".into(),
-            hash: 1,
-            lex_error: Some("boom".into()),
-            findings: vec![],
-            suppressions: vec![],
-            facts: Facts::default(),
-        };
-        let text = serde_json::to_string(&s.to_value()).unwrap();
-        let back: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(FileSummary::from_value(&back).unwrap(), s);
-    }
-
-    #[test]
-    fn malformed_entry_is_a_miss_not_a_panic() {
-        let v: serde_json::Value = serde_json::from_str("{\"path\": \"x\"}").unwrap();
-        assert!(FileSummary::from_value(&v).is_none());
-    }
 }

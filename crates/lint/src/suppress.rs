@@ -17,7 +17,7 @@ use crate::rules::RULE_IDS;
 /// One parsed `dblayout::allow(...)` directive.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Suppression {
-    /// Uppercased rule id (`R1`..`R10`).
+    /// Uppercased rule id (`R3`..`R10`).
     pub rule: String,
     /// The mandatory justification (empty when malformed; see `error`).
     pub reason: String,
@@ -139,6 +139,8 @@ mod tests {
             "// dblayout::allow(R3, reason = \"\")",
             "// dblayout::allow(R3, because = \"x\")",
             "// dblayout::allow(R99, reason = \"x\")",
+            // R1, R2, R8 and R9 are clippy lints now; their ids are retired.
+            "// dblayout::allow(R1, reason = \"x\")",
             "// dblayout::allow R3",
         ] {
             let s = parse(bad);
@@ -149,9 +151,9 @@ mod tests {
 
     #[test]
     fn rule_id_is_case_insensitive() {
-        let s = parse("// dblayout::allow(r2, reason = \"test poisons on purpose\")");
+        let s = parse("// dblayout::allow(r4, reason = \"never held together\")");
         assert!(s[0].error.is_none());
-        assert_eq!(s[0].rule, "R2");
+        assert_eq!(s[0].rule, "R4");
     }
 
     #[test]

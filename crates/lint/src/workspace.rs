@@ -13,7 +13,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::lexer::{lex, Comment, Tok, TokKind};
+use crate::lexer::{is_ident, is_punct, lex, Comment, Tok};
 use crate::suppress::{parse_suppressions, Suppression};
 
 /// One source file handed to the analyzer: a workspace-relative path (always
@@ -122,14 +122,6 @@ pub fn build_file_ctx(file: &InputFile) -> Result<FileCtx, String> {
         test_regions,
         suppressions,
     })
-}
-
-fn is_punct(t: &Tok, s: &str) -> bool {
-    matches!(&t.kind, TokKind::Punct(p) if p == s)
-}
-
-fn is_ident(t: &Tok, s: &str) -> bool {
-    matches!(&t.kind, TokKind::Ident(i) if i == s)
 }
 
 /// Finds the line ranges of items annotated `#[cfg(test)]` or `#[test]`.

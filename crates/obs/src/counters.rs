@@ -162,7 +162,10 @@ impl Counter {
 
 /// The backing slots. `AtomicU64` is not `Copy`, so the array is built
 /// from a `const` item (each use re-evaluates the initializer).
-#[allow(clippy::declare_interior_mutable_const)]
+#[allow(
+    clippy::declare_interior_mutable_const,
+    reason = "ZERO only seeds SLOTS; every use is meant to be a fresh atomic"
+)]
 const ZERO: AtomicU64 = AtomicU64::new(0);
 static SLOTS: [AtomicU64; COUNT] = [ZERO; COUNT];
 

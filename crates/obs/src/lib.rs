@@ -54,6 +54,16 @@
 //! All of them live under lint rule R1's no-panic zone like the rest of
 //! this crate.
 
+// R1: no panic shortcuts outside tests (DESIGN.md §5).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod counters;
 pub mod hist;
 pub mod prof;
@@ -68,6 +78,25 @@ pub use record::{
     TraceParseError,
 };
 pub use sink::{JsonlSink, RingSink, Sink};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks a mutex, recovering the guard when a panicking holder poisoned it.
+///
+/// Every mutex in the workspace guards state that stays consistent across
+/// a panic: trace writers and record rings, monotonic profile rows, and the
+/// server's sessions and queues (request execution runs under
+/// `catch_unwind`, and handlers validate and stage before they mutate).
+/// Recovering with `into_inner` keeps one panic from wedging every later
+/// thread that touches the same lock. `clippy.toml` disallows a bare
+/// `Mutex::lock` everywhere else, so every acquisition goes through here.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned Mutex::lock: it recovers poisoning, which is the rule"
+)]
+pub fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[cfg(test)]
 mod concurrency_tests {

@@ -17,14 +17,10 @@
 //! never appear in deterministic traces or in the counter fingerprint,
 //! only in profile sections and bench history entries.
 
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Locks a mutex, adopting the data even if a panicking holder poisoned
-/// it — profile rows are monotonic aggregates, always safe to read.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::lock_unpoisoned;
 
 /// One aggregated phase row.
 #[derive(Debug, Clone, PartialEq, Eq)]

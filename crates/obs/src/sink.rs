@@ -10,8 +10,9 @@
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
+use crate::lock_unpoisoned;
 use crate::record::Record;
 
 /// Destination for trace records. Implementations must tolerate concurrent
@@ -20,12 +21,6 @@ pub trait Sink: Send + Sync {
     /// Accepts one record. Errors are swallowed (and counted where the
     /// sink can) — tracing must never take down the traced program.
     fn emit(&self, record: Record);
-}
-
-/// Recovers a mutex guard even if a previous holder panicked; the guarded
-/// state here (a writer or a queue of records) stays usable.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Streams records as JSON lines to a writer.

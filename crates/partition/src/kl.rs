@@ -79,7 +79,7 @@ fn kl_swap_pass(g: &Graph, assignment: &mut [usize]) -> bool {
                 // pair gain needs a +2w correction — the max-cut mirror of
                 // classic KL's g = D[a] + D[b] − 2·c(a,b).
                 let gain = d[a] + d[b] + 2.0 * g.edge_weight(a, b);
-                if best.is_none() || gain > best.unwrap().2 {
+                if best.is_none_or(|(_, _, best_gain)| gain > best_gain) {
                     best = Some((a, b, gain));
                 }
             }
@@ -209,7 +209,7 @@ fn multiway_pass(g: &Graph, parts: usize, assignment: &mut [usize]) -> bool {
                 // Moving u from `from` to `to` converts co[from] from
                 // internal to cut (+) and co[to] from cut to internal (−).
                 let gain = co[from] - co_to;
-                if best.is_none() || gain > best.unwrap().2 {
+                if best.is_none_or(|(_, _, best_gain)| gain > best_gain) {
                     best = Some((u, to, gain));
                 }
             }

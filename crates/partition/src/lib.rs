@@ -1,4 +1,13 @@
 #![warn(missing_docs)]
+// R1: no panic shortcuts outside tests (DESIGN.md §5).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 //! Weighted-graph partitioning substrate.
 //!

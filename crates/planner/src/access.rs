@@ -99,13 +99,17 @@ impl Subplan {
 /// Estimated number of distinct blocks touched by `k` random row fetches
 /// into an object of `blocks` blocks (Cardenas' formula
 /// `B·(1 − (1 − 1/B)^k)`), saturating at `blocks`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "Cardenas estimate: touched is in [0, blocks] by construction and clamped right here"
+)]
 pub fn cardenas_blocks(k: f64, blocks: u64) -> u64 {
     if blocks == 0 || k <= 0.0 {
         return 0;
     }
     let b = blocks as f64;
     let touched = b * (1.0 - (1.0 - 1.0 / b).powf(k));
-    (touched.ceil() as u64).clamp(1, blocks) // dblayout::allow(R8, reason = "Cardenas estimate: touched is in [0, blocks] by construction and clamped right here")
+    (touched.ceil() as u64).clamp(1, blocks)
 }
 
 #[cfg(test)]

@@ -21,17 +21,28 @@ pub fn explain(plan: &PhysicalPlan) -> String {
     render_node(&plan.root, 0, &mut out);
     out.push_str("-- non-blocking sub-plans --\n");
     for (i, sub) in plan.subplans().iter().enumerate() {
-        let _ = write!(out, "S{i}:"); // dblayout::allow(R9, reason = "write! into a String is infallible; fmt::Error cannot occur")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "write! into a String is infallible; fmt::Error cannot occur"
+        )]
+        let _ = write!(out, "S{i}:");
         for a in &sub.accesses {
             let tag = match a.kind {
                 crate::access::AccessKind::SequentialRead => "",
                 crate::access::AccessKind::RandomRead => "~",
                 crate::access::AccessKind::Write => "w",
             };
-            let _ = write!(out, " #{}{}[{}]", a.object.0, tag, a.blocks); // dblayout::allow(R9, reason = "write! into a String is infallible; fmt::Error cannot occur")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "write! into a String is infallible; fmt::Error cannot occur"
+            )]
+            let _ = write!(out, " #{}{}[{}]", a.object.0, tag, a.blocks);
         }
         if sub.temp_write_blocks > 0 || sub.temp_read_blocks > 0 {
-            // dblayout::allow(R9, reason = "write! into a String is infallible; fmt::Error cannot occur")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "write! into a String is infallible; fmt::Error cannot occur"
+            )]
             let _ = write!(
                 out,
                 " temp[w{} r{}]",
@@ -135,7 +146,11 @@ fn render_node(node: &PlanNode, depth: usize, out: &mut String) {
             ..
         } => format!("Delete {name} write_blocks={write_blocks} rows={rows:.0}"),
     };
-    let _ = writeln!(out, "{pad}{line}"); // dblayout::allow(R9, reason = "writeln! into a String is infallible; fmt::Error cannot occur")
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "writeln! into a String is infallible; fmt::Error cannot occur"
+    )]
+    let _ = writeln!(out, "{pad}{line}");
     for child in node.children() {
         render_node(child, depth + 1, out);
     }

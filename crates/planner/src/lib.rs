@@ -1,4 +1,12 @@
 #![warn(missing_docs)]
+// R8: every truncating `as` carries a range argument (DESIGN.md §5).
+#![deny(clippy::cast_possible_truncation)]
+// R9: no silently discarded errors (DESIGN.md §5).
+#![deny(
+    clippy::let_underscore_must_use,
+    clippy::let_underscore_untyped,
+    clippy::unused_result_ok
+)]
 
 //! Query-optimizer substrate: SQL statements → physical execution plans.
 //!

@@ -377,6 +377,11 @@ impl<'a> Optimizer<'a> {
                         .flatten(),
                     _ => None,
                 });
+                // One group entry holds 16 bytes per grouped or selected
+                // expression, within [16, 256].
+                let group_width =
+                    u32::try_from((16 * (q.group_by.len() + q.select.len())).clamp(16, 256))
+                        .unwrap_or(256);
                 let sorted_on_group = first_group_col.is_some()
                     && cand.order == first_group_col
                     && q.group_by.len() == 1;
@@ -389,8 +394,6 @@ impl<'a> Optimizer<'a> {
                     // The hash table holds one entry per *group*: it spills
                     // (repartitioning its input) only when the groups
                     // themselves overflow the grant.
-                    let group_width =
-                        (16 * (q.group_by.len() + q.select.len()) as u32).clamp(16, 256);
                     let group_blocks = est_blocks(groups, group_width);
                     let input_blocks = est_blocks(cand.rows, cand.width);
                     let spill = if group_blocks > self.cfg.memory_grant_blocks {
@@ -408,7 +411,7 @@ impl<'a> Optimizer<'a> {
                     cand.order = None;
                 }
                 cand.rows = groups;
-                cand.width = (16 * (q.group_by.len() + q.select.len()) as u32).clamp(16, 256);
+                cand.width = group_width;
             }
         }
 
@@ -753,7 +756,11 @@ impl<'a> Optimizer<'a> {
                 .map(|e| predicate_selectivity(table, e))
                 .product();
             if key_sel < 0.999 {
-                let blocks = ((table_blocks as f64 * key_sel).ceil() as u64).max(1); // dblayout::allow(R8, reason = "key_sel is in [0,1], so the product is at most table_blocks; ceil keeps partial blocks")
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "key_sel is in [0,1], so the product is at most table_blocks; ceil keeps partial blocks"
+                )]
+                let blocks = ((table_blocks as f64 * key_sel).ceil() as u64).max(1);
                 let scanned = table.row_count as f64 * key_sel;
                 out.push(Cand {
                     node: with_filter(
@@ -785,7 +792,11 @@ impl<'a> Optimizer<'a> {
                 continue;
             }
             let idx_object = self.catalog.object_id(&idx.name).expect("index registered");
-            let leaf_blocks = ((idx.size_blocks() as f64 * key_sel).ceil() as u64).max(1); // dblayout::allow(R8, reason = "key_sel is in [0,1], so the product is at most the index size; ceil keeps partial blocks")
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "key_sel is in [0,1], so the product is at most the index size; ceil keeps partial blocks"
+            )]
+            let leaf_blocks = ((idx.size_blocks() as f64 * key_sel).ceil() as u64).max(1);
             let match_rows = table.row_count as f64 * key_sel;
             let covering = needed.as_ref().is_some_and(|cols| {
                 cols.iter()
@@ -1309,7 +1320,11 @@ impl<'a> Optimizer<'a> {
             }
             InsertSource::Query(q) => {
                 let planned = self.plan_select(q, &[])?;
-                let write_blocks = blocks_for_rows(planned.rows.ceil() as u64, t.row_bytes).max(1); // dblayout::allow(R8, reason = "rows is a non-negative cardinality estimate far below 2^53; ceil rounds up partial rows")
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "rows is a non-negative cardinality estimate far below 2^53; ceil rounds up partial rows"
+                )]
+                let write_blocks = blocks_for_rows(planned.rows.ceil() as u64, t.row_bytes).max(1);
                 Ok(PlanNode::Insert {
                     object,
                     name: t.name.clone(),
@@ -1378,6 +1393,10 @@ impl<'a> Optimizer<'a> {
 // ----------------------------------------------------------------------
 
 /// Estimated blocks for an intermediate result of `rows` rows × `width` B.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "rows is clamped to ≥ 0 (NaN included) and `as` saturates a huge estimate"
+)]
 fn est_blocks(rows: f64, width: u32) -> u64 {
     blocks_for_rows(rows.ceil().max(0.0) as u64, width.max(1))
 }

@@ -12,6 +12,8 @@
 //! `-- non-blocking sub-plans --` summary (which is derived data) is
 //! ignored if present.
 
+use std::str::FromStr;
+
 use dblayout_catalog::Catalog;
 
 use crate::error::{PlanError, PlanResult};
@@ -110,7 +112,7 @@ fn parse_node(
         }
         "Filter" => {
             let predicate = bracketed(rest)?;
-            let rows = field(rest, "rows")?;
+            let rows = rows_field(rest)?;
             let inner = child(catalog, pos)?;
             PlanNode::Filter {
                 predicate,
@@ -120,7 +122,7 @@ fn parse_node(
         }
         "NestedLoops" => {
             let on = bracketed(rest)?.trim_start_matches("on ").to_string();
-            let rows = field(rest, "rows")?;
+            let rows = rows_field(rest)?;
             let outer = child(catalog, pos)?;
             let inner = child(catalog, pos)?;
             PlanNode::NestedLoops {
@@ -132,7 +134,7 @@ fn parse_node(
         }
         "MergeJoin" => {
             let on = bracketed(rest)?.trim_start_matches("on ").to_string();
-            let rows = field(rest, "rows")?;
+            let rows = rows_field(rest)?;
             let left = child(catalog, pos)?;
             let right = child(catalog, pos)?;
             PlanNode::MergeJoin {
@@ -144,8 +146,8 @@ fn parse_node(
         }
         "HashJoin" => {
             let on = bracketed(rest)?.trim_start_matches("on ").to_string();
-            let rows = field(rest, "rows")?;
-            let spill_blocks = field(rest, "spill").unwrap_or(0.0) as u64;
+            let rows = rows_field(rest)?;
+            let spill_blocks = spill_field(rest)?;
             let build = child(catalog, pos)?;
             let probe = child(catalog, pos)?;
             PlanNode::HashJoin {
@@ -158,8 +160,8 @@ fn parse_node(
         }
         "Sort" => {
             let by = bracketed(rest)?.trim_start_matches("by ").to_string();
-            let rows = field(rest, "rows")?;
-            let spill_blocks = field(rest, "spill").unwrap_or(0.0) as u64;
+            let rows = rows_field(rest)?;
+            let spill_blocks = spill_field(rest)?;
             let inner = child(catalog, pos)?;
             PlanNode::Sort {
                 by,
@@ -169,7 +171,7 @@ fn parse_node(
             }
         }
         "StreamAggregate" => {
-            let rows = field(rest, "rows")?;
+            let rows = rows_field(rest)?;
             let inner = child(catalog, pos)?;
             PlanNode::StreamAggregate {
                 rows,
@@ -177,8 +179,8 @@ fn parse_node(
             }
         }
         "HashAggregate" => {
-            let rows = field(rest, "rows")?;
-            let spill_blocks = field(rest, "spill").unwrap_or(0.0) as u64;
+            let rows = rows_field(rest)?;
+            let spill_blocks = spill_field(rest)?;
             let inner = child(catalog, pos)?;
             PlanNode::HashAggregate {
                 rows,
@@ -192,7 +194,7 @@ fn parse_node(
                 .next()
                 .and_then(|s| s.parse().ok())
                 .ok_or_else(|| PlanError::Unsupported(format!("bad Top line `{rest}`")))?;
-            let rows = field(rest, "rows")?;
+            let rows = rows_field(rest)?;
             let inner = child(catalog, pos)?;
             PlanNode::Top {
                 n,
@@ -201,7 +203,7 @@ fn parse_node(
             }
         }
         "Apply" => {
-            let rows = field(rest, "rows")?;
+            let rows = rows_field(rest)?;
             let sub = child(catalog, pos)?;
             let main = child(catalog, pos)?;
             PlanNode::Apply {
@@ -266,18 +268,45 @@ fn leaf_fields(_catalog: &Catalog, rest: &str, blocks_key: &str) -> PlanResult<(
         .next()
         .ok_or_else(|| PlanError::Unsupported(format!("missing object name in `{rest}`")))?
         .to_string();
-    let blocks = field(rest, blocks_key)? as u64;
-    let rows = field(rest, "rows")?;
+    let blocks = field(rest, blocks_key)?;
+    let rows = rows_field(rest)?;
     Ok((name, blocks, rows))
 }
 
-/// Extracts `key=value` from a line.
-fn field(rest: &str, key: &str) -> PlanResult<f64> {
+/// Extracts `key=value` from a line, parsed as `T`. Counts parse as `u64`
+/// (the renderer prints them as integers), so a negative, fractional or
+/// out-of-range count is refused rather than truncated.
+fn field<T: FromStr>(rest: &str, key: &str) -> PlanResult<T> {
     let marker = format!("{key}=");
-    rest.split_whitespace()
+    let value = rest
+        .split_whitespace()
         .find_map(|tok| tok.strip_prefix(&marker))
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| PlanError::Unsupported(format!("missing `{key}=` in `{rest}`")))
+        .ok_or_else(|| PlanError::Unsupported(format!("missing `{key}=` in `{rest}`")))?;
+    value
+        .parse()
+        .map_err(|_| PlanError::Unsupported(format!("malformed `{key}={value}` in `{rest}`")))
+}
+
+/// Extracts the `rows=` cardinality estimate: finite and non-negative.
+fn rows_field(rest: &str) -> PlanResult<f64> {
+    let rows: f64 = field(rest, "rows")?;
+    if rows.is_finite() && rows >= 0.0 {
+        Ok(rows)
+    } else {
+        Err(PlanError::Unsupported(format!(
+            "malformed `rows={rows}` in `{rest}`"
+        )))
+    }
+}
+
+/// Extracts the optional `spill=` block count; an absent field means the
+/// operator does not spill.
+fn spill_field(rest: &str) -> PlanResult<u64> {
+    if rest.split_whitespace().any(|tok| tok.starts_with("spill=")) {
+        field(rest, "spill")
+    } else {
+        Ok(0)
+    }
 }
 
 /// Extracts the `[...]` detail from an operator line.
@@ -416,6 +445,36 @@ mod tests {
         let plan = parse_explain(
             &catalog,
             "TableScan orders blocks=10 rows=100\n-- non-blocking sub-plans --\nS0: #6[10]\n",
+        )
+        .unwrap();
+        assert_eq!(plan.subplans().len(), 1);
+    }
+
+    #[test]
+    fn malformed_counts_rejected() {
+        let catalog = tpch_catalog(0.01);
+        for text in [
+            "TableScan orders blocks=-5 rows=1",
+            "TableScan orders blocks=1e30 rows=1",
+            "TableScan orders blocks=NaN rows=1",
+            "TableScan orders blocks=2.7 rows=1",
+            "Sort [by o_orderdate] rows=1 spill=abc\n  TableScan orders blocks=1 rows=1",
+            "Sort [by o_orderdate] rows=1 spill=-4\n  TableScan orders blocks=1 rows=1",
+            "TableScan orders blocks=1 rows=-1",
+            "TableScan orders blocks=1 rows=inf",
+        ] {
+            assert!(
+                matches!(
+                    parse_explain(&catalog, text),
+                    Err(PlanError::Unsupported(_))
+                ),
+                "{text}"
+            );
+        }
+        // An absent `spill=` still means no spill.
+        let plan = parse_explain(
+            &catalog,
+            "Sort [by o_orderdate] rows=1\n  TableScan orders blocks=1 rows=1",
         )
         .unwrap();
         assert_eq!(plan.subplans().len(), 1);

@@ -1,4 +1,19 @@
 #![warn(missing_docs)]
+// R1: no panic shortcuts outside tests (DESIGN.md §5).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// R9: no silently discarded errors (DESIGN.md §5).
+#![deny(
+    clippy::let_underscore_must_use,
+    clippy::let_underscore_untyped,
+    clippy::unused_result_ok
+)]
 
 //! `dblayout-relayout` — continuous relayout for a live advisor.
 //!

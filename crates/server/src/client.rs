@@ -17,7 +17,11 @@ impl Client {
     /// Connects to `addr` (`host:port`).
     pub fn connect(addr: &str) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok(); // dblayout::allow(R9, reason = "nodelay is a best-effort latency hint; the connection works without it")
+        #[expect(
+            clippy::unused_result_ok,
+            reason = "nodelay is a best-effort latency hint; the connection works without it"
+        )]
+        stream.set_nodelay(true).ok();
         let writer = stream.try_clone()?;
         Ok(Self {
             reader: BufReader::new(stream),

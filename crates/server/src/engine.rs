@@ -802,6 +802,11 @@ mod tests {
     fn audited_recommend_emits_a_replayable_record() {
         let dir =
             std::env::temp_dir().join(format!("dblayout_server_audit_{}", std::process::id()));
+        #[expect(
+            clippy::let_underscore_must_use,
+            clippy::let_underscore_untyped,
+            reason = "clears a leftover from an earlier run; usually there is none"
+        )]
         let _ = std::fs::remove_dir_all(&dir);
         let mut engine = Engine::new(4, 16);
         engine.enable_audit(&dir).expect("open decision log");
@@ -896,6 +901,11 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(missing.code, "not_found");
+        #[expect(
+            clippy::let_underscore_must_use,
+            clippy::let_underscore_untyped,
+            reason = "best-effort cleanup of the test's scratch directory"
+        )]
         let _ = std::fs::remove_dir_all(&dir);
     }
 

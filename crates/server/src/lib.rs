@@ -1,4 +1,20 @@
 #![warn(missing_docs)]
+// R1: no panic shortcuts outside tests (DESIGN.md §5).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+// R9: no silently discarded errors (DESIGN.md §5).
+#![deny(
+    clippy::let_underscore_must_use,
+    clippy::let_underscore_untyped,
+    clippy::unused_result_ok
+)]
 
 //! `dblayout-server` — the layout advisor as a long-lived what-if service.
 //!
@@ -42,20 +58,8 @@ pub mod session;
 
 pub use client::Client;
 
-/// Locks a mutex, recovering the inner data when the lock is poisoned.
-///
-/// A panicking request must not take the server down with it: request
-/// execution is wrapped in `catch_unwind` (see [`server`]), so a lock held
-/// across such a panic ends up poisoned even though the shared state is
-/// still usable (request handlers mutate state only after validation, and
-/// [`Session::add_statements`](session::Session::add_statements) stages its
-/// updates before applying them). Recover with `into_inner` instead of
-/// panicking every later thread that touches the lock.
-pub(crate) fn lock_unpoisoned<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+// Every mutex acquisition recovers poisoning (rule R2, DESIGN.md §5).
+pub(crate) use dblayout_obs::lock_unpoisoned;
 pub use engine::{Engine, RuntimeInfo, DEFAULT_TRACE_CAPACITY};
 pub use metrics::{
     render_prometheus, Gauges, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot,

@@ -167,17 +167,37 @@ impl ServerHandle {
         // the middle of a request answers it first. Requests already sent
         // stay readable.
         for stream in crate::lock_unpoisoned(&self.shared.open).values() {
-            let _ = stream.shutdown(Shutdown::Read); // dblayout::allow(R9, reason = "the peer may already have closed; either way the worker sees EOF")
+            #[expect(
+                clippy::let_underscore_must_use,
+                clippy::let_underscore_untyped,
+                reason = "the peer may already have closed; either way the worker sees EOF"
+            )]
+            let _ = stream.shutdown(Shutdown::Read);
         }
         // Unblock the acceptor with a throwaway connection; it re-checks the
         // flag after every accept.
-        let _ = TcpStream::connect(self.addr); // dblayout::allow(R9, reason = "throwaway self-connection only unblocks accept(); the acceptor re-checks the shutdown flag either way")
+        #[expect(
+            clippy::let_underscore_must_use,
+            clippy::let_underscore_untyped,
+            reason = "throwaway self-connection only unblocks accept(); the acceptor re-checks the shutdown flag either way"
+        )]
+        let _ = TcpStream::connect(self.addr);
         if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join(); // dblayout::allow(R9, reason = "join error means the acceptor panicked; at shutdown there is nothing left to recover")
+            #[expect(
+                clippy::let_underscore_must_use,
+                clippy::let_underscore_untyped,
+                reason = "join error means the acceptor panicked; at shutdown there is nothing left to recover"
+            )]
+            let _ = acceptor.join();
         }
         self.shared.available.notify_all();
         for worker in self.workers.drain(..) {
-            let _ = worker.join(); // dblayout::allow(R9, reason = "join error means the worker panicked; at shutdown there is nothing left to recover")
+            #[expect(
+                clippy::let_underscore_must_use,
+                clippy::let_underscore_untyped,
+                reason = "join error means the worker panicked; at shutdown there is nothing left to recover"
+            )]
+            let _ = worker.join();
         }
     }
 }
@@ -285,11 +305,21 @@ fn execute_guarded(
 fn reply_and_close(mut stream: TcpStream, error: &ApiError) {
     let mut line = err_line(error);
     line.push('\n');
-    let _ = stream.write_all(line.as_bytes()); // dblayout::allow(R9, reason = "best-effort error reply on a connection being closed; the peer may already be gone")
+    #[expect(
+        clippy::let_underscore_must_use,
+        clippy::let_underscore_untyped,
+        reason = "best-effort error reply on a connection being closed; the peer may already be gone"
+    )]
+    let _ = stream.write_all(line.as_bytes());
 }
 
 fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(shared.config.idle_timeout)); // dblayout::allow(R9, reason = "idle timeout is a best-effort hygiene hint; a session without it still serves correctly")
+    #[expect(
+        clippy::let_underscore_must_use,
+        clippy::let_underscore_untyped,
+        reason = "idle timeout is a best-effort hygiene hint; a session without it still serves correctly"
+    )]
+    let _ = stream.set_read_timeout(Some(shared.config.idle_timeout));
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -302,7 +332,12 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
         crate::lock_unpoisoned(&shared.open).insert(id, handle);
     }
     if shared.shutdown.load(Ordering::SeqCst) {
-        let _ = stream.shutdown(Shutdown::Read); // dblayout::allow(R9, reason = "the peer may already have closed; either way the loop below sees EOF")
+        #[expect(
+            clippy::let_underscore_must_use,
+            clippy::let_underscore_untyped,
+            reason = "the peer may already have closed; either way the loop below sees EOF"
+        )]
+        let _ = stream.shutdown(Shutdown::Read);
     }
     serve_requests(shared, BufReader::new(stream), &mut writer);
     crate::lock_unpoisoned(&shared.open).remove(&id);
@@ -584,11 +619,11 @@ mod tests {
         let server = start();
         // Poison the queue mutex the way a panicking thread would.
         let shared = Arc::clone(&server.shared);
-        let _ = std::thread::spawn(move || {
+        let poisoner = std::thread::spawn(move || {
             let _guard = crate::lock_unpoisoned(&shared.queue);
             panic!("poison the queue lock");
-        })
-        .join();
+        });
+        assert!(poisoner.join().is_err(), "the poisoning thread panics");
         assert!(server.shared.queue.is_poisoned());
 
         // The acceptor and workers recover the lock and keep serving

@@ -46,7 +46,7 @@ static COUNTER_ISOLATION: Mutex<()> = Mutex::new(());
 /// Takes [`COUNTER_ISOLATION`] (a test that panicked while holding it
 /// leaves the counters consistent, so poisoning is ignored).
 fn isolate_counters() -> MutexGuard<'static, ()> {
-    COUNTER_ISOLATION.lock().unwrap_or_else(|e| e.into_inner())
+    dblayout_obs::lock_unpoisoned(&COUNTER_ISOLATION)
 }
 
 /// Everything a caller can observe from one search run, fully serialized

@@ -150,7 +150,7 @@ fn assert_engines_agree(inst: &Instance, cfg: &TsGreedyConfig, label: &str) -> R
 /// reference from the search's own starting layout, asserts every
 /// observable agrees, and returns the 1-thread run.
 fn engines_agree(inst: &Instance, cfg: &TsGreedyConfig, label: &str) -> Run {
-    let _turn = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = dblayout_obs::lock_unpoisoned(&COUNTERS);
     let at = |threads: usize| {
         search(
             inst,
