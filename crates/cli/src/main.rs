@@ -180,15 +180,15 @@ OPTIONS:
 
 const LINT_USAGE: &str = "\
 dblayout lint — workspace static analysis for what clippy cannot check:
-float hygiene, lock order, protocol coverage, determinism zones, atomics
-policy, registry coherence (rules R3–R7 and R10 in DESIGN.md, \"Static
-analysis\"; R1, R2, R8 and R9 are clippy lints)
+float hygiene, lock order, determinism zones and atomics policy (rules R3,
+R4, R6 and R7 in DESIGN.md, \"Static analysis\"; R1, R2, R8 and R9 are
+clippy lints)
 
 USAGE:
     dblayout lint [--deny-warnings] [--root <dir>]
 
-Scans every Rust source under <root>/crates/*/src plus DESIGN.md, prints a
-diagnostic per finding, and writes the machine-readable report to
+Scans every Rust source under <root>/crates/*/src, prints a diagnostic per
+finding, and writes the machine-readable report to
 <root>/results/lint_report.json.
 
 Exit status: non-zero on any error-severity diagnostic (unlexable file,

@@ -1,7 +1,6 @@
 //! dblayout-lint: a syntax-aware workspace static-analysis pass for the
 //! properties clippy cannot express — float hygiene, lock order,
-//! protocol coverage, determinism zones, atomics policy and registry
-//! coherence.
+//! determinism zones and atomics policy.
 //!
 //! Token-stream rules catch local shapes; a lightweight parser (items, fn
 //! signatures, bodies, call/method-chain expressions — no full Rust
@@ -13,15 +12,15 @@
 //! |-----|------|
 //! | R3  | no `partial_cmp`, no `==`/`!=` against float literals |
 //! | R4  | lock-acquisition order across `crates/server` is cycle-free |
-//! | R5  | every `Request` variant is dispatched in `engine.rs` and documented in `DESIGN.md` |
 //! | R6  | no hash-order iteration / wall-clock values / thread identity reachable from the deterministic paths |
 //! | R7  | raw atomics only in sanctioned zones, `Ordering`s per the declared policy table |
-//! | R10 | the `obs::counters` registry, Prometheus op, `explain`, and DESIGN.md §8 agree |
 //!
 //! R1 (no panic shortcuts), R2 (poison-safe locking), R8 (lossy casts)
 //! and R9 (swallowed errors) are clippy lints, denied at the root of the
-//! crates they cover and configured in the workspace `clippy.toml`; see
-//! DESIGN.md §5.
+//! crates they cover and configured in the workspace `clippy.toml`. R5
+//! (protocol coverage) and R10 (counter-registry coherence) hold by
+//! construction: the wire ops and the counters are each declared from one
+//! table, and unit tests check their DESIGN.md tables; see DESIGN.md §5.
 //!
 //! ## Two-phase engine
 //!
@@ -38,9 +37,9 @@
 //! no longer silences anything is itself flagged (`unused-suppression`)
 //! so the audit trail cannot rot.
 //!
-//! Entry points: [`lint_workspace`] walks `crates/*/src` + `DESIGN.md`
-//! from a workspace root; [`analyze`] runs on in-memory sources (the
-//! fixture tests use it). The CLI front-end is
+//! Entry points: [`lint_workspace`] walks `crates/*/src` from a
+//! workspace root; [`analyze`] runs on in-memory sources (the fixture
+//! tests use it). The CLI front-end is
 //! `dblayout lint [--deny-warnings] [--root <dir>]`.
 
 pub mod lexer;
@@ -66,11 +65,9 @@ use workspace::build_file_ctx;
 
 /// Runs every rule over in-memory sources.
 ///
-/// `design_md` is `DESIGN.md`'s text when available; without it the
-/// documentation checks (R5, R10) are skipped. Files that fail to lex and
-/// malformed suppression directives surface as error diagnostics rather
-/// than aborting the run.
-pub fn analyze(files: &[InputFile], design_md: Option<&str>) -> LintReport {
+/// Files that fail to lex and malformed suppression directives surface as
+/// error diagnostics rather than aborting the run.
+pub fn analyze(files: &[InputFile]) -> LintReport {
     let rules = all_rules();
     let mut report = LintReport::default();
 
@@ -115,10 +112,7 @@ pub fn analyze(files: &[InputFile], design_md: Option<&str>) -> LintReport {
             ));
         }
     }
-    let finish_ctx = FinishCtx {
-        files: &summaries,
-        design_md,
-    };
+    let finish_ctx = FinishCtx { files: &summaries };
     for rule in &rules {
         for f in rule.finish(&finish_ctx) {
             findings.push((rule.id(), f));
@@ -221,11 +215,9 @@ fn scan_file(f: &InputFile, rules: &[Box<dyn Rule>]) -> FileSummary {
     }
 }
 
-/// Lints a workspace on disk: every `.rs` under `<root>/crates/*/src`
-/// plus `<root>/DESIGN.md`.
+/// Lints a workspace on disk: every `.rs` under `<root>/crates/*/src`.
 pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
-    let (files, design_md) = workspace::load_workspace(root)?;
-    Ok(analyze(&files, design_md.as_deref()))
+    Ok(analyze(&workspace::load_workspace(root)?))
 }
 
 #[cfg(test)]
@@ -245,7 +237,7 @@ mod tests {
             "crates/server/src/ok.rs",
             "fn f(x: Option<u32>) -> u32 {\n    x.unwrap_or(0)\n}\n",
         )];
-        let r = analyze(&files, None);
+        let r = analyze(&files);
         assert!(r.is_clean(true), "{}", r.render());
         assert_eq!(r.files_scanned, 1);
     }
@@ -256,7 +248,7 @@ mod tests {
             "crates/core/src/bad.rs",
             "fn f(x: f64) -> bool {\n    x == 0.0\n}\n",
         )];
-        let r = analyze(&bare, None);
+        let r = analyze(&bare);
         assert_eq!(r.warnings(), 1);
         assert!(r.is_clean(false), "warnings pass without deny");
         assert!(!r.is_clean(true));
@@ -265,7 +257,7 @@ mod tests {
             "crates/core/src/bad.rs",
             "fn f(x: f64) -> bool {\n    x == 0.0 // dblayout::allow(R3, reason = \"exact zero sentinel\")\n}\n",
         )];
-        let r = analyze(&allowed, None);
+        let r = analyze(&allowed);
         assert!(r.is_clean(true), "{}", r.render());
         assert_eq!(r.suppressed.len(), 1);
         assert!(r.suppressed[0].message.contains("exact zero sentinel"));
@@ -277,7 +269,7 @@ mod tests {
             "crates/core/src/bad.rs",
             "fn f(x: f64) -> bool {\n    x == 0.0 // dblayout::allow(R3)\n}\n",
         )];
-        let r = analyze(&files, None);
+        let r = analyze(&files);
         assert_eq!(r.errors(), 1);
         assert!(!r.is_clean(false), "errors fail even without deny");
     }
@@ -285,7 +277,7 @@ mod tests {
     #[test]
     fn unlexable_file_is_an_error_not_a_crash() {
         let files = [file("crates/x/src/broken.rs", "fn f() { \"unterminated }")];
-        let r = analyze(&files, None);
+        let r = analyze(&files);
         assert_eq!(r.errors(), 1);
         assert_eq!(r.files_scanned, 0);
     }
@@ -296,7 +288,7 @@ mod tests {
             "crates/core/src/bad.rs",
             "fn f(x: f64) -> bool {\n    x == 0.0 // dblayout::allow(R6, reason = \"wrong rule\")\n}\n",
         )];
-        let r = analyze(&files, None);
+        let r = analyze(&files);
         // The R3 finding stays active, and the mismatched R6 directive is
         // itself flagged as unused.
         assert_eq!(r.warnings(), 2);
@@ -311,7 +303,7 @@ mod tests {
             "fn f(x: f64) -> bool {\n    x == 0.0 // dblayout::allow(R3, reason = \"sentinel\")\n}\n\
              // dblayout::allow(R3, reason = \"stale: the comparison below was removed\")\nfn g() -> u32 { 0 }\n",
         )];
-        let r = analyze(&files, None);
+        let r = analyze(&files);
         assert_eq!(r.suppressed.len(), 1, "{}", r.render());
         let unused: Vec<_> = r
             .diagnostics

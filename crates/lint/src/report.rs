@@ -25,7 +25,7 @@ impl Severity {
 /// One reported problem.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule id (`R3`..`R10`), `unused-suppression`, or `lint` for
+    /// Rule id (`R3`..`R7`), `unused-suppression`, or `lint` for
     /// infrastructure errors.
     pub rule: &'static str,
     /// Severity class.

@@ -69,9 +69,9 @@ fn policy_for(path: &str) -> Policy {
         // The load driver's error/shed tallies: monotonic counters whose
         // readers tolerate staleness, same argument as the server metrics
         // mirrors. They are run-local measurement artifacts, not workspace
-        // work counters, so they stay out of the obs::counters registry
-        // (R10) — the registry is the *server's* deterministic
-        // fingerprint; a client-side harness must not pollute it.
+        // work counters, so they stay out of the obs::counters registry —
+        // the registry is the *server's* deterministic fingerprint; a
+        // client-side harness must not pollute it.
         Policy::Orderings(&["Relaxed"])
     } else {
         Policy::Forbidden

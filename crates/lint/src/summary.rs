@@ -2,9 +2,9 @@
 //!
 //! The two-phase engine (see [`crate`]) splits every rule into a per-file
 //! **scan** — local findings plus the cross-file *facts* the finish phase
-//! joins (lock edges, protocol variants, fn/call tables, counter-registry
-//! shape) — and a whole-workspace **finish**. A [`FileSummary`] captures
-//! everything the finish phase and the reporter need from one file.
+//! joins (lock edges, fn/call tables) — and a whole-workspace **finish**.
+//! A [`FileSummary`] captures everything the finish phase and the reporter
+//! need from one file.
 
 use crate::suppress::Suppression;
 
@@ -12,7 +12,7 @@ use crate::suppress::Suppression;
 /// matching.
 #[derive(Debug)]
 pub struct RawFinding {
-    /// Rule id (`R3`..`R10`).
+    /// Rule id (`R3`..`R7`).
     pub rule: &'static str,
     /// 1-based line.
     pub line: u32,
@@ -70,39 +70,13 @@ pub struct FnFact {
     pub det_sites: Vec<DetSite>,
 }
 
-/// Shape of the `obs::counters` registry (R10), extracted from
-/// `counters.rs`.
-#[derive(Debug, Default)]
-pub struct CounterFacts {
-    /// `enum Counter` variants in declaration order, with lines.
-    pub variants: Vec<(String, u32)>,
-    /// Value of `pub const COUNT: usize`.
-    pub count_const: Option<u64>,
-    /// Entries of `Counter::ALL` in order (final path segments).
-    pub all_entries: Vec<String>,
-    /// Variants excluded by `is_deterministic` (the scheduling class).
-    pub scheduling: Vec<String>,
-    /// Line of the `enum Counter` item (finding anchor).
-    pub enum_line: u32,
-}
-
 /// Cross-file facts extracted from one file during the scan phase.
 #[derive(Debug, Default)]
 pub struct Facts {
     /// R4: lock-order edges.
     pub lock_edges: Vec<LockEdge>,
-    /// R5: `enum Request` variants (protocol.rs only).
-    pub request_variants: Vec<(String, u32)>,
-    /// R5: `Request::X` paths referenced outside tests (engine.rs).
-    pub dispatched: Vec<String>,
     /// R6: functions with calls and determinism-sensitive sites.
     pub fns: Vec<FnFact>,
-    /// R10: counter-registry shape (counters.rs only).
-    pub counters: Option<CounterFacts>,
-    /// R10: file calls `.pairs()` outside tests (Prometheus exposition).
-    pub renders_pairs: bool,
-    /// R10: file calls `.deterministic_pairs()` outside tests (explain).
-    pub renders_deterministic_pairs: bool,
 }
 
 /// Everything the finish phase and reporter need from one scanned file.

@@ -17,7 +17,7 @@ use crate::rules::RULE_IDS;
 /// One parsed `dblayout::allow(...)` directive.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Suppression {
-    /// Uppercased rule id (`R3`..`R10`).
+    /// Uppercased rule id (`R3`..`R7`).
     pub rule: String,
     /// The mandatory justification (empty when malformed; see `error`).
     pub reason: String,
@@ -139,8 +139,11 @@ mod tests {
             "// dblayout::allow(R3, reason = \"\")",
             "// dblayout::allow(R3, because = \"x\")",
             "// dblayout::allow(R99, reason = \"x\")",
-            // R1, R2, R8 and R9 are clippy lints now; their ids are retired.
+            // R1, R2, R8 and R9 are clippy lints now, and R5 and R10 hold
+            // by construction; their ids are retired.
             "// dblayout::allow(R1, reason = \"x\")",
+            "// dblayout::allow(R5, reason = \"x\")",
+            "// dblayout::allow(R10, reason = \"x\")",
             "// dblayout::allow R3",
         ] {
             let s = parse(bad);

@@ -2,8 +2,7 @@
 //!
 //! The walker collects every first-party Rust source under `crates/*/src`
 //! (vendored registry stand-ins under `vendor/` are deliberately out of
-//! scope — they are frozen stubs, not code this workspace owns) plus
-//! `DESIGN.md`, whose wire-protocol table rule R5 cross-checks.
+//! scope — they are frozen stubs, not code this workspace owns).
 //!
 //! Each file is lexed once into a [`FileCtx`]: the token stream, the
 //! comment side channel, the `#[cfg(test)]` / `#[test]` line regions
@@ -52,8 +51,8 @@ impl FileCtx {
 }
 
 /// Loads the workspace sources the lint pass covers: every `.rs` under
-/// `crates/*/src`, in sorted order, plus `DESIGN.md` when present.
-pub fn load_workspace(root: &Path) -> io::Result<(Vec<InputFile>, Option<String>)> {
+/// `crates/*/src`, in sorted order.
+pub fn load_workspace(root: &Path) -> io::Result<Vec<InputFile>> {
     let crates_dir = root.join("crates");
     if !crates_dir.is_dir() {
         return Err(io::Error::new(
@@ -85,8 +84,7 @@ pub fn load_workspace(root: &Path) -> io::Result<(Vec<InputFile>, Option<String>
             text,
         });
     }
-    let design_md = std::fs::read_to_string(root.join("DESIGN.md")).ok();
-    Ok((files, design_md))
+    Ok(files)
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

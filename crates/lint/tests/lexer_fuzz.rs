@@ -86,11 +86,7 @@ fn compose(rng: &mut Lcg, atoms: &[&str], n: usize) -> String {
     let mut out = String::new();
     for _ in 0..n {
         out.push_str(rng.pick(atoms));
-        out.push(if rng.next().is_multiple_of(3) {
-            ' '
-        } else {
-            '\n'
-        });
+        out.push(if rng.next() % 3 == 0 { ' ' } else { '\n' });
     }
     out
 }

@@ -18,35 +18,26 @@ fn rules_hit(report: &LintReport) -> Vec<&'static str> {
 
 #[test]
 fn r3_nan_unsafe_comparisons() {
-    let report = analyze(
-        &[file(
-            "crates/core/src/fixture.rs",
-            include_str!("fixtures/r3_float.rs"),
-        )],
-        None,
-    );
+    let report = analyze(&[file(
+        "crates/core/src/fixture.rs",
+        include_str!("fixtures/r3_float.rs"),
+    )]);
     assert_eq!(rules_hit(&report), ["R3", "R3"], "{}", report.render());
     assert!(!report.is_clean(true));
 
-    let clean = analyze(
-        &[file(
-            "crates/core/src/fixture.rs",
-            include_str!("fixtures/r3_clean.rs"),
-        )],
-        None,
-    );
+    let clean = analyze(&[file(
+        "crates/core/src/fixture.rs",
+        include_str!("fixtures/r3_clean.rs"),
+    )]);
     assert!(clean.is_clean(true), "{}", clean.render());
 }
 
 #[test]
 fn r4_two_mutex_cycle() {
-    let report = analyze(
-        &[file(
-            "crates/server/src/fixture.rs",
-            include_str!("fixtures/r4_cycle.rs"),
-        )],
-        None,
-    );
+    let report = analyze(&[file(
+        "crates/server/src/fixture.rs",
+        include_str!("fixtures/r4_cycle.rs"),
+    )]);
     assert!(rules_hit(&report).contains(&"R4"), "{}", report.render());
     assert!(!report.is_clean(true));
     let cycle = report
@@ -60,13 +51,10 @@ fn r4_two_mutex_cycle() {
         "cycle names both mutexes: {cycle}"
     );
 
-    let clean = analyze(
-        &[file(
-            "crates/server/src/fixture.rs",
-            include_str!("fixtures/r4_clean.rs"),
-        )],
-        None,
-    );
+    let clean = analyze(&[file(
+        "crates/server/src/fixture.rs",
+        include_str!("fixtures/r4_clean.rs"),
+    )]);
     assert!(clean.is_clean(true), "{}", clean.render());
 }
 
@@ -84,58 +72,16 @@ fn r4_cycle_across_files() {
                 &format!("use std::sync::{{Mutex, PoisonError}};\npub struct Shared {{ pub queue: Mutex<Vec<u64>>, pub registry: Mutex<Vec<u64>> }}\npub fn report{report_fn}"),
             ),
         ],
-        None,
     );
     assert!(rules_hit(&report).contains(&"R4"), "{}", report.render());
 }
 
 #[test]
-fn r5_undispatched_and_undocumented_variant() {
-    let files = [
-        file(
-            "crates/server/src/protocol.rs",
-            include_str!("fixtures/r5_protocol.rs"),
-        ),
-        file(
-            "crates/server/src/engine.rs",
-            include_str!("fixtures/r5_engine.rs"),
-        ),
-    ];
-    // `Shutdown` is neither dispatched nor documented: two findings.
-    let report = analyze(&files, Some("| open_session | stats |"));
-    assert_eq!(rules_hit(&report), ["R5", "R5"], "{}", report.render());
-    assert!(!report.is_clean(true));
-
-    // Documenting it leaves exactly the missing dispatch arm.
-    let report = analyze(&files, Some("| open_session | stats | shutdown |"));
-    assert_eq!(rules_hit(&report), ["R5"], "{}", report.render());
-    assert!(report.diagnostics[0].message.contains("Shutdown"));
-
-    // Wiring the dispatch too makes the protocol exhaustive.
-    let full_engine = include_str!("fixtures/r5_engine.rs")
-        .replace("_ => \"dropped\"", "Request::Shutdown => \"shutdown\"");
-    let report = analyze(
-        &[
-            file(
-                "crates/server/src/protocol.rs",
-                include_str!("fixtures/r5_protocol.rs"),
-            ),
-            file("crates/server/src/engine.rs", &full_engine),
-        ],
-        Some("| open_session | stats | shutdown |"),
-    );
-    assert!(report.is_clean(true), "{}", report.render());
-}
-
-#[test]
 fn suppression_with_reason_silences_and_is_reported() {
-    let report = analyze(
-        &[file(
-            "crates/server/src/fixture.rs",
-            include_str!("fixtures/r3_suppressed.rs"),
-        )],
-        None,
-    );
+    let report = analyze(&[file(
+        "crates/server/src/fixture.rs",
+        include_str!("fixtures/r3_suppressed.rs"),
+    )]);
     assert!(report.is_clean(true), "{}", report.render());
     assert_eq!(report.suppressed.len(), 1);
     assert!(
@@ -147,13 +93,10 @@ fn suppression_with_reason_silences_and_is_reported() {
 
 #[test]
 fn suppression_without_reason_is_fatal() {
-    let report = analyze(
-        &[file(
-            "crates/server/src/fixture.rs",
-            include_str!("fixtures/r3_suppressed_bad.rs"),
-        )],
-        None,
-    );
+    let report = analyze(&[file(
+        "crates/server/src/fixture.rs",
+        include_str!("fixtures/r3_suppressed_bad.rs"),
+    )]);
     // The malformed directive is an error (fatal even without
     // --deny-warnings) and the finding it aimed at stays active.
     assert_eq!(report.errors(), 1, "{}", report.render());
@@ -177,7 +120,7 @@ fn r6_hash_iteration_and_reachable_wall_clock() {
             include_str!("fixtures/r6_time_helper.rs"),
         ),
     ];
-    let report = analyze(&files, None);
+    let report = analyze(&files);
     // One HashMap iteration in the seed file, one Instant::now in the
     // helper it calls — and nothing from the #[cfg(test)] module.
     assert_eq!(rules_hit(&report), ["R6", "R6"], "{}", report.render());
@@ -192,13 +135,10 @@ fn r6_hash_iteration_and_reachable_wall_clock() {
         clock.message
     );
 
-    let clean = analyze(
-        &[file(
-            "crates/core/src/tsgreedy.rs",
-            include_str!("fixtures/r6_clean.rs"),
-        )],
-        None,
-    );
+    let clean = analyze(&[file(
+        "crates/core/src/tsgreedy.rs",
+        include_str!("fixtures/r6_clean.rs"),
+    )]);
     assert!(clean.is_clean(true), "{}", clean.render());
 }
 
@@ -206,127 +146,46 @@ fn r6_hash_iteration_and_reachable_wall_clock() {
 fn r6_is_scoped_to_the_deterministic_zone() {
     // The same hash iteration outside the zone (no seed file defines or
     // reaches it) is not R6's business.
-    let report = analyze(
-        &[file(
-            "crates/catalog/src/fixture.rs",
-            include_str!("fixtures/r6_det_zone.rs"),
-        )],
-        None,
-    );
+    let report = analyze(&[file(
+        "crates/catalog/src/fixture.rs",
+        include_str!("fixtures/r6_det_zone.rs"),
+    )]);
     assert!(report.is_clean(true), "{}", report.render());
 }
 
 #[test]
 fn r7_atomics_forbidden_outside_sanctioned_zones() {
-    let report = analyze(
-        &[file(
-            "crates/catalog/src/fixture.rs",
-            include_str!("fixtures/r7_forbidden.rs"),
-        )],
-        None,
-    );
+    let report = analyze(&[file(
+        "crates/catalog/src/fixture.rs",
+        include_str!("fixtures/r7_forbidden.rs"),
+    )]);
     // The AtomicU64 field and the fetch_add's Ordering, one per line.
     assert_eq!(rules_hit(&report), ["R7", "R7"], "{}", report.render());
 }
 
 #[test]
 fn r7_ordering_policy_per_zone() {
-    let report = analyze(
-        &[file(
-            "crates/obs/src/fixture.rs",
-            include_str!("fixtures/r7_bad_ordering.rs"),
-        )],
-        None,
-    );
+    let report = analyze(&[file(
+        "crates/obs/src/fixture.rs",
+        include_str!("fixtures/r7_bad_ordering.rs"),
+    )]);
     // Atomics are sanctioned in obs, but only Relaxed is in the policy.
     assert_eq!(rules_hit(&report), ["R7"], "{}", report.render());
     assert!(report.diagnostics[0].message.contains("AcqRel"));
 
-    let clean = analyze(
-        &[file(
-            "crates/obs/src/fixture.rs",
-            include_str!("fixtures/r7_clean.rs"),
-        )],
-        None,
-    );
+    let clean = analyze(&[file(
+        "crates/obs/src/fixture.rs",
+        include_str!("fixtures/r7_clean.rs"),
+    )]);
     assert!(clean.is_clean(true), "{}", clean.render());
 }
 
 #[test]
-fn r10_registry_drift_is_caught() {
-    let files = [
-        file(
-            "crates/obs/src/counters.rs",
-            include_str!("fixtures/r10_registry_drift.rs"),
-        ),
-        file(
-            "crates/server/src/metrics.rs",
-            include_str!("fixtures/r10_server_render.rs"),
-        ),
-        file(
-            "crates/cli/src/explain.rs",
-            include_str!("fixtures/r10_cli_render.rs"),
-        ),
-    ];
-    // COUNT lags, ALL is missing ParChunkItems, the scheduling class
-    // names a ghost variant, and DESIGN.md lacks par_chunk_items.
-    let report = analyze(&files, Some("graph_node_updates graph_edge_updates"));
-    assert_eq!(
-        rules_hit(&report),
-        ["R10", "R10", "R10", "R10"],
-        "{}",
-        report.render()
-    );
-    let all = report.render();
-    assert!(all.contains("COUNT"), "{all}");
-    assert!(all.contains("ParChunkItems"), "{all}");
-    assert!(all.contains("ParPoolFallbacks"), "{all}");
-    assert!(all.contains("par_chunk_items"), "{all}");
-}
-
-#[test]
-fn r10_coherent_registry_is_clean_and_rule_is_inert_without_it() {
-    let files = [
-        file(
-            "crates/obs/src/counters.rs",
-            include_str!("fixtures/r10_registry_clean.rs"),
-        ),
-        file(
-            "crates/server/src/metrics.rs",
-            include_str!("fixtures/r10_server_render.rs"),
-        ),
-        file(
-            "crates/cli/src/explain.rs",
-            include_str!("fixtures/r10_cli_render.rs"),
-        ),
-    ];
-    let report = analyze(
-        &files,
-        Some("graph_node_updates graph_edge_updates par_chunk_items"),
-    );
-    assert!(report.is_clean(true), "{}", report.render());
-
-    // Dropping the render surfaces turns them into findings.
-    let report = analyze(
-        &files[..1],
-        Some("graph_node_updates graph_edge_updates par_chunk_items"),
-    );
-    assert_eq!(rules_hit(&report), ["R10", "R10"], "{}", report.render());
-
-    // Fixture runs without counters.rs see nothing from R10.
-    let report = analyze(&files[1..], None);
-    assert!(report.is_clean(true), "{}", report.render());
-}
-
-#[test]
 fn unused_suppression_is_a_finding() {
-    let report = analyze(
-        &[file(
-            "crates/server/src/fixture.rs",
-            include_str!("fixtures/unused_suppression.rs"),
-        )],
-        None,
-    );
+    let report = analyze(&[file(
+        "crates/server/src/fixture.rs",
+        include_str!("fixtures/unused_suppression.rs"),
+    )]);
     assert_eq!(
         rules_hit(&report),
         ["unused-suppression"],

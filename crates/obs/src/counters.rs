@@ -33,131 +33,110 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Every counter in the registry. The discriminant is the slot index of
-/// the backing atomic; `ALL` iterates in declaration order, which is also
-/// the exposition order everywhere counters are rendered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
+/// Declares the registry from one table. Each row is a counter's doc, its
+/// variant, its snake_case name and its class (`deterministic` or
+/// `scheduling`); the enum, [`COUNT`], [`Counter::ALL`], [`Counter::name`]
+/// and [`Counter::is_deterministic`] are all generated from the rows, so
+/// they cannot disagree.
+macro_rules! counters {
+    (@deterministic deterministic) => { true };
+    (@deterministic scheduling) => { false };
+    ($($(#[$doc:meta])* $variant:ident = $name:literal, $class:ident;)+) => {
+        /// Every counter in the registry. The discriminant is the slot
+        /// index of the backing atomic; `ALL` iterates in declaration
+        /// order, which is also the exposition order everywhere counters
+        /// are rendered.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum Counter {
+            $($(#[$doc])* $variant,)+
+        }
+
+        /// Number of registered counters (slots in the backing array).
+        pub const COUNT: usize = [$(Counter::$variant),+].len();
+
+        impl Counter {
+            /// Every counter, in declaration (= exposition) order.
+            pub const ALL: [Counter; COUNT] = [$(Counter::$variant),+];
+
+            /// Static snake_case name. Renderers add their own affixes (the
+            /// Prometheus exposition emits `dblayout_<name>_total`).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $name,)+
+                }
+            }
+
+            /// Whether the counter is in the deterministic class: its
+            /// per-run delta depends only on the inputs, never on thread
+            /// count or timing.
+            pub fn is_deterministic(self) -> bool {
+                match self {
+                    $(Counter::$variant => counters!(@deterministic $class),)+
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// TS-GREEDY candidate moves enumerated (before validity/constraint
     /// filtering) across all iterations.
-    TsgreedyCandidatesEnumerated = 0,
+    TsgreedyCandidatesEnumerated = "tsgreedy_candidates_enumerated", deterministic;
     /// Candidates that survived validity + constraint checks and were
     /// cost-scored.
-    TsgreedyCandidatesScored = 1,
+    TsgreedyCandidatesScored = "tsgreedy_candidates_scored", deterministic;
     /// Candidates adopted (one per improving iteration).
-    TsgreedyCandidatesAdopted = 2,
+    TsgreedyCandidatesAdopted = "tsgreedy_candidates_adopted", deterministic;
     /// Definition-2 validity re-checks (one per enumerated candidate,
     /// whether incremental or full-scan).
-    TsgreedyValidityChecks = 3,
+    TsgreedyValidityChecks = "tsgreedy_validity_checks", deterministic;
     /// Incremental (delta) re-costs: one per candidate the search scores
     /// on its ledger (`DeltaEvaluator::fold`), plus one per adopted move
     /// (`DeltaEvaluator::adopt`).
-    CostmodelDeltaRecosts = 4,
+    CostmodelDeltaRecosts = "costmodel_delta_recosts", deterministic;
     /// Full costings: one per ledger build (`CostModel::delta_evaluator`,
     /// the search's initial costing) and one per whole-workload costing
     /// outside a search (what-if costing, baselines such as the advisor's
     /// FULL STRIPING).
-    CostmodelFullRecosts = 5,
+    CostmodelFullRecosts = "costmodel_full_recosts", deterministic;
     /// Access-graph node-weight folds accumulated (one per object touched
     /// per plan).
-    GraphNodeUpdates = 6,
+    GraphNodeUpdates = "graph_node_updates", deterministic;
     /// Access-graph edge-weight folds accumulated (one per co-access pair
     /// per plan).
-    GraphEdgeUpdates = 7,
+    GraphEdgeUpdates = "graph_edge_updates", deterministic;
     /// Server what-if cost-cache hits.
-    ServerCacheHits = 8,
+    ServerCacheHits = "server_cache_hits", deterministic;
     /// Server what-if cost-cache misses.
-    ServerCacheMisses = 9,
+    ServerCacheMisses = "server_cache_misses", deterministic;
     /// Items handed to pool workers, summed over per-worker chunks
     /// (scheduling class: varies with thread count).
-    ParChunkItems = 10,
+    ParChunkItems = "par_chunk_items", scheduling;
     /// Dispatches that fell back to inline scoring because a worker lane
     /// was dead (scheduling class).
-    ParPoolFallbacks = 11,
+    ParPoolFallbacks = "par_pool_fallbacks", scheduling;
     /// Decayed access-graph epoch advances (`dblayout-relayout`): one per
     /// ingestion batch when decay < 1.0, zero on the bit-identical
     /// decay = 1.0 path.
-    RelayoutEpochAdvances = 12,
+    RelayoutEpochAdvances = "relayout_epoch_advances", deterministic;
     /// Drift-detector evaluations (`drift` op / `dblayout drift`).
-    RelayoutDriftChecks = 13,
+    RelayoutDriftChecks = "relayout_drift_checks", deterministic;
     /// Migration-plan steps emitted by the planner.
-    MigrationStepsPlanned = 14,
+    MigrationStepsPlanned = "migration_steps_planned", deterministic;
     /// Blocks relocated across all planned migration steps.
-    MigrationBlocksPlanned = 15,
+    MigrationBlocksPlanned = "migration_blocks_planned", deterministic;
     /// Decision records appended to the audit log (`dblayout-audit`).
-    AuditRecordsWritten = 16,
+    AuditRecordsWritten = "audit_records_written", deterministic;
     /// Malformed/truncated JSONL lines skipped by the lenient trace
     /// parser (`parse_trace_lenient`).
-    TraceParseErrors = 17,
+    TraceParseErrors = "trace_parse_errors", deterministic;
     /// Sub-plans TS-GREEDY's candidate scoring re-costs through the
     /// Figure-7 kernel (memoized candidates re-cost none).
-    CostmodelSubplanRecosts = 18,
+    CostmodelSubplanRecosts = "costmodel_subplan_recosts", deterministic;
     /// Figure-7 drive terms TS-GREEDY's candidate scoring evaluates (one
     /// per drive the kernel visits for a re-costed sub-plan).
-    CostmodelDriveTerms = 19,
-}
-
-/// Number of registered counters (slots in the backing array).
-pub const COUNT: usize = 20;
-
-impl Counter {
-    /// Every counter, in declaration (= exposition) order.
-    pub const ALL: [Counter; COUNT] = [
-        Counter::TsgreedyCandidatesEnumerated,
-        Counter::TsgreedyCandidatesScored,
-        Counter::TsgreedyCandidatesAdopted,
-        Counter::TsgreedyValidityChecks,
-        Counter::CostmodelDeltaRecosts,
-        Counter::CostmodelFullRecosts,
-        Counter::GraphNodeUpdates,
-        Counter::GraphEdgeUpdates,
-        Counter::ServerCacheHits,
-        Counter::ServerCacheMisses,
-        Counter::ParChunkItems,
-        Counter::ParPoolFallbacks,
-        Counter::RelayoutEpochAdvances,
-        Counter::RelayoutDriftChecks,
-        Counter::MigrationStepsPlanned,
-        Counter::MigrationBlocksPlanned,
-        Counter::AuditRecordsWritten,
-        Counter::TraceParseErrors,
-        Counter::CostmodelSubplanRecosts,
-        Counter::CostmodelDriveTerms,
-    ];
-
-    /// Static snake_case name. Renderers add their own affixes (the
-    /// Prometheus exposition emits `dblayout_<name>_total`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::TsgreedyCandidatesEnumerated => "tsgreedy_candidates_enumerated",
-            Counter::TsgreedyCandidatesScored => "tsgreedy_candidates_scored",
-            Counter::TsgreedyCandidatesAdopted => "tsgreedy_candidates_adopted",
-            Counter::TsgreedyValidityChecks => "tsgreedy_validity_checks",
-            Counter::CostmodelDeltaRecosts => "costmodel_delta_recosts",
-            Counter::CostmodelFullRecosts => "costmodel_full_recosts",
-            Counter::GraphNodeUpdates => "graph_node_updates",
-            Counter::GraphEdgeUpdates => "graph_edge_updates",
-            Counter::ServerCacheHits => "server_cache_hits",
-            Counter::ServerCacheMisses => "server_cache_misses",
-            Counter::ParChunkItems => "par_chunk_items",
-            Counter::ParPoolFallbacks => "par_pool_fallbacks",
-            Counter::RelayoutEpochAdvances => "relayout_epoch_advances",
-            Counter::RelayoutDriftChecks => "relayout_drift_checks",
-            Counter::MigrationStepsPlanned => "migration_steps_planned",
-            Counter::MigrationBlocksPlanned => "migration_blocks_planned",
-            Counter::AuditRecordsWritten => "audit_records_written",
-            Counter::TraceParseErrors => "trace_parse_errors",
-            Counter::CostmodelSubplanRecosts => "costmodel_subplan_recosts",
-            Counter::CostmodelDriveTerms => "costmodel_drive_terms",
-        }
-    }
-
-    /// Whether the counter is in the deterministic class: its per-run
-    /// delta depends only on the inputs, never on thread count or timing.
-    pub fn is_deterministic(self) -> bool {
-        !matches!(self, Counter::ParChunkItems | Counter::ParPoolFallbacks)
-    }
+    CostmodelDriveTerms = "costmodel_drive_terms", deterministic;
 }
 
 /// The backing slots. `AtomicU64` is not `Copy`, so the array is built
@@ -293,6 +272,34 @@ mod tests {
         assert_eq!(det.len(), COUNT - 2);
         assert!(det.iter().all(|(n, _)| !n.starts_with("par_")));
         assert_eq!(snapshot().pairs().len(), COUNT);
+    }
+
+    /// DESIGN.md §8's class table names every counter in the row of its
+    /// own class, and nothing else.
+    #[test]
+    fn design_class_table_matches_the_registry() {
+        let design = include_str!("../../../DESIGN.md");
+        let section = design
+            .split("\n## 8. ")
+            .nth(1)
+            .and_then(|rest| rest.split("\n## ").next())
+            .expect("DESIGN.md has a §8");
+        for (class, deterministic) in [("deterministic", true), ("scheduling", false)] {
+            let row = section
+                .lines()
+                .find(|l| l.starts_with(&format!("| {class} |")))
+                .unwrap_or_else(|| panic!("§8's class table has no `{class}` row"));
+            let counters_cell = row.split('|').nth(2).unwrap_or_default();
+            let mut listed: Vec<&str> = counters_cell.split('`').skip(1).step_by(2).collect();
+            let mut registered: Vec<&str> = Counter::ALL
+                .iter()
+                .filter(|c| c.is_deterministic() == deterministic)
+                .map(|c| c.name())
+                .collect();
+            listed.sort_unstable();
+            registered.sort_unstable();
+            assert_eq!(listed, registered, "§8's `{class}` row");
+        }
     }
 
     /// Satellite: counter monotonicity under 8-thread hammering. Eight

@@ -132,7 +132,13 @@ impl Engine {
         }
     }
 
-    /// Executes one request against the resident state.
+    /// Executes one request against the resident state. Every match in
+    /// here names its variants, so a new request or error variant fails to
+    /// compile (or to pass clippy) until it is handled.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn execute(&self, request: Request, runtime: &RuntimeInfo) -> Result<Value, ApiError> {
         // Reclaim sessions idle past the configured TTL (no-op when the
         // TTL is unset) before dispatching, so an expired session answers
@@ -259,7 +265,10 @@ impl Engine {
                         AdvisorError::EmptyWorkload => {
                             ApiError::new("empty_workload", "session has no statements yet")
                         }
-                        other => ApiError::new("search_error", other.to_string()),
+                        AdvisorError::Parse(_)
+                        | AdvisorError::Plan(_)
+                        | AdvisorError::Layout(_)
+                        | AdvisorError::Search(_) => ApiError::new("search_error", e.to_string()),
                     })?;
                 let mut result = recommendation_result(&s.catalog, &s.disks, &rec);
                 if self.audit.is_some() {
@@ -416,7 +425,7 @@ impl Engine {
                     .map_err(|e| {
                         let code = match e {
                             PlanError::Stuck { .. } => "migration_stuck",
-                            _ => "bad_request",
+                            PlanError::Mismatch(_) | PlanError::InvalidEndpoint(_) => "bad_request",
                         };
                         ApiError::new(code, e.to_string())
                     })?

@@ -65,7 +65,7 @@ pub use metrics::{
     render_prometheus, Gauges, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot,
 };
 pub use protocol::{
-    parse_request, recommendation_result, resolve_disks, ApiError, LayoutSpec, Request,
+    parse_request, recommendation_result, resolve_disks, ApiError, LayoutSpec, Op, Request,
 };
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use session::{layout_hash, CostCache, Session, SessionRegistry};

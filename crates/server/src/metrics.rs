@@ -5,7 +5,7 @@
 //! request's wall-clock into where it went: `queue` (connection admission
 //! wait), `compute` (parse + engine execution), and `serialize` (response
 //! line construction) — plus a per-op family keyed by the wire vocabulary
-//! ([`OP_NAMES`]). The `metrics` wire op renders everything in Prometheus
+//! ([`Op`]). The `metrics` wire op renders everything in Prometheus
 //! text exposition format (see [`render_prometheus`]).
 //!
 //! Histograms are [`dblayout_obs::hist`] log-linear: 8 linear sub-buckets
@@ -21,39 +21,22 @@ use std::time::Duration;
 use dblayout_obs::counters::{self, Counter, CounterSnapshot};
 use dblayout_obs::hist;
 
+use crate::protocol::Op;
+
 /// The largest value a percentile estimate can report: the upper bound of
 /// the last histogram bucket (`2^63 - 1` µs). Returned instead of a
 /// sentinel when a rank overshoots the scanned counts (relaxed-atomic
 /// skew).
 pub const LAST_BUCKET_BOUND_US: u64 = hist::MAX_BOUND;
 
-/// The wire-op vocabulary for the per-op latency family, mirroring
-/// [`crate::protocol::Request::op_name`] plus the `invalid` slot that
-/// unparseable requests land in.
-pub const OP_NAMES: [&str; 15] = [
-    "open_session",
-    "add_statements",
-    "whatif_cost",
-    "recommend",
-    "drift",
-    "recommend_budgeted",
-    "plan_migration",
-    "audit_list",
-    "audit_get",
-    "stats",
-    "metrics",
-    "trace",
-    "profile",
-    "close_session",
-    "invalid",
-];
+/// Per-op latency slots: one per [`Op`], indexed by the op itself, then
+/// the `invalid` slot that unparseable requests land in.
+const OP_SLOTS: usize = Op::COUNT + 1;
 
-/// Index of `op` in [`OP_NAMES`]; unknown names share the `invalid` slot.
-fn op_index(op: &str) -> usize {
-    OP_NAMES
-        .iter()
-        .position(|n| *n == op)
-        .unwrap_or(OP_NAMES.len() - 1)
+/// The per-op label of a request: its wire name, or `invalid` when it did
+/// not parse.
+pub(crate) fn op_label(op: Option<Op>) -> &'static str {
+    op.map_or("invalid", Op::name)
 }
 
 /// A lock-free log-linear histogram of microsecond observations (a thin
@@ -175,8 +158,8 @@ pub struct Metrics {
     /// per million (1 % = 10 000 ppm). Fed by the `audit_get` op when the
     /// client asks for a replay; empty until someone audits.
     pub audit_replay_error_ppm: Histogram,
-    /// End-to-end latency split by wire op ([`OP_NAMES`] order).
-    per_op: [Histogram; OP_NAMES.len()],
+    /// End-to-end latency split by wire op ([`Op`] order, then `invalid`).
+    per_op: [Histogram; OP_SLOTS],
 }
 
 impl Default for Metrics {
@@ -236,8 +219,8 @@ pub struct MetricsSnapshot {
     pub stage_serialize: HistogramSnapshot,
     /// Audit replay-error histogram reading (ppm).
     pub audit_replay_error_ppm: HistogramSnapshot,
-    /// Per-op end-to-end latency readings, [`OP_NAMES`] order.
-    pub per_op_latency: [HistogramSnapshot; OP_NAMES.len()],
+    /// Per-op end-to-end latency readings, [`Op`] order, then `invalid`.
+    pub per_op_latency: [HistogramSnapshot; OP_SLOTS],
     /// Connections currently waiting for a worker.
     pub queue_depth: u64,
     /// Sessions currently open.
@@ -264,10 +247,11 @@ impl Metrics {
     }
 
     /// Records one served request's end-to-end latency against both the
-    /// overall histogram and its wire-op family.
-    pub fn observe_op_latency(&self, op: &str, took: Duration) {
+    /// overall histogram and its wire-op family (`None`: a request that
+    /// did not parse).
+    pub fn observe_op_latency(&self, op: Option<Op>, took: Duration) {
         self.latency.observe(took);
-        if let Some(h) = self.per_op.get(op_index(op)) {
+        if let Some(h) = self.per_op.get(op.map_or(Op::COUNT, |op| op as usize)) {
             h.observe(took);
         }
     }
@@ -380,11 +364,12 @@ fn push_summary(out: &mut String, name: &str, h: &HistogramSnapshot) {
 fn push_per_op_summaries(out: &mut String, s: &MetricsSnapshot) {
     let name = "dblayout_request_latency_by_op_us";
     out.push_str(&format!("# TYPE {name} summary\n"));
-    for (op, h) in OP_NAMES.iter().zip(s.per_op_latency.iter()) {
+    let ops = Op::ALL.map(Some).into_iter().chain([None]);
+    for (op, h) in ops.zip(s.per_op_latency.iter()) {
         if h.count == 0 {
             continue;
         }
-        let op = sanitize_label_value(op);
+        let op = sanitize_label_value(op_label(op));
         for (q, v) in quantile_series(h) {
             out.push_str(&format!("{name}{{op=\"{op}\",quantile=\"{q}\"}} {v}\n"));
         }
@@ -683,10 +668,10 @@ mod tests {
     #[test]
     fn per_op_latency_family_renders_labeled_quantiles() {
         let m = Metrics::default();
-        m.observe_op_latency("stats", Duration::from_micros(50));
-        m.observe_op_latency("stats", Duration::from_micros(60));
-        m.observe_op_latency("recommend", Duration::from_millis(3));
-        m.observe_op_latency("nonsense op", Duration::from_micros(10)); // -> invalid
+        m.observe_op_latency(Some(Op::Stats), Duration::from_micros(50));
+        m.observe_op_latency(Some(Op::Stats), Duration::from_micros(60));
+        m.observe_op_latency(Some(Op::Recommend), Duration::from_millis(3));
+        m.observe_op_latency(None, Duration::from_micros(10)); // -> invalid
         let text = render_prometheus(&m.snapshot());
         assert_eq!(
             text.matches("# TYPE dblayout_request_latency_by_op_us summary\n")
@@ -705,7 +690,7 @@ mod tests {
             text.contains("dblayout_request_latency_by_op_us_count{op=\"stats\"} 2\n"),
             "{text}"
         );
-        // Unknown names share the invalid slot.
+        // Unparseable requests land in the invalid slot.
         assert!(
             text.contains("dblayout_request_latency_by_op_us_count{op=\"invalid\"} 1\n"),
             "{text}"
@@ -753,7 +738,7 @@ mod tests {
     fn every_family_has_a_type_line_and_legal_name() {
         let m = Metrics::default();
         m.observe_latency(Duration::from_micros(50));
-        m.observe_op_latency("whatif_cost", Duration::from_micros(120));
+        m.observe_op_latency(Some(Op::WhatifCost), Duration::from_micros(120));
         let text = render_prometheus(&m.snapshot());
         let mut typed: Vec<String> = Vec::new();
         for line in text.lines() {

@@ -8,33 +8,10 @@
 //! the same result produce **byte-identical** lines — the property the
 //! loopback integration tests assert.
 //!
-//! Requests are dispatched on the `op` field:
-//!
-//! | op                   | fields                                           |
-//! |----------------------|--------------------------------------------------|
-//! | `open_session`       | `catalog` (spec), `disks`? (spec, default paper),|
-//! |                      | `threads`? (search workers, default 1, max 512), |
-//! |                      | `decay`? (graph aging factor in (0, 1], default  |
-//! |                      | 1.0 = no aging)                                  |
-//! | `add_statements`     | `session`, `sql` (workload-file syntax)          |
-//! | `whatif_cost`        | `session`, `layout` (`"full_striping"` or an     |
-//! |                      | objects×disks fraction matrix), `no_cache`?      |
-//! | `recommend`          | `session`, `k`? (greedy step width, default 1)   |
-//! | `drift`              | `session`, `top_k`?, `distance_threshold`?,      |
-//! |                      | `churn_threshold`? — live vs advised graph       |
-//! | `recommend_budgeted` | `session`, `k`?, `budget_mb`? (absent =          |
-//! |                      | unbounded), `min_improvement_pct`? (default 0)   |
-//! | `plan_migration`     | `session`, `target`? (fraction matrix; default   |
-//! |                      | the last budgeted recommendation), `apply`?      |
-//! | `audit_list`         | `limit`? (most recent N decision summaries;      |
-//! |                      | default all retained)                            |
-//! | `audit_get`          | `id`, `replay`? (re-derive the decision and      |
-//! |                      | report predicted-vs-simulated error)             |
-//! | `stats`              | —                                                |
-//! | `metrics`            | — (Prometheus text exposition under `text`)      |
-//! | `trace`              | — (drains the server's span ring buffer)         |
-//! | `profile`            | — (aggregated wall-time per engine phase)        |
-//! | `close_session`      | `session`                                        |
+//! Requests are dispatched on the `op` field, one of [`Op`]'s wire names.
+//! DESIGN.md §2 ("The `dblayout-server` wire protocol") documents each
+//! op's request and result fields; a unit test keeps its table in step
+//! with [`Op`].
 
 use dblayout_catalog::Catalog;
 use dblayout_core::advisor::Recommendation;
@@ -178,25 +155,78 @@ pub enum Request {
     },
 }
 
+/// Declares the wire-op vocabulary from one table of variant and wire
+/// name rows; [`Op`], its `COUNT`, `ALL`, [`Op::name`] and `from_name`
+/// are generated from it.
+macro_rules! ops {
+    ($($variant:ident = $name:literal,)+) => {
+        /// A request's wire `op`, without its fields: the label vocabulary
+        /// shared by the per-op metrics and the server's request spans.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Op {
+            $(#[doc = concat!("`", $name, "`")] $variant,)+
+        }
+
+        impl Op {
+            /// Number of ops.
+            pub(crate) const COUNT: usize = [$(Op::$variant),+].len();
+
+            /// Every op, in table order.
+            pub(crate) const ALL: [Op; Op::COUNT] = [$(Op::$variant),+];
+
+            /// The wire name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Op::$variant => $name,)+
+                }
+            }
+
+            /// The op a wire name names, if any.
+            pub(crate) fn from_name(name: &str) -> Option<Op> {
+                match name {
+                    $($name => Some(Op::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+ops! {
+    OpenSession = "open_session",
+    AddStatements = "add_statements",
+    WhatifCost = "whatif_cost",
+    Recommend = "recommend",
+    Drift = "drift",
+    RecommendBudgeted = "recommend_budgeted",
+    PlanMigration = "plan_migration",
+    AuditList = "audit_list",
+    AuditGet = "audit_get",
+    Stats = "stats",
+    Metrics = "metrics",
+    Trace = "trace",
+    Profile = "profile",
+    CloseSession = "close_session",
+}
+
 impl Request {
-    /// The wire `op` name of this request (the span/label vocabulary shared
-    /// with the trace records the server emits).
-    pub fn op_name(&self) -> &'static str {
+    /// This request's wire op.
+    pub fn op(&self) -> Op {
         match self {
-            Request::OpenSession { .. } => "open_session",
-            Request::AddStatements { .. } => "add_statements",
-            Request::WhatifCost { .. } => "whatif_cost",
-            Request::Recommend { .. } => "recommend",
-            Request::Drift { .. } => "drift",
-            Request::RecommendBudgeted { .. } => "recommend_budgeted",
-            Request::PlanMigration { .. } => "plan_migration",
-            Request::AuditList { .. } => "audit_list",
-            Request::AuditGet { .. } => "audit_get",
-            Request::Stats => "stats",
-            Request::Metrics => "metrics",
-            Request::Trace => "trace",
-            Request::Profile => "profile",
-            Request::CloseSession { .. } => "close_session",
+            Request::OpenSession { .. } => Op::OpenSession,
+            Request::AddStatements { .. } => Op::AddStatements,
+            Request::WhatifCost { .. } => Op::WhatifCost,
+            Request::Recommend { .. } => Op::Recommend,
+            Request::Drift { .. } => Op::Drift,
+            Request::RecommendBudgeted { .. } => Op::RecommendBudgeted,
+            Request::PlanMigration { .. } => Op::PlanMigration,
+            Request::AuditList { .. } => Op::AuditList,
+            Request::AuditGet { .. } => Op::AuditGet,
+            Request::Stats => Op::Stats,
+            Request::Metrics => Op::Metrics,
+            Request::Trace => Op::Trace,
+            Request::Profile => Op::Profile,
+            Request::CloseSession { .. } => Op::CloseSession,
         }
     }
 }
@@ -208,10 +238,12 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
     if value.as_object().is_none() {
         return Err(ApiError::bad_request("request must be a JSON object"));
     }
-    let op = value
+    let name = value
         .get("op")
         .and_then(|v| v.as_str())
         .ok_or_else(|| ApiError::bad_request("missing string field `op`"))?;
+    let op =
+        Op::from_name(name).ok_or_else(|| ApiError::bad_request(format!("unknown op `{name}`")))?;
 
     let session = |v: &Value| -> Result<u64, ApiError> {
         v.get("session")
@@ -220,7 +252,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
     };
 
     match op {
-        "open_session" => {
+        Op::OpenSession => {
             let decay = match value.get("decay") {
                 None => 1.0,
                 Some(v) => {
@@ -265,7 +297,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
                 decay,
             })
         }
-        "add_statements" => Ok(Request::AddStatements {
+        Op::AddStatements => Ok(Request::AddStatements {
             session: session(&value)?,
             sql: value
                 .get("sql")
@@ -273,7 +305,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
                 .ok_or_else(|| ApiError::bad_request("add_statements needs string `sql`"))?
                 .to_string(),
         }),
-        "whatif_cost" => {
+        Op::WhatifCost => {
             let layout = match value.get("layout") {
                 None => LayoutSpec::FullStriping,
                 Some(v) if v.as_str() == Some("full_striping") => LayoutSpec::FullStriping,
@@ -291,7 +323,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
                     .unwrap_or(false),
             })
         }
-        "recommend" => {
+        Op::Recommend => {
             let k = match value.get("k") {
                 None => 1,
                 Some(v) => {
@@ -309,7 +341,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
                 k,
             })
         }
-        "drift" => {
+        Op::Drift => {
             let opt_usize = |field: &str| -> Result<Option<usize>, ApiError> {
                 match value.get(field) {
                     None => Ok(None),
@@ -336,7 +368,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
                 churn_threshold: opt_unit("churn_threshold")?,
             })
         }
-        "recommend_budgeted" => {
+        Op::RecommendBudgeted => {
             let k = match value.get("k") {
                 None => 1,
                 Some(v) => {
@@ -373,7 +405,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
                 min_improvement_pct,
             })
         }
-        "plan_migration" => {
+        Op::PlanMigration => {
             let target = match value.get("target") {
                 None => None,
                 Some(v) => Some(fraction_matrix(
@@ -390,7 +422,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
                     .unwrap_or(false),
             })
         }
-        "audit_list" => {
+        Op::AuditList => {
             let limit = match value.get("limit") {
                 None => None,
                 Some(v) => Some(v.as_u64().ok_or_else(|| {
@@ -399,7 +431,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
             };
             Ok(Request::AuditList { limit })
         }
-        "audit_get" => Ok(Request::AuditGet {
+        Op::AuditGet => Ok(Request::AuditGet {
             id: value
                 .get("id")
                 .and_then(|v| v.as_u64())
@@ -409,14 +441,13 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
                 .and_then(|v| v.as_bool())
                 .unwrap_or(false),
         }),
-        "stats" => Ok(Request::Stats),
-        "metrics" => Ok(Request::Metrics),
-        "trace" => Ok(Request::Trace),
-        "profile" => Ok(Request::Profile),
-        "close_session" => Ok(Request::CloseSession {
+        Op::Stats => Ok(Request::Stats),
+        Op::Metrics => Ok(Request::Metrics),
+        Op::Trace => Ok(Request::Trace),
+        Op::Profile => Ok(Request::Profile),
+        Op::CloseSession => Ok(Request::CloseSession {
             session: session(&value)?,
         }),
-        other => Err(ApiError::bad_request(format!("unknown op `{other}`"))),
     }
 }
 
@@ -589,10 +620,22 @@ pub fn resolve_disks(spec: &str) -> Result<Vec<DiskSpec>, ApiError> {
 mod tests {
     use super::*;
 
+    /// Parses a valid line and checks that the request's op is the one
+    /// the line names.
+    fn parse_ok(line: &str) -> Request {
+        let request = parse_request(line).unwrap();
+        let wire: Value = serde_json::from_str(line).unwrap();
+        assert_eq!(
+            Some(request.op().name()),
+            wire.get("op").and_then(|v| v.as_str())
+        );
+        request
+    }
+
     #[test]
     fn parse_every_op() {
         assert_eq!(
-            parse_request(r#"{"op":"open_session","catalog":"tpch:0.1"}"#).unwrap(),
+            parse_ok(r#"{"op":"open_session","catalog":"tpch:0.1"}"#),
             Request::OpenSession {
                 catalog: "tpch:0.1".into(),
                 disks: "paper".into(),
@@ -601,8 +644,7 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_request(r#"{"op":"open_session","catalog":"apb","threads":4,"decay":0.75}"#)
-                .unwrap(),
+            parse_ok(r#"{"op":"open_session","catalog":"apb","threads":4,"decay":0.75}"#),
             Request::OpenSession {
                 catalog: "apb".into(),
                 disks: "paper".into(),
@@ -611,14 +653,14 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_request(r#"{"op":"add_statements","session":3,"sql":"SELECT 1;"}"#).unwrap(),
+            parse_ok(r#"{"op":"add_statements","session":3,"sql":"SELECT 1;"}"#),
             Request::AddStatements {
                 session: 3,
                 sql: "SELECT 1;".into()
             }
         );
         assert_eq!(
-            parse_request(r#"{"op":"whatif_cost","session":1,"layout":"full_striping"}"#).unwrap(),
+            parse_ok(r#"{"op":"whatif_cost","session":1,"layout":"full_striping"}"#),
             Request::WhatifCost {
                 session: 1,
                 layout: LayoutSpec::FullStriping,
@@ -626,7 +668,7 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_request(r#"{"op":"whatif_cost","session":1,"layout":[[0.5,0.5]]}"#).unwrap(),
+            parse_ok(r#"{"op":"whatif_cost","session":1,"layout":[[0.5,0.5]]}"#),
             Request::WhatifCost {
                 session: 1,
                 layout: LayoutSpec::Fractions(vec![vec![0.5, 0.5]]),
@@ -634,11 +676,11 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_request(r#"{"op":"recommend","session":2,"k":2}"#).unwrap(),
+            parse_ok(r#"{"op":"recommend","session":2,"k":2}"#),
             Request::Recommend { session: 2, k: 2 }
         );
         assert_eq!(
-            parse_request(r#"{"op":"drift","session":1}"#).unwrap(),
+            parse_ok(r#"{"op":"drift","session":1}"#),
             Request::Drift {
                 session: 1,
                 top_k: None,
@@ -647,10 +689,9 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_request(
+            parse_ok(
                 r#"{"op":"drift","session":1,"top_k":5,"distance_threshold":0.1,"churn_threshold":0.9}"#
-            )
-            .unwrap(),
+            ),
             Request::Drift {
                 session: 1,
                 top_k: Some(5),
@@ -659,7 +700,7 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_request(r#"{"op":"recommend_budgeted","session":2}"#).unwrap(),
+            parse_ok(r#"{"op":"recommend_budgeted","session":2}"#),
             Request::RecommendBudgeted {
                 session: 2,
                 k: 1,
@@ -668,10 +709,9 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_request(
+            parse_ok(
                 r#"{"op":"recommend_budgeted","session":2,"k":2,"budget_mb":64,"min_improvement_pct":5}"#
-            )
-            .unwrap(),
+            ),
             Request::RecommendBudgeted {
                 session: 2,
                 k: 2,
@@ -680,7 +720,7 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_request(r#"{"op":"plan_migration","session":3}"#).unwrap(),
+            parse_ok(r#"{"op":"plan_migration","session":3}"#),
             Request::PlanMigration {
                 session: 3,
                 target: None,
@@ -688,10 +728,7 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_request(
-                r#"{"op":"plan_migration","session":3,"target":[[1.0,0.0]],"apply":true}"#
-            )
-            .unwrap(),
+            parse_ok(r#"{"op":"plan_migration","session":3,"target":[[1.0,0.0]],"apply":true}"#),
             Request::PlanMigration {
                 session: 3,
                 target: Some(vec![vec![1.0, 0.0]]),
@@ -699,46 +736,56 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_request(r#"{"op":"audit_list"}"#).unwrap(),
+            parse_ok(r#"{"op":"audit_list"}"#),
             Request::AuditList { limit: None }
         );
         assert_eq!(
-            parse_request(r#"{"op":"audit_list","limit":5}"#).unwrap(),
+            parse_ok(r#"{"op":"audit_list","limit":5}"#),
             Request::AuditList { limit: Some(5) }
         );
         assert_eq!(
-            parse_request(r#"{"op":"audit_get","id":7}"#).unwrap(),
+            parse_ok(r#"{"op":"audit_get","id":7}"#),
             Request::AuditGet {
                 id: 7,
                 replay: false
             }
         );
         assert_eq!(
-            parse_request(r#"{"op":"audit_get","id":7,"replay":true}"#).unwrap(),
+            parse_ok(r#"{"op":"audit_get","id":7,"replay":true}"#),
             Request::AuditGet {
                 id: 7,
                 replay: true
             }
         );
-        assert_eq!(parse_request(r#"{"op":"stats"}"#).unwrap(), Request::Stats);
+        assert_eq!(parse_ok(r#"{"op":"stats"}"#), Request::Stats);
+        assert_eq!(parse_ok(r#"{"op":"metrics"}"#), Request::Metrics);
+        assert_eq!(parse_ok(r#"{"op":"trace"}"#), Request::Trace);
+        assert_eq!(parse_ok(r#"{"op":"profile"}"#), Request::Profile);
         assert_eq!(
-            parse_request(r#"{"op":"metrics"}"#).unwrap(),
-            Request::Metrics
-        );
-        assert_eq!(parse_request(r#"{"op":"trace"}"#).unwrap(), Request::Trace);
-        assert_eq!(
-            parse_request(r#"{"op":"profile"}"#).unwrap(),
-            Request::Profile
-        );
-        assert_eq!(
-            Request::Metrics.op_name(),
-            "metrics",
-            "op_name mirrors the wire vocabulary"
-        );
-        assert_eq!(
-            parse_request(r#"{"op":"close_session","session":9}"#).unwrap(),
+            parse_ok(r#"{"op":"close_session","session":9}"#),
             Request::CloseSession { session: 9 }
         );
+    }
+
+    /// DESIGN.md §2's wire-protocol table has one row per op and no row
+    /// for anything else.
+    #[test]
+    fn design_wire_protocol_table_matches_the_ops() {
+        let design = include_str!("../../../DESIGN.md");
+        let section = design
+            .split("### The `dblayout-server` wire protocol")
+            .nth(1)
+            .and_then(|rest| rest.split("\n### ").next())
+            .expect("DESIGN.md §2 has the wire-protocol section");
+        let mut rows: Vec<&str> = section
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `")?.split_once("` |"))
+            .map(|(name, _)| name)
+            .collect();
+        let mut ops: Vec<&str> = Op::ALL.iter().map(|op| op.name()).collect();
+        rows.sort_unstable();
+        ops.sort_unstable();
+        assert_eq!(rows, ops, "DESIGN.md §2's wire-protocol table");
     }
 
     #[test]

@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 use dblayout_obs::f;
 
 use crate::engine::{Engine, RuntimeInfo, DEFAULT_TRACE_CAPACITY};
+use crate::metrics::op_label;
 use crate::protocol::{err_line, ok_line, parse_request, ApiError, Request};
 
 /// Server tuning knobs.
@@ -351,9 +352,9 @@ fn serve_requests(shared: &Arc<Shared>, reader: BufReader<TcpStream>, writer: &m
         }
         let started = Instant::now();
         let span = shared.engine.collector.span("server.request", Vec::new());
-        let mut op = "invalid";
+        let mut op = None;
         let outcome = parse_request(&line).and_then(|req| {
-            op = req.op_name();
+            op = Some(req.op());
             // Gauges are only read by `stats`/`metrics`; fetch them lazily
             // so every other op skips the queue lock.
             let runtime = if matches!(req, Request::Stats | Request::Metrics) {
@@ -403,7 +404,7 @@ fn serve_requests(shared: &Arc<Shared>, reader: BufReader<TcpStream>, writer: &m
             .engine
             .metrics
             .observe_op_latency(op, started.elapsed());
-        span.end_with(vec![f("op", op), f("ok", ok)]);
+        span.end_with(vec![f("op", op_label(op)), f("ok", ok)]);
         if writer.write_all(response.as_bytes()).is_err() {
             break;
         }
