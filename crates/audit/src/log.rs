@@ -363,7 +363,6 @@ mod tests {
         let rec = advisor
             .recommend_sql(&workload_sql, &cfg)
             .expect("recommend");
-        let snap = dblayout_obs::counters::snapshot();
         record_recommendation(
             &RecordInputs {
                 source: "test.log",
@@ -377,7 +376,7 @@ mod tests {
             },
             &rec,
             &[],
-            &snap.delta(&snap),
+            &rec.work,
         )
     }
 

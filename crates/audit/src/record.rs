@@ -253,9 +253,9 @@ pub struct DecisionOutcome {
     pub per_statement: Vec<StatementCost>,
     /// Per-disk predicted transfer/seek breakdown, disk order.
     pub per_disk: Vec<DiskCost>,
-    /// Phase timings at decision time.
+    /// The decision's own phase timings.
     pub phases: Vec<PhaseRecord>,
-    /// Deterministic counter deltas over the decision (name, delta).
+    /// The decision's own deterministic work counts (name, count).
     pub counters: Vec<(String, u64)>,
 }
 
@@ -440,9 +440,8 @@ pub fn predicted_breakdown(
     (per_statement, per_disk)
 }
 
-fn counter_pairs(delta: &CounterSnapshot) -> Vec<(String, u64)> {
-    delta
-        .deterministic_pairs()
+fn counter_pairs(work: &CounterSnapshot) -> Vec<(String, u64)> {
+    work.deterministic_pairs()
         .into_iter()
         .map(|(n, v)| (n.to_string(), v))
         .collect()
@@ -451,12 +450,13 @@ fn counter_pairs(delta: &CounterSnapshot) -> Vec<(String, u64)> {
 /// Builds the record for an unconstrained `recommend` decision. The
 /// decomposed workload and breakdowns are derived from the
 /// recommendation's own plans, so the record is consistent with the
-/// advice by construction.
+/// advice by construction. `phases` and `work` are the decision's own
+/// phase rows and work tally (usually `rec.work`).
 pub fn record_recommendation(
     inputs: &RecordInputs<'_>,
     rec: &Recommendation,
     phases: &[PhaseRow],
-    counters_delta: &CounterSnapshot,
+    work: &CounterSnapshot,
 ) -> DecisionRecord {
     let workload = decompose_workload(&rec.plans);
     let (per_statement, per_disk) = predicted_breakdown(&workload, &rec.layout, inputs.disks);
@@ -505,7 +505,7 @@ pub fn record_recommendation(
             per_statement,
             per_disk,
             phases: phases.iter().map(PhaseRecord::of).collect(),
-            counters: counter_pairs(counters_delta),
+            counters: counter_pairs(work),
         },
     }
 }
@@ -513,7 +513,8 @@ pub fn record_recommendation(
 /// Builds the record for a budgeted (`migrate` / `recommend_budgeted`)
 /// decision. `current` is the deployed layout the search was seeded from;
 /// its fraction matrix is embedded bit-exact so replay can reconstruct
-/// the identical seed.
+/// the identical seed. `phases` and `work` are the decision's own phase
+/// rows and work tally (usually `outcome.work`).
 #[allow(
     clippy::too_many_arguments,
     reason = "one argument per recorded input of a budgeted decision"
@@ -526,7 +527,7 @@ pub fn record_budgeted(
     workload: &[(Vec<Subplan>, f64)],
     min_improvement_pct: f64,
     phases: &[PhaseRow],
-    counters_delta: &CounterSnapshot,
+    work: &CounterSnapshot,
 ) -> DecisionRecord {
     let (per_statement, per_disk) = predicted_breakdown(workload, &outcome.layout, inputs.disks);
     let disks: Vec<DiskSpecRecord> = inputs.disks.iter().map(DiskSpecRecord::of).collect();
@@ -569,7 +570,7 @@ pub fn record_budgeted(
             per_statement,
             per_disk,
             phases: phases.iter().map(PhaseRecord::of).collect(),
-            counters: counter_pairs(counters_delta),
+            counters: counter_pairs(work),
         },
     }
 }
@@ -1040,8 +1041,7 @@ mod tests {
             threads: 1,
             ts_unix_ms: Some(1_700_000_000_000),
         };
-        let snap = dblayout_obs::counters::snapshot();
-        record_recommendation(&inputs, &rec, &[], &snap.delta(&snap))
+        record_recommendation(&inputs, &rec, &[], &rec.work)
     }
 
     #[test]

@@ -283,7 +283,6 @@ mod tests {
             ..AdvisorConfig::default()
         };
         let rec = advisor.recommend_sql(WORKLOAD, &cfg).expect("recommend");
-        let snap = dblayout_obs::counters::snapshot();
         record_recommendation(
             &RecordInputs {
                 source: "test.replay",
@@ -297,7 +296,7 @@ mod tests {
             },
             &rec,
             &[],
-            &snap.delta(&snap),
+            &rec.work,
         )
     }
 
@@ -390,7 +389,6 @@ mod tests {
         };
         let outcome = recommend_budgeted(&sizes, &graph, &subplans, &disks, &current, &bcfg)
             .expect("budgeted");
-        let snap = dblayout_obs::counters::snapshot();
         let record = record_budgeted(
             &RecordInputs {
                 source: "test.budgeted",
@@ -408,7 +406,7 @@ mod tests {
             &subplans,
             0.0,
             &[],
-            &snap.delta(&snap),
+            &outcome.work,
         );
         let line = record.to_jsonl().expect("serialize");
         let record = DecisionRecord::from_jsonl(&line).expect("parse");

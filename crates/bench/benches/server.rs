@@ -8,9 +8,11 @@
 //! sweep over every resident sub-plan. Over loopback the same pair is also
 //! reported, but there the TCP + JSON round-trip is a shared additive term
 //! for both sides. The acceptance bar is in-process cached ≥5× faster than
-//! cold on TPCH-22.
+//! cold on TPCH-22. Each bench runs a fixed number of iterations
+//! ([`dblayout_bench::timer`]), so the work counters this run appends to
+//! `BENCH_server.json` are the same on every run.
 
-use criterion::{BenchResult, Criterion};
+use dblayout_bench::timer::{bench, test_mode};
 
 use dblayout_server::{Client, Engine, LayoutSpec, Request, RuntimeInfo, Server, ServerConfig};
 use dblayout_workloads::tpch22::tpch22;
@@ -36,14 +38,11 @@ fn whatif(session: u64, no_cache: bool) -> Request {
 }
 
 fn main() {
-    // `cargo test` runs bench targets with `--test`; skip the timed run.
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--test") {
-        eprintln!("(server bench: skipping in test mode)");
+    if test_mode("server") {
         return;
     }
 
-    let mut c = Criterion::default();
+    let mut results = Vec::new();
     let rt = RuntimeInfo::default();
 
     // In-process engine: the cache's own speedup, no wire overhead.
@@ -69,19 +68,17 @@ fn main() {
         )
         .expect("add TPCH-22");
 
-    c.bench_function("engine/whatif_cold", |b| {
-        b.iter(|| engine.execute(whatif(1, true), &rt).expect("whatif cold"))
-    });
+    results.push(bench("engine/whatif_cold", 50_000, || {
+        engine.execute(whatif(1, true), &rt).expect("whatif cold")
+    }));
     engine
         .execute(whatif(1, false), &rt)
         .expect("prime the cache");
-    c.bench_function("engine/whatif_cached", |b| {
-        b.iter(|| {
-            engine
-                .execute(whatif(1, false), &rt)
-                .expect("whatif cached")
-        })
-    });
+    results.push(bench("engine/whatif_cached", 1_000_000, || {
+        engine
+            .execute(whatif(1, false), &rt)
+            .expect("whatif cached")
+    }));
 
     // Loopback: same ops through the full TCP + JSON path.
     let server = Server::start(ServerConfig {
@@ -104,28 +101,24 @@ fn main() {
         .expect("add_statements");
     assert!(add.contains("\"ok\":true"), "{add}");
 
-    c.bench_function("server/whatif_cold", |b| {
-        b.iter(|| {
-            client
-                .roundtrip(
-                    r#"{"op":"whatif_cost","session":1,"layout":"full_striping","no_cache":true}"#,
-                )
-                .expect("whatif cold")
-        })
-    });
+    results.push(bench("server/whatif_cold", 10_000, || {
+        client
+            .roundtrip(
+                r#"{"op":"whatif_cost","session":1,"layout":"full_striping","no_cache":true}"#,
+            )
+            .expect("whatif cold")
+    }));
     client
         .roundtrip(r#"{"op":"whatif_cost","session":1,"layout":"full_striping"}"#)
         .expect("prime cache");
-    c.bench_function("server/whatif_cached", |b| {
-        b.iter(|| {
-            client
-                .roundtrip(r#"{"op":"whatif_cost","session":1,"layout":"full_striping"}"#)
-                .expect("whatif cached")
-        })
-    });
-    c.bench_function("server/stats_roundtrip", |b| {
-        b.iter(|| client.roundtrip(r#"{"op":"stats"}"#).expect("stats"))
-    });
+    results.push(bench("server/whatif_cached", 15_000, || {
+        client
+            .roundtrip(r#"{"op":"whatif_cost","session":1,"layout":"full_striping"}"#)
+            .expect("whatif cached")
+    }));
+    results.push(bench("server/stats_roundtrip", 8_000, || {
+        client.roundtrip(r#"{"op":"stats"}"#).expect("stats")
+    }));
 
     // Per-stage timings (queue-wait / compute / serialize) as observed by
     // the server across every request this bench sent over loopback.
@@ -154,8 +147,8 @@ fn main() {
 
     server.shutdown();
 
-    let find = |id: &str| -> &BenchResult {
-        c.results
+    let find = |id: &str| {
+        results
             .iter()
             .find(|r| r.id == id)
             .unwrap_or_else(|| panic!("missing bench `{id}`"))
@@ -168,7 +161,7 @@ fn main() {
     let rps = 1e9 / stats.mean_ns;
 
     let mut rows = String::new();
-    for r in &c.results {
+    for r in &results {
         rows.push_str(&format!(
             "    {{\"id\": \"{}\", \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"iterations\": {}}},\n",
             r.id, r.mean_ns, r.min_ns, r.iterations
@@ -191,17 +184,15 @@ fn main() {
     std::fs::write(results_dir.join("server_bench.json"), json)
         .expect("write results/server_bench.json");
 
-    // Observatory: append this run to the repo-root BENCH_server.json.
-    // Criterion's adaptive iteration counts make the work counters
-    // non-deterministic here, so benchdiff runs this history with
-    // --ignore-counters; the counters are recorded for inspection only.
+    // Observatory: append this run to the repo-root BENCH_server.json. The
+    // iteration counts are fixed, so the process's work counters are the
+    // same on every run and benchdiff gates them exactly.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let entry = dblayout_bench::observatory::HistoryEntry {
         rev: dblayout_bench::observatory::git_rev(&root),
-        config: "workload=tpch22;catalog=tpch:0.1;adaptive_iterations".to_string(),
+        config: "workload=tpch22;catalog=tpch:0.1;fixed_iterations".to_string(),
         threads: vec![2],
-        timings_ms: c
-            .results
+        timings_ms: results
             .iter()
             .map(|r| (r.id.clone(), r.mean_ns / 1e6))
             .collect(),

@@ -24,7 +24,8 @@
 //!
 //! [`observatory`] is not a paper artifact: it appends every
 //! `search_bench`/server-bench run to the repo-root `BENCH_*.json`
-//! histories and backs `dblayout benchdiff`'s regression gate.
+//! histories and backs `dblayout benchdiff`'s regression gate. [`timer`]
+//! is the fixed-iteration timer the `benches/` targets run on.
 
 pub mod ablations;
 pub mod common;
@@ -37,6 +38,7 @@ pub mod megascale;
 pub mod observatory;
 pub mod search_bench;
 pub mod table2;
+pub mod timer;
 pub mod wkscale_bench;
 
 pub use common::{improvement_pct, plan_sql_workload, simulate_workload_ms, write_json};

@@ -201,13 +201,6 @@ pub struct DiffOptions {
     pub tolerance: f64,
     /// Entries from the tail of each history whose median is compared.
     pub window: usize,
-    /// Skip the exact counter gate (adaptive-iteration benches).
-    pub ignore_counters: bool,
-    /// Skip the counter gate only for config groups whose config string
-    /// contains one of these substrings — lets one history mix
-    /// adaptive-iteration rows (criterion benches, counters incomparable)
-    /// with deterministic rows (loadtest mixes, counters exact-gated).
-    pub ignore_counters_for: Vec<String>,
     /// Both medians must exceed this for a timing to count (noise floor).
     pub min_ms: f64,
     /// Speedup gates: `(fast, slow)` metric-name pairs asserting that in
@@ -223,8 +216,6 @@ impl Default for DiffOptions {
         Self {
             tolerance: 0.5,
             window: 5,
-            ignore_counters: false,
-            ignore_counters_for: Vec::new(),
             min_ms: 1.0,
             not_slower: Vec::new(),
         }
@@ -281,7 +272,7 @@ pub struct DiffReport {
     pub metrics: Vec<MetricDelta>,
     /// Deterministic counters that diverged (always a hard failure).
     pub counter_divergences: Vec<CounterDivergence>,
-    /// Whether any counter gate ran (matching config group, not ignored).
+    /// Whether any counter gate ran (a config group both histories share).
     pub counters_compared: bool,
     /// Baseline metrics the current history lacks (a hard failure: a
     /// silently dropped measurement must not read as "no regression").
@@ -343,9 +334,7 @@ impl DiffReport {
                 }
             }
         } else {
-            out.push_str(
-                "deterministic counters: not compared (config mismatch or --ignore-counters)\n",
-            );
+            out.push_str("deterministic counters: not compared (no config group in common)\n");
         }
         out.push_str(if self.regressed() {
             "verdict: REGRESSED\n"
@@ -466,13 +455,7 @@ pub fn diff(
             });
         }
 
-        if config.is_empty()
-            || opts.ignore_counters
-            || opts
-                .ignore_counters_for
-                .iter()
-                .any(|pat| config.contains(pat.as_str()))
-        {
+        if config.is_empty() {
             continue;
         }
         report.counters_compared = true;
@@ -585,54 +568,6 @@ mod tests {
         assert_eq!(report.counter_divergences.len(), 1);
         assert_eq!(report.counter_divergences[0].baseline, 42);
         assert_eq!(report.counter_divergences[0].current, 43);
-    }
-
-    #[test]
-    fn ignore_counters_skips_the_counter_gate() {
-        let base = history(&[entry("c", 100.0, 42)]);
-        let cur = history(&[entry("c", 100.0, 43)]);
-        let opts = DiffOptions {
-            ignore_counters: true,
-            ..DiffOptions::default()
-        };
-        let report = diff(&base, &cur, &opts).unwrap();
-        assert!(!report.counters_compared);
-        assert!(!report.regressed());
-    }
-
-    #[test]
-    fn ignore_counters_for_is_scoped_to_matching_configs() {
-        // Two config groups in one history: an adaptive criterion row
-        // (counters incomparable) and a deterministic loadtest row. The
-        // substring skip must exempt only the former.
-        let base = history(&[
-            entry("workload=tpch22;adaptive_iterations", 100.0, 42),
-            entry("loadtest;mode=open;seed=42", 100.0, 1000),
-        ]);
-        let drifted = history(&[
-            entry("workload=tpch22;adaptive_iterations", 100.0, 43),
-            entry("loadtest;mode=open;seed=42", 100.0, 1000),
-        ]);
-        let opts = DiffOptions {
-            ignore_counters_for: vec!["adaptive_iterations".to_string()],
-            ..DiffOptions::default()
-        };
-        let report = diff(&base, &drifted, &opts).unwrap();
-        assert!(
-            !report.regressed(),
-            "criterion counter drift must be exempt: {}",
-            report.render()
-        );
-        assert!(report.counters_compared, "loadtest group still gates");
-
-        // The same divergence in the loadtest group still hard-fails.
-        let mix_changed = history(&[
-            entry("workload=tpch22;adaptive_iterations", 100.0, 43),
-            entry("loadtest;mode=open;seed=42", 100.0, 999),
-        ]);
-        let report = diff(&base, &mix_changed, &opts).unwrap();
-        assert!(report.regressed(), "loadtest mix drift must fail");
-        assert_eq!(report.counter_divergences.len(), 1);
     }
 
     #[test]

@@ -220,14 +220,6 @@ OPTIONS:
                         regresses (default 0.5 = 50%)
     --window <n>        history entries whose median is compared
                         (default 5)
-    --ignore-counters   skip the exact counter gate entirely (use for
-                        histories that are adaptive-iteration only)
-    --ignore-counters-for <substr>
-                        skip the counter gate only for config groups whose
-                        config string contains <substr>; repeatable. Lets
-                        BENCH_server.json mix criterion rows (ignored via
-                        `adaptive_iterations`) with loadtest rows whose
-                        mix counters gate exactly
     --require-not-slower <fast>,<slow>
                         assert metric <fast> is not slower than metric
                         <slow> (median over the current history's last
@@ -483,11 +475,9 @@ fn run(argv: &[String]) -> Result<(), String> {
         cfg.search.collector = dblayout_obs::Collector::deterministic(ring.clone());
     }
     let advisor = Advisor::new(&catalog, &disks);
-    let counters_before = dblayout_obs::counters::snapshot();
     let rec = advisor
         .recommend_sql(&workload_text, &cfg)
         .map_err(|e| e.to_string())?;
-    let counters_delta = dblayout_obs::counters::snapshot().delta(&counters_before);
 
     println!("statements analyzed : {}", rec.plans.len());
     println!(
@@ -569,7 +559,7 @@ fn run(argv: &[String]) -> Result<(), String> {
             },
             &rec,
             &cfg.prof.rows(),
-            &counters_delta,
+            &rec.work,
         );
         let id = append_decision(&args.audit_dir, record)?;
         println!("(decision recorded as id {id} in {})", args.audit_dir);
@@ -613,11 +603,9 @@ fn run_explain(argv: &[String]) -> Result<(), String> {
     };
     cfg.search.collector = collector.clone();
     let advisor = Advisor::new(&catalog, &disks);
-    let counters_before = dblayout_obs::counters::snapshot();
     let rec = advisor
         .recommend_sql(&workload_text, &cfg)
         .map_err(|e| e.to_string())?;
-    let counters_delta = dblayout_obs::counters::snapshot().delta(&counters_before);
 
     // Walk the winning layout's costing so the narrative ends with the
     // per-sub-plan breakdown (the search itself never traces costings —
@@ -645,7 +633,7 @@ fn run_explain(argv: &[String]) -> Result<(), String> {
     // wall clock and varies run to run.
     println!();
     println!("Deterministic work counters:");
-    for (name, value) in counters_delta.deterministic_pairs() {
+    for (name, value) in rec.work.deterministic_pairs() {
         println!("  {name:<34} {value}");
     }
     println!();
@@ -687,14 +675,6 @@ fn run_benchdiff(args: &[String]) -> Result<ExitCode, String> {
                 if opts.window == 0 {
                     return Err("--window must be at least 1".to_string());
                 }
-            }
-            "--ignore-counters" => opts.ignore_counters = true,
-            "--ignore-counters-for" => {
-                let pat = value("--ignore-counters-for")?;
-                if pat.is_empty() {
-                    return Err("--ignore-counters-for needs a non-empty substring".to_string());
-                }
-                opts.ignore_counters_for.push(pat);
             }
             "--require-not-slower" => {
                 let pair = value("--require-not-slower")?;
@@ -1261,10 +1241,8 @@ fn run_migrate(argv: &[String]) -> Result<(), String> {
             ..Default::default()
         },
     };
-    let counters_before = dblayout_obs::counters::snapshot();
     let outcome = recommend_budgeted(&sizes, &graph, &workload, &disks, &current, &cfg)
         .map_err(|e| e.to_string())?;
-    let counters_delta = dblayout_obs::counters::snapshot().delta(&counters_before);
     let mut plan = plan_migration(
         &current,
         &outcome.layout,
@@ -1333,7 +1311,7 @@ fn run_migrate(argv: &[String]) -> Result<(), String> {
             &workload,
             min_improvement,
             &[],
-            &counters_delta,
+            &outcome.work,
         );
         let id = append_decision(&args.audit_dir, record)?;
         plan.decision_id = Some(id);

@@ -10,7 +10,7 @@
 //! simplification, validated by its experiments (and by this reproduction's
 //! A4 ablation).
 
-use dblayout_obs::counters::{self, Counter};
+use dblayout_obs::counters::{Counter, CounterSnapshot};
 use dblayout_obs::{f, Collector};
 use dblayout_partition::Graph;
 use dblayout_planner::{PhysicalPlan, Subplan};
@@ -32,34 +32,13 @@ pub fn build_access_graph(n_objects: usize, plans: &[(PhysicalPlan, f64)]) -> Gr
 /// Builds the access graph directly from pre-decomposed sub-plans — the
 /// entry point for synthetic workloads (the `wkmega` mega-scale family)
 /// whose statements are generated as sub-plan sets without a SQL text or
-/// a plan tree. The accumulation arithmetic is exactly Figure 6, matching
-/// [`build_access_graph`] step for step: node weights from every access,
-/// pairwise edges within each non-blocking sub-plan, both scaled by the
-/// statement weight `w_Q`.
+/// a plan tree. Each statement goes through the same Figure-6 fold as
+/// [`build_access_graph`]'s, so the weights match it bit for bit.
 pub fn build_access_graph_subplans(n_objects: usize, workload: &[(Vec<Subplan>, f64)]) -> Graph {
     let mut g = Graph::new(n_objects);
+    let mut work = CounterSnapshot::default();
     for (subplans, weight) in workload {
-        let mut node_updates = 0usize;
-        let mut edge_updates = 0usize;
-        for sub in subplans {
-            for access in &sub.accesses {
-                g.add_node_weight(access.object.index(), weight * access.blocks as f64);
-                node_updates += 1;
-            }
-        }
-        for sub in subplans {
-            let objects = sub.objects();
-            for (a_pos, &u) in objects.iter().enumerate() {
-                for &v in &objects[a_pos + 1..] {
-                    let bu = sub.blocks_of(u);
-                    let bv = sub.blocks_of(v);
-                    g.add_edge(u.index(), v.index(), weight * (bu + bv) as f64);
-                    edge_updates += 1;
-                }
-            }
-        }
-        counters::add(Counter::GraphNodeUpdates, node_updates as u64);
-        counters::add(Counter::GraphEdgeUpdates, edge_updates as u64);
+        count_folds(&mut work, fold_statement(&mut g, subplans, *weight));
     }
     g
 }
@@ -78,12 +57,12 @@ pub fn extend_access_graph(g: &mut Graph, plans: &[(PhysicalPlan, f64)]) {
 /// `graph.extend` span covering the batch, and per plan a `graph.plan`
 /// event recording how many node-weight and edge-weight updates it
 /// contributed. A disabled `collector` makes this identical to
-/// [`extend_access_graph`].
+/// [`extend_access_graph`]. Returns the tally of those updates.
 pub fn extend_access_graph_traced(
     g: &mut Graph,
     plans: &[(PhysicalPlan, f64)],
     collector: &Collector,
-) {
+) -> CounterSnapshot {
     let span = collector.span(
         "graph.extend",
         if collector.enabled() {
@@ -92,33 +71,11 @@ pub fn extend_access_graph_traced(
             Vec::new()
         },
     );
+    let mut work = CounterSnapshot::default();
     for (plan_idx, (plan, weight)) in plans.iter().enumerate() {
         let subplans = plan.subplans();
-        let mut node_updates = 0usize;
-        let mut edge_updates = 0usize;
-        // Step 3: node values — total blocks of each object in the plan.
-        for sub in &subplans {
-            for access in &sub.accesses {
-                g.add_node_weight(access.object.index(), weight * access.blocks as f64);
-                node_updates += 1;
-            }
-        }
-        // Steps 4-5: pairwise co-access within each non-blocking sub-plan.
-        for sub in &subplans {
-            let objects = sub.objects();
-            for (a_pos, &u) in objects.iter().enumerate() {
-                for &v in &objects[a_pos + 1..] {
-                    let bu = sub.blocks_of(u);
-                    let bv = sub.blocks_of(v);
-                    g.add_edge(u.index(), v.index(), weight * (bu + bv) as f64);
-                    edge_updates += 1;
-                }
-            }
-        }
-        // Always-on accounting (deterministic class): folds depend only
-        // on the plans, never on tracing or thread count.
-        counters::add(Counter::GraphNodeUpdates, node_updates as u64);
-        counters::add(Counter::GraphEdgeUpdates, edge_updates as u64);
+        let (node_updates, edge_updates) = fold_statement(g, &subplans, *weight);
+        count_folds(&mut work, (node_updates, edge_updates));
         if span.enabled() {
             span.event(
                 "graph.plan",
@@ -140,6 +97,42 @@ pub fn extend_access_graph_traced(
     } else {
         Vec::new()
     });
+    work
+}
+
+/// Figure 6 for one statement of weight `w_Q`: every access adds its
+/// blocks to its object's node (step 3), then every pair of distinct
+/// objects within one non-blocking sub-plan gains the sum of both
+/// objects' blocks there (steps 4-5). Returns the node-weight and
+/// edge-weight updates made.
+fn fold_statement(g: &mut Graph, subplans: &[Subplan], weight: f64) -> (usize, usize) {
+    let mut node_updates = 0usize;
+    let mut edge_updates = 0usize;
+    for sub in subplans {
+        for access in &sub.accesses {
+            g.add_node_weight(access.object.index(), weight * access.blocks as f64);
+            node_updates += 1;
+        }
+    }
+    for sub in subplans {
+        let objects = sub.objects();
+        for (a_pos, &u) in objects.iter().enumerate() {
+            for &v in &objects[a_pos + 1..] {
+                let bu = sub.blocks_of(u);
+                let bv = sub.blocks_of(v);
+                g.add_edge(u.index(), v.index(), weight * (bu + bv) as f64);
+                edge_updates += 1;
+            }
+        }
+    }
+    (node_updates, edge_updates)
+}
+
+/// Counts one statement's folds (deterministic class: they depend only on
+/// the plans, never on tracing or thread count).
+fn count_folds(work: &mut CounterSnapshot, (nodes, edges): (usize, usize)) {
+    work.add(Counter::GraphNodeUpdates, nodes as u64);
+    work.add(Counter::GraphEdgeUpdates, edges as u64);
 }
 
 #[cfg(test)]
@@ -188,7 +181,13 @@ mod tests {
             }),
             right: Box::new(scan(4, 200)),
         });
-        let g = build_access_graph(5, &[(q1, 1.0), (q2, 1.0)]);
+        let plans = [(q1, 1.0), (q2, 1.0)];
+        let g = build_access_graph(5, &plans);
+        // Each query folds three node weights and three edges, and the
+        // traced build returns exactly those counts.
+        let work = extend_access_graph_traced(&mut Graph::new(5), &plans, &Collector::default());
+        assert_eq!(work.get(Counter::GraphNodeUpdates), 6);
+        assert_eq!(work.get(Counter::GraphEdgeUpdates), 6);
         // Node weights: R2 = 700 + 600.
         assert_eq!(g.node_weight(2), 1300.0);
         assert_eq!(g.node_weight(1), 500.0);

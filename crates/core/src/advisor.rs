@@ -14,7 +14,7 @@ use std::fmt;
 
 use dblayout_catalog::Catalog;
 use dblayout_disksim::{DiskSpec, Layout, LayoutError};
-use dblayout_obs::counters::{self, Counter};
+use dblayout_obs::counters::{Counter, CounterSnapshot};
 use dblayout_obs::prof::PhaseTimer;
 use dblayout_partition::Graph;
 use dblayout_planner::{plan_statement, PhysicalPlan, PlanError, Subplan};
@@ -105,6 +105,11 @@ pub struct Recommendation {
     pub plans: Vec<(PhysicalPlan, f64)>,
     /// Search statistics.
     pub search: SearchStats,
+    /// This recommendation's deterministic work counts: the search's, the
+    /// FULL STRIPING costing, and the access-graph folds when the advisor
+    /// built the graph. Each is also in the process registry; no other
+    /// call's counts are in here.
+    pub work: CounterSnapshot,
 }
 
 /// Search statistics carried out of TS-GREEDY.
@@ -187,15 +192,17 @@ impl<'a> Advisor<'a> {
         // The search collector also witnesses the Analyze-Workload pass, so
         // one `dblayout explain` trace covers the whole Figure-3 pipeline.
         let mut graph = dblayout_partition::Graph::new(n_objects);
-        {
+        let graph_work = {
             let _phase = cfg.prof.phase("build-graph");
-            extend_access_graph_traced(&mut graph, &plans, &cfg.search.collector);
-        }
+            extend_access_graph_traced(&mut graph, &plans, &cfg.search.collector)
+        };
         let workload = {
             let _phase = cfg.prof.phase("analyze");
             decompose_workload(&plans)
         };
-        self.recommend_prepared(plans, graph, &workload, cfg)
+        let mut rec = self.recommend_prepared(plans, graph, &workload, cfg)?;
+        rec.work.merge(&graph_work);
+        Ok(rec)
     }
 
     /// Recommendation from a pre-built access graph and pre-decomposed
@@ -228,6 +235,7 @@ impl<'a> Advisor<'a> {
             final_cost,
             iterations,
             cost_evaluations,
+            mut work,
             ..
         } = {
             let _phase = cfg.prof.phase("search");
@@ -238,7 +246,7 @@ impl<'a> Advisor<'a> {
         let _phase = cfg.prof.phase("cost");
         let full_striping = Layout::full_striping(sizes, self.disks);
         full_striping.validate(self.disks)?;
-        counters::incr(Counter::CostmodelFullRecosts);
+        work.add(Counter::CostmodelFullRecosts, 1);
         let fs_cost = model.workload_cost_subplans(workload, &full_striping, self.disks);
 
         // Never recommend worse than the trivial baseline: when the search
@@ -275,6 +283,7 @@ impl<'a> Advisor<'a> {
                 cost_evaluations,
                 step1_cost_ms: initial_cost,
             },
+            work,
         })
     }
 }
@@ -374,6 +383,29 @@ mod tests {
             advisor.recommend_sql("SELECT * FROM no_such_table;", &AdvisorConfig::default()),
             Err(AdvisorError::Plan(_))
         ));
+    }
+
+    #[test]
+    fn recommendation_tallies_its_own_work() {
+        let catalog = tpch_catalog(0.1);
+        let disks = paper_disks();
+        let rec = Advisor::new(&catalog, &disks)
+            .recommend_sql(
+                "SELECT COUNT(*) FROM lineitem, orders WHERE l_orderkey = o_orderkey;",
+                &AdvisorConfig::default(),
+            )
+            .unwrap();
+        let work = |c| rec.work.get(c);
+        // The search's ledger build, then the FULL STRIPING baseline.
+        assert_eq!(work(Counter::CostmodelFullRecosts), 2);
+        let evals = work(Counter::CostmodelFullRecosts) + work(Counter::CostmodelDeltaRecosts);
+        assert_eq!(rec.search.cost_evaluations as u64 + 1, evals);
+        let mut graph = Graph::new(catalog.objects().len());
+        let folds = extend_access_graph_traced(&mut graph, &rec.plans, &Default::default());
+        assert!(folds.get(Counter::GraphNodeUpdates) > 0);
+        for c in [Counter::GraphNodeUpdates, Counter::GraphEdgeUpdates] {
+            assert_eq!(work(c), folds.get(c));
+        }
     }
 
     #[test]

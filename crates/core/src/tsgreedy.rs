@@ -22,7 +22,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use dblayout_disksim::{DiskSpec, Layout};
-use dblayout_obs::counters::{self, Counter};
+use dblayout_obs::counters::{self, Counter, CounterSnapshot};
 use dblayout_obs::{f, Collector, Span};
 use dblayout_partition::{
     max_cut_partition, multilevel_max_cut, multilevel_max_cut_with, Graph, MultilevelConfig,
@@ -171,8 +171,12 @@ pub struct TsGreedyResult {
     pub final_cost: f64,
     /// Greedy iterations adopted.
     pub iterations: usize,
-    /// Cost-model invocations (for scalability reporting).
+    /// Cost-model invocations (for scalability reporting): the full
+    /// costings plus the ledger re-costs in `work`.
     pub cost_evaluations: usize,
+    /// The search's own deterministic work counts. Each is also in the
+    /// process registry; no other call's counts are in here.
+    pub work: CounterSnapshot,
 }
 
 /// Runs TS-GREEDY.
@@ -274,8 +278,6 @@ pub fn ts_greedy(
     };
 
     let eval = cfg.cost_model.delta_evaluator(workload, &layout, disks);
-    // Building the evaluator runs one full Figure-7 costing of `layout`.
-    counters::incr(Counter::CostmodelFullRecosts);
     let initial_layout = layout.clone();
     let initial_cost = eval.total();
     if search_span.enabled() {
@@ -297,11 +299,12 @@ pub fn ts_greedy(
         group_subs,
     };
     let job = step2.run(Job::new(layout, eval, &members, m), &search_span);
+    let cost_evaluations = job.cost_evaluations();
 
     search_span.end_with(if collector.enabled() {
         vec![
             f("iterations", job.iterations),
-            f("cost_evaluations", job.evals),
+            f("cost_evaluations", cost_evaluations),
             f("initial_cost_ms", initial_cost),
             f("final_cost_ms", job.cost),
         ]
@@ -315,7 +318,8 @@ pub fn ts_greedy(
         initial_cost,
         final_cost: job.cost,
         iterations: job.iterations,
-        cost_evaluations: job.evals,
+        cost_evaluations,
+        work: job.work,
     })
 }
 
@@ -432,8 +436,9 @@ struct Job<'a> {
     cost: f64,
     /// Moves adopted so far.
     iterations: usize,
-    /// Cost evaluations, the initial costing included.
-    evals: usize,
+    /// The search's work counts so far, the ledger's initial costing
+    /// included.
+    work: CounterSnapshot,
     /// Per group, the pruned frontier's stale gain: optimistic (+∞) until
     /// first examined, then its best observed cost improvement.
     gain: Vec<f64>,
@@ -482,6 +487,9 @@ impl<'a> Job<'a> {
     /// Step 2's starting point: `layout` (with `m` drives) and its ledger.
     fn new(layout: Layout, eval: DeltaEvaluator<'a>, members: &[Vec<usize>], m: usize) -> Self {
         let n = layout.object_count();
+        // Building the ledger ran one full Figure-7 costing of `layout`.
+        let mut work = CounterSnapshot::default();
+        work.add(Counter::CostmodelFullRecosts, 1);
         let mut job = Job {
             current_sets: members.iter().map(|mem| layout.disks_of(mem[0])).collect(),
             probe: layout.clone(),
@@ -489,7 +497,7 @@ impl<'a> Job<'a> {
             cost: eval.total(),
             eval,
             iterations: 0,
-            evals: 1,
+            work,
             gain: vec![f64::INFINITY; members.len()],
             force_full: false,
             moves: Vec::new(),
@@ -508,6 +516,14 @@ impl<'a> Job<'a> {
         };
         job.refresh_rows(0..n);
         job
+    }
+
+    /// Cost evaluations so far: the full costings plus the ledger
+    /// re-costs.
+    fn cost_evaluations(&self) -> usize {
+        let evals = self.work.get(Counter::CostmodelFullRecosts)
+            + self.work.get(Counter::CostmodelDeltaRecosts);
+        usize::try_from(evals).unwrap_or(usize::MAX)
     }
 
     /// Refreshes the validity snapshot's `rows` from `layout`: their
@@ -856,7 +872,8 @@ impl Step2<'_> {
                 }
             }
         }
-        counters::add(Counter::CostmodelDriveTerms, table_scratch.drive_terms());
+        job.work
+            .add(Counter::CostmodelDriveTerms, table_scratch.drive_terms());
         // Adaptive dispatch: width and chunk bounds from the scoring work.
         // Both are pure functions of the enumeration and the memo, so they
         // are identical at every thread count (and trivially so for a
@@ -1031,8 +1048,7 @@ impl Step2<'_> {
         }
         let scored = outcomes()
             .filter(|(o, _)| matches!(o, Scored::Costed(_)))
-            .count();
-        job.evals += scored;
+            .count() as u64;
         // Deterministic-class accounting, batched on the dispatcher thread
         // so the reduction (not the workers) owns the counts: the totals
         // replay the sequential enumeration exactly and are byte-identical
@@ -1041,18 +1057,15 @@ impl Step2<'_> {
         // on the ledger, and the sub-plan and drive-term counts sum the
         // chunks'.
         let enumerated = job.moves.len() as u64;
-        counters::add(Counter::TsgreedyCandidatesEnumerated, enumerated);
-        counters::add(Counter::TsgreedyValidityChecks, enumerated);
-        counters::add(Counter::TsgreedyCandidatesScored, scored as u64);
-        counters::add(Counter::CostmodelDeltaRecosts, scored as u64);
-        counters::add(
-            Counter::CostmodelSubplanRecosts,
-            chunks.iter().map(|ch| ch.recosts).sum(),
-        );
-        counters::add(
-            Counter::CostmodelDriveTerms,
-            chunks.iter().map(|ch| ch.drive_terms).sum(),
-        );
+        let recosts = chunks.iter().map(|ch| ch.recosts).sum();
+        let drive_terms = chunks.iter().map(|ch| ch.drive_terms).sum();
+        let work = &mut job.work;
+        work.add(Counter::TsgreedyCandidatesEnumerated, enumerated);
+        work.add(Counter::TsgreedyValidityChecks, enumerated);
+        work.add(Counter::TsgreedyCandidatesScored, scored);
+        work.add(Counter::CostmodelDeltaRecosts, scored);
+        work.add(Counter::CostmodelSubplanRecosts, recosts);
+        work.add(Counter::CostmodelDriveTerms, drive_terms);
         // Refresh pruning gains for every group examined this iteration: a
         // group's stale gain becomes its best observed improvement
         // (negative when nothing improves, -∞ when nothing was even
@@ -1133,8 +1146,7 @@ impl Step2<'_> {
         job.eval
             .recost_into(&job.layout, subs, &mut values, &mut EvalScratch::new());
         job.eval.adopt(subs, &values);
-        counters::incr(Counter::CostmodelDeltaRecosts);
-        job.evals += 1;
+        job.work.add(Counter::CostmodelDeltaRecosts, 1);
         debug_assert_eq!(job.eval.total().to_bits(), best.cost.to_bits());
         job.cost = best.cost;
         job.current_sets[g] = job.layout.disks_of(members[0]);
@@ -1142,7 +1154,7 @@ impl Step2<'_> {
             job.probe.copy_row_from(&job.layout, i);
         }
         job.iterations += 1;
-        counters::incr(Counter::TsgreedyCandidatesAdopted);
+        job.work.add(Counter::TsgreedyCandidatesAdopted, 1);
         job.force_full = false;
         // Invalidate the memo where the move changed an input: the moved
         // group's own candidates (its drives, hence its move list, changed)

@@ -4,8 +4,7 @@
 //! No wall-clock feeds the schedule — the same seed yields the same op
 //! sequence (and therefore the same mix counters) on every host, which is
 //! what lets `BENCH_server.json` rows carry *exact* mix counters that
-//! `dblayout benchdiff` gates without `--ignore-counters`. This file is an
-//! R6 determinism-zone seed: nothing here (or reachable from here) may
+//! `dblayout benchdiff` gates. This file is an R6 determinism-zone seed: nothing here (or reachable from here) may
 //! read a clock, iterate a hash map, or branch on thread identity.
 
 /// One request kind in the load mix, a subset of the wire vocabulary

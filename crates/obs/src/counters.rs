@@ -27,9 +27,15 @@
 //!   (per-worker chunk items, dead-worker dispatch fallbacks). These vary
 //!   with thread count and timing and are compared only loosely.
 //!
-//! Counters are process-global and monotonic. Code that needs a per-run
-//! figure takes a [`snapshot`] before and after and subtracts with
-//! [`CounterSnapshot::delta`].
+//! The registry is process-global and monotonic: it is the sum of every
+//! call's work, which Prometheus and whole-process benchmarks read. A
+//! call's own work is the [`CounterSnapshot`] tally it returns: each count
+//! it makes goes through [`CounterSnapshot::add`], which adds it to the
+//! registry and to exactly one tally, and an outer call folds its callees'
+//! tallies into its own with [`CounterSnapshot::merge`], which leaves the
+//! registry alone. A tally therefore never holds another call's work,
+//! however many run at once. Counts no tallied call makes go to the
+//! registry alone through [`add`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -184,17 +190,37 @@ pub fn snapshot() -> CounterSnapshot {
     CounterSnapshot { values }
 }
 
-/// A point-in-time reading of the whole registry. `Copy` so it can ride
-/// inside the server's `MetricsSnapshot` unchanged.
+/// One value per counter: a point-in-time reading of the whole registry
+/// ([`snapshot`]), or a call's own tally of the work it did (the default
+/// value is an empty tally). `Copy` so it can ride inside the server's
+/// `MetricsSnapshot` unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CounterSnapshot {
     values: [u64; COUNT],
 }
 
 impl CounterSnapshot {
-    /// The snapshotted value of one counter.
+    /// The value of one counter.
     pub fn get(&self, counter: Counter) -> u64 {
         self.values.get(counter as usize).copied().unwrap_or(0)
+    }
+
+    /// Counts `n` units of this tally's own work: adds them to `counter`
+    /// here and in the process registry.
+    #[inline]
+    pub fn add(&mut self, counter: Counter, n: u64) {
+        add(counter, n);
+        if let Some(v) = self.values.get_mut(counter as usize) {
+            *v = v.wrapping_add(n);
+        }
+    }
+
+    /// Folds a callee's tally into this one. The callee's counts are
+    /// already in the registry, so this adds nothing there.
+    pub fn merge(&mut self, other: &CounterSnapshot) {
+        for (v, o) in self.values.iter_mut().zip(other.values) {
+            *v = v.wrapping_add(o);
+        }
     }
 
     /// Per-counter difference `self - earlier` (saturating, so a stale
@@ -264,6 +290,21 @@ mod tests {
         assert_eq!(after.delta(&before).get(Counter::GraphEdgeUpdates), 7);
         // Reversed order saturates to zero instead of wrapping.
         assert_eq!(before.delta(&after).get(Counter::GraphEdgeUpdates), 0);
+    }
+
+    #[test]
+    fn tally_adds_once_to_the_registry_and_merges_by_value() {
+        let before = get(Counter::MigrationBlocksPlanned);
+        let mut callee = CounterSnapshot::default();
+        callee.add(Counter::MigrationBlocksPlanned, 5);
+        let mut caller = CounterSnapshot::default();
+        caller.add(Counter::MigrationBlocksPlanned, 2);
+        caller.merge(&callee);
+        assert_eq!(callee.get(Counter::MigrationBlocksPlanned), 5);
+        assert_eq!(caller.get(Counter::MigrationBlocksPlanned), 7);
+        assert_eq!(caller.get(Counter::MigrationStepsPlanned), 0);
+        // Nothing else in this binary counts blocks planned.
+        assert_eq!(get(Counter::MigrationBlocksPlanned) - before, 7);
     }
 
     #[test]

@@ -108,18 +108,27 @@ impl PhaseTimer {
         out
     }
 
-    fn record(&self, name: &'static str, elapsed_us: u64) {
+    /// Folds another profile's rows into this one, as if their scopes had
+    /// been timed here: a request times its phases on a timer of its own
+    /// and then adds them to a long-lived aggregate.
+    pub fn merge(&self, rows: &[PhaseRow]) {
+        for row in rows {
+            self.record(&row.name, row.calls, row.total_us);
+        }
+    }
+
+    fn record(&self, name: &str, calls: u64, total_us: u64) {
         if let Some(inner) = &self.0 {
             let mut rows = lock_unpoisoned(&inner.rows);
             match rows.iter_mut().find(|r| r.name == name) {
                 Some(row) => {
-                    row.calls += 1;
-                    row.total_us += elapsed_us;
+                    row.calls += calls;
+                    row.total_us += total_us;
                 }
                 None => rows.push(PhaseRow {
                     name: name.to_string(),
-                    calls: 1,
-                    total_us: elapsed_us,
+                    calls,
+                    total_us,
                 }),
             }
         }
@@ -147,7 +156,7 @@ impl PhaseGuard {
         }
         self.done = true;
         let elapsed = self.started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        PhaseTimer(self.inner.take()).record(self.name, elapsed);
+        PhaseTimer(self.inner.take()).record(self.name, 1, elapsed);
     }
 }
 
@@ -212,6 +221,30 @@ mod tests {
         let inner = total("cost").unwrap();
         assert!(outer >= inner, "parent includes child: {outer} < {inner}");
         assert!(inner >= 1_000, "inner phase slept 2ms, got {inner}us");
+    }
+
+    #[test]
+    fn merge_adds_rows_in_first_seen_order() {
+        let lifetime = PhaseTimer::new();
+        {
+            let _a = lifetime.phase("analyze");
+        }
+        let request = PhaseTimer::new();
+        {
+            let _s = request.phase("search");
+        }
+        {
+            let _a = request.phase("analyze");
+        }
+        lifetime.merge(&request.rows());
+        let rows = lifetime.rows();
+        let calls: Vec<(&str, u64)> = rows.iter().map(|r| (r.name.as_str(), r.calls)).collect();
+        assert_eq!(calls, [("analyze", 2), ("search", 1)]);
+        assert_eq!(
+            request.rows().len(),
+            2,
+            "the request's own rows stay its own"
+        );
     }
 
     #[test]

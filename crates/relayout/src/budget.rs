@@ -23,7 +23,7 @@
 
 use dblayout_catalog::BLOCK_BYTES;
 use dblayout_disksim::{DiskSpec, Layout};
-use dblayout_obs::counters::{self, Counter};
+use dblayout_obs::counters::{Counter, CounterSnapshot};
 use dblayout_partition::Graph;
 use dblayout_planner::Subplan;
 use serde_json::Value;
@@ -93,6 +93,10 @@ pub struct BudgetedOutcome {
     pub iterations: usize,
     /// Cost-model invocations across both search runs.
     pub cost_evaluations: usize,
+    /// This recommendation's deterministic work counts: both searches'
+    /// and the deployed layout's costing. Each is also in the process
+    /// registry; no other call's counts are in here.
+    pub work: CounterSnapshot,
 }
 
 impl BudgetedOutcome {
@@ -150,7 +154,8 @@ pub fn recommend_budgeted(
         )));
     }
     let model = &cfg.search.cost_model;
-    counters::incr(Counter::CostmodelFullRecosts);
+    let mut work = CounterSnapshot::default();
+    work.add(Counter::CostmodelFullRecosts, 1);
     let current_cost = model.workload_cost_subplans(workload, current, disks);
 
     // Candidate 2: seeded, movement-bounded search from the deployed layout.
@@ -167,6 +172,8 @@ pub fn recommend_budgeted(
         && cfg
             .budget_blocks
             .is_none_or(|b| ideal.layout.data_movement_from(current) <= b);
+    work.merge(&seeded.work);
+    work.merge(&ideal.work);
 
     let mut layout = current.clone();
     let mut new_cost = current_cost;
@@ -203,6 +210,7 @@ pub fn recommend_budgeted(
         strategy,
         iterations,
         cost_evaluations: seeded.cost_evaluations + ideal.cost_evaluations + 1,
+        work,
     })
 }
 
@@ -277,6 +285,11 @@ mod tests {
         let d0 = out.layout.disks_of(0);
         let d1 = out.layout.disks_of(1);
         assert!(d0.iter().all(|j| !d1.contains(j)), "{d0:?} vs {d1:?}");
+        // The tally holds the deployed costing and both searches' work.
+        let full = out.work.get(Counter::CostmodelFullRecosts);
+        assert_eq!(full, 3, "deployed costing + one ledger build per search");
+        let delta = out.work.get(Counter::CostmodelDeltaRecosts);
+        assert_eq!(out.cost_evaluations as u64, full + delta);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use dblayout_core::costmodel::CostModel;
 use dblayout_core::tsgreedy::TsGreedyConfig;
 use dblayout_disksim::Layout;
 use dblayout_obs::counters::{self, Counter};
-use dblayout_obs::prof::PhaseTimer;
+use dblayout_obs::prof::{PhaseRow, PhaseTimer};
 use dblayout_obs::{Collector, RingSink};
 use dblayout_relayout::{
     detect_drift, plan_migration, recommend_budgeted, BudgetConfig, DriftConfig, PlanError,
@@ -56,7 +56,9 @@ pub struct Engine {
     pub collector: Collector,
     /// Always-on wall-clock phase profile (`dblayout-prof`): analyze /
     /// build-graph / search / cost accumulate here across requests (the
-    /// transport adds `serialize`); the `profile` op reads it.
+    /// transport adds `serialize`); the `profile` op reads it. A
+    /// recommendation times its phases on a timer of its own, records
+    /// them, and then folds them in here.
     pub prof: PhaseTimer,
     /// Decision-record log (`dblayout-audit`): when enabled, every
     /// `recommend`/`recommend_budgeted` appends one replayable
@@ -112,6 +114,16 @@ impl Engine {
         crate::lock_unpoisoned(log)
             .append(&mut record)
             .map_err(audit_api_error)
+    }
+
+    /// Runs `f` on a phase timer of its own and folds the rows it timed
+    /// into the lifetime profile; returns `f`'s value and those rows.
+    fn timed<T>(&self, f: impl FnOnce(&PhaseTimer) -> T) -> (T, Vec<PhaseRow>) {
+        let prof = PhaseTimer::new();
+        let value = f(&prof);
+        let rows = prof.rows();
+        self.prof.merge(&rows);
+        (value, rows)
     }
 
     /// Sets (or clears) the max-idle session TTL; idle sessions are swept
@@ -249,30 +261,33 @@ impl Engine {
             Request::Recommend { session, k } => {
                 let handle = crate::lock_unpoisoned(&self.registry).get(session)?;
                 let mut s = crate::lock_unpoisoned(&handle);
-                let cfg = AdvisorConfig {
-                    search: TsGreedyConfig {
-                        k,
-                        threads: s.threads,
-                        ..Default::default()
-                    },
-                    prof: self.prof.clone(),
-                };
-                let advisor = Advisor::new(&s.catalog, &s.disks);
-                let counters_before = counters::snapshot();
-                let rec = advisor
-                    .recommend_prepared(s.plans.clone(), s.graph.clone(), &s.workload, &cfg)
-                    .map_err(|e| match e {
-                        AdvisorError::EmptyWorkload => {
-                            ApiError::new("empty_workload", "session has no statements yet")
-                        }
-                        AdvisorError::Parse(_)
-                        | AdvisorError::Plan(_)
-                        | AdvisorError::Layout(_)
-                        | AdvisorError::Search(_) => ApiError::new("search_error", e.to_string()),
-                    })?;
+                let (rec, phases) = self.timed(|prof| {
+                    let cfg = AdvisorConfig {
+                        search: TsGreedyConfig {
+                            k,
+                            threads: s.threads,
+                            ..Default::default()
+                        },
+                        prof: prof.clone(),
+                    };
+                    Advisor::new(&s.catalog, &s.disks).recommend_prepared(
+                        s.plans.clone(),
+                        s.graph.clone(),
+                        &s.workload,
+                        &cfg,
+                    )
+                });
+                let rec = rec.map_err(|e| match e {
+                    AdvisorError::EmptyWorkload => {
+                        ApiError::new("empty_workload", "session has no statements yet")
+                    }
+                    AdvisorError::Parse(_)
+                    | AdvisorError::Plan(_)
+                    | AdvisorError::Layout(_)
+                    | AdvisorError::Search(_) => ApiError::new("search_error", e.to_string()),
+                })?;
                 let mut result = recommendation_result(&s.catalog, &s.disks, &rec);
                 if self.audit.is_some() {
-                    let delta = counters::snapshot().delta(&counters_before);
                     let record = record_recommendation(
                         &RecordInputs {
                             source: "server.recommend",
@@ -285,8 +300,8 @@ impl Engine {
                             ts_unix_ms: now_unix_ms(),
                         },
                         &rec,
-                        &self.prof.rows(),
-                        &delta,
+                        &phases,
+                        &rec.work,
                     );
                     let id = self.append_record(record)?;
                     s.last_decision = Some(id);
@@ -348,14 +363,12 @@ impl Engine {
                     },
                 };
                 let sizes = s.object_sizes();
-                let counters_before = counters::snapshot();
-                let outcome = {
-                    let _phase = self.prof.phase("search");
+                let (outcome, phases) = self.timed(|prof| {
+                    let _phase = prof.phase("search");
                     recommend_budgeted(&sizes, &s.graph, &s.workload, &s.disks, &s.deployed, &cfg)
-                        .map_err(|e| ApiError::new("search_error", e.to_string()))?
-                };
+                });
+                let outcome = outcome.map_err(|e| ApiError::new("search_error", e.to_string()))?;
                 let decision_id = if self.audit.is_some() {
-                    let delta = counters::snapshot().delta(&counters_before);
                     let record = record_budgeted(
                         &RecordInputs {
                             source: "server.recommend_budgeted",
@@ -372,8 +385,8 @@ impl Engine {
                         &s.graph,
                         &s.workload,
                         min_improvement_pct,
-                        &self.prof.rows(),
-                        &delta,
+                        &phases,
+                        &outcome.work,
                     );
                     Some(self.append_record(record)?)
                 } else {
@@ -938,5 +951,117 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err.code, "empty_workload");
+    }
+
+    /// Each audited decision records its own work and nothing else, however
+    /// many run at once: 8 sessions on TPC-H-22 recommend together, then
+    /// re-advise under a budget together. Every record's counters equal a
+    /// solo run's, and its phase rows are the phases that request ran, one
+    /// call each, summing to no more than its own wall time.
+    #[test]
+    fn concurrent_audited_decisions_record_only_their_own_work() {
+        const SESSIONS: usize = 8;
+        let dir = std::env::temp_dir().join(format!(
+            "dblayout_server_attribution_{}",
+            std::process::id()
+        ));
+        #[expect(
+            clippy::let_underscore_must_use,
+            clippy::let_underscore_untyped,
+            reason = "clears a leftover from an earlier run; usually there is none"
+        )]
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut engine = Engine::new(SESSIONS + 1, 16);
+        engine.enable_audit(&dir).expect("open decision log");
+        let sql: String = dblayout_workloads::tpch22::tpch22()
+            .iter()
+            .map(|q| format!("{};\n", q.trim().trim_end_matches(';')))
+            .collect();
+        let open = |engine: &Engine| {
+            let open = exec(
+                engine,
+                Request::OpenSession {
+                    catalog: "tpch:0.1".into(),
+                    disks: "paper".into(),
+                    threads: 1,
+                    decay: 1.0,
+                },
+            );
+            let sid = open.get("session").and_then(|v| v.as_u64()).unwrap();
+            let sql = sql.clone();
+            exec(engine, Request::AddStatements { session: sid, sql });
+            sid
+        };
+        let record = |engine: &Engine, reply: &Value| {
+            let id = reply.get("decision_id").and_then(|v| v.as_u64()).unwrap();
+            let got = exec(engine, Request::AuditGet { id, replay: false });
+            got.get("record")
+                .and_then(|r| r.get("outcome"))
+                .cloned()
+                .unwrap()
+        };
+        let solo_session = open(&engine);
+        let sessions: Vec<u64> = (0..SESSIONS).map(|_| open(&engine)).collect();
+        for budgeted in [false, true] {
+            let request = move |session| match budgeted {
+                false => Request::Recommend { session, k: 1 },
+                true => Request::RecommendBudgeted {
+                    session,
+                    k: 1,
+                    budget_mb: None,
+                    min_improvement_pct: 0.0,
+                },
+            };
+            let phases: &[&str] = if budgeted {
+                &["search"]
+            } else {
+                &["search", "cost"]
+            };
+            let solo = record(&engine, &exec(&engine, request(solo_session)));
+            let barrier = std::sync::Barrier::new(SESSIONS);
+            let replies: Vec<(Value, Duration)> = std::thread::scope(|scope| {
+                let runs: Vec<_> = sessions
+                    .iter()
+                    .map(|&sid| {
+                        let (engine, barrier) = (&engine, &barrier);
+                        scope.spawn(move || {
+                            barrier.wait();
+                            let t0 = std::time::Instant::now();
+                            let reply = exec(engine, request(sid));
+                            (reply, t0.elapsed())
+                        })
+                    })
+                    .collect();
+                runs.into_iter().map(|run| run.join().unwrap()).collect()
+            });
+            for (reply, wall) in &replies {
+                let outcome = record(&engine, reply);
+                assert_eq!(outcome.get("counters"), solo.get("counters"));
+                let rows = outcome.get("phases").and_then(|v| v.as_array()).unwrap();
+                let field = |row: &Value, key: &str| row.get(key).and_then(|v| v.as_u64());
+                let calls: Vec<(&str, Option<u64>)> = rows
+                    .iter()
+                    .map(|row| {
+                        (
+                            row.get("name").and_then(|v| v.as_str()).unwrap(),
+                            field(row, "calls"),
+                        )
+                    })
+                    .collect();
+                let want: Vec<(&str, Option<u64>)> = phases.iter().map(|&p| (p, Some(1))).collect();
+                assert_eq!(calls, want);
+                let total_us: u64 = rows.iter().filter_map(|row| field(row, "total_us")).sum();
+                assert!(
+                    u128::from(total_us) <= wall.as_micros(),
+                    "phases sum to {total_us} us in a {wall:?} request"
+                );
+            }
+        }
+        #[expect(
+            clippy::let_underscore_must_use,
+            clippy::let_underscore_untyped,
+            reason = "best-effort cleanup of the test's scratch directory"
+        )]
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,7 +17,6 @@ use dblayout_core::advisor::{Advisor, AdvisorConfig};
 use dblayout_core::costmodel::decompose_workload;
 use dblayout_core::tsgreedy::TsGreedyConfig;
 use dblayout_disksim::{uniform_disks, Layout};
-use dblayout_obs::counters;
 use dblayout_relayout::{recommend_budgeted, BudgetConfig};
 use dblayout_sql::{parse_workload_file, Statement};
 
@@ -61,9 +60,7 @@ fn make_recommend_record(threads: usize) -> DecisionRecord {
         },
         ..AdvisorConfig::default()
     };
-    let before = counters::snapshot();
     let rec = advisor.recommend_sql(WORKLOAD, &cfg).expect("recommend");
-    let delta = counters::snapshot().delta(&before);
     record_recommendation(
         &RecordInputs {
             source: "e2e.recommend",
@@ -77,7 +74,7 @@ fn make_recommend_record(threads: usize) -> DecisionRecord {
         },
         &rec,
         &[],
-        &delta,
+        &rec.work,
     )
 }
 
@@ -216,10 +213,8 @@ fn budgeted_decisions_record_and_replay_through_the_same_log() {
             ..TsGreedyConfig::default()
         },
     };
-    let before = counters::snapshot();
     let outcome =
         recommend_budgeted(&sizes, &graph, &subplans, &disks, &current, &bcfg).expect("budgeted");
-    let delta = counters::snapshot().delta(&before);
     let mut record = record_budgeted(
         &RecordInputs {
             source: "e2e.migrate",
@@ -237,7 +232,7 @@ fn budgeted_decisions_record_and_replay_through_the_same_log() {
         &subplans,
         0.0,
         &[],
-        &delta,
+        &outcome.work,
     );
 
     // Interleave with a recommend record to prove the log keeps kinds

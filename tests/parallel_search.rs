@@ -2,14 +2,13 @@
 //! must be **byte-identical** to the single-threaded search on every axis a
 //! caller can observe — layout fractions, cost bits, search counters, the
 //! deterministic cost trace, the rendered explain narrative, and the
-//! deterministic work-counter deltas (`dblayout-prof`) — across a seeded
-//! matrix of workloads × disk configurations × thread counts. A
-//! small-instance oracle test additionally pins the parallel engine to the
-//! same quality bound against exhaustive enumeration as the sequential one.
+//! deterministic work counts each search returns (`dblayout-prof`) —
+//! across a seeded matrix of workloads × disk configurations × thread
+//! counts. A small-instance oracle test additionally pins the parallel
+//! engine to the same quality bound against exhaustive enumeration as the
+//! sequential one.
 
-use std::sync::{Arc, Mutex, MutexGuard};
-
-use dblayout_obs::counters;
+use std::sync::Arc;
 
 use dblayout_catalog::tpch::tpch_catalog;
 use dblayout_catalog::ObjectId;
@@ -37,18 +36,6 @@ fn layout_bits(l: &Layout) -> Vec<u64> {
     bits
 }
 
-/// The work counters are process-global, so measuring a per-run delta is
-/// only sound while no other test in this binary bumps them — graph builds
-/// and cost sweeps count too, not only searches. Every test holds this lock
-/// for its whole body.
-static COUNTER_ISOLATION: Mutex<()> = Mutex::new(());
-
-/// Takes [`COUNTER_ISOLATION`] (a test that panicked while holding it
-/// leaves the counters consistent, so poisoning is ignored).
-fn isolate_counters() -> MutexGuard<'static, ()> {
-    dblayout_obs::lock_unpoisoned(&COUNTER_ISOLATION)
-}
-
 /// Everything a caller can observe from one search run, fully serialized
 /// so the differential comparison is a single `assert_eq!`.
 #[derive(Debug, PartialEq)]
@@ -60,7 +47,7 @@ struct Observed {
     cost_evaluations: usize,
     trace: Vec<String>,
     narrative: String,
-    /// Deterministic work-counter deltas (scheduling-class counters
+    /// The search's deterministic work counts (scheduling-class counters
     /// excluded) — the dblayout-prof fingerprint, which must not move
     /// with the thread count.
     work_counters: Vec<(&'static str, u64)>,
@@ -88,8 +75,7 @@ fn observe(
 }
 
 /// [`observe`] with a caller-supplied configuration (the collector is
-/// overwritten with a deterministic ring). The caller must hold
-/// [`isolate_counters`].
+/// overwritten with a deterministic ring).
 fn observe_with(
     sizes: &[u64],
     graph: &dblayout_partition::Graph,
@@ -102,10 +88,8 @@ fn observe_with(
         collector: Collector::deterministic(ring.clone()),
         ..cfg
     };
-    let before = counters::snapshot();
     let r: TsGreedyResult =
         ts_greedy(sizes, graph, workload, disks, &cfg).expect("search succeeds");
-    let work_counters = counters::snapshot().delta(&before).deterministic_pairs();
     let records = ring.drain();
     let names = NarrativeNames {
         objects: &[],
@@ -119,7 +103,7 @@ fn observe_with(
         cost_evaluations: r.cost_evaluations,
         trace: records.iter().map(|rec| rec.to_jsonl()).collect(),
         narrative: render_narrative(&records, &names),
-        work_counters,
+        work_counters: r.work.deterministic_pairs(),
     }
 }
 
@@ -129,7 +113,6 @@ fn observe_with(
 /// JSONL, and explain narrative byte for byte.
 #[test]
 fn seeded_matrix_is_byte_identical_across_thread_counts() {
-    let _guard = isolate_counters();
     let catalog = tpch_catalog(0.1);
     let sizes: Vec<u64> = catalog.objects().iter().map(|o| o.size_blocks).collect();
     let disk_configs: Vec<(&str, Vec<DiskSpec>)> = vec![
@@ -181,7 +164,6 @@ fn seeded_matrix_is_byte_identical_across_thread_counts() {
 /// small iterations to fewer workers — neither may move a bit).
 #[test]
 fn mega_family_row_is_byte_identical_across_thread_counts() {
-    let _guard = isolate_counters();
     let instance = generate_mega(&MegaConfig::scaled(200, 10, 21));
     let graph = build_access_graph_subplans(instance.sizes.len(), &instance.workload);
     let mega_cfg = |threads: usize, min_chunk: usize| TsGreedyConfig {
@@ -238,7 +220,6 @@ fn scan(obj: u32, blocks: u64) -> PlanNode {
 /// search — at every thread count, with bit-identical results.
 #[test]
 fn small_instance_tracks_the_exhaustive_oracle() {
-    let _guard = isolate_counters();
     let disks = uniform_disks(3, 100_000, 10.0, 20.0);
     let sizes = vec![240u64, 120, 60];
     let plans = vec![

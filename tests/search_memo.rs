@@ -17,7 +17,7 @@
 //! groups and a movement bound.
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,13 +29,9 @@ use dblayout_core::costmodel::decompose_workload;
 use dblayout_core::tsgreedy::{ts_greedy, TsGreedyConfig, TsGreedyResult};
 use dblayout_disksim::{uniform_disks, DiskSpec, Layout};
 use dblayout_integration::{decision_events, reference_step2};
-use dblayout_obs::counters::{self, Counter, CounterSnapshot};
+use dblayout_obs::counters::Counter;
 use dblayout_obs::{Collector, Record, RingSink};
 use dblayout_planner::{AccessKind, ObjectAccess, PhysicalPlan, PlanNode, Subplan};
-
-/// The work counters are process-global, so the searches of this binary's
-/// tests take turns.
-static COUNTERS: Mutex<()> = Mutex::new(());
 
 struct Instance {
     sizes: Vec<u64>,
@@ -103,7 +99,6 @@ fn instance(seed: u64, objects: usize, drives: usize, slack: f64) -> Instance {
 struct Run {
     result: TsGreedyResult,
     trace: Vec<Record>,
-    counts: CounterSnapshot,
 }
 
 fn search(inst: &Instance, cfg: &TsGreedyConfig) -> Run {
@@ -113,14 +108,11 @@ fn search(inst: &Instance, cfg: &TsGreedyConfig) -> Run {
         collector: Collector::deterministic(ring.clone()),
         ..cfg.clone()
     };
-    let before = counters::snapshot();
     let result = ts_greedy(&inst.sizes, &graph, &inst.workload, &inst.disks, &cfg)
         .expect("the instance is feasible");
-    let counts = counters::snapshot().delta(&before);
     Run {
         result,
         trace: ring.drain(),
-        counts,
     }
 }
 
@@ -150,7 +142,6 @@ fn assert_engines_agree(inst: &Instance, cfg: &TsGreedyConfig, label: &str) -> R
 /// reference from the search's own starting layout, asserts every
 /// observable agrees, and returns the 1-thread run.
 fn engines_agree(inst: &Instance, cfg: &TsGreedyConfig, label: &str) -> Run {
-    let _turn = dblayout_obs::lock_unpoisoned(&COUNTERS);
     let at = |threads: usize| {
         search(
             inst,
@@ -211,7 +202,7 @@ fn engines_agree(inst: &Instance, cfg: &TsGreedyConfig, label: &str) -> Run {
             (Counter::CostmodelDeltaRecosts, reference.scored + adopted),
             (Counter::CostmodelFullRecosts, 1),
         ] {
-            assert_eq!(run.counts.get(c), want, "{context}: {}", c.name());
+            assert_eq!(run.result.work.get(c), want, "{context}: {}", c.name());
         }
         // Widening tables are filled before dispatch and chunks tally
         // their own terms, so the work counts cannot depend on the thread
@@ -221,8 +212,8 @@ fn engines_agree(inst: &Instance, cfg: &TsGreedyConfig, label: &str) -> Run {
             Counter::CostmodelDriveTerms,
         ] {
             assert_eq!(
-                run.counts.get(c),
-                runs[0].counts.get(c),
+                run.result.work.get(c),
+                runs[0].result.work.get(c),
                 "{context}: {}",
                 c.name()
             );
@@ -253,7 +244,7 @@ fn assert_memo_dominates(inst: &Instance, memo: &Run, label: &str) {
             })
             .count() as u64;
     }
-    let recosts = memo.counts.get(Counter::CostmodelSubplanRecosts);
+    let recosts = memo.result.work.get(Counter::CostmodelSubplanRecosts);
     assert!(
         recosts * 2 < memo_free,
         "{label}: the memo re-cost {recosts} of {memo_free} sub-plans"
@@ -319,8 +310,8 @@ fn widening_tables_agree_across_chunk_boundaries() {
         };
         let label = format!("uniform seed {seed}, k {k}");
         let memo = assert_engines_agree(&inst, &cfg, &label);
-        let terms = memo.counts.get(Counter::CostmodelDriveTerms);
-        let recosts = memo.counts.get(Counter::CostmodelSubplanRecosts);
+        let terms = memo.result.work.get(Counter::CostmodelDriveTerms);
+        let recosts = memo.result.work.get(Counter::CostmodelSubplanRecosts);
         // A table prices a value from the at most `k` drives the move adds
         // (plus its share of the table's fill), the kernel from every
         // drive its sub-plan's objects occupy.
