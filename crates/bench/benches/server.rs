@@ -81,11 +81,7 @@ fn main() {
     }));
 
     // Loopback: same ops through the full TCP + JSON path.
-    let server = Server::start(ServerConfig {
-        threads: 2,
-        ..Default::default()
-    })
-    .expect("bind loopback server");
+    let server = Server::start(ServerConfig::default()).expect("bind loopback server");
     let addr = server.addr().to_string();
 
     let mut client = Client::connect(&addr).expect("connect");
@@ -120,8 +116,8 @@ fn main() {
         client.roundtrip(r#"{"op":"stats"}"#).expect("stats")
     }));
 
-    // Per-stage timings (queue-wait / compute / serialize) as observed by
-    // the server across every request this bench sent over loopback.
+    // Per-stage timings (compute / serialize) as observed by the server
+    // across every request this bench sent over loopback.
     let stage_timings: String = {
         use serde_json::ValueExt;
         let line = client.roundtrip(r#"{"op":"stats"}"#).expect("final stats");
@@ -134,10 +130,8 @@ fn main() {
                 .unwrap_or_else(|| panic!("stats missing `{key}`"))
         };
         format!(
-            "{{\"queue_p50\": {}, \"queue_p99\": {}, \"compute_p50\": {}, \
-             \"compute_p99\": {}, \"serialize_p50\": {}, \"serialize_p99\": {}}}",
-            field("stage_queue_p50_us"),
-            field("stage_queue_p99_us"),
+            "{{\"compute_p50\": {}, \"compute_p99\": {}, \"serialize_p50\": {}, \
+             \"serialize_p99\": {}}}",
             field("stage_compute_p50_us"),
             field("stage_compute_p99_us"),
             field("stage_serialize_p50_us"),

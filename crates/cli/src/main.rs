@@ -240,7 +240,7 @@ Drives the newline-delimited JSON protocol with a deterministic op
 schedule (seeded LCG; same --seed → same op sequence and mix counters on
 every host) and records latency into log-linear histograms with ≤12.5%
 relative error. Without --addr, an in-process loopback server is started
-with one worker thread per connection.
+with its default settings (one thread per connection, up to 64).
 
 Two pacing modes (DESIGN.md §12):
   open loop (--rate)   requests arrive at a fixed rate; latency is charged
@@ -256,8 +256,7 @@ failure occurred.
 OPTIONS:
     --addr <host:port>  target a running service (default: loopback server)
     --requests <n>      total requests across connections (default 100000)
-    --connections <n>   concurrent connections; each needs a server worker
-                        thread (default 4)
+    --connections <n>   concurrent connections (default 4)
     --rate <r>          open-loop offered load, requests/second
                         (default: closed loop)
     --seed <n>          schedule seed (default 42)
@@ -284,9 +283,8 @@ OPTIONS:
     --port <n>          TCP port to listen on (default 7437; 0 picks a free
                         port — the chosen address is printed on stdout)
     --host <addr>       bind address (default 127.0.0.1)
-    --threads <n>       worker threads (default 4)
-    --queue <n>         max queued connections before `busy` (default 64)
-    --deadline-ms <n>   per-request queue-wait deadline (default 30000)
+    --connections <n>   max connections served at once, one thread each;
+                        one more is answered `busy` (default 64)
     --sessions <n>      max concurrently open sessions (default 64)
     --cache <n>         max memoized what-if costs (default 1024)
     --audit-dir <dir>   decision-record log directory (default
@@ -782,14 +780,10 @@ fn run_loadtest(args: &[String]) -> Result<ExitCode, String> {
         None => Mode::Closed,
     };
 
-    // Without --addr, stand up a loopback server sized so every loadgen
-    // connection gets a dedicated worker thread (the server parks one
-    // thread per connection for its whole lifetime).
+    // Without --addr, stand up a loopback server with its defaults.
     let embedded = if cfg.addr.is_empty() {
         let server_cfg = ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            threads: cfg.connections.max(2),
-            queue_capacity: cfg.connections + 8,
             audit_dir: None,
             ..ServerConfig::default()
         };
@@ -880,21 +874,10 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                     .map_err(|e| format!("bad --port: {e}"))?
             }
             "--host" => host = value("--host")?,
-            "--threads" => {
-                cfg.threads = value("--threads")?
+            "--connections" => {
+                cfg.connection_capacity = value("--connections")?
                     .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?
-            }
-            "--queue" => {
-                cfg.queue_capacity = value("--queue")?
-                    .parse()
-                    .map_err(|e| format!("bad --queue: {e}"))?
-            }
-            "--deadline-ms" => {
-                let ms: u64 = value("--deadline-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad --deadline-ms: {e}"))?;
-                cfg.deadline = Duration::from_millis(ms);
+                    .map_err(|e| format!("bad --connections: {e}"))?
             }
             "--sessions" => {
                 cfg.session_capacity = value("--sessions")?
@@ -916,10 +899,9 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     let handle =
         Server::start(cfg.clone()).map_err(|e| format!("cannot listen on {}: {e}", cfg.addr))?;
     println!(
-        "dblayout-server listening on {} ({} worker threads, queue {}, {} session slots)",
+        "dblayout-server listening on {} (up to {} connections, {} session slots)",
         handle.addr(),
-        cfg.threads,
-        cfg.queue_capacity,
+        cfg.connection_capacity,
         cfg.session_capacity
     );
     match &cfg.audit_dir {
@@ -1221,13 +1203,22 @@ fn run_migrate(argv: &[String]) -> Result<(), String> {
         constraints_text,
     } = load_inputs(&args)?;
 
-    let plans =
-        plan_workload_text(&catalog, &workload_text).map_err(|e| format!("workload: {e}"))?;
+    // The same phase rows as `cli.recommend` records.
+    let prof = dblayout_obs::prof::PhaseTimer::new();
+    let (plans, workload) = {
+        let _phase = prof.phase("analyze");
+        let plans =
+            plan_workload_text(&catalog, &workload_text).map_err(|e| format!("workload: {e}"))?;
+        let workload = dblayout_core::costmodel::decompose_workload(&plans);
+        (plans, workload)
+    };
     let n = catalog.objects().len();
     let sizes: Vec<u64> = catalog.objects().iter().map(|o| o.size_blocks).collect();
     let mut graph = dblayout_partition::Graph::new(n);
-    dblayout_core::extend_access_graph(&mut graph, &plans);
-    let workload = dblayout_core::costmodel::decompose_workload(&plans);
+    {
+        let _phase = prof.phase("build-graph");
+        dblayout_core::extend_access_graph(&mut graph, &plans);
+    }
     let current = dblayout_core::Layout::full_striping(sizes.clone(), &disks);
 
     let blocks_per_mb = 1_048_576 / dblayout_catalog::BLOCK_BYTES;
@@ -1241,8 +1232,11 @@ fn run_migrate(argv: &[String]) -> Result<(), String> {
             ..Default::default()
         },
     };
-    let outcome = recommend_budgeted(&sizes, &graph, &workload, &disks, &current, &cfg)
-        .map_err(|e| e.to_string())?;
+    let outcome = {
+        let _phase = prof.phase("search");
+        recommend_budgeted(&sizes, &graph, &workload, &disks, &current, &cfg)
+    }
+    .map_err(|e| e.to_string())?;
     let mut plan = plan_migration(
         &current,
         &outcome.layout,
@@ -1310,7 +1304,7 @@ fn run_migrate(argv: &[String]) -> Result<(), String> {
             &graph,
             &workload,
             min_improvement,
-            &[],
+            &prof.rows(),
             &outcome.work,
         );
         let id = append_decision(&args.audit_dir, record)?;

@@ -59,8 +59,8 @@ pub struct LoadConfig {
     pub addr: String,
     /// Total requests across all connections.
     pub requests: usize,
-    /// Concurrent connections (must be ≤ the server's worker threads —
-    /// the server parks one thread per connection).
+    /// Concurrent connections; the server serves each on its own thread,
+    /// up to its connection cap (64 by default).
     pub connections: usize,
     /// Open- or closed-loop pacing.
     pub mode: Mode,
@@ -122,7 +122,7 @@ pub struct LoadReport {
     pub mix: MixCounts,
     /// Non-`ok` responses.
     pub errors: u64,
-    /// Busy sheds (server queue full) among those errors.
+    /// Busy sheds (server at its connection cap) among those errors.
     pub shed: u64,
     /// `(wire op name, latency snapshot)` in [`OpKind::ALL`] order.
     pub per_op: Vec<(&'static str, hist::Snapshot)>,
@@ -514,7 +514,7 @@ mod tests {
         record_reply(
             OpKind::Stats,
             d,
-            r#"{"ok":false,"error":{"code":"busy","message":"queue full"}}"#,
+            r#"{"ok":false,"error":{"code":"busy","message":"connection limit reached, retry later"}}"#,
             &rec,
         );
         assert_eq!(rec.errors.load(Ordering::Relaxed), 2);

@@ -134,9 +134,6 @@ counters! {
     MigrationBlocksPlanned = "migration_blocks_planned", deterministic;
     /// Decision records appended to the audit log (`dblayout-audit`).
     AuditRecordsWritten = "audit_records_written", deterministic;
-    /// Malformed/truncated JSONL lines skipped by the lenient trace
-    /// parser (`parse_trace_lenient`).
-    TraceParseErrors = "trace_parse_errors", deterministic;
     /// Sub-plans TS-GREEDY's candidate scoring re-costs through the
     /// Figure-7 kernel (memoized candidates re-cost none).
     CostmodelSubplanRecosts = "costmodel_subplan_recosts", deterministic;

@@ -2,8 +2,9 @@
 //!
 //! A std-only tracing subsystem: hierarchical [`Span`]s with monotonic
 //! ids, typed key/value events ([`FieldValue`]), and thread-safe sinks —
-//! a JSONL writer ([`JsonlSink`]), a bounded in-memory ring
-//! ([`RingSink`]), and null (a disabled [`Collector`]).
+//! a bounded in-memory ring ([`RingSink`]) and null (a disabled
+//! [`Collector`]). [`Record::to_jsonl`] and [`parse_trace`] are the JSONL
+//! serialization of a drained ring.
 //!
 //! Design constraints, in priority order:
 //!
@@ -73,11 +74,8 @@ mod record;
 mod sink;
 
 pub use collector::{Collector, Span};
-pub use record::{
-    f, parse_trace, parse_trace_lenient, FieldValue, LenientTrace, Record, RecordKind,
-    TraceParseError,
-};
-pub use sink::{JsonlSink, RingSink, Sink};
+pub use record::{f, parse_trace, FieldValue, Record, RecordKind, TraceParseError};
+pub use sink::{RingSink, Sink};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -85,7 +83,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 ///
 /// Every mutex in the workspace guards state that stays consistent across
 /// a panic: trace writers and record rings, monotonic profile rows, and the
-/// server's sessions and queues (request execution runs under
+/// server's sessions and connections (request execution runs under
 /// `catch_unwind`, and handlers validate and stage before they mutate).
 /// Recovering with `into_inner` keeps one panic from wedging every later
 /// thread that touches the same lock. `clippy.toml` disallows a bare
@@ -177,12 +175,13 @@ mod concurrency_tests {
         }
     }
 
-    /// Full pipeline: concurrent emit into a JSONL sink, parse it back,
-    /// and check the parse sees every record.
+    /// Full pipeline: concurrent emit into a ring, write the drained ring
+    /// as JSONL (as `--trace-out` does), parse it back, and check the
+    /// parse sees every record.
     #[test]
     fn concurrent_jsonl_round_trip() {
-        let sink = Arc::new(JsonlSink::new(Vec::new()));
-        let collector = Collector::new(sink.clone());
+        let ring = Arc::new(RingSink::new(usize::MAX));
+        let collector = Collector::new(ring.clone());
         let mut handles = Vec::new();
         for t in 0..4u64 {
             let c = collector.clone();
@@ -196,8 +195,7 @@ mod concurrency_tests {
             h.join().expect("emitter thread panicked");
         }
         drop(collector);
-        let sink = Arc::try_unwrap(sink).ok().expect("sink still shared");
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let text: String = ring.drain().iter().map(|r| r.to_jsonl() + "\n").collect();
         let records = parse_trace(&text).unwrap();
         assert_eq!(records.len(), 200);
         let seqs: HashSet<u64> = records.iter().map(|r| r.seq).collect();

@@ -237,44 +237,6 @@ pub fn parse_trace(text: &str) -> Result<Vec<Record>, TraceParseError> {
     Ok(records)
 }
 
-/// The outcome of a lenient trace parse: every line that parsed, plus a
-/// count of the lines that did not.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LenientTrace {
-    /// Records from every well-formed line, in input order.
-    pub records: Vec<Record>,
-    /// Malformed or truncated lines skipped (also added to
-    /// [`counters::Counter::TraceParseErrors`](crate::counters::Counter)).
-    pub skipped: usize,
-}
-
-/// Parses a JSONL trace with skip-and-count semantics: malformed or
-/// truncated lines (e.g. a trace cut off mid-write) are skipped instead
-/// of failing the whole parse, and each skip bumps the
-/// `trace_parse_errors` counter so the loss is visible in the Prometheus
-/// `metrics` op as `dblayout_trace_parse_errors_total`.
-///
-/// Use [`parse_trace`] when a malformed line should be a hard error
-/// (round-trip tests, artifact verification); use this for operational
-/// readers that must make progress on partial data.
-pub fn parse_trace_lenient(text: &str) -> LenientTrace {
-    let mut records = Vec::new();
-    let mut skipped = 0usize;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_record_line(line) {
-            Ok(record) => records.push(record),
-            Err(_) => skipped += 1,
-        }
-    }
-    if skipped > 0 {
-        crate::counters::add(crate::counters::Counter::TraceParseErrors, skipped as u64);
-    }
-    LenientTrace { records, skipped }
-}
-
 fn parse_record_line(line: &str) -> Result<Record, String> {
     let value: Value = serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))?;
     let kind = match value.get("kind").and_then(|v| v.as_str()) {
@@ -419,63 +381,6 @@ mod tests {
         let bad_kind =
             parse_trace(r#"{"seq":0,"kind":"warp","span":0,"name":"x","fields":{}}"#).unwrap_err();
         assert!(bad_kind.message.contains("warp"));
-    }
-
-    #[test]
-    fn lenient_parse_skips_and_counts_malformed_lines() {
-        use crate::counters::{self, Counter};
-        let good = Record {
-            seq: 0,
-            kind: RecordKind::Event,
-            span: 0,
-            parent: None,
-            name: "ok".into(),
-            fields: vec![f("n", 1u64)],
-            elapsed_us: None,
-        };
-        let also_good = Record {
-            seq: 1,
-            kind: RecordKind::Event,
-            span: 0,
-            parent: None,
-            name: "ok2".into(),
-            fields: Vec::new(),
-            elapsed_us: None,
-        };
-        // A trace cut off mid-write: one truncated JSON line, one line of
-        // garbage, one structurally valid JSON object missing `seq`, and a
-        // blank line (blank lines are not errors).
-        let text = format!(
-            "{}\n{{\"seq\":5,\"kind\":\"event\",\"sp\nnot json at all\n{}\n\n{{\"kind\":\"event\",\"span\":0,\"name\":\"x\"}}\n",
-            good.to_jsonl(),
-            also_good.to_jsonl()
-        );
-        let before = counters::get(Counter::TraceParseErrors);
-        let parsed = parse_trace_lenient(&text);
-        assert_eq!(parsed.records, vec![good, also_good]);
-        assert_eq!(parsed.skipped, 3);
-        assert_eq!(counters::get(Counter::TraceParseErrors) - before, 3);
-        // The strict parser rejects the same input outright.
-        assert!(parse_trace(&text).is_err());
-    }
-
-    #[test]
-    fn lenient_parse_of_clean_trace_counts_nothing() {
-        // (No global-counter equality check here: the malformed-line test
-        // above bumps the same process-global counter and tests run in
-        // parallel; `skipped == 0` is the per-call guarantee.)
-        let record = Record {
-            seq: 0,
-            kind: RecordKind::SpanStart,
-            span: 1,
-            parent: None,
-            name: "s".into(),
-            fields: Vec::new(),
-            elapsed_us: None,
-        };
-        let parsed = parse_trace_lenient(record.to_jsonl().as_str());
-        assert_eq!(parsed.skipped, 0);
-        assert_eq!(parsed.records.len(), 1);
     }
 
     #[test]

@@ -2,15 +2,14 @@
 //!
 //! A sink must be cheap, thread-safe, and total — the emit path never
 //! panics and never blocks on anything slower than a short mutex hold.
-//! Three sinks cover the repo's needs: [`JsonlSink`] streams lines to any
-//! writer (the `--trace-out` artifact), [`RingSink`] keeps the newest N
-//! records in memory (the server's `trace` request drains it), and the
-//! null sink is simply a disabled [`crate::Collector`].
+//! Two sinks cover the repo's needs: [`RingSink`] keeps the newest N
+//! records in memory (the server's `trace` request drains it, and the
+//! CLI's `--trace-out` writes a drained ring as JSONL), and the null sink
+//! is simply a disabled [`crate::Collector`].
 
 use std::collections::VecDeque;
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 use crate::lock_unpoisoned;
 use crate::record::Record;
@@ -21,48 +20,6 @@ pub trait Sink: Send + Sync {
     /// Accepts one record. Errors are swallowed (and counted where the
     /// sink can) — tracing must never take down the traced program.
     fn emit(&self, record: Record);
-}
-
-/// Streams records as JSON lines to a writer.
-pub struct JsonlSink<W: Write + Send> {
-    writer: Mutex<W>,
-    write_errors: AtomicU64,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wraps `writer`; each record becomes one `\n`-terminated line.
-    pub fn new(writer: W) -> Self {
-        JsonlSink {
-            writer: Mutex::new(writer),
-            write_errors: AtomicU64::new(0),
-        }
-    }
-
-    /// How many records failed to write (I/O errors are swallowed, not
-    /// propagated).
-    pub fn write_errors(&self) -> u64 {
-        self.write_errors.load(Ordering::Relaxed)
-    }
-
-    /// Flushes and returns the inner writer.
-    pub fn into_inner(self) -> W {
-        let mut writer = self
-            .writer
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        let _ = writer.flush();
-        writer
-    }
-}
-
-impl<W: Write + Send> Sink for JsonlSink<W> {
-    fn emit(&self, record: Record) {
-        let line = record.to_jsonl();
-        let mut writer = lock_unpoisoned(&self.writer);
-        if writeln!(writer, "{line}").is_err() {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Bounded in-memory buffer keeping the most recent records; older records
@@ -151,7 +108,7 @@ impl Sink for RingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{parse_trace, RecordKind};
+    use crate::record::RecordKind;
 
     fn rec(seq: u64) -> Record {
         Record {
@@ -163,37 +120,6 @@ mod tests {
             fields: Vec::new(),
             elapsed_us: None,
         }
-    }
-
-    #[test]
-    fn jsonl_sink_writes_parseable_lines() {
-        let sink = JsonlSink::new(Vec::new());
-        sink.emit(rec(0));
-        sink.emit(rec(1));
-        assert_eq!(sink.write_errors(), 0);
-        let bytes = sink.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        let records = parse_trace(&text).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[1].name, "e1");
-    }
-
-    struct FailingWriter;
-    impl Write for FailingWriter {
-        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-            Err(std::io::Error::other("nope"))
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn jsonl_sink_counts_write_errors_without_panicking() {
-        let sink = JsonlSink::new(FailingWriter);
-        sink.emit(rec(0));
-        sink.emit(rec(1));
-        assert_eq!(sink.write_errors(), 2);
     }
 
     #[test]

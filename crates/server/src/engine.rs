@@ -33,14 +33,12 @@ use crate::session::{layout_hash, CostCache, Session, SessionRegistry};
 /// not requests; each served request emits two span records).
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
-/// Transport-side gauges folded into `stats` responses (zero when driving
-/// the engine in-process).
+/// Transport-side gauges folded into `stats` and `metrics` responses (zero
+/// when driving the engine in-process).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RuntimeInfo {
-    /// Connections currently waiting for a worker.
-    pub queue_depth: u64,
-    /// Worker threads serving the engine.
-    pub threads: u64,
+    /// Connections the transport is serving.
+    pub connections_open: u64,
 }
 
 /// The resident advisory state and its request dispatcher.
@@ -133,11 +131,11 @@ impl Engine {
     }
 
     /// Samples the engine-owned gauges, folding in the transport-owned
-    /// queue depth.
+    /// connection count.
     fn gauges(&self, runtime: &RuntimeInfo) -> Gauges {
         let registry = crate::lock_unpoisoned(&self.registry);
         Gauges {
-            queue_depth: runtime.queue_depth,
+            connections_open: runtime.connections_open,
             sessions_open: registry.len() as u64,
             sessions_evicted_total: registry.evicted_total(),
             cache_entries: crate::lock_unpoisoned(&self.cache).len() as u64,
@@ -457,33 +455,26 @@ impl Engine {
                 Ok(Value::Map(pairs))
             }
             Request::Stats => {
-                let m = self.metrics.snapshot_with_gauges(self.gauges(runtime));
+                let m = self.metrics.stats_snapshot(self.gauges(runtime));
+                let g = m.gauges;
                 Ok(obj(vec![
                     ("requests_total", Value::U64(m.requests_total)),
                     ("errors_total", Value::U64(m.errors_total)),
                     ("connections_total", Value::U64(m.connections_total)),
                     ("rejected_total", Value::U64(m.rejected_total)),
-                    (
-                        "deadline_expired_total",
-                        Value::U64(m.deadline_expired_total),
-                    ),
-                    ("sessions_open", Value::U64(m.sessions_open)),
+                    ("sessions_open", Value::U64(g.sessions_open)),
                     (
                         "sessions_evicted_total",
-                        Value::U64(m.sessions_evicted_total),
+                        Value::U64(g.sessions_evicted_total),
                     ),
-                    ("cache_entries", Value::U64(m.cache_entries)),
+                    ("cache_entries", Value::U64(g.cache_entries)),
                     ("cache_hits", Value::U64(m.cache_hits)),
                     ("cache_misses", Value::U64(m.cache_misses)),
                     ("cache_hit_rate", Value::F64(m.cache_hit_rate)),
-                    ("queue_depth", Value::U64(m.queue_depth)),
-                    ("queue_depth_highwater", Value::U64(m.queue_depth_highwater)),
-                    ("threads", Value::U64(runtime.threads)),
-                    ("latency_p50_us", Value::U64(m.latency_p50_us)),
-                    ("latency_p99_us", Value::U64(m.latency_p99_us)),
+                    ("connections_open", Value::U64(g.connections_open)),
+                    ("latency_p50_us", Value::U64(m.latency.p50_us)),
+                    ("latency_p99_us", Value::U64(m.latency.p99_us)),
                     ("latency_p999_us", Value::U64(m.latency.p999_us)),
-                    ("stage_queue_p50_us", Value::U64(m.stage_queue.p50_us)),
-                    ("stage_queue_p99_us", Value::U64(m.stage_queue.p99_us)),
                     ("stage_compute_p50_us", Value::U64(m.stage_compute.p50_us)),
                     ("stage_compute_p99_us", Value::U64(m.stage_compute.p99_us)),
                     (
@@ -499,8 +490,7 @@ impl Engine {
             Request::Metrics => {
                 let mut m = self.metrics.snapshot_with_gauges(self.gauges(runtime));
                 // Trace loss is owned by the engine's ring, not the metric
-                // counters; stamp it after the snapshot. (No JSONL sink is
-                // attached server-side, so write errors stay 0 here.)
+                // counters; stamp it after the snapshot.
                 m.trace_dropped_total = self.trace.dropped();
                 Ok(obj(vec![("text", Value::Str(render_prometheus(&m)))]))
             }
@@ -719,15 +709,12 @@ mod tests {
         let m = exec(&engine, Request::Metrics);
         let text = m.get("text").and_then(|v| v.as_str()).unwrap();
         assert!(text.contains("dblayout_requests_total 7\n"), "{text}");
-        assert!(text.contains("# TYPE dblayout_queue_depth gauge"), "{text}");
+        // In-process, no transport serves a connection.
+        assert!(text.contains("dblayout_connections_open 0\n"), "{text}");
         assert!(text.contains("dblayout_stage_compute_us_count"), "{text}");
-        // The trace-loss counters and the work-counter registry ride along
+        // The trace-loss counter and the work-counter registry ride along
         // in the same exposition.
         assert!(text.contains("dblayout_trace_dropped_total 0\n"), "{text}");
-        assert!(
-            text.contains("dblayout_trace_write_errors_total 0\n"),
-            "{text}"
-        );
         assert!(
             text.contains("# TYPE dblayout_server_cache_hits_total counter"),
             "{text}"

@@ -31,15 +31,15 @@
 //!
 //! * [`engine`] — the transport-independent dispatcher over the resident
 //!   state; drive it in-process (tests, benchmarks) or behind the server;
-//! * [`server`] — fixed worker pool over a bounded connection queue, with
-//!   per-request deadlines, structured admission-control errors, and
-//!   graceful drain on shutdown;
+//! * [`server`] — one thread per connection up to a connection cap, a
+//!   structured `busy` error past it, and graceful shutdown that finishes
+//!   in-flight requests;
 //! * [`session`] — the registry of open sessions (catalog + disks + plans +
 //!   incrementally-extended access graph), the statement-set versioning
 //!   that keys memoization, and the LRU layout-hash→cost cache;
-//! * [`metrics`] — request/error/cache counters, per-stage (queue-wait /
-//!   compute / serialize) latency histograms, and gauges, surfaced by the
-//!   `stats` op and rendered as Prometheus text by the `metrics` op;
+//! * [`metrics`] — request/error/cache counters, per-stage (compute /
+//!   serialize) latency histograms, and gauges, surfaced by the `stats` op
+//!   and rendered as Prometheus text by the `metrics` op;
 //!   per-request spans land in a bounded ring drained by the `trace` op;
 //! * [`client`] — a small blocking client for tests, benches, and the CLI.
 //!
@@ -63,6 +63,7 @@ pub(crate) use dblayout_obs::lock_unpoisoned;
 pub use engine::{Engine, RuntimeInfo, DEFAULT_TRACE_CAPACITY};
 pub use metrics::{
     render_prometheus, Gauges, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot,
+    StatsSnapshot,
 };
 pub use protocol::{
     parse_request, recommendation_result, resolve_disks, ApiError, LayoutSpec, Op, Request,

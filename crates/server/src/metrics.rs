@@ -1,12 +1,13 @@
 //! Server metrics: lock-free counters plus log-linear latency histograms
 //! good enough for p50/p99/p999 without keeping per-request samples.
 //!
-//! Besides the overall request latency, three *stage* histograms break each
-//! request's wall-clock into where it went: `queue` (connection admission
-//! wait), `compute` (parse + engine execution), and `serialize` (response
-//! line construction) — plus a per-op family keyed by the wire vocabulary
-//! ([`Op`]). The `metrics` wire op renders everything in Prometheus
-//! text exposition format (see [`render_prometheus`]).
+//! Besides the overall request latency, two *stage* histograms break each
+//! request's wall-clock into where it went: `compute` (parse + engine
+//! execution) and `serialize` (response line construction) — plus a per-op
+//! family keyed by the wire vocabulary ([`Op`]). The `stats` wire op reads
+//! only the counters, the gauges and those three histograms
+//! ([`Metrics::stats_snapshot`]); the `metrics` op renders everything in
+//! Prometheus text exposition format (see [`render_prometheus`]).
 //!
 //! Histograms are [`dblayout_obs::hist`] log-linear: 8 linear sub-buckets
 //! per power-of-two octave, so every reported quantile overstates the true
@@ -18,7 +19,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use dblayout_obs::counters::{self, Counter, CounterSnapshot};
+use dblayout_obs::counters::{self, CounterSnapshot};
 use dblayout_obs::hist;
 
 use crate::protocol::Op;
@@ -112,11 +113,11 @@ fn percentile_from_counts(counts: &[u64], rank: u64) -> u64 {
 }
 
 /// Gauges sampled at snapshot time by whoever owns the live structures (the
-/// engine knows sessions and cache; the transport knows its queue).
+/// engine knows sessions and cache; the transport knows its connections).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Gauges {
-    /// Connections currently waiting for a worker.
-    pub queue_depth: u64,
+    /// Connections currently being served.
+    pub connections_open: u64,
     /// Sessions currently open.
     pub sessions_open: u64,
     /// Sessions evicted by idle-TTL sweeps since startup (a counter that
@@ -135,21 +136,14 @@ pub struct Metrics {
     pub errors_total: AtomicU64,
     /// Connections accepted.
     pub connections_total: AtomicU64,
-    /// Connections rejected because the queue was full (busy sheds).
+    /// Connections refused at the connection cap (busy sheds).
     pub rejected_total: AtomicU64,
-    /// Requests dropped because their deadline passed while queued.
-    pub deadline_expired_total: AtomicU64,
-    /// Highest queue depth ever observed at admission time — how close
-    /// the bounded queue has come to shedding.
-    pub queue_depth_highwater: AtomicU64,
     /// What-if cost cache hits.
     pub cache_hits: AtomicU64,
     /// What-if cost cache misses.
     pub cache_misses: AtomicU64,
     /// End-to-end request latency.
     pub latency: Histogram,
-    /// Stage: connection admission wait in the bounded queue.
-    pub stage_queue: Histogram,
     /// Stage: request parse + engine execution.
     pub stage_compute: Histogram,
     /// Stage: response line construction.
@@ -169,12 +163,9 @@ impl Default for Metrics {
             errors_total: AtomicU64::new(0),
             connections_total: AtomicU64::new(0),
             rejected_total: AtomicU64::new(0),
-            deadline_expired_total: AtomicU64::new(0),
-            queue_depth_highwater: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             latency: Histogram::default(),
-            stage_queue: Histogram::default(),
             stage_compute: Histogram::default(),
             stage_serialize: Histogram::default(),
             audit_replay_error_ppm: Histogram::default(),
@@ -183,58 +174,48 @@ impl Default for Metrics {
     }
 }
 
-/// A point-in-time metrics reading, including gauges supplied by the
-/// caller (zero when snapshotting without a transport, e.g. in-process).
+/// What the `stats` op reports: the counters, the gauges, and the three
+/// histograms it quotes percentiles of.
 #[derive(Debug, Clone, Copy)]
-pub struct MetricsSnapshot {
+pub struct StatsSnapshot {
     /// Requests fully served.
     pub requests_total: u64,
     /// Structured errors answered.
     pub errors_total: u64,
     /// Connections accepted.
     pub connections_total: u64,
-    /// Connections rejected at admission (busy sheds).
+    /// Connections refused at admission (busy sheds).
     pub rejected_total: u64,
-    /// Requests expired in the queue.
-    pub deadline_expired_total: u64,
-    /// Highest queue depth observed at admission time.
-    pub queue_depth_highwater: u64,
     /// Cache hits.
     pub cache_hits: u64,
     /// Cache misses.
     pub cache_misses: u64,
     /// Hit fraction in `[0, 1]` (0 when no lookups yet).
     pub cache_hit_rate: f64,
-    /// Median request latency (µs, bucket upper bound).
-    pub latency_p50_us: u64,
-    /// 99th-percentile request latency (µs, bucket upper bound).
-    pub latency_p99_us: u64,
-    /// Full end-to-end latency histogram reading.
+    /// End-to-end latency histogram reading.
     pub latency: HistogramSnapshot,
-    /// Queue-wait stage histogram reading.
-    pub stage_queue: HistogramSnapshot,
     /// Compute stage histogram reading.
     pub stage_compute: HistogramSnapshot,
     /// Serialize stage histogram reading.
     pub stage_serialize: HistogramSnapshot,
+    /// The caller-sampled gauges (zero when snapshotting without a
+    /// transport, e.g. in-process).
+    pub gauges: Gauges,
+}
+
+/// A full metrics reading for the `metrics` op: the `stats` reading plus
+/// the histograms and counters only the exposition renders.
+#[derive(Debug, Clone, Copy)]
+pub struct MetricsSnapshot {
+    /// The counters, gauges and histograms `stats` reports.
+    pub stats: StatsSnapshot,
     /// Audit replay-error histogram reading (ppm).
     pub audit_replay_error_ppm: HistogramSnapshot,
     /// Per-op end-to-end latency readings, [`Op`] order, then `invalid`.
     pub per_op_latency: [HistogramSnapshot; OP_SLOTS],
-    /// Connections currently waiting for a worker.
-    pub queue_depth: u64,
-    /// Sessions currently open.
-    pub sessions_open: u64,
-    /// Sessions evicted by idle-TTL sweeps since startup.
-    pub sessions_evicted_total: u64,
-    /// Entries resident in the what-if cost cache.
-    pub cache_entries: u64,
     /// Trace records evicted from the engine's span ring (the engine
     /// owner fills this in after snapshotting; 0 when no ring exists).
     pub trace_dropped_total: u64,
-    /// Trace records lost to JSONL sink write errors (0 unless a file
-    /// sink is attached and failing).
-    pub trace_write_errors_total: u64,
     /// The workspace-wide `obs::counters` registry reading taken with
     /// this snapshot — rendered as `dblayout_<name>_total` families.
     pub work: CounterSnapshot,
@@ -256,25 +237,23 @@ impl Metrics {
         }
     }
 
-    /// Reads every counter with zeroed gauges (in-process callers have no
-    /// queue or registry to sample).
+    /// Reads everything with zeroed gauges (in-process callers have no
+    /// transport or registry to sample).
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.snapshot_with_gauges(Gauges::default())
     }
 
-    /// Reads every counter and folds in the caller-sampled gauges.
-    pub fn snapshot_with_gauges(&self, gauges: Gauges) -> MetricsSnapshot {
+    /// Reads the counters and the three histograms `stats` reports, and
+    /// folds in the caller-sampled gauges.
+    pub fn stats_snapshot(&self, gauges: Gauges) -> StatsSnapshot {
         let hits = self.cache_hits.load(Ordering::Relaxed);
         let misses = self.cache_misses.load(Ordering::Relaxed);
         let lookups = hits + misses;
-        let latency = self.latency.snapshot();
-        MetricsSnapshot {
+        StatsSnapshot {
             requests_total: self.requests_total.load(Ordering::Relaxed),
             errors_total: self.errors_total.load(Ordering::Relaxed),
             connections_total: self.connections_total.load(Ordering::Relaxed),
             rejected_total: self.rejected_total.load(Ordering::Relaxed),
-            deadline_expired_total: self.deadline_expired_total.load(Ordering::Relaxed),
-            queue_depth_highwater: self.queue_depth_highwater.load(Ordering::Relaxed),
             cache_hits: hits,
             cache_misses: misses,
             cache_hit_rate: if lookups > 0 {
@@ -282,12 +261,18 @@ impl Metrics {
             } else {
                 0.0
             },
-            latency_p50_us: latency.p50_us,
-            latency_p99_us: latency.p99_us,
-            latency,
-            stage_queue: self.stage_queue.snapshot(),
+            latency: self.latency.snapshot(),
             stage_compute: self.stage_compute.snapshot(),
             stage_serialize: self.stage_serialize.snapshot(),
+            gauges,
+        }
+    }
+
+    /// Reads every counter and histogram and folds in the caller-sampled
+    /// gauges.
+    pub fn snapshot_with_gauges(&self, gauges: Gauges) -> MetricsSnapshot {
+        MetricsSnapshot {
+            stats: self.stats_snapshot(gauges),
             audit_replay_error_ppm: self.audit_replay_error_ppm.snapshot(),
             per_op_latency: std::array::from_fn(|i| {
                 self.per_op
@@ -295,12 +280,7 @@ impl Metrics {
                     .map(Histogram::snapshot)
                     .unwrap_or_default()
             }),
-            queue_depth: gauges.queue_depth,
-            sessions_open: gauges.sessions_open,
-            sessions_evicted_total: gauges.sessions_evicted_total,
-            cache_entries: gauges.cache_entries,
             trace_dropped_total: 0,
-            trace_write_errors_total: 0,
             work: counters::snapshot(),
         }
     }
@@ -408,66 +388,44 @@ fn push_build_info(out: &mut String) {
 /// wire op's payload). Deterministic key order; quantiles are
 /// bucket-resolution, in microseconds.
 pub fn render_prometheus(s: &MetricsSnapshot) -> String {
+    let c = &s.stats;
     let mut out = String::new();
     push_build_info(&mut out);
-    push_counter(&mut out, "dblayout_requests_total", s.requests_total);
-    push_counter(&mut out, "dblayout_errors_total", s.errors_total);
-    push_counter(&mut out, "dblayout_connections_total", s.connections_total);
-    push_counter(&mut out, "dblayout_rejected_total", s.rejected_total);
-    // The same busy-shed count under its documented load-test name; the
-    // legacy `dblayout_rejected_total` family stays for old dashboards.
+    push_counter(&mut out, "dblayout_requests_total", c.requests_total);
+    push_counter(&mut out, "dblayout_errors_total", c.errors_total);
+    push_counter(&mut out, "dblayout_connections_total", c.connections_total);
     push_counter(
         &mut out,
         "dblayout_requests_rejected_total",
-        s.rejected_total,
+        c.rejected_total,
     );
-    push_counter(
-        &mut out,
-        "dblayout_deadline_expired_total",
-        s.deadline_expired_total,
-    );
-    push_counter(&mut out, "dblayout_cache_hits_total", s.cache_hits);
-    push_counter(&mut out, "dblayout_cache_misses_total", s.cache_misses);
+    push_counter(&mut out, "dblayout_cache_hits_total", c.cache_hits);
+    push_counter(&mut out, "dblayout_cache_misses_total", c.cache_misses);
     push_counter(
         &mut out,
         "dblayout_sessions_evicted_total",
-        s.sessions_evicted_total,
+        c.gauges.sessions_evicted_total,
     );
     push_counter(
         &mut out,
         "dblayout_trace_dropped_total",
         s.trace_dropped_total,
     );
-    push_counter(
-        &mut out,
-        "dblayout_trace_write_errors_total",
-        s.trace_write_errors_total,
-    );
-    // The decision-log family under its documented wire name (the
-    // registry also exports the raw counter as
-    // `dblayout_audit_records_written_total` below).
-    push_counter(
-        &mut out,
-        "dblayout_audit_records_total",
-        s.work.get(Counter::AuditRecordsWritten),
-    );
     // The workspace-wide work-unit registry (obs::counters), in its fixed
     // exposition order.
     for (name, value) in s.work.pairs() {
         push_counter(&mut out, &format!("dblayout_{name}_total"), value);
     }
-    push_gauge(&mut out, "dblayout_queue_depth", s.queue_depth);
     push_gauge(
         &mut out,
-        "dblayout_queue_depth_highwater",
-        s.queue_depth_highwater,
+        "dblayout_connections_open",
+        c.gauges.connections_open,
     );
-    push_gauge(&mut out, "dblayout_sessions_open", s.sessions_open);
-    push_gauge(&mut out, "dblayout_cache_entries", s.cache_entries);
-    push_summary(&mut out, "dblayout_request_latency_us", &s.latency);
-    push_summary(&mut out, "dblayout_stage_queue_us", &s.stage_queue);
-    push_summary(&mut out, "dblayout_stage_compute_us", &s.stage_compute);
-    push_summary(&mut out, "dblayout_stage_serialize_us", &s.stage_serialize);
+    push_gauge(&mut out, "dblayout_sessions_open", c.gauges.sessions_open);
+    push_gauge(&mut out, "dblayout_cache_entries", c.gauges.cache_entries);
+    push_summary(&mut out, "dblayout_request_latency_us", &c.latency);
+    push_summary(&mut out, "dblayout_stage_compute_us", &c.stage_compute);
+    push_summary(&mut out, "dblayout_stage_serialize_us", &c.stage_serialize);
     push_summary(
         &mut out,
         "dblayout_audit_replay_error_ppm",
@@ -486,12 +444,12 @@ mod tests {
     fn empty_metrics_report_zero() {
         let m = Metrics::default();
         let s = m.snapshot();
-        assert_eq!(s.requests_total, 0);
-        assert_eq!(s.latency_p50_us, 0);
-        assert_eq!(s.cache_hit_rate, 0.0);
-        assert_eq!(s.queue_depth, 0);
-        assert_eq!(s.queue_depth_highwater, 0);
-        assert_eq!(s.stage_compute.count, 0);
+        assert_eq!(s.stats.requests_total, 0);
+        assert_eq!(s.stats.latency.p50_us, 0);
+        assert_eq!(s.stats.cache_hit_rate, 0.0);
+        assert_eq!(s.stats.gauges.connections_open, 0);
+        assert_eq!(s.stats.rejected_total, 0);
+        assert_eq!(s.stats.stage_compute.count, 0);
         assert!(s.per_op_latency.iter().all(|h| h.count == 0));
     }
 
@@ -503,15 +461,15 @@ mod tests {
             m.observe_latency(Duration::from_micros(100));
         }
         m.observe_latency(Duration::from_millis(50)); // far slower outlier
-        let s = m.snapshot();
-        assert_eq!(s.latency_p50_us, 103);
-        assert!(s.latency_p99_us <= 103, "p99 is still the common case");
+        let s = m.snapshot().stats.latency;
+        assert_eq!(s.p50_us, 103);
+        assert!(s.p99_us <= 103, "p99 is still the common case");
         // Log-linear resolution: p50 within 12.5% of the true 100 µs.
-        assert!((s.latency_p50_us as f64) <= 100.0 * 1.125);
+        assert!((s.p50_us as f64) <= 100.0 * 1.125);
         for _ in 0..100 {
             m.observe_latency(Duration::from_millis(50));
         }
-        let p99 = m.snapshot().latency_p99_us;
+        let p99 = m.snapshot().stats.latency.p99_us;
         assert!(p99 >= 50_000 && (p99 as f64) <= 50_000.0 * 1.125, "{p99}");
     }
 
@@ -520,7 +478,7 @@ mod tests {
         let m = Metrics::default();
         m.cache_hits.fetch_add(3, Ordering::Relaxed);
         m.cache_misses.fetch_add(1, Ordering::Relaxed);
-        assert_eq!(m.snapshot().cache_hit_rate, 0.75);
+        assert_eq!(m.snapshot().stats.cache_hit_rate, 0.75);
     }
 
     /// Exact powers of two sit at the *bottom* of their octave's first
@@ -616,28 +574,24 @@ mod tests {
         let m = Metrics::default();
         m.requests_total.fetch_add(5, Ordering::Relaxed);
         m.rejected_total.fetch_add(3, Ordering::Relaxed);
-        m.queue_depth_highwater.store(9, Ordering::Relaxed);
         m.observe_latency(Duration::from_micros(100));
-        m.stage_queue.observe(Duration::from_micros(10));
         m.stage_compute.observe(Duration::from_micros(80));
         m.stage_serialize.observe(Duration::from_micros(5));
         let text = render_prometheus(&m.snapshot_with_gauges(Gauges {
-            queue_depth: 2,
+            connections_open: 2,
             sessions_open: 3,
             sessions_evicted_total: 6,
             cache_entries: 4,
         }));
         assert!(text.contains("dblayout_requests_total 5\n"), "{text}");
-        assert!(text.contains("dblayout_rejected_total 3\n"), "{text}");
         assert!(
             text.contains("dblayout_requests_rejected_total 3\n"),
             "{text}"
         );
-        assert!(text.contains("dblayout_queue_depth 2\n"), "{text}");
-        assert!(
-            text.contains("dblayout_queue_depth_highwater 9\n"),
-            "{text}"
-        );
+        // One family per count: the busy sheds are not repeated under
+        // another name.
+        assert!(!text.contains("dblayout_rejected_total"), "{text}");
+        assert!(text.contains("dblayout_connections_open 2\n"), "{text}");
         assert!(text.contains("dblayout_sessions_open 3\n"), "{text}");
         assert!(
             text.contains("dblayout_sessions_evicted_total 6\n"),
@@ -648,7 +602,7 @@ mod tests {
             text.contains("dblayout_request_latency_us{quantile=\"0.5\"} 103\n"),
             "{text}"
         );
-        for stage in ["queue", "compute", "serialize"] {
+        for stage in ["compute", "serialize"] {
             assert!(
                 text.contains(&format!("dblayout_stage_{stage}_us_count 1\n")),
                 "missing stage {stage} in: {text}"
@@ -715,13 +669,8 @@ mod tests {
         let m = Metrics::default();
         let mut s = m.snapshot();
         s.trace_dropped_total = 7;
-        s.trace_write_errors_total = 2;
         let text = render_prometheus(&s);
         assert!(text.contains("dblayout_trace_dropped_total 7\n"), "{text}");
-        assert!(
-            text.contains("dblayout_trace_write_errors_total 2\n"),
-            "{text}"
-        );
         // Every registry counter appears as a `_total` family.
         for (name, _) in s.work.pairs() {
             assert!(
@@ -795,9 +744,10 @@ mod tests {
         assert!(text.contains("dblayout_build_info{revision=\""), "{text}");
         assert!(text.contains(&format!("version=\"{}\"}} 1\n", env!("CARGO_PKG_VERSION"))));
         assert!(
-            text.contains("# TYPE dblayout_audit_records_total counter\n"),
+            text.contains("# TYPE dblayout_audit_records_written_total counter\n"),
             "{text}"
         );
+        assert!(!text.contains("dblayout_audit_records_total"), "{text}");
         assert!(
             text.contains("dblayout_audit_replay_error_ppm_count 1\n"),
             "{text}"

@@ -1,28 +1,27 @@
-//! The TCP service: a fixed worker pool over a bounded connection queue.
+//! The TCP service: one thread per connection, up to a connection cap.
 //!
-//! Life of a connection: the acceptor thread enqueues it (or rejects it with
-//! a structured `busy` error when the queue is full); a worker pops it,
-//! enforces the queue-wait deadline, then serves newline-delimited JSON
-//! requests until EOF, idle timeout, or shutdown. Shutdown is graceful: the
-//! accept loop stops, the read side of every served connection is shut
-//! (an idle client no longer holds a worker until its read timeout), and
-//! workers drain every queued connection and finish their in-flight
-//! request before exiting.
+//! Life of a connection: the acceptor registers it in the `open` map and
+//! starts a thread for it, or answers a structured `busy` error when
+//! [`ServerConfig::connection_capacity`] connections are already open. The
+//! connection's thread serves newline-delimited JSON requests until EOF,
+//! idle timeout, or shutdown, then deregisters it. An idle connection
+//! holds only its own thread, so it never delays another client.
 //!
-//! The deadline guards *queueing* — a connection that waited longer than the
-//! per-request deadline is answered with `deadline_exceeded` instead of
-//! being served stale. Compute itself (the TS-GREEDY search) is never
-//! preempted; it runs to completion once started, which is what keeps
-//! results deterministic.
+//! Shutdown is graceful: the accept loop stops, the read side of every
+//! served connection is shut (an idle client no longer holds its thread
+//! until the read timeout), and each thread finishes its in-flight request
+//! before exiting. The acceptor's thread scope joins them all. Compute
+//! itself (the TS-GREEDY search) is never preempted; it runs to
+//! completion once started, which is what keeps results deterministic.
 //!
 //! All request semantics live in [`crate::engine::Engine`]; this module only
-//! owns the transport: sockets, the queue, admission control, and shutdown.
+//! owns the transport: sockets, admission control, and shutdown.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -37,14 +36,9 @@ use crate::protocol::{err_line, ok_line, parse_request, ApiError, Request};
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (see [`ServerHandle::addr`]).
     pub addr: String,
-    /// Worker threads serving connections.
-    pub threads: usize,
-    /// Maximum connections waiting for a worker before new ones are
-    /// rejected with `busy`.
-    pub queue_capacity: usize,
-    /// Per-request deadline; connections that waited longer in the queue
-    /// are answered with `deadline_exceeded`.
-    pub deadline: Duration,
+    /// Maximum connections served at once, each on its own thread; a
+    /// connection past it is answered `busy` and closed.
+    pub connection_capacity: usize,
     /// Idle read timeout per connection.
     pub idle_timeout: Duration,
     /// Maximum concurrently open sessions.
@@ -67,9 +61,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".into(),
-            threads: 4,
-            queue_capacity: 64,
-            deadline: Duration::from_secs(30),
+            connection_capacity: 64,
             idle_timeout: Duration::from_secs(30),
             session_capacity: 64,
             cache_capacity: 1024,
@@ -80,17 +72,15 @@ impl Default for ServerConfig {
     }
 }
 
-/// State shared by the acceptor and the workers.
+/// State shared by the acceptor and the connection threads.
 pub(crate) struct Shared {
     pub(crate) config: ServerConfig,
-    pub(crate) queue: Mutex<VecDeque<(TcpStream, Instant)>>,
-    pub(crate) available: Condvar,
     pub(crate) shutdown: AtomicBool,
     pub(crate) engine: Engine,
-    /// A handle on every connection being served, keyed by its number, so
-    /// shutdown can close the idle ones' read side.
+    /// A handle on every connection being served, keyed by its number.
+    /// Its size is the `connections_open` gauge and what the connection
+    /// cap reads; shutdown closes the read side of each.
     pub(crate) open: Mutex<BTreeMap<u64, TcpStream>>,
-    pub(crate) connections: AtomicU64,
 }
 
 /// A running server; dropping the handle does **not** stop it — call
@@ -101,12 +91,11 @@ pub struct Server;
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
 }
 
 impl Server {
-    /// Binds, spawns the worker pool, and starts accepting.
+    /// Binds and starts accepting.
     pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -121,24 +110,14 @@ impl Server {
                 .map_err(|e| std::io::Error::other(format!("opening decision log {dir}: {e}")))?;
         }
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
             shutdown: AtomicBool::new(false),
             engine,
             open: Mutex::new(BTreeMap::new()),
-            connections: AtomicU64::new(0),
             config,
         });
         shared
             .engine
             .set_session_idle_ttl(shared.config.session_idle_ttl);
-
-        let workers = (0..shared.config.threads.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
 
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -148,8 +127,7 @@ impl Server {
         Ok(ServerHandle {
             addr,
             shared,
-            acceptor: Some(acceptor),
-            workers,
+            acceptor,
         })
     }
 }
@@ -161,17 +139,17 @@ impl ServerHandle {
     }
 
     /// Stops accepting, closes the read side of every served connection,
-    /// drains queued connections, and joins every thread.
-    pub fn shutdown(mut self) {
+    /// and joins every thread.
+    pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // A worker blocked reading an idle client sees EOF now; one in
+        // A thread blocked reading an idle client sees EOF now; one in
         // the middle of a request answers it first. Requests already sent
         // stay readable.
         for stream in crate::lock_unpoisoned(&self.shared.open).values() {
             #[expect(
                 clippy::let_underscore_must_use,
                 clippy::let_underscore_untyped,
-                reason = "the peer may already have closed; either way the worker sees EOF"
+                reason = "the peer may already have closed; either way its thread sees EOF"
             )]
             let _ = stream.shutdown(Shutdown::Read);
         }
@@ -183,110 +161,72 @@ impl ServerHandle {
             reason = "throwaway self-connection only unblocks accept(); the acceptor re-checks the shutdown flag either way"
         )]
         let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            #[expect(
-                clippy::let_underscore_must_use,
-                clippy::let_underscore_untyped,
-                reason = "join error means the acceptor panicked; at shutdown there is nothing left to recover"
-            )]
-            let _ = acceptor.join();
-        }
-        self.shared.available.notify_all();
-        for worker in self.workers.drain(..) {
-            #[expect(
-                clippy::let_underscore_must_use,
-                clippy::let_underscore_untyped,
-                reason = "join error means the worker panicked; at shutdown there is nothing left to recover"
-            )]
-            let _ = worker.join();
-        }
+        // The acceptor returns once its scope has joined every connection
+        // thread.
+        #[expect(
+            clippy::let_underscore_must_use,
+            clippy::let_underscore_untyped,
+            reason = "join error means the acceptor or a connection thread panicked; at shutdown there is nothing left to recover"
+        )]
+        let _ = self.acceptor.join();
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for conn in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        shared
-            .engine
-            .metrics
-            .connections_total
-            .fetch_add(1, Ordering::Relaxed);
-        let mut queue = crate::lock_unpoisoned(&shared.queue);
-        if queue.len() >= shared.config.queue_capacity {
-            drop(queue);
-            shared
-                .engine
-                .metrics
-                .rejected_total
-                .fetch_add(1, Ordering::Relaxed);
-            reply_and_close(
-                stream,
-                &ApiError::new("busy", "connection queue full, retry later"),
-            );
-            continue;
-        }
-        queue.push_back((stream, Instant::now()));
-        shared
-            .engine
-            .metrics
-            .queue_depth_highwater
-            .fetch_max(queue.len() as u64, Ordering::Relaxed);
-        drop(queue);
-        shared.available.notify_one();
-    }
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let popped = {
-            let mut queue = crate::lock_unpoisoned(&shared.queue);
-            loop {
-                if let Some(item) = queue.pop_front() {
-                    break Some(item);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                queue = shared
-                    .available
-                    .wait(queue)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+fn accept_loop(listener: &TcpListener, shared: &Shared) {
+    std::thread::scope(|scope| {
+        for conn in listener.incoming() {
+            if shared.shutdown.load(Ordering::SeqCst) {
+                break;
             }
-        };
-        let Some((stream, enqueued)) = popped else {
-            return; // shutdown with an empty queue: drained.
-        };
-        let waited = enqueued.elapsed();
-        if waited > shared.config.deadline {
-            shared
+            let Ok(stream) = conn else { continue };
+            let id = shared
                 .engine
                 .metrics
-                .deadline_expired_total
+                .connections_total
                 .fetch_add(1, Ordering::Relaxed);
-            reply_and_close(
-                stream,
-                &ApiError::new(
-                    "deadline_exceeded",
-                    "request waited past its deadline in the queue",
-                ),
-            );
-            continue;
+            let Ok(handle) = stream.try_clone() else {
+                continue; // out of descriptors: dropping closes it.
+            };
+            // Counted and registered under one lock hold, so the cap is
+            // exact.
+            let admitted = {
+                let mut open = crate::lock_unpoisoned(&shared.open);
+                let room = open.len() < shared.config.connection_capacity;
+                if room {
+                    open.insert(id, handle);
+                }
+                room
+            };
+            if !admitted {
+                reject_busy(shared, stream);
+                continue;
+            }
+            // Registered before the flag is read: a shutdown that starts
+            // later finds this connection in `open`, one that started
+            // earlier is seen here.
+            if shared.shutdown.load(Ordering::SeqCst) {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    clippy::let_underscore_untyped,
+                    reason = "the peer may already have closed; either way its thread sees EOF"
+                )]
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+            let spawned = std::thread::Builder::new()
+                .spawn_scoped(scope, move || serve_connection(shared, id, stream));
+            if spawned.is_err() {
+                // No thread to serve it: refuse it like one past the cap.
+                if let Some(stream) = crate::lock_unpoisoned(&shared.open).remove(&id) {
+                    reject_busy(shared, stream);
+                }
+            }
         }
-        // Queue-wait stage: admission wait of connections that get served
-        // (expired ones are counted above instead).
-        shared.engine.metrics.stage_queue.observe(waited);
-        serve_connection(shared, stream);
-    }
+    });
 }
 
 /// Runs one request with panic isolation: a panic inside the engine answers
-/// a structured `internal_error` instead of killing the worker thread. The
-/// pool is fixed-size and never respawned, so without this each panicking
-/// request would permanently shrink capacity until the server accepted
-/// connections but never answered them.
+/// a structured `internal_error` instead of ending the connection's thread
+/// and dropping the client mid-session.
 fn execute_guarded(
     run: impl FnOnce() -> Result<serde_json::Value, ApiError>,
 ) -> Result<serde_json::Value, ApiError> {
@@ -303,8 +243,17 @@ fn execute_guarded(
     })
 }
 
-fn reply_and_close(mut stream: TcpStream, error: &ApiError) {
-    let mut line = err_line(error);
+/// Counts a refused connection, answers it `busy`, and closes it.
+fn reject_busy(shared: &Shared, mut stream: TcpStream) {
+    shared
+        .engine
+        .metrics
+        .rejected_total
+        .fetch_add(1, Ordering::Relaxed);
+    let mut line = err_line(&ApiError::new(
+        "busy",
+        "connection limit reached, retry later",
+    ));
     line.push('\n');
     #[expect(
         clippy::let_underscore_must_use,
@@ -314,38 +263,20 @@ fn reply_and_close(mut stream: TcpStream, error: &ApiError) {
     let _ = stream.write_all(line.as_bytes());
 }
 
-fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
+fn serve_connection(shared: &Shared, id: u64, stream: TcpStream) {
     #[expect(
         clippy::let_underscore_must_use,
         clippy::let_underscore_untyped,
         reason = "idle timeout is a best-effort hygiene hint; a session without it still serves correctly"
     )]
     let _ = stream.set_read_timeout(Some(shared.config.idle_timeout));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    // Registered before the flag is read: a shutdown that starts later
-    // finds this connection in `open`, one that started earlier is seen
-    // here.
-    let id = shared.connections.fetch_add(1, Ordering::Relaxed);
-    if let Ok(handle) = stream.try_clone() {
-        crate::lock_unpoisoned(&shared.open).insert(id, handle);
-    }
-    if shared.shutdown.load(Ordering::SeqCst) {
-        #[expect(
-            clippy::let_underscore_must_use,
-            clippy::let_underscore_untyped,
-            reason = "the peer may already have closed; either way the loop below sees EOF"
-        )]
-        let _ = stream.shutdown(Shutdown::Read);
-    }
-    serve_requests(shared, BufReader::new(stream), &mut writer);
+    serve_requests(shared, &stream);
     crate::lock_unpoisoned(&shared.open).remove(&id);
 }
 
-fn serve_requests(shared: &Arc<Shared>, reader: BufReader<TcpStream>, writer: &mut TcpStream) {
-    for line in reader.lines() {
+fn serve_requests(shared: &Shared, stream: &TcpStream) {
+    let mut writer = stream;
+    for line in BufReader::new(stream).lines() {
         let Ok(line) = line else { break }; // EOF, reset, or idle timeout.
         if line.trim().is_empty() {
             continue;
@@ -356,11 +287,10 @@ fn serve_requests(shared: &Arc<Shared>, reader: BufReader<TcpStream>, writer: &m
         let outcome = parse_request(&line).and_then(|req| {
             op = Some(req.op());
             // Gauges are only read by `stats`/`metrics`; fetch them lazily
-            // so every other op skips the queue lock.
+            // so every other op skips the `open` lock.
             let runtime = if matches!(req, Request::Stats | Request::Metrics) {
                 RuntimeInfo {
-                    queue_depth: crate::lock_unpoisoned(&shared.queue).len() as u64,
-                    threads: shared.config.threads as u64,
+                    connections_open: crate::lock_unpoisoned(&shared.open).len() as u64,
                 }
             } else {
                 RuntimeInfo::default()
@@ -421,11 +351,7 @@ mod tests {
     use serde_json::{Value, ValueExt};
 
     fn start() -> ServerHandle {
-        Server::start(ServerConfig {
-            threads: 2,
-            ..Default::default()
-        })
-        .expect("bind loopback")
+        Server::start(ServerConfig::default()).expect("bind loopback")
     }
 
     fn result(line: &str) -> Value {
@@ -501,7 +427,11 @@ mod tests {
                 .unwrap()
                 >= 5
         );
-        assert_eq!(stats.get("threads").and_then(|v| v.as_u64()), Some(2));
+        // The one connection is registered before it is served.
+        assert_eq!(
+            stats.get("connections_open").and_then(|v| v.as_u64()),
+            Some(1)
+        );
 
         let closed = result(
             &client
@@ -534,8 +464,7 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("dblayout_sessions_open 0\n"), "{text}");
-        // The queue-wait stage observed at least this connection's admission.
-        assert!(text.contains("dblayout_stage_queue_us_count 1\n"), "{text}");
+        assert!(text.contains("dblayout_connections_open 1\n"), "{text}");
 
         let t = result(&client.roundtrip(r#"{"op":"trace"}"#).unwrap());
         let events = t.get("events").and_then(|v| v.as_array()).unwrap();
@@ -597,7 +526,7 @@ mod tests {
             Some("bad_request")
         );
 
-        // The same connection (and worker) keeps serving.
+        // The same connection (and its thread) keeps serving.
         let open = result(
             &client
                 .roundtrip(r#"{"op":"open_session","catalog":"tpch:0.01"}"#)
@@ -616,23 +545,26 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_queue_lock_recovers() {
+    fn poisoned_open_lock_recovers() {
         let server = start();
-        // Poison the queue mutex the way a panicking thread would.
+        // Poison the open-connection mutex the way a panicking thread would.
         let shared = Arc::clone(&server.shared);
         let poisoner = std::thread::spawn(move || {
-            let _guard = crate::lock_unpoisoned(&shared.queue);
-            panic!("poison the queue lock");
+            let _guard = crate::lock_unpoisoned(&shared.open);
+            panic!("poison the open-connection lock");
         });
         assert!(poisoner.join().is_err(), "the poisoning thread panics");
-        assert!(server.shared.queue.is_poisoned());
+        assert!(server.shared.open.is_poisoned());
 
-        // The acceptor and workers recover the lock and keep serving
-        // (`result` asserts the response is ok; `stats` itself reads the
-        // recovered queue lock for its queue-depth gauge).
+        // The acceptor recovers the lock to register the connection, and
+        // `stats` recovers it to count the open connections (`result`
+        // asserts the response is ok).
         let mut client = Client::connect(&server.addr().to_string()).unwrap();
         let stats = result(&client.roundtrip(r#"{"op":"stats"}"#).unwrap());
-        assert_eq!(stats.get("threads").and_then(|v| v.as_u64()), Some(2));
+        assert_eq!(
+            stats.get("connections_open").and_then(|v| v.as_u64()),
+            Some(1)
+        );
 
         server.shutdown();
     }

@@ -13,11 +13,9 @@ use std::time::Duration;
 use dblayout_loadgen::{build_schedule, run_load, LoadConfig, MixCounts, MixWeights, Mode, OpKind};
 use dblayout_server::{Server, ServerConfig};
 
-fn loopback_server(threads: usize) -> dblayout_server::ServerHandle {
+fn loopback_server() -> dblayout_server::ServerHandle {
     Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        threads,
-        queue_capacity: threads + 8,
         audit_dir: None,
         ..ServerConfig::default()
     })
@@ -44,7 +42,7 @@ fn same_seed_yields_identical_schedule_and_mix() {
 #[test]
 fn full_mix_loopback_run_is_clean_and_mix_deterministic() {
     let connections = 2;
-    let server = loopback_server(connections + 1);
+    let server = loopback_server();
     let cfg = LoadConfig {
         addr: server.addr().to_string(),
         requests: 2_000,
@@ -79,7 +77,7 @@ fn full_mix_loopback_run_is_clean_and_mix_deterministic() {
 /// bounded-error quantiles out of the merged histograms.
 #[test]
 fn open_loop_percentiles_are_ordered() {
-    let server = loopback_server(3);
+    let server = loopback_server();
     let cfg = LoadConfig {
         addr: server.addr().to_string(),
         requests: 3_000,

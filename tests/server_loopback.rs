@@ -1,10 +1,14 @@
 //! Loopback integration tests for `dblayout-server`: concurrent clients must
 //! get **byte-identical** answers to the offline advisor, malformed input
 //! must come back as structured errors (never a dropped connection or a
-//! panic), and a long request stream must not grow server state without
-//! bound.
+//! panic), a long request stream must not grow server state without
+//! bound, idle connections must not starve a new client, and a connection
+//! past the cap must be refused with `busy`.
 
-use std::time::Duration;
+use std::io::{BufRead, BufReader};
+use std::net::TcpStream;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use dblayout_catalog::resolve_catalog;
 use dblayout_core::advisor::{Advisor, AdvisorConfig};
@@ -31,6 +35,31 @@ fn start(config: ServerConfig) -> ServerHandle {
 
 fn json_request(pairs: Vec<(&str, Value)>) -> String {
     serde_json::to_string(&obj(pairs)).expect("serialize request")
+}
+
+const STATS: &str = r#"{"op":"stats"}"#;
+
+fn connections_open(stats: &Value) -> Option<u64> {
+    stats.get("connections_open").and_then(|v| v.as_u64())
+}
+
+/// Asks `stats` until `connections_open` reads exactly `want`: a server
+/// thread deregisters its connection only once the client's EOF reaches
+/// it. Fails after 10 s.
+fn await_connections_open(client: &mut Client, want: u64) -> Value {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = expect_result(&client.roundtrip(STATS).unwrap());
+        let open = connections_open(&stats);
+        if open == Some(want) {
+            return stats;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "connections_open stayed at {open:?}, want {want}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 fn expect_result(line: &str) -> Value {
@@ -75,7 +104,6 @@ fn eight_concurrent_clients_match_offline_advisor_byte_for_byte() {
     ]));
 
     let server = start(ServerConfig {
-        threads: 4,
         session_capacity: CLIENTS + 1,
         ..Default::default()
     });
@@ -156,10 +184,7 @@ fn eight_concurrent_clients_match_offline_advisor_byte_for_byte() {
 /// usable connection — the server never panics or drops the client.
 #[test]
 fn malformed_requests_yield_structured_errors() {
-    let server = start(ServerConfig {
-        threads: 2,
-        ..Default::default()
-    });
+    let server = start(ServerConfig::default());
     let mut client = Client::connect(&server.addr().to_string()).unwrap();
 
     let cases: &[(&str, &str)] = &[
@@ -200,15 +225,12 @@ fn malformed_requests_yield_structured_errors() {
 }
 
 /// A FROM clause wider than the planner's join bound is answered with a
-/// `plan_error` instead of pinning a worker in a 2^n-subset enumeration,
+/// `plan_error` instead of pinning a thread in a 2^n-subset enumeration,
 /// and the session keeps serving: it still takes statements and prices
 /// layouts afterwards.
 #[test]
 fn over_wide_join_is_refused_and_the_session_keeps_serving() {
-    let server = start(ServerConfig {
-        threads: 2,
-        ..Default::default()
-    });
+    let server = start(ServerConfig::default());
     let mut client = Client::connect(&server.addr().to_string()).unwrap();
     let open = expect_result(
         &client
@@ -272,15 +294,14 @@ fn over_wide_join_is_refused_and_the_session_keeps_serving() {
 /// multi-threaded recommend (`threads: 4`) against one server. No client
 /// may see an internal error (a poisoned lock surfaces as one), all
 /// recommendations must be byte-identical (thread count is a latency knob,
-/// never a results knob), the gauges must return to zero once every
-/// session is closed and the queue drained, and the Prometheus exposition
+/// never a results knob), the gauges must return to idle once every
+/// session is closed and every client gone, and the Prometheus exposition
 /// must stay parseable afterwards.
 #[test]
 fn concurrent_multithreaded_searches_leave_no_residue() {
     const CLIENTS: usize = 8;
     let text = tpch22_workload_text();
     let server = start(ServerConfig {
-        threads: 4,
         session_capacity: CLIENTS + 1,
         ..Default::default()
     });
@@ -343,12 +364,12 @@ fn concurrent_multithreaded_searches_leave_no_residue() {
         );
     }
 
-    // Every session closed and every worker idle: the gauges must be back
-    // to zero (a poisoned registry/queue lock could not answer at all).
+    // Every session closed and every client gone: once the server has seen
+    // the eight EOFs, only this connection is open and no session is (a
+    // poisoned registry or connection lock could not answer at all).
     let mut client = Client::connect(&addr).unwrap();
-    let stats = expect_result(&client.roundtrip(r#"{"op":"stats"}"#).unwrap());
+    let stats = await_connections_open(&mut client, 1);
     assert_eq!(stats.get("sessions_open").and_then(|v| v.as_u64()), Some(0));
-    assert_eq!(stats.get("queue_depth").and_then(|v| v.as_u64()), Some(0));
 
     // And the exposition endpoint still renders parseable Prometheus text.
     let metrics = expect_result(&client.roundtrip(r#"{"op":"metrics"}"#).unwrap());
@@ -357,7 +378,7 @@ fn concurrent_multithreaded_searches_leave_no_residue() {
         .and_then(|v| v.as_str())
         .expect("metrics op returns exposition text");
     assert!(body.contains("dblayout_sessions_open 0\n"), "{body}");
-    assert!(body.contains("dblayout_queue_depth 0\n"), "{body}");
+    assert!(body.contains("dblayout_connections_open 1\n"), "{body}");
     for line in body
         .lines()
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
@@ -379,7 +400,6 @@ fn concurrent_multithreaded_searches_leave_no_residue() {
 fn thousand_requests_keep_state_bounded() {
     const CACHE_CAP: usize = 16;
     let server = start(ServerConfig {
-        threads: 2,
         cache_capacity: CACHE_CAP,
         idle_timeout: Duration::from_secs(120),
         ..Default::default()
@@ -446,6 +466,89 @@ fn thousand_requests_keep_state_bounded() {
         stats.get("cache_hits").and_then(|v| v.as_u64()),
         Some(200),
         "every cycle's second what-if should hit"
+    );
+
+    server.shutdown();
+}
+
+/// An idle connection holds only its own thread: with eight connections
+/// open and idle under the default config, a ninth client's `stats` is
+/// answered within 1 s.
+#[test]
+fn idle_connections_do_not_starve_a_new_client() {
+    let server = start(ServerConfig::default());
+    let addr = server.addr().to_string();
+    let idle: Vec<Client> = (0..8)
+        .map(|_| Client::connect(&addr).expect("connect"))
+        .collect();
+
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut ninth = Client::connect(&addr).expect("connect");
+        // The test has failed already if the receiver is gone.
+        tx.send(ninth.roundtrip(STATS)).ok();
+    });
+    let line = rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("the ninth client's stats is answered within 1 s")
+        .expect("the ninth client's connection survives");
+    let stats = expect_result(&line);
+    // The eight idle connections were accepted, and so registered, before
+    // the ninth.
+    assert_eq!(connections_open(&stats), Some(9), "{line}");
+
+    drop(idle);
+    server.shutdown();
+}
+
+/// At `connection_capacity` open connections, one more is answered `busy`
+/// and counted in `rejected_total`; once a connection closes, a new one is
+/// served.
+#[test]
+fn connections_past_the_cap_get_busy_until_one_closes() {
+    let server = start(ServerConfig {
+        connection_capacity: 2,
+        ..Default::default()
+    });
+    let addr = server.addr().to_string();
+    let mut first = Client::connect(&addr).unwrap();
+    let mut second = Client::connect(&addr).unwrap();
+    // A connection is registered before it is served, so an answer on each
+    // proves both hold their slots.
+    expect_result(&first.roundtrip(STATS).unwrap());
+    expect_result(&second.roundtrip(STATS).unwrap());
+
+    // The third is answered without sending anything, then closed.
+    let third = TcpStream::connect(&addr).unwrap();
+    third
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut line = String::new();
+    BufReader::new(third).read_line(&mut line).unwrap();
+    let v: Value = serde_json::from_str(&line).unwrap();
+    assert_eq!(v.get("ok").and_then(|b| b.as_bool()), Some(false), "{line}");
+    assert_eq!(
+        v.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(|c| c.as_str()),
+        Some("busy"),
+        "{line}"
+    );
+    let stats = expect_result(&first.roundtrip(STATS).unwrap());
+    assert_eq!(
+        stats.get("rejected_total").and_then(|v| v.as_u64()),
+        Some(1)
+    );
+    assert_eq!(connections_open(&stats), Some(2));
+
+    drop(second);
+    await_connections_open(&mut first, 1);
+    let mut fourth = Client::connect(&addr).unwrap();
+    let stats = expect_result(&fourth.roundtrip(STATS).unwrap());
+    assert_eq!(connections_open(&stats), Some(2));
+    assert_eq!(
+        stats.get("rejected_total").and_then(|v| v.as_u64()),
+        Some(1)
     );
 
     server.shutdown();
