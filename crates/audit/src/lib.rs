@@ -12,10 +12,11 @@
 //!   predicted cost breakdowns, search counters, phase timings, and
 //!   strategy attribution. A record re-derives the layout from nothing
 //!   but itself — no session state, no live server.
-//! * [`DecisionLog`] — a size-bounded, rotating on-disk JSONL log with a
-//!   JSON index and monotone decision ids. Appends survive process
-//!   restarts (ids keep increasing); old segments are pruned once the
-//!   configured bound is exceeded.
+//! * [`DecisionLog`] — a size-bounded, rotating on-disk JSONL log with
+//!   monotone decision ids. Appends survive process restarts (ids keep
+//!   increasing); old segments are pruned once the configured bound is
+//!   exceeded; a partial line left by an interrupted append is dropped
+//!   when the log is next opened.
 //! * [`replay`] — the verification pass: re-runs the recorded search
 //!   from the record's inputs, bit-compares the reproduced layout
 //!   against the recorded one, then runs the recorded layout through
@@ -100,7 +101,7 @@ pub enum AuditError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// A record or index failed to parse.
+    /// A record failed to parse.
     Parse(String),
     /// No record with the requested id exists (it may have been pruned by
     /// rotation).
@@ -163,11 +164,11 @@ mod tests {
     #[test]
     fn errors_render_their_context() {
         let e = AuditError::Io {
-            path: "results/decisions/index.json".into(),
+            path: "results/decisions/decisions-000001.jsonl".into(),
             source: std::io::Error::new(std::io::ErrorKind::NotFound, "gone"),
         };
         let text = format!("{e}");
-        assert!(text.contains("results/decisions/index.json"));
+        assert!(text.contains("results/decisions/decisions-000001.jsonl"));
         assert!(format!("{}", AuditError::NotFound(42)).contains("42"));
     }
 }

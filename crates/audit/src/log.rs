@@ -1,33 +1,35 @@
-//! The on-disk decision log: rotating JSONL segments plus a JSON index.
+//! The on-disk decision log: rotating JSONL segments.
 //!
 //! Layout on disk (all under one directory):
 //!
 //! ```text
 //! results/decisions/
-//!   index.json              {"next_id":17,"segments":[...]}
 //!   decisions-000001.jsonl  records 1..9   (named by first id)
 //!   decisions-000010.jsonl  records 10..16
 //! ```
 //!
 //! Properties:
 //!
-//! * **Monotone ids.** `index.json` persists `next_id`, so ids keep
-//!   increasing across process restarts and even across full pruning —
-//!   a decision id is forever unique within a log directory.
+//! * **Monotone ids.** The next id is one past the highest id in any
+//!   segment. Pruning deletes only the oldest segments and always keeps
+//!   the newest, so ids keep increasing across process restarts and
+//!   pruning — a decision id is forever unique within a log directory.
 //! * **Size-bounded.** A segment is closed once appending would push it
 //!   past [`LogConfig::max_segment_bytes`]; when more than
 //!   [`LogConfig::max_segments`] segments exist, the oldest is deleted.
 //!   The log can therefore run unattended on a long-lived server.
-//! * **Crash-tolerant open.** The segment list is rebuilt by scanning the
-//!   directory, not trusted from the index — a crash between the record
-//!   write and the index write loses nothing. The index contributes only
-//!   the id high-water mark (taken as the max of both sources).
+//! * **Crash-tolerant open.** An append is one `write_all` of one line,
+//!   so a process killed mid-append leaves at most a partial last line
+//!   without its `\n`. Opening truncates such a segment back to its last
+//!   `\n`; any complete line that does not parse is still an error. One
+//!   process writes a log directory at a time.
 
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use dblayout_obs::counters::{self, Counter};
+use serde::Serialize;
 use serde_json::{Value, ValueExt};
 
 use crate::record::DecisionRecord;
@@ -39,7 +41,8 @@ pub struct LogConfig {
     /// Segment size at which rotation happens (a single oversized record
     /// still gets written — into its own segment).
     pub max_segment_bytes: u64,
-    /// Segments kept; the oldest beyond this is deleted.
+    /// Segments kept; the oldest beyond this is deleted. At least one is
+    /// always kept (0 reads as 1), so the newest id survives pruning.
     pub max_segments: usize,
 }
 
@@ -61,7 +64,7 @@ struct Segment {
 }
 
 /// A one-line view of a record, for listings and the `audit_list` op.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DecisionSummary {
     /// Decision id.
     pub id: u64,
@@ -94,27 +97,6 @@ impl DecisionSummary {
             git_rev: r.git_rev.clone(),
         }
     }
-
-    /// Ordered JSON rendering for wire responses and CLI listings.
-    pub fn to_json(&self) -> Value {
-        let ts = match self.ts_unix_ms {
-            Some(t) => Value::U64(t),
-            None => Value::Null,
-        };
-        Value::Map(vec![
-            ("id".into(), Value::U64(self.id)),
-            ("ts_unix_ms".into(), ts),
-            ("kind".into(), Value::Str(self.kind.clone())),
-            ("source".into(), Value::Str(self.source.clone())),
-            ("strategy".into(), Value::Str(self.strategy.clone())),
-            (
-                "predicted_cost_ms".into(),
-                Value::F64(self.predicted_cost_ms),
-            ),
-            ("improvement_pct".into(), Value::F64(self.improvement_pct)),
-            ("git_rev".into(), Value::Str(self.git_rev.clone())),
-        ])
-    }
 }
 
 /// An open decision log bound to one directory.
@@ -142,24 +124,14 @@ impl DecisionLog {
 
     /// Opens a log directory, creating it (and any missing parents) if
     /// needed, and recovers the id high-water mark and segment list.
-    pub fn open_with(dir: impl AsRef<Path>, cfg: LogConfig) -> Result<Self, AuditError> {
+    pub fn open_with(dir: impl AsRef<Path>, mut cfg: LogConfig) -> Result<Self, AuditError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
+        cfg.max_segments = cfg.max_segments.max(1);
 
-        // Id high-water mark from the index, if one survives.
-        let index_path = dir.join("index.json");
+        // Segment list from the directory itself; the id range of each
+        // segment from its own lines.
         let mut next_id: u64 = 1;
-        if let Ok(text) = fs::read_to_string(&index_path) {
-            let value: Value = serde_json::from_str(&text).map_err(|e| {
-                AuditError::Parse(format!("corrupt index `{}`: {e}", index_path.display()))
-            })?;
-            if let Some(n) = value.get("next_id").and_then(|v| v.as_u64()) {
-                next_id = next_id.max(n);
-            }
-        }
-
-        // Segment list from the directory itself (crash-safe source of
-        // truth); the id range of each segment from its own lines.
         let entries = fs::read_dir(&dir).map_err(|e| io_err(&dir, e))?;
         let mut names: Vec<String> = Vec::new();
         for entry in entries {
@@ -173,7 +145,20 @@ impl DecisionLog {
         let mut segments = Vec::with_capacity(names.len());
         for name in names {
             let path = dir.join(&name);
-            let text = fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
+            let mut bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
+            if bytes.last().is_some_and(|&b| b != b'\n') {
+                // A torn append: drop the partial last line (which may end
+                // inside a multi-byte character).
+                bytes.truncate(bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1));
+                fs::OpenOptions::new()
+                    .write(true)
+                    .open(&path)
+                    .and_then(|f| f.set_len(bytes.len() as u64))
+                    .map_err(|e| io_err(&path, e))?;
+            }
+            let text = String::from_utf8(bytes).map_err(|e| {
+                AuditError::Parse(format!("corrupt segment `{}`: {e}", path.display()))
+            })?;
             let mut first_id = 0u64;
             let mut last_id = 0u64;
             for line in text.lines().filter(|l| !l.trim().is_empty()) {
@@ -266,7 +251,6 @@ impl DecisionLog {
                 Err(e) => return Err(io_err(&old_path, e)),
             }
         }
-        self.write_index()?;
         counters::incr(Counter::AuditRecordsWritten);
         Ok(record.id)
     }
@@ -302,30 +286,6 @@ impl DecisionLog {
             }
         }
         Err(AuditError::NotFound(id))
-    }
-
-    fn write_index(&self) -> Result<(), AuditError> {
-        let segments = Value::Seq(
-            self.segments
-                .iter()
-                .map(|s| {
-                    Value::Map(vec![
-                        ("file".into(), Value::Str(s.file.clone())),
-                        ("first_id".into(), Value::U64(s.first_id)),
-                        ("last_id".into(), Value::U64(s.last_id)),
-                        ("bytes".into(), Value::U64(s.bytes)),
-                    ])
-                })
-                .collect(),
-        );
-        let index = Value::Map(vec![
-            ("next_id".into(), Value::U64(self.next_id)),
-            ("segments".into(), segments),
-        ]);
-        let text = serde_json::to_string(&index)
-            .map_err(|e| AuditError::Parse(format!("serialize index: {e}")))?;
-        let path = self.dir.join("index.json");
-        fs::write(&path, text).map_err(|e| io_err(&path, e))
     }
 }
 
@@ -411,9 +371,14 @@ mod tests {
             assert_eq!(log.next_id(), 2);
             assert_eq!(log.get(1).expect("get").id, 1);
         }
-        // Even with the index deleted, the segments recover the mark.
-        let _ = fs::remove_file(dir.join("index.json"));
-        let mut log = DecisionLog::open(&dir).expect("reopen without index");
+        // An append writes the segment line and nothing else.
+        let files: Vec<_> = fs::read_dir(&dir)
+            .expect("read dir")
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().to_string())
+            .collect();
+        assert_eq!(files, vec!["decisions-000001.jsonl".to_string()]);
+        let mut log = DecisionLog::open(&dir).expect("reopen");
         assert_eq!(log.next_id(), 2);
         let mut r = sample_record(1);
         assert_eq!(log.append(&mut r).expect("append"), 2);
@@ -457,6 +422,24 @@ mod tests {
             .filter(|n| n.ends_with(".jsonl"))
             .collect();
         assert_eq!(files.len(), 3, "pruned segment files linger: {files:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zero_max_segments_still_keeps_the_newest_segment() {
+        let dir = temp_log_dir("zero");
+        let cfg = LogConfig {
+            max_segment_bytes: 1,
+            max_segments: 0,
+        };
+        let mut log = DecisionLog::open_with(&dir, cfg.clone()).expect("open");
+        for i in 0..2u64 {
+            assert_eq!(log.append(&mut sample_record(i)).expect("append"), i + 1);
+        }
+        let listed = log.list().expect("list");
+        assert_eq!(listed.iter().map(|s| s.id).collect::<Vec<_>>(), vec![2]);
+        let log = DecisionLog::open_with(&dir, cfg).expect("reopen");
+        assert_eq!(log.next_id(), 3);
         let _ = fs::remove_dir_all(&dir);
     }
 

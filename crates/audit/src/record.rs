@@ -5,7 +5,8 @@
 //! settings), content digests of each, the advised-time access-graph
 //! snapshot, and the outcome (layout fractions, costs, per-statement and
 //! per-disk predicted breakdown, counters, phase timings, strategy).
-//! Serialization is one ordered JSON object per record; the vendored
+//! Serialization is one ordered JSON object per record, derived: keys in
+//! field order, nested structs as objects, tuples as arrays. The vendored
 //! `serde_json` prints `f64`s in shortest-round-trip form, so fraction
 //! and weight bits survive a write/read cycle exactly — the property
 //! [`crate::replay`]'s bit-identity check rests on.
@@ -19,7 +20,7 @@ use dblayout_obs::Collector;
 use dblayout_partition::Graph;
 use dblayout_planner::Subplan;
 use dblayout_relayout::{graph_bytes, BudgetedOutcome};
-use serde_json::{Value, ValueExt};
+use serde::{Content, DeError, Deserialize, Serialize};
 
 use crate::{digest_hex, AuditError};
 
@@ -41,21 +42,11 @@ impl DecisionKind {
             DecisionKind::Budgeted => "recommend_budgeted",
         }
     }
-
-    fn parse(s: &str) -> Result<Self, AuditError> {
-        match s {
-            "recommend" => Ok(DecisionKind::Recommend),
-            "recommend_budgeted" => Ok(DecisionKind::Budgeted),
-            other => Err(AuditError::Parse(format!(
-                "unknown decision kind `{other}`"
-            ))),
-        }
-    }
 }
 
 /// A disk spec as recorded — value-complete, so replay needs no live
 /// `--disks` argument.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DiskSpecRecord {
     /// Drive name.
     pub name: String,
@@ -114,7 +105,7 @@ impl DiskSpecRecord {
 
 /// The search settings the decision ran under — enough to re-run the
 /// exact same search.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SearchSettings {
     /// TS-GREEDY `k` (heaviest-edge groups in step 1).
     pub k: usize,
@@ -131,7 +122,7 @@ pub struct SearchSettings {
 }
 
 /// The advised-time access graph, value-complete.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GraphSnapshot {
     /// Node weights by object index (length = object count).
     pub node_weights: Vec<f64>,
@@ -176,7 +167,7 @@ impl GraphSnapshot {
 /// digest mismatch between two records explains *why* their decisions
 /// differ; a graph-digest mismatch at replay time means the record was
 /// corrupted in storage.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Digests {
     /// FNV-1a of the catalog spec string.
     pub catalog: String,
@@ -191,7 +182,7 @@ pub struct Digests {
 }
 
 /// Predicted cost of one weighted statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatementCost {
     /// Statement weight `w_Q`.
     pub weight: f64,
@@ -200,7 +191,7 @@ pub struct StatementCost {
 }
 
 /// Weighted predicted work landing on one disk across the workload.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct DiskCost {
     /// Transfer milliseconds (weighted sum over statements).
     pub transfer_ms: f64,
@@ -209,7 +200,7 @@ pub struct DiskCost {
 }
 
 /// One phase-timer row as recorded (`dblayout-prof`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PhaseRecord {
     /// Phase name (`analyze`, `build-graph`, `search`, `cost`, ...).
     pub name: String,
@@ -230,7 +221,7 @@ impl PhaseRecord {
 }
 
 /// What the advisor chose and what it predicted.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecisionOutcome {
     /// Strategy attribution: `search`, `full_striping` (fallback won), or
     /// a budgeted strategy (`identity` / `seeded_search` /
@@ -260,7 +251,7 @@ pub struct DecisionOutcome {
 }
 
 /// One fully self-contained, replayable decision.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecisionRecord {
     /// Monotone decision id, assigned by [`crate::DecisionLog::append`]
     /// (0 until appended).
@@ -575,436 +566,36 @@ pub fn record_budgeted(
     }
 }
 
-// ---- JSON serialization ----
+// ---- JSON ----
 
-fn opt_u64(v: Option<u64>) -> Value {
-    match v {
-        Some(n) => Value::U64(n),
-        None => Value::Null,
+impl Serialize for DecisionKind {
+    fn to_content(&self) -> Content {
+        Content::Str(self.as_str().to_string())
     }
 }
 
-fn opt_f64(v: Option<f64>) -> Value {
-    match v {
-        Some(n) => Value::F64(n),
-        None => Value::Null,
+impl Deserialize for DecisionKind {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        match String::from_content(content)?.as_str() {
+            "recommend" => Ok(DecisionKind::Recommend),
+            "recommend_budgeted" => Ok(DecisionKind::Budgeted),
+            other => Err(DeError(format!("unknown decision kind `{other}`"))),
+        }
     }
-}
-
-fn opt_str(v: &Option<String>) -> Value {
-    match v {
-        Some(s) => Value::Str(s.clone()),
-        None => Value::Null,
-    }
-}
-
-fn fractions_to_json(rows: &[Vec<f64>]) -> Value {
-    Value::Seq(
-        rows.iter()
-            .map(|row| Value::Seq(row.iter().map(|&f| Value::F64(f)).collect()))
-            .collect(),
-    )
 }
 
 impl DecisionRecord {
-    /// The record as an ordered JSON value — one JSONL line when passed
-    /// through [`serde_json::to_string`].
-    pub fn to_json(&self) -> Value {
-        let disks = Value::Seq(
-            self.disks
-                .iter()
-                .map(|d| {
-                    Value::Map(vec![
-                        ("name".into(), Value::Str(d.name.clone())),
-                        ("capacity_blocks".into(), Value::U64(d.capacity_blocks)),
-                        ("avg_seek_ms".into(), Value::F64(d.avg_seek_ms)),
-                        ("read_mb_s".into(), Value::F64(d.read_mb_s)),
-                        ("write_mb_s".into(), Value::F64(d.write_mb_s)),
-                        ("avail".into(), Value::Str(d.avail.clone())),
-                    ])
-                })
-                .collect(),
-        );
-        let deployed = match &self.config.deployed {
-            Some(rows) => fractions_to_json(rows),
-            None => Value::Null,
-        };
-        let config = Value::Map(vec![
-            ("k".into(), Value::U64(self.config.k as u64)),
-            ("threads".into(), Value::U64(self.config.threads as u64)),
-            ("budget_blocks".into(), opt_u64(self.config.budget_blocks)),
-            (
-                "min_improvement_pct".into(),
-                opt_f64(self.config.min_improvement_pct),
-            ),
-            ("deployed".into(), deployed),
-        ]);
-        let digests = Value::Map(vec![
-            ("catalog".into(), Value::Str(self.digests.catalog.clone())),
-            ("workload".into(), Value::Str(self.digests.workload.clone())),
-            ("disks".into(), Value::Str(self.digests.disks.clone())),
-            ("config".into(), Value::Str(self.digests.config.clone())),
-            ("graph".into(), Value::Str(self.digests.graph.clone())),
-        ]);
-        let graph = Value::Map(vec![
-            (
-                "node_weights".into(),
-                Value::Seq(
-                    self.graph
-                        .node_weights
-                        .iter()
-                        .map(|&w| Value::F64(w))
-                        .collect(),
-                ),
-            ),
-            (
-                "edges".into(),
-                Value::Seq(
-                    self.graph
-                        .edges
-                        .iter()
-                        .map(|&(u, v, w)| {
-                            Value::Seq(vec![
-                                Value::U64(u as u64),
-                                Value::U64(v as u64),
-                                Value::F64(w),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        let outcome = Value::Map(vec![
-            ("strategy".into(), Value::Str(self.outcome.strategy.clone())),
-            (
-                "fractions".into(),
-                fractions_to_json(&self.outcome.fractions),
-            ),
-            (
-                "predicted_cost_ms".into(),
-                Value::F64(self.outcome.predicted_cost_ms),
-            ),
-            (
-                "baseline_cost_ms".into(),
-                Value::F64(self.outcome.baseline_cost_ms),
-            ),
-            (
-                "improvement_pct".into(),
-                Value::F64(self.outcome.improvement_pct),
-            ),
-            ("iterations".into(), Value::U64(self.outcome.iterations)),
-            (
-                "cost_evaluations".into(),
-                Value::U64(self.outcome.cost_evaluations),
-            ),
-            (
-                "per_statement".into(),
-                Value::Seq(
-                    self.outcome
-                        .per_statement
-                        .iter()
-                        .map(|s| {
-                            Value::Map(vec![
-                                ("weight".into(), Value::F64(s.weight)),
-                                ("cost_ms".into(), Value::F64(s.cost_ms)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "per_disk".into(),
-                Value::Seq(
-                    self.outcome
-                        .per_disk
-                        .iter()
-                        .map(|d| {
-                            Value::Map(vec![
-                                ("transfer_ms".into(), Value::F64(d.transfer_ms)),
-                                ("seek_ms".into(), Value::F64(d.seek_ms)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "phases".into(),
-                Value::Seq(
-                    self.outcome
-                        .phases
-                        .iter()
-                        .map(|p| {
-                            Value::Map(vec![
-                                ("name".into(), Value::Str(p.name.clone())),
-                                ("calls".into(), Value::U64(p.calls)),
-                                ("total_us".into(), Value::U64(p.total_us)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "counters".into(),
-                Value::Seq(
-                    self.outcome
-                        .counters
-                        .iter()
-                        .map(|(n, v)| Value::Seq(vec![Value::Str(n.clone()), Value::U64(*v)]))
-                        .collect(),
-                ),
-            ),
-        ]);
-        Value::Map(vec![
-            ("id".into(), Value::U64(self.id)),
-            ("ts_unix_ms".into(), opt_u64(self.ts_unix_ms)),
-            ("kind".into(), Value::Str(self.kind.as_str().into())),
-            ("source".into(), Value::Str(self.source.clone())),
-            ("git_rev".into(), Value::Str(self.git_rev.clone())),
-            ("version".into(), Value::Str(self.version.clone())),
-            ("catalog_spec".into(), Value::Str(self.catalog_spec.clone())),
-            ("workload_sql".into(), Value::Str(self.workload_sql.clone())),
-            ("constraints_text".into(), opt_str(&self.constraints_text)),
-            ("disks".into(), disks),
-            ("config".into(), config),
-            ("digests".into(), digests),
-            ("graph".into(), graph),
-            ("outcome".into(), outcome),
-        ])
-    }
-
     /// One JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> Result<String, AuditError> {
-        serde_json::to_string(&self.to_json())
-            .map_err(|e| AuditError::Parse(format!("serialize: {e}")))
+        serde_json::to_string(self).map_err(|e| AuditError::Parse(format!("serialize: {e}")))
     }
 
     /// Parses one JSONL line back into a record (exact inverse of
-    /// [`DecisionRecord::to_jsonl`]).
+    /// [`DecisionRecord::to_jsonl`]). Every key must be present, integers
+    /// must be JSON integers, and unknown keys are ignored.
     pub fn from_jsonl(line: &str) -> Result<Self, AuditError> {
-        let value: Value = serde_json::from_str(line)
-            .map_err(|e| AuditError::Parse(format!("invalid JSON: {e}")))?;
-        Self::from_json(&value)
+        serde_json::from_str(line).map_err(|e| AuditError::Parse(format!("invalid record: {e}")))
     }
-
-    /// Parses the JSON value form.
-    pub fn from_json(v: &Value) -> Result<Self, AuditError> {
-        let disks = req_array(v, "disks")?
-            .iter()
-            .map(|d| {
-                Ok(DiskSpecRecord {
-                    name: req_str(d, "name")?,
-                    capacity_blocks: req_u64(d, "capacity_blocks")?,
-                    avg_seek_ms: req_f64(d, "avg_seek_ms")?,
-                    read_mb_s: req_f64(d, "read_mb_s")?,
-                    write_mb_s: req_f64(d, "write_mb_s")?,
-                    avail: req_str(d, "avail")?,
-                })
-            })
-            .collect::<Result<Vec<_>, AuditError>>()?;
-        let cfg = req(v, "config")?;
-        let config = SearchSettings {
-            k: req_u64(cfg, "k")? as usize,
-            threads: req_u64(cfg, "threads")? as usize,
-            budget_blocks: opt_u64_of(cfg, "budget_blocks")?,
-            min_improvement_pct: opt_f64_of(cfg, "min_improvement_pct")?,
-            deployed: match req(cfg, "deployed")? {
-                Value::Null => None,
-                rows => Some(fractions_from_json(rows, "config.deployed")?),
-            },
-        };
-        let dg = req(v, "digests")?;
-        let digests = Digests {
-            catalog: req_str(dg, "catalog")?,
-            workload: req_str(dg, "workload")?,
-            disks: req_str(dg, "disks")?,
-            config: req_str(dg, "config")?,
-            graph: req_str(dg, "graph")?,
-        };
-        let g = req(v, "graph")?;
-        let node_weights = req_array(g, "node_weights")?
-            .iter()
-            .map(|w| num_f64(w, "graph.node_weights"))
-            .collect::<Result<Vec<_>, AuditError>>()?;
-        let edges = req_array(g, "edges")?
-            .iter()
-            .map(|e| {
-                let items = e
-                    .as_array()
-                    .ok_or_else(|| AuditError::Parse("graph edge must be an array".into()))?;
-                match items.as_slice() {
-                    [u, v, w] => Ok((
-                        num_u64(u, "edge u")? as usize,
-                        num_u64(v, "edge v")? as usize,
-                        num_f64(w, "edge weight")?,
-                    )),
-                    _ => Err(AuditError::Parse("graph edge must have 3 items".into())),
-                }
-            })
-            .collect::<Result<Vec<_>, AuditError>>()?;
-        let o = req(v, "outcome")?;
-        let per_statement = req_array(o, "per_statement")?
-            .iter()
-            .map(|s| {
-                Ok(StatementCost {
-                    weight: req_f64(s, "weight")?,
-                    cost_ms: req_f64(s, "cost_ms")?,
-                })
-            })
-            .collect::<Result<Vec<_>, AuditError>>()?;
-        let per_disk = req_array(o, "per_disk")?
-            .iter()
-            .map(|d| {
-                Ok(DiskCost {
-                    transfer_ms: req_f64(d, "transfer_ms")?,
-                    seek_ms: req_f64(d, "seek_ms")?,
-                })
-            })
-            .collect::<Result<Vec<_>, AuditError>>()?;
-        let phases = req_array(o, "phases")?
-            .iter()
-            .map(|p| {
-                Ok(PhaseRecord {
-                    name: req_str(p, "name")?,
-                    calls: req_u64(p, "calls")?,
-                    total_us: req_u64(p, "total_us")?,
-                })
-            })
-            .collect::<Result<Vec<_>, AuditError>>()?;
-        let counters = req_array(o, "counters")?
-            .iter()
-            .map(|c| {
-                let items = c
-                    .as_array()
-                    .ok_or_else(|| AuditError::Parse("counter entry must be an array".into()))?;
-                match items.as_slice() {
-                    [name, value] => Ok((
-                        name.as_str()
-                            .ok_or_else(|| {
-                                AuditError::Parse("counter name must be a string".into())
-                            })?
-                            .to_string(),
-                        num_u64(value, "counter value")?,
-                    )),
-                    _ => Err(AuditError::Parse("counter entry must have 2 items".into())),
-                }
-            })
-            .collect::<Result<Vec<_>, AuditError>>()?;
-        let outcome = DecisionOutcome {
-            strategy: req_str(o, "strategy")?,
-            fractions: fractions_from_json(req(o, "fractions")?, "outcome.fractions")?,
-            predicted_cost_ms: req_f64(o, "predicted_cost_ms")?,
-            baseline_cost_ms: req_f64(o, "baseline_cost_ms")?,
-            improvement_pct: req_f64(o, "improvement_pct")?,
-            iterations: req_u64(o, "iterations")?,
-            cost_evaluations: req_u64(o, "cost_evaluations")?,
-            per_statement,
-            per_disk,
-            phases,
-            counters,
-        };
-        Ok(DecisionRecord {
-            id: req_u64(v, "id")?,
-            ts_unix_ms: opt_u64_of(v, "ts_unix_ms")?,
-            kind: DecisionKind::parse(&req_str(v, "kind")?)?,
-            source: req_str(v, "source")?,
-            git_rev: req_str(v, "git_rev")?,
-            version: req_str(v, "version")?,
-            catalog_spec: req_str(v, "catalog_spec")?,
-            workload_sql: req_str(v, "workload_sql")?,
-            constraints_text: match req(v, "constraints_text")? {
-                Value::Null => None,
-                s => Some(
-                    s.as_str()
-                        .ok_or_else(|| {
-                            AuditError::Parse("constraints_text must be a string or null".into())
-                        })?
-                        .to_string(),
-                ),
-            },
-            disks,
-            config,
-            digests,
-            graph: GraphSnapshot {
-                node_weights,
-                edges,
-            },
-            outcome,
-        })
-    }
-}
-
-fn req<'a>(v: &'a Value, key: &str) -> Result<&'a Value, AuditError> {
-    v.get(key)
-        .ok_or_else(|| AuditError::Parse(format!("missing field `{key}`")))
-}
-
-fn req_str(v: &Value, key: &str) -> Result<String, AuditError> {
-    req(v, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| AuditError::Parse(format!("field `{key}` must be a string")))
-}
-
-fn req_u64(v: &Value, key: &str) -> Result<u64, AuditError> {
-    req(v, key)?
-        .as_u64()
-        .ok_or_else(|| AuditError::Parse(format!("field `{key}` must be an unsigned integer")))
-}
-
-fn req_f64(v: &Value, key: &str) -> Result<f64, AuditError> {
-    req(v, key)?
-        .as_f64()
-        .ok_or_else(|| AuditError::Parse(format!("field `{key}` must be a number")))
-}
-
-fn req_array<'a>(v: &'a Value, key: &str) -> Result<&'a Vec<Value>, AuditError> {
-    req(v, key)?
-        .as_array()
-        .ok_or_else(|| AuditError::Parse(format!("field `{key}` must be an array")))
-}
-
-fn opt_u64_of(v: &Value, key: &str) -> Result<Option<u64>, AuditError> {
-    match req(v, key)? {
-        Value::Null => Ok(None),
-        other => other
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| AuditError::Parse(format!("field `{key}` must be integer or null"))),
-    }
-}
-
-fn opt_f64_of(v: &Value, key: &str) -> Result<Option<f64>, AuditError> {
-    match req(v, key)? {
-        Value::Null => Ok(None),
-        other => other
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| AuditError::Parse(format!("field `{key}` must be number or null"))),
-    }
-}
-
-fn num_f64(v: &Value, what: &str) -> Result<f64, AuditError> {
-    v.as_f64()
-        .ok_or_else(|| AuditError::Parse(format!("{what} must be a number")))
-}
-
-fn num_u64(v: &Value, what: &str) -> Result<u64, AuditError> {
-    v.as_u64()
-        .ok_or_else(|| AuditError::Parse(format!("{what} must be an unsigned integer")))
-}
-
-fn fractions_from_json(v: &Value, what: &str) -> Result<Vec<Vec<f64>>, AuditError> {
-    v.as_array()
-        .ok_or_else(|| AuditError::Parse(format!("{what} must be an array")))?
-        .iter()
-        .map(|row| {
-            row.as_array()
-                .ok_or_else(|| AuditError::Parse(format!("{what} rows must be arrays")))?
-                .iter()
-                .map(|f| num_f64(f, what))
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]

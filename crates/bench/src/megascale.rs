@@ -35,7 +35,7 @@ use dblayout_core::tsgreedy::{ts_greedy, Partitioner, TsGreedyConfig};
 use dblayout_core::{build_access_graph_subplans, Layout};
 use dblayout_obs::counters;
 use dblayout_obs::prof::PhaseTimer;
-use dblayout_partition::{max_cut_partition, multilevel_max_cut, Graph, MultilevelConfig};
+use dblayout_partition::{max_cut_partition, multilevel_max_cut, Graph};
 use dblayout_workloads::wkmega::{generate, MegaConfig};
 
 use crate::search_bench::PhaseMs;
@@ -230,11 +230,13 @@ pub fn run_with(cfg: &MegaConfig, thread_counts: &[usize], reps: usize) -> MegaB
     let mut rows = Vec::new();
     let mut final_costs = [0.0f64; 2];
     for (pi, (name, partitioner)) in [
+        ("multilevel", Partitioner::Auto { threshold: 0 }),
         (
-            "multilevel",
-            Partitioner::Multilevel(MultilevelConfig::default()),
+            "direct",
+            Partitioner::Auto {
+                threshold: usize::MAX,
+            },
         ),
-        ("direct", Partitioner::Direct),
     ]
     .into_iter()
     .enumerate()

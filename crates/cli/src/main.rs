@@ -897,7 +897,7 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     }
     cfg.addr = format!("{host}:{port}");
     let handle =
-        Server::start(cfg.clone()).map_err(|e| format!("cannot listen on {}: {e}", cfg.addr))?;
+        Server::start(cfg.clone()).map_err(|e| format!("cannot start on {}: {e}", cfg.addr))?;
     println!(
         "dblayout-server listening on {} (up to {} connections, {} session slots)",
         handle.addr(),
@@ -1409,8 +1409,7 @@ fn run_audit(args: &[String]) -> Result<ExitCode, String> {
         ["show", id] => {
             let log = DecisionLog::open(&audit_dir).map_err(|e| e.to_string())?;
             let record = log.get(parse_id(id)?).map_err(|e| e.to_string())?;
-            let text =
-                serde_json::to_string_pretty(&record.to_json()).map_err(|e| e.to_string())?;
+            let text = serde_json::to_string_pretty(&record).map_err(|e| e.to_string())?;
             println!("{text}");
             Ok(ExitCode::SUCCESS)
         }

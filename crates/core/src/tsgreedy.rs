@@ -24,9 +24,7 @@ use std::sync::Arc;
 use dblayout_disksim::{DiskSpec, Layout};
 use dblayout_obs::counters::{self, Counter, CounterSnapshot};
 use dblayout_obs::{f, Collector, Span};
-use dblayout_partition::{
-    max_cut_partition, multilevel_max_cut, multilevel_max_cut_with, Graph, MultilevelConfig,
-};
+use dblayout_partition::{max_cut_partition, multilevel_max_cut, Graph};
 use dblayout_planner::Subplan;
 
 use crate::constraints::Constraints;
@@ -37,18 +35,15 @@ use crate::par;
 #[derive(Debug, Clone)]
 pub enum Partitioner {
     /// KL directly on the (contracted) access graph — the paper's
-    /// algorithm, O(n²·deg) per pass. Fine to hundreds of nodes.
-    Direct,
-    /// The multilevel V-cycle: heavy-edge coarsen, KL on the coarsest
-    /// graph, uncoarsen with boundary refinement. Near-linear, built for
-    /// the mega-scale family.
-    Multilevel(MultilevelConfig),
-    /// [`Partitioner::Direct`] at or below `threshold` graph nodes,
-    /// [`Partitioner::Multilevel`] (default config) above. The default:
-    /// paper-scale searches stay bit-identical to Direct (multilevel
-    /// never engages), mega-scale searches get the near-linear path.
+    /// algorithm, O(n²·deg) per pass — at or below `threshold` graph
+    /// nodes; the multilevel V-cycle (heavy-edge coarsen, KL on the
+    /// coarsest graph, uncoarsen with boundary refinement; near-linear)
+    /// above. `threshold: usize::MAX` always runs direct KL and
+    /// `threshold: 0` always runs the V-cycle. The default keeps
+    /// paper-scale searches on direct KL and gives mega-scale searches
+    /// the near-linear path.
     Auto {
-        /// Largest node count still sent to Direct.
+        /// Largest node count still sent to direct KL.
         threshold: usize,
     },
 }
@@ -56,7 +51,7 @@ pub enum Partitioner {
 impl Default for Partitioner {
     fn default() -> Self {
         // Below ~200 nodes a KL pass is microseconds — coarsening
-        // overhead isn't worth buying back, and Direct keeps the
+        // overhead isn't worth buying back, and direct KL keeps the
         // committed paper-scale results bit-identical.
         Partitioner::Auto { threshold: 192 }
     }
@@ -1208,16 +1203,11 @@ fn step1_layout(
     let m = disks.len();
     let g_count = members.len();
     let p = m.min(g_count).max(1);
-    let (assignment, method) = match partitioner {
-        Partitioner::Direct => (max_cut_partition(cg, p), "direct"),
-        Partitioner::Multilevel(ml) => (multilevel_max_cut_with(cg, p, ml), "multilevel"),
-        Partitioner::Auto { threshold } => {
-            if cg.len() > *threshold {
-                (multilevel_max_cut(cg, p), "multilevel")
-            } else {
-                (max_cut_partition(cg, p), "direct")
-            }
-        }
+    let Partitioner::Auto { threshold } = partitioner;
+    let (assignment, method) = if cg.len() > *threshold {
+        (multilevel_max_cut(cg, p), "multilevel")
+    } else {
+        (max_cut_partition(cg, p), "direct")
     };
     let mut partitions: Vec<Vec<usize>> = vec![Vec::new(); p]; // group ids
     for (gi, &part) in assignment.iter().enumerate() {
@@ -1943,8 +1933,8 @@ mod tests {
     }
 
     /// Forcing the multilevel partitioner on a paper-scale graph matches
-    /// Direct bit-for-bit (no coarsening levels engage below the floor),
-    /// and Auto's threshold selects between the same two paths.
+    /// direct KL bit-for-bit (no coarsening levels engage below the floor),
+    /// and so does the default threshold.
     #[test]
     fn multilevel_partitioner_matches_direct_at_small_scale() {
         let (sizes, graph, workload, disks) = parallel_fixture();
@@ -1961,15 +1951,12 @@ mod tests {
             )
             .unwrap()
         };
-        let direct = run(Partitioner::Direct);
+        let direct = run(Partitioner::Auto {
+            threshold: usize::MAX,
+        });
         let auto_default = run(Partitioner::default());
-        let multilevel = run(Partitioner::Multilevel(Default::default()));
-        let auto_forced = run(Partitioner::Auto { threshold: 0 });
-        for (name, r) in [
-            ("auto", &auto_default),
-            ("multilevel", &multilevel),
-            ("auto-forced", &auto_forced),
-        ] {
+        let multilevel = run(Partitioner::Auto { threshold: 0 });
+        for (name, r) in [("auto", &auto_default), ("multilevel", &multilevel)] {
             assert_eq!(
                 layout_bits(&r.layout),
                 layout_bits(&direct.layout),

@@ -25,10 +25,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::record::{FieldValue, Record, RecordKind};
-use crate::sink::Sink;
+use crate::sink::RingSink;
 
 struct CollectorInner {
-    sink: Arc<dyn Sink>,
+    sink: Arc<RingSink>,
     /// Next record sequence number. Unique per record; each thread's own
     /// records carry increasing values.
     seq: AtomicU64,
@@ -66,7 +66,7 @@ impl Collector {
     }
 
     /// A collector writing to `sink`, recording span durations.
-    pub fn new(sink: Arc<dyn Sink>) -> Self {
+    pub fn new(sink: Arc<RingSink>) -> Self {
         Collector(Some(Arc::new(CollectorInner {
             sink,
             seq: AtomicU64::new(0),
@@ -78,7 +78,7 @@ impl Collector {
     /// A collector writing to `sink` with timing off: no `elapsed_us` on
     /// span ends, so identical work yields identical traces. Used by
     /// `dblayout explain`.
-    pub fn deterministic(sink: Arc<dyn Sink>) -> Self {
+    pub fn deterministic(sink: Arc<RingSink>) -> Self {
         Collector(Some(Arc::new(CollectorInner {
             sink,
             seq: AtomicU64::new(0),
@@ -248,7 +248,6 @@ impl Drop for Span {
 mod tests {
     use super::*;
     use crate::record::{f, RecordKind};
-    use crate::sink::RingSink;
 
     #[test]
     fn disabled_collector_is_inert() {

@@ -1,10 +1,10 @@
 //! # dblayout-obs — structured tracing for the layout advisor
 //!
 //! A std-only tracing subsystem: hierarchical [`Span`]s with monotonic
-//! ids, typed key/value events ([`FieldValue`]), and thread-safe sinks —
-//! a bounded in-memory ring ([`RingSink`]) and null (a disabled
-//! [`Collector`]). [`Record::to_jsonl`] and [`parse_trace`] are the JSONL
-//! serialization of a drained ring.
+//! ids, typed key/value events ([`FieldValue`]), and one thread-safe
+//! sink, a bounded in-memory ring ([`RingSink`]); a disabled
+//! [`Collector`] emits nowhere. [`Record::to_jsonl`] and [`parse_trace`]
+//! are the JSONL serialization of a drained ring.
 //!
 //! Design constraints, in priority order:
 //!
@@ -75,7 +75,7 @@ mod sink;
 
 pub use collector::{Collector, Span};
 pub use record::{f, parse_trace, FieldValue, Record, RecordKind, TraceParseError};
-pub use sink::{RingSink, Sink};
+pub use sink::RingSink;
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

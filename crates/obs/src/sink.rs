@@ -1,11 +1,10 @@
-//! Sinks: where emitted records go.
+//! The sink: where emitted records go.
 //!
-//! A sink must be cheap, thread-safe, and total — the emit path never
+//! The sink must be cheap, thread-safe, and total — the emit path never
 //! panics and never blocks on anything slower than a short mutex hold.
-//! Two sinks cover the repo's needs: [`RingSink`] keeps the newest N
-//! records in memory (the server's `trace` request drains it, and the
-//! CLI's `--trace-out` writes a drained ring as JSONL), and the null sink
-//! is simply a disabled [`crate::Collector`].
+//! [`RingSink`] keeps the newest N records in memory (the server's
+//! `trace` request drains it, and the CLI's `--trace-out` writes a drained
+//! ring as JSONL); a disabled [`crate::Collector`] emits nowhere.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -13,14 +12,6 @@ use std::sync::Mutex;
 
 use crate::lock_unpoisoned;
 use crate::record::Record;
-
-/// Destination for trace records. Implementations must tolerate concurrent
-/// `emit` calls and must not panic.
-pub trait Sink: Send + Sync {
-    /// Accepts one record. Errors are swallowed (and counted where the
-    /// sink can) — tracing must never take down the traced program.
-    fn emit(&self, record: Record);
-}
 
 /// Bounded in-memory buffer keeping the most recent records; older records
 /// are dropped (and counted) once capacity is reached.
@@ -88,10 +79,11 @@ impl RingSink {
         let dropped = self.dropped.load(Ordering::Relaxed);
         (records, dropped)
     }
-}
 
-impl Sink for RingSink {
-    fn emit(&self, record: Record) {
+    /// Accepts one record, evicting (and counting) the oldest at capacity.
+    /// Safe under concurrent calls and never panics — tracing must never
+    /// take down the traced program.
+    pub fn emit(&self, record: Record) {
         if self.capacity == 0 {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;

@@ -40,6 +40,4 @@ pub mod multilevel;
 pub use coarsen::{coarsen as coarsen_graph, heavy_edge_matching, Coarsening};
 pub use graph::Graph;
 pub use kl::{exhaustive_max_cut, greedy_seed, kl_bipartition, max_cut_partition};
-pub use multilevel::{
-    balance_pass, multilevel_max_cut, multilevel_max_cut_with, refine_max_cut, MultilevelConfig,
-};
+pub use multilevel::{balance_pass, multilevel_max_cut, refine_max_cut};

@@ -5,7 +5,7 @@
 //! O(n²·deg) — fine for paper-scale access graphs (dozens of objects),
 //! hopeless for the mega-scale family (thousands). The multilevel pipeline
 //! runs the expensive direct search only on a graph contracted below
-//! `coarsest_nodes`, then walks the coarsening hierarchy back up,
+//! `COARSEST_NODES`, then walks the coarsening hierarchy back up,
 //! projecting the partition through each level's fine→coarse map and
 //! repairing it with cheap single-node gain sweeps (O(E + n·parts) per
 //! pass, bounded passes) instead of the quadratic KL pass.
@@ -24,41 +24,22 @@ use crate::coarsen::coarsen;
 use crate::graph::Graph;
 use crate::kl::{greedy_seed, max_cut_partition};
 
-/// Tuning knobs for the multilevel V-cycle. The defaults keep the coarsest
-/// direct search around a hundred nodes, where `max_cut_partition` costs
-/// single-digit milliseconds.
-#[derive(Debug, Clone)]
-pub struct MultilevelConfig {
-    /// Stop coarsening once the graph has at most this many nodes; the
-    /// direct KL search runs there.
-    pub coarsest_nodes: usize,
-    /// Abort coarsening early when a level fails to shrink the node count
-    /// by at least this factor (guards against matching stalls on graphs
-    /// with many isolated nodes).
-    pub min_shrink: f64,
-    /// Upper bound on refinement sweeps per uncoarsening level; each sweep
-    /// stops early once no node moves.
-    pub max_refine_passes: usize,
-    /// Upper bound on cut-neutral balance sweeps after the V-cycle; each
-    /// sweep stops early once no node moves. See [`balance_pass`].
-    pub max_balance_passes: usize,
-}
+// V-cycle tuning. These keep the coarsest direct search around a hundred
+// nodes, where `max_cut_partition` costs single-digit milliseconds.
 
-impl Default for MultilevelConfig {
-    fn default() -> Self {
-        Self {
-            coarsest_nodes: 96,
-            min_shrink: 0.95,
-            max_refine_passes: 24,
-            max_balance_passes: 16,
-        }
-    }
-}
-
-/// `multilevel_max_cut_with` under the default configuration.
-pub fn multilevel_max_cut(g: &Graph, parts: usize) -> Vec<usize> {
-    multilevel_max_cut_with(g, parts, &MultilevelConfig::default())
-}
+/// Stop coarsening once the graph has at most this many nodes; the direct
+/// KL search runs there.
+const COARSEST_NODES: usize = 96;
+/// Abort coarsening early when a level fails to shrink the node count by
+/// at least this factor (guards against matching stalls on graphs with
+/// many isolated nodes).
+const MIN_SHRINK: f64 = 0.95;
+/// Upper bound on refinement sweeps per uncoarsening level; each sweep
+/// stops early once no node moves.
+const MAX_REFINE_PASSES: usize = 24;
+/// Upper bound on cut-neutral balance sweeps after the V-cycle; each sweep
+/// stops early once no node moves. See [`balance_pass`].
+const MAX_BALANCE_PASSES: usize = 16;
 
 /// Partitions `g` into `parts` groups maximizing cut weight via the
 /// coarsen / direct-search / refine V-cycle. Deterministic: identical
@@ -66,7 +47,7 @@ pub fn multilevel_max_cut(g: &Graph, parts: usize) -> Vec<usize> {
 ///
 /// # Panics
 /// Panics (via `assert!`) when `parts == 0`.
-pub fn multilevel_max_cut_with(g: &Graph, parts: usize, cfg: &MultilevelConfig) -> Vec<usize> {
+pub fn multilevel_max_cut(g: &Graph, parts: usize) -> Vec<usize> {
     assert!(parts >= 1, "need at least one partition");
     let n = g.len();
     if n == 0 {
@@ -82,11 +63,11 @@ pub fn multilevel_max_cut_with(g: &Graph, parts: usize, cfg: &MultilevelConfig) 
     let mut maps: Vec<Vec<usize>> = Vec::new();
     loop {
         let cur = graphs.last().unwrap_or(g);
-        if cur.len() <= cfg.coarsest_nodes {
+        if cur.len() <= COARSEST_NODES {
             break;
         }
         let c = coarsen(cur);
-        if (c.graph.len() as f64) > (cur.len() as f64) * cfg.min_shrink {
+        if (c.graph.len() as f64) > (cur.len() as f64) * MIN_SHRINK {
             break;
         }
         maps.push(c.map);
@@ -105,7 +86,7 @@ pub fn multilevel_max_cut_with(g: &Graph, parts: usize, cfg: &MultilevelConfig) 
         for (u, slot) in projected.iter_mut().enumerate() {
             *slot = assignment[map[u]];
         }
-        refine_max_cut(fine, parts, &mut projected, cfg.max_refine_passes);
+        refine_max_cut(fine, parts, &mut projected, MAX_REFINE_PASSES);
         assignment = projected;
     }
 
@@ -117,7 +98,7 @@ pub fn multilevel_max_cut_with(g: &Graph, parts: usize, cfg: &MultilevelConfig) 
     // contenders are deterministic, so the winner is too.
     if !graphs.is_empty() {
         let mut challenger = greedy_seed(g, parts);
-        refine_max_cut(g, parts, &mut challenger, cfg.max_refine_passes);
+        refine_max_cut(g, parts, &mut challenger, MAX_REFINE_PASSES);
         if g.cut_weight(&challenger) > g.cut_weight(&assignment) + 1e-12 {
             assignment = challenger;
         }
@@ -127,9 +108,9 @@ pub fn multilevel_max_cut_with(g: &Graph, parts: usize, cfg: &MultilevelConfig) 
         // edge matching produces lumpy supernodes whose projection loads a
         // few parts far beyond their share. Rebalance with moves that
         // provably leave the cut untouched.
-        balance_pass(g, parts, &mut assignment, cfg.max_balance_passes);
+        balance_pass(g, parts, &mut assignment, MAX_BALANCE_PASSES);
     }
-    // When the input was already at or below `coarsest_nodes` no levels
+    // When the input was already at or below `COARSEST_NODES` no levels
     // exist; the direct result on `g` itself is returned untouched, so the
     // small-graph path is bit-identical to plain `max_cut_partition`.
     assignment
@@ -396,7 +377,7 @@ mod tests {
             let ml = multilevel_max_cut(&g, 3);
             assert_eq!(
                 direct, ml,
-                "seed {seed}: 40 ≤ coarsest_nodes ⇒ identical path"
+                "seed {seed}: 40 ≤ COARSEST_NODES ⇒ identical path"
             );
         }
     }

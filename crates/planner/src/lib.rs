@@ -45,6 +45,6 @@ pub mod showplan;
 pub use access::{AccessKind, ObjectAccess, Subplan};
 pub use error::{PlanError, PlanResult};
 pub use explain::explain;
-pub use optimizer::{plan_statement, Optimizer, OptimizerConfig};
+pub use optimizer::{plan_statement, Optimizer};
 pub use physical::{PhysicalPlan, PlanNode};
 pub use showplan::parse_explain;

@@ -19,44 +19,28 @@ use crate::explain::render_expr;
 use crate::physical::{PhysicalPlan, PlanNode};
 use crate::selectivity::{join_selectivity, predicate_selectivity, SEL_UNKNOWN};
 
-/// Tunables for plan choice.
-#[derive(Debug, Clone)]
-pub struct OptimizerConfig {
-    /// Memory grant per blocking operator, in blocks (default 512 = 32 MB);
-    /// larger inputs spill to tempdb.
-    pub memory_grant_blocks: u64,
-    /// Cost multiplier for random-block reads relative to sequential.
-    pub random_io_weight: f64,
-    /// Extra cost per build-side block of a hash join (hashing overhead).
-    pub hash_build_factor: f64,
-    /// Cost per block of an in-memory sort (CPU).
-    pub sort_cpu_factor: f64,
-    /// Cost per block of tempdb spill I/O (write + read back).
-    pub spill_io_factor: f64,
-    /// CPU cost per row flowing through an operator, in block units.
-    pub row_cpu_cost: f64,
-    /// Extra CPU cost per nested-loops probe (index navigation per outer
-    /// row), in block units. Steers large intermediates toward hash joins,
-    /// as production optimizers do.
-    pub nl_probe_cost: f64,
-    /// Maximum number of candidate plans retained per join subset.
-    pub max_candidates: usize,
-}
+// Plan-choice cost weights: they decide which plan wins, and the layout
+// advisor's Figure-7 model (dblayout-core) prices the winner on its own.
 
-impl Default for OptimizerConfig {
-    fn default() -> Self {
-        Self {
-            memory_grant_blocks: 512,
-            random_io_weight: 3.0,
-            hash_build_factor: 1.2,
-            sort_cpu_factor: 0.5,
-            spill_io_factor: 2.0,
-            row_cpu_cost: 5e-5,
-            nl_probe_cost: 3e-4,
-            max_candidates: 5,
-        }
-    }
-}
+/// Memory grant per blocking operator, in blocks (512 = 32 MB); larger
+/// inputs spill to tempdb.
+const MEMORY_GRANT_BLOCKS: u64 = 512;
+/// Cost multiplier for random-block reads relative to sequential.
+const RANDOM_IO_WEIGHT: f64 = 3.0;
+/// Extra cost per build-side block of a hash join (hashing overhead).
+const HASH_BUILD_FACTOR: f64 = 1.2;
+/// Cost per block of an in-memory sort (CPU).
+const SORT_CPU_FACTOR: f64 = 0.5;
+/// Cost per block of tempdb spill I/O (write + read back).
+const SPILL_IO_FACTOR: f64 = 2.0;
+/// CPU cost per row flowing through an operator, in block units.
+const ROW_CPU_COST: f64 = 5e-5;
+/// Extra CPU cost per nested-loops probe (index navigation per outer row),
+/// in block units. Steers large intermediates toward hash joins, as
+/// production optimizers do.
+const NL_PROBE_COST: f64 = 3e-4;
+/// Maximum number of candidate plans retained per join subset.
+const MAX_CANDIDATES: usize = 5;
 
 /// Most FROM-clause bindings one SELECT may join. The join-order DP visits
 /// every subset of the bindings, so its time and memory double with each
@@ -64,7 +48,7 @@ impl Default for OptimizerConfig {
 /// binds more than 8.
 pub const MAX_JOIN_BINDINGS: usize = 16;
 
-/// Plans `stmt` against `catalog` with default configuration.
+/// Plans `stmt` against `catalog`.
 pub fn plan_statement(catalog: &Catalog, stmt: &Statement) -> PlanResult<PhysicalPlan> {
     Optimizer::new(catalog).plan(stmt)
 }
@@ -72,7 +56,6 @@ pub fn plan_statement(catalog: &Catalog, stmt: &Statement) -> PlanResult<Physica
 /// The query optimizer.
 pub struct Optimizer<'a> {
     catalog: &'a Catalog,
-    cfg: OptimizerConfig,
 }
 
 /// A table instance in scope (FROM-clause binding).
@@ -207,17 +190,9 @@ impl OrderKeys {
 }
 
 impl<'a> Optimizer<'a> {
-    /// Creates an optimizer with default configuration.
+    /// Creates an optimizer over `catalog`.
     pub fn new(catalog: &'a Catalog) -> Self {
-        Self {
-            catalog,
-            cfg: OptimizerConfig::default(),
-        }
-    }
-
-    /// Creates an optimizer with an explicit configuration.
-    pub fn with_config(catalog: &'a Catalog, cfg: OptimizerConfig) -> Self {
-        Self { catalog, cfg }
+        Self { catalog }
     }
 
     /// Produces the physical plan for a statement.
@@ -273,7 +248,7 @@ impl<'a> Optimizer<'a> {
                             order,
                             recipe: Rc::new(Recipe::Access(c.node)),
                         };
-                        admit(&mut frontier, entry, self.cfg.max_candidates);
+                        admit(&mut frontier, entry, MAX_CANDIDATES);
                     }
                 }
                 frontier
@@ -396,13 +371,12 @@ impl<'a> Optimizer<'a> {
                     // themselves overflow the grant.
                     let group_blocks = est_blocks(groups, group_width);
                     let input_blocks = est_blocks(cand.rows, cand.width);
-                    let spill = if group_blocks > self.cfg.memory_grant_blocks {
+                    let spill = if group_blocks > MEMORY_GRANT_BLOCKS {
                         input_blocks
                     } else {
                         0
                     };
-                    cand.cost +=
-                        self.cfg.spill_io_factor * spill as f64 + self.cfg.row_cpu_cost * cand.rows;
+                    cand.cost += SPILL_IO_FACTOR * spill as f64 + ROW_CPU_COST * cand.rows;
                     cand.node = PlanNode::HashAggregate {
                         rows: groups,
                         spill_blocks: spill,
@@ -440,12 +414,12 @@ impl<'a> Optimizer<'a> {
             let groups = (cand.rows / 2.0).max(1.0);
             let input_blocks = est_blocks(cand.rows, cand.width);
             let group_blocks = est_blocks(groups, cand.width);
-            let spill = if group_blocks > self.cfg.memory_grant_blocks {
+            let spill = if group_blocks > MEMORY_GRANT_BLOCKS {
                 input_blocks
             } else {
                 0
             };
-            cand.cost += self.cfg.spill_io_factor * spill as f64;
+            cand.cost += SPILL_IO_FACTOR * spill as f64;
             cand.node = PlanNode::HashAggregate {
                 rows: groups,
                 spill_blocks: spill,
@@ -467,15 +441,15 @@ impl<'a> Optimizer<'a> {
             let already = target.is_some() && cand.order == target && q.order_by.len() == 1;
             if !already {
                 let blocks = est_blocks(cand.rows, cand.width);
-                let spill = if blocks > self.cfg.memory_grant_blocks {
+                let spill = if blocks > MEMORY_GRANT_BLOCKS {
                     blocks
                 } else {
                     0
                 };
                 cand.cost += if spill > 0 {
-                    self.cfg.spill_io_factor * spill as f64
+                    SPILL_IO_FACTOR * spill as f64
                 } else {
-                    self.cfg.sort_cpu_factor * blocks as f64
+                    SORT_CPU_FACTOR * blocks as f64
                 };
                 let by = q
                     .order_by
@@ -741,7 +715,7 @@ impl<'a> Optimizer<'a> {
                 },
                 table.row_count as f64,
             ),
-            cost: table_blocks as f64 + self.cfg.row_cpu_cost * table.row_count as f64,
+            cost: table_blocks as f64 + ROW_CPU_COST * table.row_count as f64,
             rows: rows_out,
             width: table.row_bytes,
             order: order.clone(),
@@ -772,7 +746,7 @@ impl<'a> Optimizer<'a> {
                         },
                         scanned,
                     ),
-                    cost: blocks as f64 + self.cfg.row_cpu_cost * scanned,
+                    cost: blocks as f64 + ROW_CPU_COST * scanned,
                     rows: rows_out,
                     width: table.row_bytes,
                     order: order.clone(),
@@ -811,7 +785,7 @@ impl<'a> Optimizer<'a> {
             let (node, cost, width) = if covering {
                 (
                     seek,
-                    leaf_blocks as f64 + self.cfg.row_cpu_cost * match_rows,
+                    leaf_blocks as f64 + ROW_CPU_COST * match_rows,
                     idx.entry_bytes,
                 )
             } else {
@@ -825,8 +799,8 @@ impl<'a> Optimizer<'a> {
                         child: Box::new(seek),
                     },
                     leaf_blocks as f64
-                        + self.cfg.random_io_weight * lookup_blocks as f64
-                        + self.cfg.row_cpu_cost * match_rows,
+                        + RANDOM_IO_WEIGHT * lookup_blocks as f64
+                        + ROW_CPU_COST * match_rows,
                     table.row_bytes,
                 )
             };
@@ -945,7 +919,7 @@ impl<'a> Optimizer<'a> {
                     order,
                     recipe: Rc::new(recipe),
                 },
-                self.cfg.max_candidates,
+                MAX_CANDIDATES,
             );
         };
 
@@ -957,26 +931,23 @@ impl<'a> Optimizer<'a> {
             }
             let (cost, sort) = if left.order == Some(lk) {
                 (
-                    left.cost + right.cost + self.cfg.row_cpu_cost * (left.rows + right.rows),
+                    left.cost + right.cost + ROW_CPU_COST * (left.rows + right.rows),
                     None,
                 )
             } else {
                 let blocks = est_blocks(left.rows, left.width);
-                let spill = if blocks > self.cfg.memory_grant_blocks {
+                let spill = if blocks > MEMORY_GRANT_BLOCKS {
                     blocks
                 } else {
                     0
                 };
                 let sort_cost = if spill > 0 {
-                    self.cfg.spill_io_factor * spill as f64
+                    SPILL_IO_FACTOR * spill as f64
                 } else {
-                    self.cfg.sort_cpu_factor * blocks as f64
+                    SORT_CPU_FACTOR * blocks as f64
                 };
                 (
-                    left.cost
-                        + right.cost
-                        + sort_cost
-                        + self.cfg.row_cpu_cost * (left.rows + right.rows),
+                    left.cost + right.cost + sort_cost + ROW_CPU_COST * (left.rows + right.rows),
                     Some(spill),
                 )
             };
@@ -992,7 +963,7 @@ impl<'a> Optimizer<'a> {
             (right, left)
         };
         let build_blocks = est_blocks(build.rows, build.width);
-        let spill = if build_blocks > self.cfg.memory_grant_blocks {
+        let spill = if build_blocks > MEMORY_GRANT_BLOCKS {
             build_blocks
         } else {
             0
@@ -1000,9 +971,9 @@ impl<'a> Optimizer<'a> {
         offer(
             left.cost
                 + right.cost
-                + self.cfg.hash_build_factor * build_blocks as f64
-                + self.cfg.spill_io_factor * spill as f64
-                + self.cfg.row_cpu_cost * (left.rows + right.rows),
+                + HASH_BUILD_FACTOR * build_blocks as f64
+                + SPILL_IO_FACTOR * spill as f64
+                + ROW_CPU_COST * (left.rows + right.rows),
             probe.order,
             JoinOp::Hash {
                 build_left,
@@ -1017,7 +988,7 @@ impl<'a> Optimizer<'a> {
         if let Some(probe) = &ctx.probe {
             let (inner_cost, _) = self.nl_inner(probe, right_table, left.rows, rows);
             offer(
-                left.cost + inner_cost + self.cfg.row_cpu_cost * left.rows,
+                left.cost + inner_cost + ROW_CPU_COST * left.rows,
                 left.order,
                 JoinOp::NestedLoops,
             );
@@ -1060,9 +1031,9 @@ impl<'a> Optimizer<'a> {
                 cardenas_blocks(match_rows, table_blocks),
             ),
         };
-        let cost = self.cfg.random_io_weight * (probed + looked_up) as f64
-            + self.cfg.row_cpu_cost * match_rows
-            + self.cfg.nl_probe_cost * probes;
+        let cost = RANDOM_IO_WEIGHT * (probed + looked_up) as f64
+            + ROW_CPU_COST * match_rows
+            + NL_PROBE_COST * probes;
         (cost, (probed, looked_up))
     }
 
@@ -1182,15 +1153,15 @@ impl<'a> Optimizer<'a> {
                     SEL_UNKNOWN
                 };
                 let build_blocks = est_blocks(inner.rows, inner.width);
-                let spill = if build_blocks > self.cfg.memory_grant_blocks {
+                let spill = if build_blocks > MEMORY_GRANT_BLOCKS {
                     build_blocks
                 } else {
                     0
                 };
                 cand.rows = (cand.rows * sel).max(1e-3);
                 cand.cost += inner.cost
-                    + self.cfg.hash_build_factor * build_blocks as f64
-                    + self.cfg.spill_io_factor * spill as f64;
+                    + HASH_BUILD_FACTOR * build_blocks as f64
+                    + SPILL_IO_FACTOR * spill as f64;
                 cand.node = PlanNode::HashJoin {
                     on: "semijoin".into(),
                     rows: cand.rows,

@@ -6,7 +6,6 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use dblayout_audit::{
     record_budgeted, record_recommendation, replay, AuditError, DecisionLog, DecisionRecord,
@@ -23,15 +22,16 @@ use dblayout_obs::{Collector, RingSink};
 use dblayout_relayout::{
     detect_drift, plan_migration, recommend_budgeted, BudgetConfig, DriftConfig, PlanError,
 };
+use serde::Serialize;
 use serde_json::Value;
 
 use crate::metrics::{render_prometheus, Gauges, Metrics};
 use crate::protocol::{obj, recommendation_result, resolve_disks, ApiError, LayoutSpec, Request};
 use crate::session::{layout_hash, CostCache, Session, SessionRegistry};
 
-/// Default capacity of the engine's bounded trace ring buffer (records,
-/// not requests; each served request emits two span records).
-pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
+/// Capacity of the engine's bounded trace ring buffer (records, not
+/// requests; each served request emits two span records).
+pub const TRACE_CAPACITY: usize = 4096;
 
 /// Transport-side gauges folded into `stats` and `metrics` responses (zero
 /// when driving the engine in-process).
@@ -68,18 +68,10 @@ pub struct Engine {
 
 impl Engine {
     /// An engine bounded to `session_capacity` open sessions and
-    /// `cache_capacity` memoized costs, with the default trace ring.
+    /// `cache_capacity` memoized costs, with a trace ring of
+    /// [`TRACE_CAPACITY`] records.
     pub fn new(session_capacity: usize, cache_capacity: usize) -> Self {
-        Self::with_trace_capacity(session_capacity, cache_capacity, DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// [`Engine::new`] with an explicit trace ring capacity (in records).
-    pub fn with_trace_capacity(
-        session_capacity: usize,
-        cache_capacity: usize,
-        trace_capacity: usize,
-    ) -> Self {
-        let trace = Arc::new(RingSink::new(trace_capacity));
+        let trace = Arc::new(RingSink::new(TRACE_CAPACITY));
         Self {
             registry: Mutex::new(SessionRegistry::new(session_capacity)),
             cache: Mutex::new(CostCache::new(cache_capacity)),
@@ -124,20 +116,12 @@ impl Engine {
         (value, rows)
     }
 
-    /// Sets (or clears) the max-idle session TTL; idle sessions are swept
-    /// on request entry. `None` (the default) disables eviction.
-    pub fn set_session_idle_ttl(&self, ttl: Option<Duration>) {
-        crate::lock_unpoisoned(&self.registry).set_idle_ttl(ttl);
-    }
-
     /// Samples the engine-owned gauges, folding in the transport-owned
     /// connection count.
     fn gauges(&self, runtime: &RuntimeInfo) -> Gauges {
-        let registry = crate::lock_unpoisoned(&self.registry);
         Gauges {
             connections_open: runtime.connections_open,
-            sessions_open: registry.len() as u64,
-            sessions_evicted_total: registry.evicted_total(),
+            sessions_open: crate::lock_unpoisoned(&self.registry).len() as u64,
             cache_entries: crate::lock_unpoisoned(&self.cache).len() as u64,
         }
     }
@@ -150,16 +134,6 @@ impl Engine {
         clippy::match_wildcard_for_single_variants
     )]
     pub fn execute(&self, request: Request, runtime: &RuntimeInfo) -> Result<Value, ApiError> {
-        // Reclaim sessions idle past the configured TTL (no-op when the
-        // TTL is unset) before dispatching, so an expired session answers
-        // `unknown_session` instead of being silently revived.
-        let evicted = crate::lock_unpoisoned(&self.registry).sweep_idle();
-        if !evicted.is_empty() {
-            let mut cache = crate::lock_unpoisoned(&self.cache);
-            for id in evicted {
-                cache.invalidate_session(id);
-            }
-        }
         match request {
             Request::OpenSession {
                 catalog,
@@ -463,10 +437,6 @@ impl Engine {
                     ("connections_total", Value::U64(m.connections_total)),
                     ("rejected_total", Value::U64(m.rejected_total)),
                     ("sessions_open", Value::U64(g.sessions_open)),
-                    (
-                        "sessions_evicted_total",
-                        Value::U64(g.sessions_evicted_total),
-                    ),
                     ("cache_entries", Value::U64(g.cache_entries)),
                     ("cache_hits", Value::U64(m.cache_hits)),
                     ("cache_misses", Value::U64(m.cache_misses)),
@@ -536,7 +506,7 @@ impl Engine {
                     ("count", Value::U64(summaries.len() as u64)),
                     (
                         "decisions",
-                        Value::Seq(summaries.iter().map(|d| d.to_json()).collect()),
+                        Value::Seq(summaries.iter().map(Serialize::to_content).collect()),
                     ),
                 ]))
             }
@@ -548,7 +518,7 @@ impl Engine {
                 let record = crate::lock_unpoisoned(log)
                     .get(id)
                     .map_err(audit_api_error)?;
-                let mut pairs = vec![("record".to_string(), record.to_json())];
+                let mut pairs = vec![("record".to_string(), record.to_content())];
                 if run_replay {
                     let report = {
                         let _phase = self.prof.phase("replay");
@@ -637,6 +607,7 @@ fn fraction_rows(layout: &Layout) -> Value {
 mod tests {
     use super::*;
     use serde_json::ValueExt;
+    use std::time::Duration;
 
     fn exec(engine: &Engine, req: Request) -> Value {
         engine

@@ -60,7 +60,7 @@ pub use client::Client;
 
 // Every mutex acquisition recovers poisoning (rule R2, DESIGN.md §5).
 pub(crate) use dblayout_obs::lock_unpoisoned;
-pub use engine::{Engine, RuntimeInfo, DEFAULT_TRACE_CAPACITY};
+pub use engine::{Engine, RuntimeInfo, TRACE_CAPACITY};
 pub use metrics::{
     render_prometheus, Gauges, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot,
     StatsSnapshot,

@@ -120,9 +120,6 @@ pub struct Gauges {
     pub connections_open: u64,
     /// Sessions currently open.
     pub sessions_open: u64,
-    /// Sessions evicted by idle-TTL sweeps since startup (a counter that
-    /// rides along with the gauges because the registry owns it).
-    pub sessions_evicted_total: u64,
     /// Entries resident in the what-if cost cache.
     pub cache_entries: u64,
 }
@@ -403,11 +400,6 @@ pub fn render_prometheus(s: &MetricsSnapshot) -> String {
     push_counter(&mut out, "dblayout_cache_misses_total", c.cache_misses);
     push_counter(
         &mut out,
-        "dblayout_sessions_evicted_total",
-        c.gauges.sessions_evicted_total,
-    );
-    push_counter(
-        &mut out,
         "dblayout_trace_dropped_total",
         s.trace_dropped_total,
     );
@@ -580,7 +572,6 @@ mod tests {
         let text = render_prometheus(&m.snapshot_with_gauges(Gauges {
             connections_open: 2,
             sessions_open: 3,
-            sessions_evicted_total: 6,
             cache_entries: 4,
         }));
         assert!(text.contains("dblayout_requests_total 5\n"), "{text}");
@@ -593,10 +584,6 @@ mod tests {
         assert!(!text.contains("dblayout_rejected_total"), "{text}");
         assert!(text.contains("dblayout_connections_open 2\n"), "{text}");
         assert!(text.contains("dblayout_sessions_open 3\n"), "{text}");
-        assert!(
-            text.contains("dblayout_sessions_evicted_total 6\n"),
-            "{text}"
-        );
         assert!(text.contains("dblayout_cache_entries 4\n"), "{text}");
         assert!(
             text.contains("dblayout_request_latency_us{quantile=\"0.5\"} 103\n"),

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use dblayout_obs::f;
 
-use crate::engine::{Engine, RuntimeInfo, DEFAULT_TRACE_CAPACITY};
+use crate::engine::{Engine, RuntimeInfo};
 use crate::metrics::op_label;
 use crate::protocol::{err_line, ok_line, parse_request, ApiError, Request};
 
@@ -45,12 +45,6 @@ pub struct ServerConfig {
     pub session_capacity: usize,
     /// Maximum memoized what-if costs.
     pub cache_capacity: usize,
-    /// Capacity (in records) of the bounded trace ring the `trace` op
-    /// drains; oldest records are dropped first.
-    pub trace_capacity: usize,
-    /// Max-idle session TTL; sessions untouched for longer are evicted on
-    /// the next request. `None` (the default) keeps sessions until closed.
-    pub session_idle_ttl: Option<Duration>,
     /// Decision-log directory: when set, every recommendation op appends
     /// a replayable provenance record there and the `audit_list` /
     /// `audit_get` ops serve it. `None` (the default) disables recording.
@@ -65,8 +59,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(30),
             session_capacity: 64,
             cache_capacity: 1024,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
-            session_idle_ttl: None,
             audit_dir: None,
         }
     }
@@ -99,11 +91,7 @@ impl Server {
     pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let mut engine = Engine::with_trace_capacity(
-            config.session_capacity,
-            config.cache_capacity,
-            config.trace_capacity,
-        );
+        let mut engine = Engine::new(config.session_capacity, config.cache_capacity);
         if let Some(dir) = &config.audit_dir {
             engine
                 .enable_audit(dir)
@@ -115,9 +103,6 @@ impl Server {
             open: Mutex::new(BTreeMap::new()),
             config,
         });
-        shared
-            .engine
-            .set_session_idle_ttl(shared.config.session_idle_ttl);
 
         let acceptor = {
             let shared = Arc::clone(&shared);

@@ -25,7 +25,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 use dblayout_catalog::Catalog;
 use dblayout_core::costmodel::decompose_workload;
@@ -265,42 +264,21 @@ impl Session {
 /// The session table, bounded so a misbehaving client can't grow the server
 /// without limit. Sessions are handed out as `Arc<Mutex<_>>` so requests
 /// against *different* sessions run concurrently while the registry lock is
-/// held only for the lookup.
-///
-/// An optional max-idle TTL (off by default) lets long-running servers
-/// reclaim abandoned sessions: every lookup refreshes a session's last-used
-/// stamp, and [`SessionRegistry::sweep_idle`] — called by the engine on
-/// request entry — evicts sessions idle past the TTL, counting them in
-/// [`SessionRegistry::evicted_total`].
+/// held only for the lookup. A session lives until it is closed.
 pub struct SessionRegistry {
-    sessions: HashMap<u64, (Arc<Mutex<Session>>, Instant)>,
+    sessions: HashMap<u64, Arc<Mutex<Session>>>,
     next_id: u64,
     capacity: usize,
-    idle_ttl: Option<Duration>,
-    evicted_total: u64,
 }
 
 impl SessionRegistry {
-    /// An empty registry holding at most `capacity` concurrent sessions,
-    /// with idle eviction disabled.
+    /// An empty registry holding at most `capacity` concurrent sessions.
     pub fn new(capacity: usize) -> Self {
         Self {
             sessions: HashMap::new(),
             next_id: 1,
             capacity,
-            idle_ttl: None,
-            evicted_total: 0,
         }
-    }
-
-    /// Sets (or clears) the max-idle TTL. `None` disables idle eviction.
-    pub fn set_idle_ttl(&mut self, ttl: Option<Duration>) {
-        self.idle_ttl = ttl;
-    }
-
-    /// Sessions evicted by idle sweeps since the registry was created.
-    pub fn evicted_total(&self) -> u64 {
-        self.evicted_total
     }
 
     /// Opens a session, returning its id.
@@ -317,46 +295,16 @@ impl SessionRegistry {
         }
         let id = self.next_id;
         self.next_id += 1;
-        self.sessions
-            .insert(id, (Arc::new(Mutex::new(session)), Instant::now())); // dblayout::allow(R6, reason = "the timestamp only drives idle-TTL eviction, never advisory results; the zone edge is a name collision between DecisionLog file opens and this registry open")
+        self.sessions.insert(id, Arc::new(Mutex::new(session)));
         Ok(id)
     }
 
-    /// Handle to an open session (clone of its shared lock); refreshes the
-    /// session's last-used stamp.
-    pub fn get(&mut self, id: u64) -> Result<Arc<Mutex<Session>>, ApiError> {
-        match self.sessions.get_mut(&id) {
-            Some((handle, last_used)) => {
-                *last_used = Instant::now();
-                Ok(handle.clone())
-            }
-            None => Err(ApiError::new(
-                "unknown_session",
-                format!("no open session {id}"),
-            )),
-        }
-    }
-
-    /// Evicts every session idle longer than the configured TTL, returning
-    /// the evicted ids (empty when no TTL is set). The caller is
-    /// responsible for invalidating any per-session caches.
-    pub fn sweep_idle(&mut self) -> Vec<u64> {
-        let Some(ttl) = self.idle_ttl else {
-            return Vec::new();
-        };
-        let now = Instant::now();
-        let mut evicted: Vec<u64> = self
-            .sessions
-            .iter()
-            .filter(|(_, (_, last_used))| now.duration_since(*last_used) > ttl)
-            .map(|(&id, _)| id)
-            .collect();
-        evicted.sort_unstable();
-        for id in &evicted {
-            self.sessions.remove(id);
-        }
-        self.evicted_total += evicted.len() as u64;
-        evicted
+    /// Handle to an open session (clone of its shared lock).
+    pub fn get(&self, id: u64) -> Result<Arc<Mutex<Session>>, ApiError> {
+        self.sessions
+            .get(&id)
+            .cloned()
+            .ok_or_else(|| ApiError::new("unknown_session", format!("no open session {id}")))
     }
 
     /// Closes a session, dropping its resident state.
@@ -529,32 +477,6 @@ mod tests {
         assert!(c > a, "ids are never reused");
         assert!(reg.get(a).is_err());
         assert_eq!(crate::lock_unpoisoned(&reg.get(c).unwrap()).version, 0);
-    }
-
-    #[test]
-    fn idle_ttl_evicts_only_stale_sessions() {
-        let mut reg = SessionRegistry::new(8);
-        let a = reg.open(tpch_session()).unwrap();
-        let b = reg.open(tpch_session()).unwrap();
-        // No TTL configured: sweeping is a no-op.
-        assert!(reg.sweep_idle().is_empty());
-        assert_eq!(reg.evicted_total(), 0);
-
-        reg.set_idle_ttl(Some(Duration::from_millis(30)));
-        std::thread::sleep(Duration::from_millis(60));
-        // Touching `b` refreshes it; `a` stays stale.
-        reg.get(b).unwrap();
-        let evicted = reg.sweep_idle();
-        assert_eq!(evicted, vec![a]);
-        assert_eq!(reg.evicted_total(), 1);
-        assert!(reg.get(a).is_err());
-        assert!(reg.get(b).is_ok());
-
-        // Disabling the TTL stops further eviction.
-        reg.set_idle_ttl(None);
-        std::thread::sleep(Duration::from_millis(60));
-        assert!(reg.sweep_idle().is_empty());
-        assert_eq!(reg.len(), 1);
     }
 
     #[test]

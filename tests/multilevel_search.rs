@@ -13,7 +13,6 @@
 
 use dblayout_core::costmodel::CostModel;
 use dblayout_core::{build_access_graph_subplans, ts_greedy, Partitioner, TsGreedyConfig};
-use dblayout_partition::MultilevelConfig;
 use dblayout_workloads::wkmega::{generate, MegaConfig};
 
 /// Advised-layout cost bound under the identical iteration budget.
@@ -23,6 +22,13 @@ use dblayout_workloads::wkmega::{generate, MegaConfig};
 /// (Multilevel is allowed to be *better* — balance-aware coarsened
 /// partitions sometimes are.)
 const COST_RATIO_BOUND: f64 = 1.25;
+
+/// Direct KL at any graph size.
+const DIRECT: Partitioner = Partitioner::Auto {
+    threshold: usize::MAX,
+};
+/// The multilevel V-cycle at any graph size.
+const MULTILEVEL: Partitioner = Partitioner::Auto { threshold: 0 };
 
 #[test]
 fn multilevel_step1_matches_direct_search_quality_within_bound() {
@@ -49,8 +55,8 @@ fn multilevel_step1_matches_direct_search_quality_within_bound() {
         .expect("mega search succeeds")
     };
 
-    let direct = run(Partitioner::Direct);
-    let multilevel = run(Partitioner::Multilevel(MultilevelConfig::default()));
+    let direct = run(DIRECT);
+    let multilevel = run(MULTILEVEL);
 
     direct
         .layout
@@ -78,14 +84,14 @@ fn multilevel_step1_matches_direct_search_quality_within_bound() {
     );
 
     // Determinism: the multilevel path reproduces itself bit for bit.
-    let again = run(Partitioner::Multilevel(MultilevelConfig::default()));
+    let again = run(MULTILEVEL);
     assert_eq!(again.final_cost.to_bits(), multilevel.final_cost.to_bits());
     assert_eq!(again.iterations, multilevel.iterations);
 }
 
-/// `Partitioner::Auto` is the shipped default: below its threshold it must
-/// be bit-identical to `Direct`; above, it must route to multilevel and
-/// still beat the bound.
+/// `Partitioner::Auto` is the shipped default: at or below its threshold it
+/// must be bit-identical to direct KL; above, to the multilevel path. The
+/// default threshold sends this 260-node graph to the multilevel path.
 #[test]
 fn auto_partitioner_threshold_routes_both_ways() {
     let instance = generate(&MegaConfig::scaled(260, 12, 3));
@@ -106,17 +112,17 @@ fn auto_partitioner_threshold_routes_both_ways() {
         )
         .expect("mega search succeeds")
     };
-    let direct = run(Partitioner::Direct);
+    let direct = run(DIRECT);
     let auto_high = run(Partitioner::Auto { threshold: 100_000 });
     assert_eq!(
         auto_high.final_cost.to_bits(),
         direct.final_cost.to_bits(),
         "Auto above threshold must be the direct path bit for bit"
     );
-    let multilevel = run(Partitioner::Multilevel(MultilevelConfig::default()));
-    let auto_low = run(Partitioner::Auto { threshold: 0 });
+    let multilevel = run(MULTILEVEL);
+    let auto_default = run(Partitioner::default());
     assert_eq!(
-        auto_low.final_cost.to_bits(),
+        auto_default.final_cost.to_bits(),
         multilevel.final_cost.to_bits(),
         "Auto below threshold must be the multilevel path bit for bit"
     );

@@ -19,7 +19,6 @@ use dblayout_core::{
 };
 use dblayout_disksim::{paper_disks, uniform_disks, DiskSpec, Layout};
 use dblayout_obs::{Collector, RingSink};
-use dblayout_partition::MultilevelConfig;
 use dblayout_planner::{plan_statement, PhysicalPlan, PlanNode, Subplan};
 use dblayout_workloads::parse_all;
 use dblayout_workloads::qgen::generate;
@@ -169,7 +168,7 @@ fn mega_family_row_is_byte_identical_across_thread_counts() {
     let mega_cfg = |threads: usize, min_chunk: usize| TsGreedyConfig {
         threads,
         min_chunk,
-        partitioner: Partitioner::Multilevel(MultilevelConfig::default()),
+        partitioner: Partitioner::Auto { threshold: 0 },
         prune_width: 4,
         max_iterations: 10,
         ..Default::default()
