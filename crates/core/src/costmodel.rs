@@ -271,6 +271,8 @@ impl CostModel {
             .zip(&sub_costs)
             .map(|((_, w), subs)| w * subs.iter().sum::<f64>())
             .collect();
+        let nonneg = workload.iter().all(|(_, w)| nonneg_finite(*w))
+            && sub_costs.iter().flatten().all(|&c| nonneg_finite(c));
         let mut eval = DeltaEvaluator {
             model: self,
             workload,
@@ -281,6 +283,12 @@ impl CostModel {
             prefix: Vec::new(),
             touching,
             totals: Arc::new(totals),
+            nonneg,
+            max_subplans: workload
+                .iter()
+                .map(|(subs, _)| subs.len())
+                .max()
+                .unwrap_or(0),
         };
         eval.refold_prefix();
         eval
@@ -448,6 +456,55 @@ pub struct DeltaEvaluator<'a> {
     touching: Vec<Vec<(u32, u32)>>,
     /// Cached `object_totals` per sub-plan (layout-independent).
     totals: Arc<SubplanTotals>,
+    /// Every weight and every ledger cost is finite and non-negative: the
+    /// precondition of [`DeltaEvaluator::bracket`].
+    nonneg: bool,
+    /// The most sub-plans any statement has.
+    max_subplans: usize,
+}
+
+/// Whether `x` is finite and non-negative (NaN is not).
+fn nonneg_finite(x: f64) -> bool {
+    (0.0..=f64::MAX).contains(&x)
+}
+
+/// Brackets a candidate's [`DeltaEvaluator::fold`] from its
+/// [`DeltaEvaluator::delta`] `Δ`, for one ledger state and one touched
+/// width: `|fold − (total + Δ)| ≤ γ·(total + max(total + Δ, 0))`, the
+/// recursive-summation bound derived in DESIGN.md §7. Each method is
+/// computed in `f64` with twice that margin, so the roundings of the
+/// bracket's own arithmetic cannot cross it.
+#[derive(Debug, Clone, Copy)]
+pub struct FoldBracket {
+    total: f64,
+    gamma: f64,
+}
+
+impl FoldBracket {
+    /// `total + Δ`, the fold's value before rounding errors. Non-decreasing
+    /// in `Δ`.
+    pub fn approx(&self, delta: f64) -> f64 {
+        self.total + delta
+    }
+
+    /// The proven bound on `|fold − approx(Δ)|`.
+    pub fn error(&self, delta: f64) -> f64 {
+        self.gamma * (self.total + self.approx(delta).max(0.0))
+    }
+
+    /// A value no fold of a candidate with this `Δ` exceeds. Non-decreasing
+    /// in `Δ`, so a group's smallest `Δ` gives its smallest upper end.
+    pub fn upper(&self, delta: f64) -> f64 {
+        let approx = self.approx(delta).max(0.0);
+        approx + 2.0 * self.gamma * (self.total + approx)
+    }
+
+    /// The largest `approx` whose fold may still be at or below `limit`: a
+    /// candidate with `approx(Δ) > approx_limit(limit)` folds strictly
+    /// above `limit`.
+    pub fn approx_limit(&self, limit: f64) -> f64 {
+        limit + 2.0 * self.gamma * (self.total + limit.abs())
+    }
 }
 
 impl DeltaEvaluator<'_> {
@@ -668,6 +725,40 @@ impl DeltaEvaluator<'_> {
         total
     }
 
+    /// The candidate's departure from the ledger on its touched sub-plans,
+    /// `Δ = Σ w_s·(values_i − sub_costs[s][p])` over `touched` in order
+    /// from 0.0: one step per touched sub-plan, where
+    /// [`DeltaEvaluator::fold`] adds every statement after the first
+    /// touched one. `total + Δ` is the fold's value up to rounding, which
+    /// [`DeltaEvaluator::bracket`] bounds. NaN when a value is negative or
+    /// not finite, where that bound does not hold.
+    pub fn delta(&self, touched: &[(u32, u32)], values: &[f64]) -> f64 {
+        let mut delta = 0.0f64;
+        for (&(s, p), &value) in touched.iter().zip(values) {
+            if !nonneg_finite(value) {
+                return f64::NAN;
+            }
+            let (s, p) = (s as usize, p as usize);
+            delta += self.workload[s].1 * (value - self.sub_costs[s][p]);
+        }
+        delta
+    }
+
+    /// The bracket of the folds of candidates that touch `width`
+    /// sub-plans, against the current ledger: `γ_M = M·u / (1 − M·u)` with
+    /// `u = 2⁻⁵³` and `M = 2·(statements + most sub-plans per statement +
+    /// width + 2)` (DESIGN.md §7). `None` when a weight or a ledger cost is
+    /// negative or not finite, or `M·u` is too large for the bound's
+    /// derivation; a caller then folds every candidate.
+    pub fn bracket(&self, width: usize) -> Option<FoldBracket> {
+        let m = 2.0 * (self.stmt_costs.len() + self.max_subplans + width + 2) as f64;
+        let mu = m * (f64::EPSILON / 2.0);
+        (self.nonneg && self.total.is_finite() && mu <= 0.01).then(|| FoldBracket {
+            total: self.total,
+            gamma: mu / (1.0 - mu),
+        })
+    }
+
     /// Installs an adopted move as the new base: writes `values` (the
     /// `touched` sub-plans' costs under the adopted layout, as for
     /// [`DeltaEvaluator::fold`]) into the ledger, re-sums the touched
@@ -677,6 +768,7 @@ impl DeltaEvaluator<'_> {
     pub fn adopt(&mut self, touched: &[(u32, u32)], values: &[f64]) {
         for (&(s, p), &value) in touched.iter().zip(values) {
             self.sub_costs[s as usize][p as usize] = value;
+            self.nonneg &= nonneg_finite(value);
         }
         let mut last = None;
         for &(s, _) in touched {

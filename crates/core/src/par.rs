@@ -18,18 +18,22 @@
 //!   snapshot; no cross-candidate accumulation order depends on thread
 //!   interleaving.
 //!
-//! The pool is spawned once per search (not per iteration) via
-//! [`std::thread::scope`]: the calling thread scores chunk 0 itself and
-//! `threads − 1` helpers score the rest, so per-iteration dispatch costs
+//! The pool lives for one search (not one iteration) inside
+//! [`std::thread::scope`]: the calling thread scores chunk 0 itself and up
+//! to `threads − 1` helpers score the rest, so per-iteration dispatch costs
 //! two channel hops per helper rather than a thread spawn, and no thread
-//! idles while the others work. A helper that dies mid-iteration (a panic
+//! idles while the others work. A helper starts at the first dispatch
+//! that engages it, so a search whose iterations all score inline starts
+//! no thread at all. A helper that dies mid-iteration (a panic
 //! in the scoring closure) is tolerated: its chunk is recomputed inline by
 //! the dispatcher, so a transient worker failure degrades throughput,
 //! never correctness. See DESIGN.md §7 for the full determinism argument.
 
+use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
+use std::thread::Scope;
 
 use dblayout_obs::counters::{self, Counter};
 
@@ -114,19 +118,29 @@ struct Lane<J, O> {
 }
 
 /// Handle to a running evaluation pool; see [`with_pool`].
-pub struct Pool<'p, J, O> {
+pub struct Pool<'scope, 'env: 'scope, J, O> {
     threads: usize,
-    process: &'p (dyn Fn(usize, &J) -> O + Sync),
+    process: &'env (dyn Fn(usize, &J) -> O + Sync),
+    scope: &'scope Scope<'scope, 'env>,
     /// `lanes[h]` is the helper that scores chunk `h + 1`; chunk 0 is the
-    /// caller's. Empty when `threads == 1`: dispatch then runs inline and
-    /// no helpers exist at all.
-    lanes: Vec<Lane<J, O>>,
+    /// caller's. A helper starts at the first dispatch that engages it, so
+    /// a pool that only ever dispatches one worker has none.
+    lanes: RefCell<Vec<Lane<J, O>>>,
 }
 
-impl<J, O> Pool<'_, J, O> {
+impl<'scope, 'env, J, O> Pool<'scope, 'env, J, O>
+where
+    J: Send + Sync + 'scope,
+    O: Send + 'scope,
+{
     /// The pool's worker count (at least 1; 1 means inline execution).
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Helper threads started so far (at most `threads() − 1`).
+    pub fn helpers(&self) -> usize {
+        self.lanes.borrow().len()
     }
 
     /// Ships one job snapshot to the first `workers` lanes and collects
@@ -134,20 +148,23 @@ impl<J, O> Pool<'_, J, O> {
     /// — the adaptive-chunking entry point (see [`effective_workers`]).
     ///
     /// The calling thread scores worker 0's chunk while the helpers score
-    /// the others. If a helper died (its scoring closure panicked on an
-    /// earlier job), its chunk is recomputed inline here with the same
-    /// `(w, job)` arguments, so the returned vector always has `workers`
-    /// entries with identical content to an all-healthy run.
+    /// the others; helpers not yet running are started here. If a helper
+    /// died (its scoring closure panicked on an earlier job), its chunk is
+    /// recomputed inline here with the same `(w, job)` arguments, so the
+    /// returned vector always has `workers` entries with identical content
+    /// to an all-healthy run.
     ///
     /// `workers` is clamped to `[1, threads()]`. With `workers == 1` the
-    /// closure runs inline as worker 0 with zero channel hops even when
-    /// the pool has live helpers — small iterations fall back to exactly
-    /// the serial path. The returned vector has `workers` entries; the
-    /// caller's `process` must derive chunk ownership from the job (which
-    /// therefore carries the engaged-worker count, not the pool width).
+    /// closure runs inline as worker 0 with zero channel hops, and starts
+    /// no helper — small iterations fall back to exactly the serial path.
+    /// The returned vector has `workers` entries; the caller's `process`
+    /// must derive chunk ownership from the job (which therefore carries
+    /// the engaged-worker count, not the pool width).
     pub fn dispatch_to(&self, job: Arc<J>, workers: usize) -> Vec<O> {
         let workers = workers.clamp(1, self.threads);
-        let helpers = &self.lanes[..workers - 1];
+        self.start_helpers(workers - 1);
+        let lanes = self.lanes.borrow();
+        let helpers = &lanes[..workers - 1];
         let delivered: Vec<bool> = helpers
             .iter()
             .map(|lane| lane.job_tx.send(job.clone()).is_ok())
@@ -169,41 +186,16 @@ impl<J, O> Pool<'_, J, O> {
         }
         outputs
     }
-}
 
-/// Runs `body` with a pool of `threads` workers — the calling thread and
-/// `threads − 1` helpers — each applying `process` to its chunk of every
-/// dispatched job; tears the pool down (joining all helpers) before
-/// returning `body`'s result.
-///
-/// `process(w, &job)` must derive worker `w`'s share of the work from the
-/// job itself (conventionally via [`chunk_range`]) and must not mutate
-/// shared state — the determinism contract is that `process` is a pure
-/// function of `(w, job)`. `threads <= 1` spawns nothing and evaluates
-/// inline, so the single-threaded path has zero concurrency overhead.
-pub fn with_pool<J, O, R>(
-    threads: usize,
-    process: &(impl Fn(usize, &J) -> O + Sync),
-    body: impl FnOnce(&Pool<'_, J, O>) -> R,
-) -> R
-where
-    J: Send + Sync,
-    O: Send,
-{
-    let threads = threads.max(1);
-    if threads == 1 {
-        return body(&Pool {
-            threads,
-            process,
-            lanes: Vec::new(),
-        });
-    }
-    std::thread::scope(|scope| {
-        let mut lanes = Vec::with_capacity(threads - 1);
-        for w in 1..threads {
+    /// Starts helpers until `count` are running.
+    fn start_helpers(&self, count: usize) {
+        let mut lanes = self.lanes.borrow_mut();
+        while lanes.len() < count {
+            let w = lanes.len() + 1;
+            let process = self.process;
             let (job_tx, job_rx) = channel::<Arc<J>>();
             let (result_tx, result_rx) = channel::<O>();
-            scope.spawn(move || {
+            self.scope.spawn(move || {
                 while let Ok(job) = job_rx.recv() {
                     // A panicking scorer must not unwind through the scope
                     // (that would re-raise at join and kill the search the
@@ -226,13 +218,42 @@ where
             });
             lanes.push(Lane { job_tx, result_rx });
         }
-        body(&Pool {
-            threads,
+    }
+}
+
+/// Runs `body` with a pool of `threads` workers — the calling thread and
+/// up to `threads − 1` helpers, each started at the first dispatch that
+/// engages it — each applying `process` to its chunk of every dispatched
+/// job; tears the pool down (joining every started helper) before
+/// returning `body`'s result.
+///
+/// `process(w, &job)` must derive worker `w`'s share of the work from the
+/// job itself (conventionally via [`chunk_range`]) and must not mutate
+/// shared state — the determinism contract is that `process` is a pure
+/// function of `(w, job)`. A pool whose dispatches never engage more than
+/// one worker (always so at `threads <= 1`) starts no thread and evaluates
+/// inline.
+pub fn with_pool<J, O, R>(
+    threads: usize,
+    process: &(impl Fn(usize, &J) -> O + Sync),
+    body: impl FnOnce(&Pool<'_, '_, J, O>) -> R,
+) -> R
+where
+    J: Send + Sync,
+    O: Send,
+{
+    std::thread::scope(|scope| {
+        let pool = Pool {
+            threads: threads.max(1),
             process,
-            lanes,
-        })
-        // Dropping the pool closes every job channel; workers drain and
+            scope,
+            lanes: RefCell::new(Vec::new()),
+        };
+        let out = body(&pool);
+        // Dropping the pool closes every job channel; helpers drain and
         // exit, and the scope joins them.
+        drop(pool);
+        out
     })
 }
 
@@ -417,6 +438,25 @@ mod tests {
                 assert!(outs[0], "workers={workers}");
                 assert!(outs[1..].iter().all(|&here| !here), "workers={workers}");
             }
+        });
+    }
+
+    #[test]
+    fn helpers_start_only_when_a_dispatch_engages_them() {
+        let caller = std::thread::current().id();
+        let on_caller = move |_w: usize, _job: &()| std::thread::current().id() == caller;
+        with_pool(4, &on_caller, |pool| {
+            for _ in 0..5 {
+                assert_eq!(pool.dispatch_to(Arc::new(()), 1), vec![true]);
+            }
+            assert_eq!(pool.helpers(), 0, "a 1-worker dispatch started a helper");
+            assert_eq!(pool.dispatch_to(Arc::new(()), 3), vec![true, false, false]);
+            assert_eq!(pool.helpers(), 2);
+            // Started helpers stay; a narrower dispatch starts none.
+            assert_eq!(pool.dispatch_to(Arc::new(()), 2), vec![true, false]);
+            assert_eq!(pool.helpers(), 2);
+            assert_eq!(pool.dispatch_to(Arc::new(()), 9).len(), 4);
+            assert_eq!(pool.helpers(), 3);
         });
     }
 

@@ -101,9 +101,9 @@ pub struct TsGreedyConfig {
     /// Adaptive dispatch: engage one worker per `min_chunk` units of the
     /// iteration's scoring work, clamped to `[1, threads]`
     /// ([`par::effective_workers`]). A unit is one Figure-7 drive term or
-    /// one step of a candidate's fold (a statement or sub-plan added),
-    /// which take about the same time (~4 ns on the 2-core reference
-    /// host); DESIGN.md §7 lists what each candidate is charged.
+    /// one step of a trial row or a ledger delta, which take about the
+    /// same time (~4 ns on the 2-core reference host); DESIGN.md §7 lists
+    /// what each item is charged.
     /// Iterations below the threshold run inline, where a hand-off would
     /// cost more than it saves. `0` always engages every worker. Either
     /// setting yields byte-identical results at any thread count.
@@ -343,45 +343,171 @@ fn seed_layout(
     Ok(seed.clone())
 }
 
-/// One candidate move: re-place `group` onto (current ∖ `drop`) ∪ `add`.
-/// Classic widening has no `drop`; seeded searches also enumerate narrow
-/// (no `add`) and swap (one of each) moves. `add` indexes [`Job::drives`],
-/// so enumerating a move allocates nothing.
+/// One candidate move of a group: re-place it onto (current ∖ `drop`) ∪
+/// `add`. Classic widening has no `drop`; seeded searches also enumerate
+/// narrow (no `add`) and swap (one of each) moves. `add` indexes the
+/// group's [`GroupState::drives`].
 #[derive(Clone)]
 struct Move {
-    group: usize,
     add: Range<usize>,
     drop: Option<usize>,
 }
 
-/// Per-candidate scoring outcome, in enumeration order.
-#[derive(Clone, Copy)]
-enum Scored {
+/// A candidate's verdict in one iteration.
+#[derive(Clone, Copy, PartialEq)]
+enum Verdict {
     InvalidLayout,
     ConstraintViolation,
-    Costed(f64),
+    Costable,
 }
 
-/// A chunk's earliest strictly-improving minimum. Workers report only the
-/// winning index and cost; the adoption re-derives the winning layout and
-/// its values once per *adopted* iteration, so the hot scoring loop never
-/// clones a layout.
-struct ChunkBest {
-    index: usize,
+/// How an iteration decides a group's verdicts.
+#[derive(Clone, Copy, PartialEq, Default)]
+enum Checks {
+    /// An unmoved row of the snapshot is invalid, so every candidate is
+    /// `InvalidLayout`.
+    #[default]
+    NoneValid,
+    /// No constraint is set and the group fits the smallest per-drive
+    /// headroom: every candidate with values is costable (its values came
+    /// from a valid trial of the same rows), and a trial decides the rest.
+    Known,
+    /// A trial decides every candidate: the capacity patch and the
+    /// constraints read rows outside the group.
+    Each,
+}
+
+/// A group's step-2 state, kept across iterations: its moves and its part
+/// of the candidate memo — each candidate's re-costed sub-plan values and
+/// ledger delta, and the candidates ordered by delta.
+#[derive(Clone, Default)]
+struct GroupState {
+    /// The group's moves in the canonical order; rebuilt when it moves.
+    moves: Vec<Move>,
+    /// The drives the moves add.
+    drives: Vec<usize>,
+    /// `known[c]`: candidate `c` has values. Empty once the group or a
+    /// sub-plan neighbour moved, or a pruned search evicted the group.
+    known: Vec<bool>,
+    /// How many entries of `known` are true.
+    known_count: usize,
+    /// The group's `group_subs` values per candidate, candidate-major.
+    values: Vec<f64>,
+    /// Per candidate with values, their `DeltaEvaluator::delta`.
+    delta: Vec<f64>,
+    /// The candidates with values by `(delta, position)`, current while
+    /// `sorted` holds.
+    order: Vec<usize>,
+    sorted: bool,
+    /// Every delta in `order` is finite.
+    finite: bool,
+    /// This iteration's verdict rule.
+    checks: Checks,
+    /// This iteration's slice of [`Job::items`].
+    items: Range<usize>,
+}
+
+impl GroupState {
+    fn is_known(&self, c: usize) -> bool {
+        self.known.get(c) == Some(&true)
+    }
+
+    /// Candidate `c`'s memoized values (`width` of them).
+    fn values(&self, c: usize, width: usize) -> &[f64] {
+        &self.values[c * width..(c + 1) * width]
+    }
+
+    /// Whether candidate `c`, which has values, is costable this iteration.
+    fn costable(&self, c: usize, verdicts: &[Verdict]) -> bool {
+        match self.checks {
+            Checks::NoneValid => false,
+            Checks::Known => true,
+            Checks::Each => verdicts[self.items.start + c] == Verdict::Costable,
+        }
+    }
+
+    /// Memoizes candidate `c`'s values and delta.
+    fn store(&mut self, c: usize, values: &[f64], delta: f64) {
+        let (n, width) = (self.moves.len(), values.len());
+        if self.known.len() != n {
+            self.known.clear();
+            self.known.resize(n, false);
+            self.values.resize(n * width, 0.0);
+            self.delta.resize(n, 0.0);
+            self.known_count = 0;
+        }
+        self.values[c * width..(c + 1) * width].copy_from_slice(values);
+        self.delta[c] = delta;
+        self.known_count += usize::from(!self.known[c]);
+        self.known[c] = true;
+        self.sorted = false;
+    }
+
+    /// Drops candidate `c`'s values.
+    fn unstore(&mut self, c: usize) {
+        self.known[c] = false;
+        self.known_count -= 1;
+        self.sorted = false;
+    }
+
+    /// Drops every memoized value.
+    fn forget(&mut self) {
+        self.known.clear();
+        self.known_count = 0;
+        self.sorted = false;
+    }
+
+    /// Drops every memoized value and frees its buffers.
+    fn evict(&mut self) {
+        *self = GroupState {
+            moves: std::mem::take(&mut self.moves),
+            drives: std::mem::take(&mut self.drives),
+            ..GroupState::default()
+        };
+    }
+
+    /// Brings `order` and `finite` up to date.
+    fn sort(&mut self) {
+        if self.sorted {
+            return;
+        }
+        let (known, delta) = (&self.known, &self.delta);
+        self.order.clear();
+        self.order.extend((0..known.len()).filter(|&c| known[c]));
+        self.order
+            .sort_unstable_by(|&a, &b| delta[a].total_cmp(&delta[b]).then(a.cmp(&b)));
+        self.finite = self.order.iter().all(|&c| delta[c].is_finite());
+        self.sorted = true;
+    }
+}
+
+/// A candidate a worker re-checks, and re-prices when it lacks values.
+#[derive(Clone, Copy)]
+struct Item {
+    group: usize,
+    cand: usize,
+    /// The widening table and class that price it, or `None` when the
+    /// kernel does (DESIGN.md §7).
+    widen: Option<(u32, u32)>,
+}
+
+/// The move selection's pick: the earliest strict minimum.
+struct Best {
+    group: usize,
+    cand: usize,
     cost: f64,
 }
 
-/// One worker's scoring output.
+/// One worker's output.
 #[derive(Default)]
 struct Chunk {
-    outcomes: Vec<Scored>,
-    best: Option<ChunkBest>,
-    /// Candidates whose re-costed sub-plan values enter the memo, in
-    /// enumeration order.
-    fresh: Vec<usize>,
-    /// Their values, concatenated in `fresh` order (values the memo does
-    /// not admit live here only until folded).
+    /// Per item, in item order.
+    verdicts: Vec<Verdict>,
+    /// The re-priced items' values (costable items that lacked them),
+    /// concatenated in item order.
     values: Vec<f64>,
+    /// Their deltas.
+    deltas: Vec<f64>,
     /// Sub-plans re-costed by a widening table or the Figure-7 kernel.
     recosts: u64,
     /// Figure-7 drive terms those re-costs evaluated.
@@ -390,8 +516,8 @@ struct Chunk {
 
 /// Reusable per-worker scratch: the kernel's accumulators, the incremental
 /// validity check's usage/apportionment buffers, and the moved group's new
-/// drive set. One per chunk invocation; every allocation in the candidate
-/// loop lives here or in the chunk's output.
+/// drive set. One per chunk invocation; every allocation in the item loop
+/// lives here or in the chunk's output.
 #[derive(Default)]
 struct WorkerScratch {
     eval: EvalScratch,
@@ -404,19 +530,10 @@ struct WorkerScratch {
 /// The enumeration's growing buffers, kept across iterations.
 #[derive(Default)]
 struct EnumBuffers {
+    /// Each item's work.
     work: Vec<usize>,
-    fresh: Vec<usize>,
-    candidates: Vec<usize>,
-}
-
-/// The memoized sub-plan values of one group's candidates.
-#[derive(Clone, Default)]
-struct MemoEntry {
-    /// `known[c]`: candidate `c` of the group's move list has values.
-    /// Empty once the group or a sub-plan neighbour moved.
-    known: Vec<bool>,
-    /// The group's `group_subs` values per candidate, candidate-major.
-    values: Vec<f64>,
+    /// A group's fresh widening moves and their table classes.
+    fresh: Vec<(usize, u32)>,
 }
 
 /// The search state. Each iteration ships it to every worker as an
@@ -445,25 +562,20 @@ struct Job<'a> {
     probe: Layout,
     /// Each group's drives (`layout.disks_of` of its first member).
     current_sets: Vec<Vec<usize>>,
-    /// This iteration's moves, in the canonical order.
-    moves: Vec<Move>,
-    /// The drives the moves add.
-    drives: Vec<usize>,
-    /// Each group's slice of `moves` (empty when pruned out).
-    group_moves: Vec<Range<usize>>,
-    /// Worker `w` scores `moves[bounds[w]..bounds[w + 1]]`; chunk ownership
+    /// Per group, its moves and memo.
+    groups: Vec<GroupState>,
+    /// This iteration's items, group-major in move-list order.
+    items: Vec<Item>,
+    /// Per item, its verdict (filled from the chunks).
+    verdicts: Vec<Verdict>,
+    /// Worker `w` takes `items[bounds[w]..bounds[w + 1]]`; chunk ownership
     /// derives from this, not the pool width.
     bounds: Vec<usize>,
-    /// Whether this iteration's re-costed values enter the memo.
+    /// Whether this iteration's re-costed values stay in the memo.
     admit: bool,
-    /// Per-group memo.
-    memo: Vec<MemoEntry>,
-    /// Widening tables, buffers reused across iterations; `widen` indexes
-    /// this iteration's.
+    /// Widening tables, buffers reused across iterations; items index this
+    /// iteration's.
     tables: Vec<WideningTable>,
-    /// Per move: the table and class that price it, or `None` when the
-    /// kernel re-costs it (DESIGN.md §7).
-    widen: Vec<Option<(u32, u32)>>,
     /// `layout.blocks_on(i)` for every object, flattened with stride
     /// `disks.len()`.
     base_blocks: Vec<u64>,
@@ -495,14 +607,12 @@ impl<'a> Job<'a> {
             work,
             gain: vec![f64::INFINITY; members.len()],
             force_full: false,
-            moves: Vec::new(),
-            drives: Vec::new(),
-            group_moves: vec![0..0; members.len()],
+            groups: vec![GroupState::default(); members.len()],
+            items: Vec::new(),
+            verdicts: Vec::new(),
             bounds: Vec::new(),
             admit: false,
-            memo: vec![MemoEntry::default(); members.len()],
             tables: Vec::new(),
-            widen: Vec::new(),
             base_blocks: vec![0; n * m],
             base_usage: vec![0; m],
             headroom: None,
@@ -540,29 +650,16 @@ impl<'a> Job<'a> {
         }
     }
 
-    /// Fills `set` with `mv`'s new drive set for its group.
-    fn new_set(&self, mv: &Move, set: &mut Vec<usize>) {
+    /// Fills `set` with group `g`'s drive set after `mv`.
+    fn new_set(&self, g: usize, mv: &Move, set: &mut Vec<usize>) {
         set.clear();
         set.extend(
-            self.current_sets[mv.group]
+            self.current_sets[g]
                 .iter()
                 .copied()
                 .filter(|&j| Some(j) != mv.drop),
         );
-        set.extend_from_slice(&self.drives[mv.add.clone()]);
-    }
-
-    /// Candidate `idx`'s memoized sub-plan values (`width` of them), if its
-    /// group's memo entry has them.
-    fn memo_hit(&self, idx: usize, width: usize) -> Option<&[f64]> {
-        let g = self.moves[idx].group;
-        let c = idx - self.group_moves[g].start;
-        let entry = self.memo.get(g)?;
-        if entry.known.get(c) == Some(&true) {
-            entry.values.get(c * width..(c + 1) * width)
-        } else {
-            None
-        }
+        set.extend_from_slice(&self.groups[g].drives[mv.add.clone()]);
     }
 
     /// A moved group no larger than the smallest per-drive headroom passes
@@ -624,25 +721,19 @@ impl<'a> Job<'a> {
             .zip(disks)
             .all(|(&used, d)| used <= d.capacity_blocks)
     }
-
-    /// [`Job::trial_is_valid`] for a memo hit, without a trial: its values
-    /// came from a valid trial of these very rows, so the moved rows are
-    /// valid. `None` when the verdict needs the exact patch.
-    fn hit_is_valid(&self, moved: &[usize]) -> Option<bool> {
-        if self.unmoved_row_bad(moved) {
-            return Some(false);
-        }
-        self.fits_headroom(moved).then_some(true)
-    }
 }
 
 /// What step 2 fixes for the whole search, shared read-only by its phases
 /// (DESIGN.md §7): the groups, their eligible drives and the sub-plans
-/// their moves re-cost. Each iteration enumerates the moves in a canonical
-/// order, scores them in parallel against an immutable snapshot (each
-/// worker a contiguous chunk), reduces the chunks in candidate order — the
-/// sequential scan's earliest-wins strict minimum, so the chosen layout is
-/// byte-identical at any thread count — and adopts the winner.
+/// their moves re-cost. Each group keeps its moves, its candidates'
+/// values and their order by ledger delta across iterations; an adoption
+/// invalidates only the moved group and its sub-plan neighbours. Each
+/// iteration lists the candidates that need a trial, checks and re-prices
+/// them in parallel against an immutable snapshot (each worker a
+/// contiguous chunk), merges them into the memo, and selects the earliest
+/// strict minimum — folding exactly only the candidates the fold bracket
+/// cannot exclude, so the choice is the sequential scan's at any thread
+/// count — and adopts it.
 struct Step2<'a> {
     cfg: &'a TsGreedyConfig,
     workload: &'a [(Vec<Subplan>, f64)],
@@ -666,6 +757,9 @@ impl Step2<'_> {
         let score = |w: usize, job: &Job<'_>| self.score(w, job);
         par::with_pool(threads, &score, |pool| {
             let mut job = job;
+            for g in 0..g_count {
+                self.enumerate_moves(&mut job, g);
+            }
             let mut bufs = EnumBuffers::default();
             loop {
                 let iter_span = search_span.child(
@@ -689,9 +783,9 @@ impl Step2<'_> {
                 // its memo holds at most `prune_width` groups.
                 job.admit = pruning || !pruned_search;
                 if pruning {
-                    for (entry, &on) in job.memo.iter_mut().zip(&active) {
+                    for (state, &on) in job.groups.iter_mut().zip(&active) {
                         if !on {
-                            *entry = MemoEntry::default();
+                            state.evict();
                         }
                     }
                 }
@@ -700,8 +794,14 @@ impl Step2<'_> {
                 let chunks = pool.dispatch_to(shared.clone(), workers);
                 job = Arc::unwrap_or_clone(shared);
                 let cost = job.cost;
-                let Some(best) = self.reduce(&mut job, chunks, &active, &iter_span, pool.threads())
-                else {
+                let Some(best) = self.reduce(
+                    &mut job,
+                    chunks,
+                    &active,
+                    pruned_search,
+                    &iter_span,
+                    pool.threads(),
+                ) else {
                     if pruning {
                         // The pruned frontier is dry; one full sweep
                         // decides between another adoption and
@@ -730,99 +830,126 @@ impl Step2<'_> {
         })
     }
 
-    /// Enumerates this iteration's moves of the `active` groups in the
-    /// canonical sequential order (group-major, combination order
-    /// preserved) into the snapshot's reused buffers — chunk indices, memo
-    /// keys and the reduction all key off this ordering — with each move's
-    /// scoring work; fills the widening tables that price the fresh
-    /// widening moves; and returns the workers to engage.
+    /// Rebuilds group `g`'s move list from its current drives in the
+    /// canonical order: every combination of at most `k` of its eligible
+    /// drives outside its current ones (combination order preserved), then
+    /// a seeded search's narrow and swap moves. Memo keys, trace order and
+    /// earliest-wins ties all key off this order.
+    fn enumerate_moves(&self, job: &mut Job<'_>, g: usize) {
+        let current_set = &job.current_sets[g];
+        let candidates: Vec<usize> = self.eligible[g]
+            .iter()
+            .copied()
+            .filter(|j| !current_set.contains(j))
+            .collect();
+        let state = &mut job.groups[g];
+        state.moves.clear();
+        state.drives.clear();
+        let (moves, drives) = (&mut state.moves, &mut state.drives);
+        for_each_combination(&candidates, self.cfg.k, &mut Vec::new(), 0, &mut |add| {
+            let at = drives.len();
+            drives.extend_from_slice(add);
+            moves.push(Move {
+                add: at..drives.len(),
+                drop: None,
+            });
+        });
+        if self.cfg.seed.is_some() {
+            // Narrow: shed one drive (an object must keep ≥ 1 drive).
+            // Swap: trade one current drive for one eligible candidate.
+            if current_set.len() >= 2 {
+                moves.extend(current_set.iter().map(|&drop| Move {
+                    add: 0..0,
+                    drop: Some(drop),
+                }));
+            }
+            for &drop in current_set {
+                for &c in &candidates {
+                    drives.push(c);
+                    moves.push(Move {
+                        add: drives.len() - 1..drives.len(),
+                        drop: Some(drop),
+                    });
+                }
+            }
+        }
+        state.forget();
+    }
+
+    /// Decides this iteration's verdict rule for each active group, lists
+    /// the candidates that need a trial as items (group-major, in move-list
+    /// order) with each one's scoring work, fills the widening tables that
+    /// price the fresh widening moves (those the memo lacks), and returns
+    /// the workers to engage. A group whose every candidate has values and
+    /// needs no trial costs O(1) here.
     fn enumerate(&self, job: &mut Job<'_>, active: &[bool], bufs: &mut EnumBuffers) -> usize {
-        job.moves.clear();
-        job.drives.clear();
-        job.widen.clear();
-        let (work, fresh, candidates) = (&mut bufs.work, &mut bufs.fresh, &mut bufs.candidates);
+        job.items.clear();
+        let (work, fresh) = (&mut bufs.work, &mut bufs.fresh);
         work.clear();
-        let mut combo = Vec::new();
-        let mut in_set = vec![false; self.disks.len()];
+        job.headroom = job
+            .base_usage
+            .iter()
+            .zip(self.disks)
+            .try_fold(u64::MAX, |h, (&used, d)| {
+                Some(h.min(d.capacity_blocks.checked_sub(used)?))
+            });
+        let unconstrained = self.cfg.constraints.is_empty();
         let mut tables_used = 0usize;
         let mut table_scratch = EvalScratch::new();
         for (g, &on) in active.iter().enumerate() {
-            let start = job.moves.len();
-            if on {
-                // Every combination of at most `k` of the group's eligible
-                // drives outside its current ones.
-                let current_set = &job.current_sets[g];
-                for &j in current_set {
-                    in_set[j] = true;
-                }
-                candidates.clear();
-                candidates.extend(self.eligible[g].iter().copied().filter(|&j| !in_set[j]));
-                for &j in current_set {
-                    in_set[j] = false;
-                }
-                let (moves, drives) = (&mut job.moves, &mut job.drives);
-                for_each_combination(candidates, self.cfg.k, &mut combo, 0, &mut |add| {
-                    let at = drives.len();
-                    drives.extend_from_slice(add);
-                    moves.push(Move {
-                        group: g,
-                        add: at..drives.len(),
-                        drop: None,
-                    });
-                });
-                if self.cfg.seed.is_some() {
-                    // Narrow: shed one drive (an object must keep ≥ 1
-                    // drive). Swap: trade one current drive for one
-                    // eligible candidate.
-                    if current_set.len() >= 2 {
-                        moves.extend(current_set.iter().map(|&drop| Move {
-                            group: g,
-                            add: 0..0,
-                            drop: Some(drop),
-                        }));
-                    }
-                    for &drop in current_set {
-                        for &c in candidates.iter() {
-                            drives.push(c);
-                            moves.push(Move {
-                                group: g,
-                                add: drives.len() - 1..drives.len(),
-                                drop: Some(drop),
-                            });
-                        }
-                    }
-                }
+            if !on {
+                continue;
             }
-            job.group_moves[g] = start..job.moves.len();
-            job.widen.resize(job.moves.len(), None);
-            // Scoring work in drive-term units (DESIGN.md §7): every
-            // candidate folds (every statement from its group's first
-            // touched one, and the touched sub-plans); one the memo lacks
-            // also rewrites its group's rows in a trial and evaluates drive
-            // terms for each sub-plan, those of all its new drives through
-            // the kernel.
-            let subs = &self.group_subs[g];
-            let width = subs.len();
-            let statements = self.workload.len();
-            let fold_work =
-                statements - subs.first().map_or(statements, |&(s, _)| s as usize) + width;
-            let trial_work = self.members[g].len() * self.disks.len();
+            let start = job.items.len();
+            let moved = &self.members[g];
+            let checks = if job.unmoved_row_bad(moved) {
+                Checks::NoneValid
+            } else if unconstrained && job.fits_headroom(moved) {
+                Checks::Known
+            } else {
+                Checks::Each
+            };
+            // Scoring work in drive-term units (DESIGN.md §7): a trial
+            // rewrites the group's rows; a candidate it re-prices also
+            // evaluates drive terms for each sub-plan, those of all its new
+            // drives through the kernel, and one delta step per sub-plan.
+            let width = self.group_subs[g].len();
+            let trial_work = moved.len() * self.disks.len();
+            let current = job.current_sets[g].len();
+            let state = &job.groups[g];
             fresh.clear();
-            for idx in start..job.moves.len() {
-                let mv = &job.moves[idx];
-                let new_drives = job.current_sets[g].len() + mv.add.len();
-                work.push(if job.memo_hit(idx, width).is_some() {
-                    fold_work
-                } else {
-                    if width > 0 && mv.drop.is_none() {
-                        fresh.push(idx);
+            if checks != Checks::Known || state.known_count != state.moves.len() {
+                for (c, mv) in state.moves.iter().enumerate() {
+                    let known = state.is_known(c);
+                    if !known && width > 0 && mv.drop.is_none() {
+                        fresh.push((c, 0));
                     }
-                    fold_work + trial_work + width * new_drives
-                });
+                    let item = match checks {
+                        Checks::NoneValid => false,
+                        Checks::Known => !known,
+                        Checks::Each => true,
+                    };
+                    if item {
+                        job.items.push(Item {
+                            group: g,
+                            cand: c,
+                            widen: None,
+                        });
+                        let priced = if known {
+                            0
+                        } else {
+                            width * (current + mv.add.len() + 1)
+                        };
+                        work.push(trial_work + priced);
+                    }
+                }
             }
-            // Price the group's fresh widening moves (those the memo
-            // lacks) from one table, filled here before dispatch; a
-            // table-priced move evaluates only its added drives.
+            let state = &mut job.groups[g];
+            state.checks = checks;
+            state.items = start..job.items.len();
+            // Price the group's fresh widening moves from one table,
+            // filled here before dispatch; a table-priced move evaluates
+            // only its added drives.
             if fresh.is_empty() {
                 continue;
             }
@@ -830,21 +957,17 @@ impl Step2<'_> {
                 job.tables.push(WideningTable::default());
             }
             let table = &mut job.tables[tables_used];
-            table.reset(
-                &self.members[g],
-                &job.current_sets[g],
-                &self.group_subs[g],
-                self.cfg.k,
-            );
+            table.reset(moved, &job.current_sets[g], &self.group_subs[g], self.cfg.k);
             let mut classes = 0;
             #[expect(
                 clippy::cast_possible_truncation,
-                reason = "tables_used counts this iteration's groups and class a group's distinct drive-rate totals, both far below 2^32"
+                reason = "class counts a group's distinct drive-rate totals, far below 2^32"
             )]
-            for &idx in fresh.iter() {
-                let class = table.class_of(&job.drives[job.moves[idx].add.clone()], self.disks);
-                classes = classes.max(class + 1);
-                job.widen[idx] = Some((tables_used as u32, class as u32));
+            for (c, class) in fresh.iter_mut() {
+                let add = &state.drives[state.moves[*c].add.clone()];
+                let k = table.class_of(add, self.disks);
+                classes = classes.max(k + 1);
+                *class = k as u32;
             }
             // A table pays when moves share a class; with every total
             // distinct (drives of distinct rates) its fill only adds work
@@ -857,19 +980,29 @@ impl Step2<'_> {
                     &mut table_scratch,
                 )
             {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "tables_used counts this iteration's groups, far below 2^32"
+                )]
+                let t = tables_used as u32;
                 tables_used += 1;
-                for &idx in fresh.iter() {
-                    work[idx] -= width * job.current_sets[g].len();
-                }
-            } else {
-                for &idx in fresh.iter() {
-                    job.widen[idx] = None;
+                // Every fresh move that is an item (all of them, unless
+                // the group is `NoneValid`) is priced from the table.
+                let mut fresh = fresh.iter().peekable();
+                for (item, w) in job.items[start..].iter_mut().zip(&mut work[start..]) {
+                    if let Some(&&(c, class)) = fresh.peek() {
+                        if c == item.cand {
+                            item.widen = Some((t, class));
+                            *w -= width * current;
+                            fresh.next();
+                        }
+                    }
                 }
             }
         }
         job.work
             .add(Counter::CostmodelDriveTerms, table_scratch.drive_terms());
-        // Adaptive dispatch: width and chunk bounds from the scoring work.
+        // Adaptive dispatch: width and chunk bounds from the items' work.
         // Both are pure functions of the enumeration and the memo, so they
         // are identical at every thread count (and trivially so for a
         // 1-thread pool).
@@ -879,179 +1012,145 @@ impl Step2<'_> {
             self.cfg.min_chunk,
         );
         job.bounds = par::weighted_bounds(work, workers);
-        job.headroom = job
-            .base_usage
-            .iter()
-            .zip(self.disks)
-            .try_fold(u64::MAX, |h, (&used, d)| {
-                Some(h.min(d.capacity_blocks.checked_sub(used)?))
-            });
         workers
     }
 
-    /// Scores worker `w`'s chunk of the snapshot's moves — the pool's
-    /// scoring closure. A memo hit folds its values; any other candidate
-    /// rewrites its group's rows in a scratch trial (one per chunk, cloned
-    /// when its first candidate needs one), is validated incrementally
-    /// against the snapshot, re-costed and folded, and its rows are
-    /// restored: no per-candidate layout clone, no O(objects) validation.
+    /// Checks and re-prices worker `w`'s chunk of the snapshot's items —
+    /// the pool's scoring closure. Each item rewrites its group's rows in a
+    /// scratch trial (one per chunk, cloned when its first item needs one),
+    /// is validated incrementally against the snapshot and checked against
+    /// the constraints; a costable item without values is re-costed from
+    /// its widening table or through the kernel, and its delta taken; then
+    /// its rows are restored: no per-candidate layout clone, no O(objects)
+    /// validation.
     fn score(&self, w: usize, job: &Job<'_>) -> Chunk {
         let range = job.bounds[w]..job.bounds[w + 1];
         // Scheduling-class accounting: one relaxed add per chunk, so the
-        // per-candidate loop below stays free of atomics. Chunk sizes (and
+        // per-item loop below stays free of atomics. Chunk sizes (and
         // re-scored chunks after a dead-worker fallback) depend on the
         // engaged-worker count, so this never joins the deterministic set.
         counters::add(Counter::ParChunkItems, range.len() as u64);
         let mut chunk = Chunk {
-            outcomes: Vec::with_capacity(range.len()),
+            verdicts: Vec::with_capacity(range.len()),
             ..Chunk::default()
         };
         let mut scratch = WorkerScratch::default();
-        // With no constraint to check, a memo hit that the headroom accept
-        // passes needs no trial layout at all.
-        let unconstrained = self.cfg.constraints.is_empty();
         let mut scratch_trial: Option<Layout> = None;
-        for idx in range {
-            let mv = &job.moves[idx];
-            let moved: &[usize] = &self.members[mv.group];
-            let subs: &[(u32, u32)] = &self.group_subs[mv.group];
-            let hit = job.memo_hit(idx, subs.len());
-            let quick = hit
-                .filter(|_| unconstrained)
-                .and_then(|values| Some((job.hit_is_valid(moved)?, values)));
-            let outcome = match quick {
-                Some((false, _)) => Scored::InvalidLayout,
-                Some((true, values)) => Scored::Costed(job.eval.fold(subs, values)),
-                None => {
-                    let trial = scratch_trial.get_or_insert_with(|| job.layout.clone());
-                    job.new_set(mv, &mut scratch.set);
-                    for &i in moved {
-                        trial.place_proportional(i, &scratch.set, self.disks);
-                    }
-                    let outcome = if !job.trial_is_valid(trial, moved, self.disks, &mut scratch) {
-                        Scored::InvalidLayout
-                    } else if self.cfg.constraints.check(trial, self.disks).is_err() {
-                        Scored::ConstraintViolation
-                    } else if let Some(values) = hit {
-                        Scored::Costed(job.eval.fold(subs, values))
-                    } else {
-                        // Re-cost the group's sub-plans — from its widening
-                        // table, or through the kernel — into the chunk
-                        // (kept there when the memo admits them), and fold.
-                        chunk.recosts += subs.len() as u64;
-                        let start = chunk.values.len();
-                        if let Some((t, class)) = job.widen[idx] {
-                            job.eval.price_widening(
-                                &job.tables[t as usize],
-                                class as usize,
-                                &job.drives[mv.add.clone()],
-                                trial,
-                                &mut chunk.values,
-                                &mut scratch.eval,
-                            );
-                            if cfg!(debug_assertions) {
-                                let mut kernel = Vec::new();
-                                let fresh = &mut EvalScratch::new();
-                                job.eval.recost_into(trial, subs, &mut kernel, fresh);
-                                let table = chunk.values[start..].iter().map(|v| v.to_bits());
-                                assert!(
-                                    kernel.iter().map(|v| v.to_bits()).eq(table),
-                                    "widening table priced candidate {idx} off the kernel"
-                                );
-                            }
-                        } else {
-                            let values = &mut chunk.values;
-                            job.eval.recost_into(trial, subs, values, &mut scratch.eval);
-                        }
-                        let cost = job.eval.fold(subs, &chunk.values[start..]);
-                        if job.admit {
-                            chunk.fresh.push(idx);
-                        } else {
-                            chunk.values.truncate(start);
-                        }
-                        Scored::Costed(cost)
-                    };
-                    for &i in moved {
-                        trial.copy_row_from(&job.layout, i);
-                    }
-                    outcome
-                }
-            };
-            if let Scored::Costed(c) = outcome {
-                if c < job.cost - 1e-9 && chunk.best.as_ref().is_none_or(|b| c < b.cost) {
-                    chunk.best = Some(ChunkBest {
-                        index: idx,
-                        cost: c,
-                    });
-                }
+        for item in &job.items[range] {
+            let (g, c) = (item.group, item.cand);
+            let state = &job.groups[g];
+            let mv = &state.moves[c];
+            let moved: &[usize] = &self.members[g];
+            let subs: &[(u32, u32)] = &self.group_subs[g];
+            let trial = scratch_trial.get_or_insert_with(|| job.layout.clone());
+            job.new_set(g, mv, &mut scratch.set);
+            for &i in moved {
+                trial.place_proportional(i, &scratch.set, self.disks);
             }
-            chunk.outcomes.push(outcome);
+            let verdict = if !job.trial_is_valid(trial, moved, self.disks, &mut scratch) {
+                Verdict::InvalidLayout
+            } else if self.cfg.constraints.check(trial, self.disks).is_err() {
+                Verdict::ConstraintViolation
+            } else {
+                Verdict::Costable
+            };
+            if verdict == Verdict::Costable && !state.is_known(c) {
+                chunk.recosts += subs.len() as u64;
+                let start = chunk.values.len();
+                if let Some((t, class)) = item.widen {
+                    job.eval.price_widening(
+                        &job.tables[t as usize],
+                        class as usize,
+                        &state.drives[mv.add.clone()],
+                        trial,
+                        &mut chunk.values,
+                        &mut scratch.eval,
+                    );
+                    if cfg!(debug_assertions) {
+                        let mut kernel = Vec::new();
+                        let fresh = &mut EvalScratch::new();
+                        job.eval.recost_into(trial, subs, &mut kernel, fresh);
+                        let table = chunk.values[start..].iter().map(|v| v.to_bits());
+                        assert!(
+                            kernel.iter().map(|v| v.to_bits()).eq(table),
+                            "widening table priced group {g}'s candidate {c} off the kernel"
+                        );
+                    }
+                } else {
+                    job.eval
+                        .recost_into(trial, subs, &mut chunk.values, &mut scratch.eval);
+                }
+                chunk
+                    .deltas
+                    .push(job.eval.delta(subs, &chunk.values[start..]));
+            }
+            for &i in moved {
+                trial.copy_row_from(&job.layout, i);
+            }
+            chunk.verdicts.push(verdict);
         }
         chunk.drive_terms = scratch.eval.drive_terms();
         chunk
     }
 
-    /// Reduces the chunks in worker (= candidate) order, which replays the
-    /// sequential enumeration exactly: emits each candidate's trace event
-    /// (this is the only emitting thread, so the order and content are a
-    /// sequential scan's), adds the deterministic counters, refreshes the
-    /// pruned frontier's stale gains, admits the re-costed values into the
-    /// memo, and returns the earliest strict minimum.
+    /// Merges the chunks in worker (= item) order: their verdicts, and the
+    /// re-priced values and deltas into the memo (for this iteration only
+    /// when it admits nothing). Adds the deterministic counters, emits each
+    /// candidate's trace event (this is the only emitting thread, so the
+    /// order and content are a sequential scan's), and returns the move
+    /// [`Step2::select`] picks.
     fn reduce(
         &self,
         job: &mut Job<'_>,
         chunks: Vec<Chunk>,
         active: &[bool],
+        per_group: bool,
         iter_span: &Span,
         threads: usize,
-    ) -> Option<ChunkBest> {
-        let cost = job.cost;
-        let outcomes = || chunks.iter().flat_map(|ch| &ch.outcomes).zip(&job.moves);
-        if iter_span.enabled() {
-            for (outcome, mv) in outcomes() {
-                let (costed, reason) = match *outcome {
-                    Scored::InvalidLayout => (None, "invalid_layout"),
-                    Scored::ConstraintViolation => (None, "constraint_violation"),
-                    Scored::Costed(c) if c < cost - 1e-9 => (Some((c, c - cost)), "improves"),
-                    Scored::Costed(c) => (Some((c, c - cost)), "no_improvement"),
-                };
-                iter_span.event(
-                    "tsgreedy.candidate",
-                    candidate_fields(
-                        mv.group,
-                        &self.members[mv.group],
-                        &job.drives[mv.add.clone()],
-                        mv.drop.as_slice(),
-                        costed,
-                        Some(reason),
-                    ),
-                );
-            }
-            // Per-worker candidate counts are scheduling detail: they vary
-            // with the thread count, so they only appear on timed
-            // (wall-clock) collectors, never in deterministic traces.
-            if self.cfg.collector.timed() {
-                let counts: Vec<usize> = chunks.iter().map(|ch| ch.outcomes.len()).collect();
-                iter_span.event(
-                    "tsgreedy.workers",
-                    vec![
-                        f("threads", threads),
-                        f("candidates_per_worker", id_list(&counts)),
-                    ],
-                );
+    ) -> Option<Best> {
+        job.verdicts.clear();
+        let mut transient = Vec::new();
+        let mut items = job.items.iter();
+        for chunk in &chunks {
+            let (mut at, mut priced) = (0, 0);
+            for (&verdict, item) in chunk.verdicts.iter().zip(&mut items) {
+                job.verdicts.push(verdict);
+                let state = &mut job.groups[item.group];
+                if verdict == Verdict::Costable && !state.is_known(item.cand) {
+                    let width = self.group_subs[item.group].len();
+                    state.store(
+                        item.cand,
+                        &chunk.values[at..at + width],
+                        chunk.deltas[priced],
+                    );
+                    at += width;
+                    priced += 1;
+                    if !job.admit {
+                        transient.push((item.group, item.cand));
+                    }
+                }
             }
         }
-        let scored = outcomes()
-            .filter(|(o, _)| matches!(o, Scored::Costed(_)))
-            .count() as u64;
         // Deterministic-class accounting, batched on the dispatcher thread
         // so the reduction (not the workers) owns the counts: the totals
         // replay the sequential enumeration exactly and are byte-identical
         // at any thread count. Every enumerated candidate gets one
-        // Definition-2 validity check, every scored candidate one re-cost
-        // on the ledger, and the sub-plan and drive-term counts sum the
-        // chunks'.
-        let enumerated = job.moves.len() as u64;
+        // Definition-2 validity check, every scored (costable) candidate
+        // one re-cost on the ledger, and the sub-plan and drive-term counts
+        // sum the chunks'.
+        let (mut enumerated, mut scored) = (0, 0);
+        for (state, _) in job.groups.iter_mut().zip(active).filter(|(_, &on)| on) {
+            state.sort();
+            enumerated += state.moves.len() as u64;
+            scored += match state.checks {
+                Checks::NoneValid => 0,
+                Checks::Known => state.known_count,
+                Checks::Each => job.verdicts[state.items.clone()]
+                    .iter()
+                    .filter(|&&v| v == Verdict::Costable)
+                    .count(),
+            } as u64;
+        }
         let recosts = chunks.iter().map(|ch| ch.recosts).sum();
         let drive_terms = chunks.iter().map(|ch| ch.drive_terms).sum();
         let work = &mut job.work;
@@ -1061,60 +1160,232 @@ impl Step2<'_> {
         work.add(Counter::CostmodelDeltaRecosts, scored);
         work.add(Counter::CostmodelSubplanRecosts, recosts);
         work.add(Counter::CostmodelDriveTerms, drive_terms);
-        // Refresh pruning gains for every group examined this iteration: a
-        // group's stale gain becomes its best observed improvement
-        // (negative when nothing improves, -∞ when nothing was even
-        // costable), so exhausted groups sink in the priority queue.
-        if self.cfg.prune_width > 0 {
-            for (gain, &on) in job.gain.iter_mut().zip(active) {
-                if on {
-                    *gain = f64::NEG_INFINITY;
-                }
-            }
-            for (outcome, mv) in outcomes() {
-                if let Scored::Costed(c) = outcome {
-                    let gain = cost - *c;
-                    if gain > job.gain[mv.group] {
-                        job.gain[mv.group] = gain;
+        if iter_span.enabled() {
+            // Trace-only folds: every costable candidate's exact cost for
+            // its event, uncounted; the selection below does not use them.
+            let cost = job.cost;
+            self.each_candidate(job, active, |g, c, verdict, folded| {
+                let mv = &job.groups[g].moves[c];
+                let (costed, reason) = match folded {
+                    Some(x) if x < cost - 1e-9 => (Some((x, x - cost)), "improves"),
+                    Some(x) => (Some((x, x - cost)), "no_improvement"),
+                    None if verdict == Verdict::ConstraintViolation => {
+                        (None, "constraint_violation")
                     }
+                    None => (None, "invalid_layout"),
+                };
+                iter_span.event(
+                    "tsgreedy.candidate",
+                    candidate_fields(
+                        g,
+                        &self.members[g],
+                        &job.groups[g].drives[mv.add.clone()],
+                        mv.drop.as_slice(),
+                        costed,
+                        Some(reason),
+                    ),
+                );
+            });
+            // Per-worker item counts are scheduling detail: they vary with
+            // the thread count, so they only appear on timed (wall-clock)
+            // collectors, never in deterministic traces.
+            if self.cfg.collector.timed() {
+                let counts: Vec<usize> = chunks.iter().map(|ch| ch.verdicts.len()).collect();
+                iter_span.event(
+                    "tsgreedy.workers",
+                    vec![
+                        f("threads", threads),
+                        f("candidates_per_worker", id_list(&counts)),
+                    ],
+                );
+            }
+        }
+        let best = self.select(job, active, per_group);
+        for (g, c) in transient {
+            job.groups[g].unstore(c);
+        }
+        best
+    }
+
+    /// Visits every candidate of the active groups in the canonical order
+    /// (group-major, move-list order within a group) with its verdict and,
+    /// when it is costable, its exact fold.
+    fn each_candidate(
+        &self,
+        job: &Job<'_>,
+        active: &[bool],
+        mut visit: impl FnMut(usize, usize, Verdict, Option<f64>),
+    ) {
+        for (g, state) in job.groups.iter().enumerate().filter(|&(g, _)| active[g]) {
+            let subs = &self.group_subs[g];
+            let mut next = state.items.start;
+            for c in 0..state.moves.len() {
+                // Items are the candidates a trial decided; any other
+                // candidate is costable with values (`Known`) or invalid
+                // (`NoneValid`).
+                let verdict = if next < state.items.end && job.items[next].cand == c {
+                    next += 1;
+                    job.verdicts[next - 1]
+                } else if state.checks == Checks::Known {
+                    Verdict::Costable
+                } else {
+                    Verdict::InvalidLayout
+                };
+                let folded = (verdict == Verdict::Costable)
+                    .then(|| job.eval.fold(subs, state.values(c, subs.len())));
+                visit(g, c, verdict, folded);
+            }
+        }
+    }
+
+    /// The sequential scan the selection must reproduce: every costable
+    /// candidate folded, in the canonical order. Returns the earliest
+    /// strict minimum below `cost − 1e-9`, the stale gains with each active
+    /// group's refreshed to its best observed improvement (−∞ when nothing
+    /// was costable), and the folds it ran.
+    fn sweep(&self, job: &Job<'_>, active: &[bool]) -> (Option<Best>, Vec<f64>, u64) {
+        let (cost, limit) = (job.cost, job.cost - 1e-9);
+        let mut gains = job.gain.clone();
+        for (gain, &on) in gains.iter_mut().zip(active) {
+            if on {
+                *gain = f64::NEG_INFINITY;
+            }
+        }
+        let (mut best, mut folds): (Option<Best>, u64) = (None, 0);
+        self.each_candidate(job, active, |group, cand, _, folded| {
+            let Some(x) = folded else { return };
+            folds += 1;
+            if x < limit && best.as_ref().is_none_or(|b| x < b.cost) {
+                best = Some(Best {
+                    group,
+                    cand,
+                    cost: x,
+                });
+            }
+            if cost - x > gains[group] {
+                gains[group] = cost - x;
+            }
+        });
+        (best, gains, folds)
+    }
+
+    /// Selects the move to adopt: the earliest strict minimum below
+    /// `cost − 1e-9` over the active groups' costable candidates, as
+    /// [`Step2::sweep`] finds it, folding exactly only the candidates that
+    /// can still win. Every costable candidate's fold lies within its
+    /// [`FoldBracket`](crate::costmodel::FoldBracket) of `total + Δ` (DESIGN.md §7). `U` is the smallest
+    /// upper end — each group's first costable candidate in delta order —
+    /// so a candidate whose `total + Δ` lies beyond `approx_limit(min(U,
+    /// cost − 1e-9))` folds strictly above a folded candidate or the
+    /// improvement threshold, and can neither win nor tie. A pruned search
+    /// also needs each active group's exact best for its stale gain, so it
+    /// brackets each group by its own `U`. When a weight, a ledger cost or
+    /// a delta is negative or not finite, every costable candidate is
+    /// folded. Debug builds check the pick against the full sweep.
+    fn select(&self, job: &mut Job<'_>, active: &[bool], per_group: bool) -> Option<Best> {
+        let bracket = |g: usize| job.eval.bracket(self.group_subs[g].len());
+        let bracketed = active
+            .iter()
+            .zip(&job.groups)
+            .enumerate()
+            .all(|(g, (&on, state))| !on || (state.finite && bracket(g).is_some()));
+        if !bracketed {
+            let (best, gains, folds) = self.sweep(job, active);
+            job.work.add(Counter::TsgreedyExactFolds, folds);
+            if per_group {
+                job.gain = gains;
+            }
+            return best;
+        }
+        let (cost, limit) = (job.cost, job.cost - 1e-9);
+        let verdicts = &job.verdicts;
+        // A group's smallest upper end: its first costable candidate in
+        // delta order, since `upper` is non-decreasing in the delta.
+        let first_upper = |g: usize| {
+            let (state, b) = (&job.groups[g], bracket(g)?);
+            let c = *state.order.iter().find(|&&c| state.costable(c, verdicts))?;
+            Some(b.upper(state.delta[c]))
+        };
+        let global = (!per_group).then(|| {
+            (0..active.len())
+                .filter(|&g| active[g])
+                .filter_map(first_upper)
+                .fold(limit, f64::min)
+        });
+        let (mut best, mut folds): (Option<Best>, u64) = (None, 0);
+        for (g, state) in job.groups.iter().enumerate().filter(|&(g, _)| active[g]) {
+            let Some(threshold) = global.or_else(|| first_upper(g)) else {
+                job.gain[g] = f64::NEG_INFINITY;
+                continue;
+            };
+            let Some(b) = bracket(g) else { continue };
+            let (subs, reach) = (&self.group_subs[g], b.approx_limit(threshold));
+            let mut group_best: Option<(f64, usize)> = None;
+            for &c in &state.order {
+                if !state.costable(c, verdicts) {
+                    continue;
+                }
+                if b.approx(state.delta[c]) > reach {
+                    break;
+                }
+                let x = job.eval.fold(subs, state.values(c, subs.len()));
+                folds += 1;
+                if group_best.is_none_or(|(y, d)| x < y || (x == y && c < d)) {
+                    group_best = Some((x, c));
+                }
+            }
+            if per_group {
+                job.gain[g] = group_best.map_or(f64::NEG_INFINITY, |(x, _)| cost - x);
+            }
+            if let Some((x, cand)) = group_best {
+                // Groups are visited in the canonical order, so the strict
+                // `<` keeps the earliest group's candidate on a tie.
+                if x < limit && best.as_ref().is_none_or(|b| x < b.cost) {
+                    best = Some(Best {
+                        group: g,
+                        cand,
+                        cost: x,
+                    });
                 }
             }
         }
-        // Admit the chunks' re-costed values, keyed by group and position
-        // in the group's move list.
-        for chunk in &chunks {
-            let mut at = 0usize;
-            for &idx in &chunk.fresh {
-                let g = job.moves[idx].group;
-                let width = self.group_subs[g].len();
-                let slice = job.group_moves[g].clone();
-                let entry = &mut job.memo[g];
-                if entry.known.len() != slice.len() {
-                    entry.known.clear();
-                    entry.known.resize(slice.len(), false);
-                    entry.values.resize(slice.len() * width, 0.0);
+        if cfg!(debug_assertions) {
+            let (full, full_gains, _) = self.sweep(job, active);
+            let key = |b: &Best| (b.group, b.cand, b.cost.to_bits());
+            assert_eq!(
+                best.as_ref().map(key),
+                full.as_ref().map(key),
+                "the fold bracket missed the full sweep's earliest strict minimum"
+            );
+            if per_group {
+                for g in (0..active.len()).filter(|&g| active[g]) {
+                    let (gain, want) = (job.gain[g], full_gains[g]);
+                    assert_eq!(gain.to_bits(), want.to_bits(), "group {g}'s gain");
                 }
-                let c = idx - slice.start;
-                entry.values[c * width..(c + 1) * width]
-                    .copy_from_slice(&chunk.values[at..at + width]);
-                entry.known[c] = true;
-                at += width;
             }
+            self.each_candidate(job, active, |g, c, _, folded| {
+                let (Some(x), Some(b)) = (folded, bracket(g)) else {
+                    return;
+                };
+                let delta = job.groups[g].delta[c];
+                assert!(
+                    x <= b.upper(delta) && b.approx(delta) <= b.approx_limit(x),
+                    "group {g}'s candidate {c} folds to {x} outside its bracket"
+                );
+            });
         }
-        chunks
-            .into_iter()
-            .filter_map(|ch| ch.best)
-            .reduce(|best, b| if b.cost < best.cost { b } else { best })
+        job.work.add(Counter::TsgreedyExactFolds, folds);
+        best
     }
 
     /// Adopts `best`: re-places its group in the snapshot's layout (the
     /// placement is deterministic, so this is bit-for-bit the layout the
     /// worker scored), installs its re-costed values in the ledger,
-    /// invalidates the memo where the move changed an input and patches
-    /// the validity snapshot's moved rows.
-    fn adopt(&self, job: &mut Job<'_>, best: ChunkBest, iter_span: &Span) {
-        let mv = job.moves[best.index].clone();
-        let g = mv.group;
+    /// invalidates the memo where the move changed an input, rebuilds the
+    /// moved group's moves and patches the validity snapshot's moved rows.
+    fn adopt(&self, job: &mut Job<'_>, best: Best, iter_span: &Span) {
+        let g = best.group;
+        let mv = job.groups[g].moves[best.cand].clone();
         let (members, subs) = (&self.members[g], &self.group_subs[g]);
         if iter_span.enabled() {
             iter_span.event(
@@ -1122,7 +1393,7 @@ impl Step2<'_> {
                 candidate_fields(
                     g,
                     members,
-                    &job.drives[mv.add.clone()],
+                    &job.groups[g].drives[mv.add.clone()],
                     mv.drop.as_slice(),
                     Some((best.cost, best.cost - job.cost)),
                     None,
@@ -1130,7 +1401,7 @@ impl Step2<'_> {
             );
         }
         let mut set = Vec::new();
-        job.new_set(&mv, &mut set);
+        job.new_set(g, &mv, &mut set);
         for &i in members {
             job.layout.place_proportional(i, &set, self.disks);
         }
@@ -1154,16 +1425,17 @@ impl Step2<'_> {
         // Invalidate the memo where the move changed an input: the moved
         // group's own candidates (its drives, hence its move list, changed)
         // and those of every group that reads a sub-plan the moved group
-        // reads — its access-graph neighbours. No other memoized value read
-        // a moved row.
-        job.memo[g].known.clear();
+        // reads — its access-graph neighbours, whose deltas also read the
+        // ledger values the adoption rewrote. No other memoized value or
+        // delta read a moved row.
         for &(s, p) in subs {
             for access in &self.workload[s as usize].0[p as usize].accesses {
                 if let Some(&h) = self.group_index.get(access.object.index()) {
-                    job.memo[h].known.clear();
+                    job.groups[h].forget();
                 }
             }
         }
+        self.enumerate_moves(job, g);
         job.refresh_rows(members.iter().copied());
     }
 }
@@ -1967,6 +2239,71 @@ mod tests {
                 direct.final_cost.to_bits(),
                 "{name}"
             );
+        }
+    }
+
+    /// Two groups whose best moves fold to equal costs, or to costs a few
+    /// ULPs apart, while every other move is far worse: the selection folds
+    /// exactly those two, and the earliest strict minimum wins — the
+    /// earlier group on an exact tie, the cheaper one otherwise.
+    #[test]
+    fn near_tied_moves_in_different_groups_are_both_folded() {
+        // A on D0 and B on D1 (rate 20 each), each read by its own
+        // statement. Widening onto D2 (rate 40) cuts a scan to a third;
+        // any other drive, or a swap, to a half or more.
+        let rates = [20.0, 20.0, 40.0, 10.0, 15.0];
+        let disks: Vec<DiskSpec> = rates
+            .iter()
+            .enumerate()
+            .map(|(j, &r)| DiskSpec::new(&format!("D{j}"), 100_000, 8.0, r, r))
+            .collect();
+        let sizes = vec![400u64, 400];
+        let mut seed = Layout::empty(sizes.clone(), disks.len());
+        seed.place_proportional(0, &[0], &disks);
+        seed.place_proportional(1, &[1], &disks);
+        let cost_of = |workload: &[(Vec<Subplan>, f64)], widened: usize| {
+            let mut l = seed.clone();
+            l.place_proportional(widened, &[widened, 2], &disks);
+            CostModel::default().workload_cost_subplans(workload, &l, &disks)
+        };
+        let eps = f64::EPSILON;
+        // (B's statement weight, ULPs between the two best folds, winner)
+        for (weight, ulps, winner) in [
+            (1.0, 0, 0),
+            (1.0 + 4.0 * eps, 2, 1),
+            (1.0 - 4.0 * eps, 2, 0),
+        ] {
+            let plans = vec![
+                (PhysicalPlan::new(scan(0, 400)), 1.0),
+                (PhysicalPlan::new(scan(1, 400)), weight),
+            ];
+            let graph = build_access_graph(2, &plans);
+            let workload = decompose_workload(&plans);
+            let (a, b) = (cost_of(&workload, 0), cost_of(&workload, 1));
+            let apart = a.to_bits().abs_diff(b.to_bits());
+            assert!(
+                (ulps..=ulps * 4).contains(&apart),
+                "weight {weight}: the best folds are {apart} ULPs apart"
+            );
+            let cfg = TsGreedyConfig {
+                seed: Some(seed.clone()),
+                max_iterations: 1,
+                ..Default::default()
+            };
+            let r = ts_greedy(&sizes, &graph, &workload, &disks, &cfg).unwrap();
+            assert_eq!(r.iterations, 1);
+            assert_eq!(
+                r.layout.disks_of(winner),
+                vec![winner, 2],
+                "weight {weight}"
+            );
+            assert_eq!(r.final_cost.to_bits(), a.min(b).to_bits());
+            assert_eq!(
+                r.work.get(Counter::TsgreedyExactFolds),
+                2,
+                "weight {weight}"
+            );
+            assert!(r.work.get(Counter::TsgreedyCandidatesScored) > 10);
         }
     }
 

@@ -140,6 +140,10 @@ counters! {
     /// Figure-7 drive terms TS-GREEDY's candidate scoring evaluates (one
     /// per drive the kernel visits for a re-costed sub-plan).
     CostmodelDriveTerms = "costmodel_drive_terms", deterministic;
+    /// Exact `DeltaEvaluator::fold`s TS-GREEDY's move selection runs: the
+    /// scored candidates its bracket cannot exclude (a traced search's
+    /// extra folds for its candidate events are not counted).
+    TsgreedyExactFolds = "tsgreedy_exact_folds", deterministic;
 }
 
 /// The backing slots. `AtomicU64` is not `Copy`, so the array is built

@@ -9,8 +9,8 @@
 //! rows, with and without tempdb I/O — every cost entry point must match
 //! the reference bit for bit: the costing walk's sub-plan and statement
 //! costs, per-disk events and visited terms, the workload cost, and every
-//! `DeltaEvaluator` total (built, folded, adopted). A
-//! second property checks the occupancy index against a dense scan of the
+//! `DeltaEvaluator` total (built, folded, adopted), and every fold lies
+//! within its `FoldBracket` of `total + Δ`. A second property checks the occupancy index against a dense scan of the
 //! fraction matrix after every `Layout` mutator. A third prices co-location
 //! groups' widening moves through a `WideningTable` and checks every value
 //! against the dense reference on the widened layout.
@@ -399,14 +399,15 @@ fn check_model(
 /// Every `DeltaEvaluator` total equals the dense reference on the layout
 /// it scores: the ledger built on the base, each move's fold, the total
 /// after adopting it (also a fresh ledger's on the trial), and a ledger
-/// built on an unrelated layout.
+/// built on an unrelated layout. Each fold also lies within its bracket;
+/// returns the largest `|fold − approx| / error` seen.
 fn check_delta(
     rng: &mut StdRng,
     model: &CostModel,
     workload: &[(Vec<Subplan>, f64)],
     base: &Layout,
     disks: &[DiskSpec],
-) {
+) -> f64 {
     let n = base.object_count();
     let mut eval = model.delta_evaluator(workload, base, disks);
     assert_same_bits(
@@ -417,6 +418,7 @@ fn check_delta(
     let mut scratch = EvalScratch::new();
     let (mut touched, mut values) = (Vec::new(), Vec::new());
     let mut current = base.clone();
+    let mut worst = 0.0f64;
     for step in 0..4 {
         let mut trial = current.clone();
         let mut moved: Vec<usize> = (0..rng.gen_range(1..=n.min(3)))
@@ -432,11 +434,17 @@ fn check_delta(
         eval.touched(&moved, &mut touched);
         values.clear();
         eval.recost_into(&trial, &touched, &mut values, &mut scratch);
-        assert_same_bits(
-            eval.fold(&touched, &values),
-            want,
-            &format!("fold, {context}"),
-        );
+        let fold = eval.fold(&touched, &values);
+        assert_same_bits(fold, want, &format!("fold, {context}"));
+        // The fold bracket (DESIGN.md §7): the exact fold lies within
+        // `total + Δ ± error`.
+        let delta = eval.delta(&touched, &values);
+        let bracket = eval
+            .bracket(touched.len())
+            .expect("weights and costs are finite and non-negative");
+        let (gap, error) = ((fold - bracket.approx(delta)).abs(), bracket.error(delta));
+        assert!(gap <= error, "bracket, {context}: gap {gap}, bound {error}");
+        worst = worst.max(gap / error);
         eval.adopt(&touched, &values);
         assert_same_bits(eval.total(), want, &format!("adopt, {context}"));
         let fresh = model.delta_evaluator(workload, &trial, disks);
@@ -453,11 +461,12 @@ fn check_delta(
         dense_workload(model, workload, &other, disks),
         "ledger on an unrelated layout",
     );
+    worst
 }
 
 #[test]
 fn sparse_kernel_is_bit_identical_to_the_dense_oracle() {
-    let mut seek_terms = 0;
+    let (mut seek_terms, mut worst) = (0, 0.0f64);
     for seed in 0..80u64 {
         let mut rng = StdRng::seed_from_u64(0x0F16_7000 + seed);
         let m = DISK_COUNTS[seed as usize % DISK_COUNTS.len()];
@@ -472,9 +481,10 @@ fn sparse_kernel_is_bit_identical_to_the_dense_oracle() {
             ..CostModel::default()
         };
         seek_terms += check_model(&model, &workload, &layout, &disks);
-        check_delta(&mut rng, &model, &workload, &layout, &disks);
+        worst = worst.max(check_delta(&mut rng, &model, &workload, &layout, &disks));
     }
     assert!(seek_terms > 0, "no drive ever held two accessed objects");
+    eprintln!("fold bracket: largest |fold - approx| / error = {worst:.4}");
 }
 
 #[test]

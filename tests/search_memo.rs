@@ -7,14 +7,17 @@
 //! (`dblayout_integration::reference_step2`) keeps nothing: it clones,
 //! validates and fully re-costs every candidate. On seeded instances where
 //! memoized candidates dominate (at least 8 groups, sparse co-access,
-//! 16–64 drives) the search at 1, 2 and 4 threads must agree with the
-//! reference on layout bits, cost bits, iterations, cost evaluations,
-//! every candidate and adoption event field for field, and the work
-//! counts; the threads' deterministic traces must be byte-identical. The
-//! instances cover `k = 2`, seeded searches (narrow and swap moves),
-//! pruned widening with arbitration sweeps, capacity-tight drives where a
-//! memoized candidate falls through the headroom accept, co-location
-//! groups and a movement bound.
+//! 16–64 drives) the search at 1, 2 and 4 threads, traced and untraced,
+//! must agree with the reference on layout bits, cost bits, iterations,
+//! cost evaluations and the work counts, and the traced runs on every
+//! candidate and adoption event field for field; the threads'
+//! deterministic traces must be byte-identical, and every run's
+//! deterministic counters (exact folds included) equal. The instances
+//! cover `k = 2`, seeded searches (narrow and swap moves), pruned widening
+//! with arbitration sweeps, capacity-tight drives where a memoized
+//! candidate falls through the headroom accept, co-location groups and a
+//! movement bound. Every candidate the reference scores also folds within
+//! its bracket of `total + Δ` (DESIGN.md §7).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -25,10 +28,10 @@ use rand::{Rng, SeedableRng};
 use dblayout_catalog::ObjectId;
 use dblayout_core::build_access_graph_subplans;
 use dblayout_core::constraints::Constraints;
-use dblayout_core::costmodel::decompose_workload;
+use dblayout_core::costmodel::{decompose_workload, EvalScratch};
 use dblayout_core::tsgreedy::{ts_greedy, TsGreedyConfig, TsGreedyResult};
 use dblayout_disksim::{uniform_disks, DiskSpec, Layout};
-use dblayout_integration::{decision_events, reference_step2};
+use dblayout_integration::{decision_events, reference_step2, Decision, Outcome};
 use dblayout_obs::counters::Counter;
 use dblayout_obs::{Collector, Record, RingSink};
 use dblayout_planner::{AccessKind, ObjectAccess, PhysicalPlan, PlanNode, Subplan};
@@ -101,11 +104,16 @@ struct Run {
     trace: Vec<Record>,
 }
 
-fn search(inst: &Instance, cfg: &TsGreedyConfig) -> Run {
+/// Runs `cfg` on `inst`, with a deterministic collector when `traced`.
+fn search(inst: &Instance, cfg: &TsGreedyConfig, traced: bool) -> Run {
     let graph = build_access_graph_subplans(inst.sizes.len(), &inst.workload);
     let ring = Arc::new(RingSink::new(usize::MAX));
     let cfg = TsGreedyConfig {
-        collector: Collector::deterministic(ring.clone()),
+        collector: if traced {
+            Collector::deterministic(ring.clone())
+        } else {
+            Collector::default()
+        },
         ..cfg.clone()
     };
     let result = ts_greedy(&inst.sizes, &graph, &inst.workload, &inst.disks, &cfg)
@@ -138,11 +146,14 @@ fn assert_engines_agree(inst: &Instance, cfg: &TsGreedyConfig, label: &str) -> R
     run
 }
 
-/// Runs `cfg` at 1, 2 and 4 threads (real fan-out) and the naive step-2
-/// reference from the search's own starting layout, asserts every
-/// observable agrees, and returns the 1-thread run.
+/// Runs `cfg` at 1, 2 and 4 threads (real fan-out), traced and untraced,
+/// and the naive step-2 reference from the search's own starting layout,
+/// asserts every observable agrees, and returns the traced 1-thread run.
+/// Untraced runs select moves without folding every candidate, so they
+/// are checked against the reference and, counter for counter (exact
+/// folds included), against the traced run.
 fn engines_agree(inst: &Instance, cfg: &TsGreedyConfig, label: &str) -> Run {
-    let at = |threads: usize| {
+    let at = |threads: usize, traced: bool| {
         search(
             inst,
             &TsGreedyConfig {
@@ -150,9 +161,18 @@ fn engines_agree(inst: &Instance, cfg: &TsGreedyConfig, label: &str) -> Run {
                 min_chunk: if threads == 1 { cfg.min_chunk } else { 0 },
                 ..cfg.clone()
             },
+            traced,
         )
     };
-    let runs = [at(1), at(2), at(4)];
+    let setups = [
+        (1, true),
+        (2, true),
+        (4, true),
+        (1, false),
+        (2, false),
+        (4, false),
+    ];
+    let runs = setups.map(|(threads, traced)| at(threads, traced));
     let reference = reference_step2(
         &inst.workload,
         &inst.disks,
@@ -161,9 +181,13 @@ fn engines_agree(inst: &Instance, cfg: &TsGreedyConfig, label: &str) -> Run {
     );
     let want_events = reference.decision_events();
     let want_trace = jsonl(&runs[0].trace);
-    for (run, threads) in runs.iter().zip([1, 2, 4]) {
+    let want_work = runs[0].result.work.deterministic_pairs();
+    for (run, (threads, traced)) in runs.iter().zip(setups) {
         let r = &run.result;
-        let context = format!("{label}, t{threads}");
+        let context = format!(
+            "{label}, t{threads}{}",
+            if traced { "" } else { ", untraced" }
+        );
         assert_eq!(
             layout_bits(&r.layout),
             layout_bits(&reference.layout),
@@ -181,15 +205,22 @@ fn engines_agree(inst: &Instance, cfg: &TsGreedyConfig, label: &str) -> Run {
         );
         assert_eq!(r.iterations, reference.iterations, "{context}");
         assert_eq!(r.cost_evaluations, reference.cost_evaluations, "{context}");
-        let got = decision_events(&run.trace);
-        assert_eq!(got.len(), want_events.len(), "{context}: event count");
-        for (line, (g, w)) in got.iter().zip(&want_events).enumerate() {
-            assert_eq!(g, w, "{context}: decision event {line}");
-        }
-        let got = jsonl(&run.trace);
-        assert_eq!(got.len(), want_trace.len(), "{context}: trace length");
-        for (line, (g, w)) in got.iter().zip(&want_trace).enumerate() {
-            assert_eq!(g, w, "{context}: trace line {line}");
+        if traced {
+            let got = decision_events(&run.trace);
+            assert_eq!(got.len(), want_events.len(), "{context}: event count");
+            for (line, (g, w)) in got.iter().zip(&want_events).enumerate() {
+                assert_eq!(g, w, "{context}: decision event {line}");
+            }
+            let got = jsonl(&run.trace);
+            assert_eq!(got.len(), want_trace.len(), "{context}: trace length");
+            for (line, (g, w)) in got.iter().zip(&want_trace).enumerate() {
+                assert_eq!(g, w, "{context}: trace line {line}");
+            }
+        } else {
+            assert!(
+                run.trace.is_empty(),
+                "{context}: an untraced search emitted"
+            );
         }
         let adopted = reference.iterations as u64;
         for (c, want) in [
@@ -204,21 +235,21 @@ fn engines_agree(inst: &Instance, cfg: &TsGreedyConfig, label: &str) -> Run {
         ] {
             assert_eq!(run.result.work.get(c), want, "{context}: {}", c.name());
         }
-        // Widening tables are filled before dispatch and chunks tally
-        // their own terms, so the work counts cannot depend on the thread
-        // count.
-        for c in [
-            Counter::CostmodelSubplanRecosts,
-            Counter::CostmodelDriveTerms,
-        ] {
-            assert_eq!(
-                run.result.work.get(c),
-                runs[0].result.work.get(c),
-                "{context}: {}",
-                c.name()
-            );
-        }
+        // Widening tables are filled before dispatch, chunks tally their
+        // own terms and the selection runs on the dispatcher, so no work
+        // count depends on the thread count or on tracing.
+        assert_eq!(
+            run.result.work.deterministic_pairs(),
+            want_work,
+            "{context}: deterministic counters"
+        );
     }
+    let exact = runs[0].result.work.get(Counter::TsgreedyExactFolds);
+    assert!(
+        exact <= reference.scored,
+        "{label}: {exact} exact folds for {} scored candidates",
+        reference.scored
+    );
     let [memo, ..] = runs;
     memo
 }
@@ -434,6 +465,138 @@ fn memo_matches_with_co_location_and_a_movement_bound() {
             "{label}: the bound rejected nothing"
         );
     }
+}
+
+/// The fold bracket (DESIGN.md §7) on every candidate the naive reference
+/// scores: each one's exact fold, which must equal the reference's full
+/// costing bit for bit, lies within `total + Δ ± error` of its iteration's
+/// ledger. Covers mixed-speed and uniform drives, `k = 2`, a seeded search
+/// (narrow and swap moves), tight capacity and co-location groups.
+#[test]
+fn fold_bracket_holds_for_every_scored_candidate() {
+    let uniform = {
+        let mut inst = instance(31, 12, 20, 8.0);
+        for d in &mut inst.disks {
+            d.read_mb_s = 20.0;
+            d.write_mb_s = 16.0;
+        }
+        inst
+    };
+    let co_located = Constraints::none()
+        .co_locate(ObjectId(0), ObjectId(1))
+        .co_locate(ObjectId(2), ObjectId(5));
+    let cases = [
+        (instance(1, 10, 16, 8.0), TsGreedyConfig::default()),
+        (
+            instance(4, 10, 16, 8.0),
+            TsGreedyConfig {
+                k: 2,
+                ..Default::default()
+            },
+        ),
+        (uniform, TsGreedyConfig::default()),
+        (instance(32, 12, 20, 1.6), TsGreedyConfig::default()),
+        (
+            instance(41, 12, 16, 8.0),
+            TsGreedyConfig {
+                constraints: co_located,
+                ..Default::default()
+            },
+        ),
+    ];
+    let (mut checked, mut worst) = (0usize, 0.0f64);
+    for (case, (inst, cfg)) in cases.iter().enumerate() {
+        let start = search(inst, cfg, false).result.initial_layout;
+        for cfg in [cfg.clone(), seeded_config(inst, &start)] {
+            let (n, w) = bracket_ratios(inst, &cfg, &start, &format!("case {case}"));
+            checked += n;
+            worst = worst.max(w);
+        }
+    }
+    eprintln!("fold bracket: {checked} candidates, largest |fold - approx| / error = {worst:.4}");
+    assert!(checked > 1_000, "only {checked} candidates checked");
+    assert!(worst <= 1.0, "a fold left its bracket: ratio {worst}");
+}
+
+/// A seeded search from `start` with every object one drive wider, so
+/// narrow and swap moves take part.
+fn seeded_config(inst: &Instance, start: &Layout) -> TsGreedyConfig {
+    let m = inst.disks.len();
+    let mut seed = start.clone();
+    for i in 0..inst.sizes.len() {
+        let mut set = seed.disks_of(i);
+        if let Some(j) = (0..m).find(|j| !set.contains(j)) {
+            set.push(j);
+        }
+        seed.place_proportional(i, &set, &inst.disks);
+    }
+    TsGreedyConfig {
+        seed: Some(seed),
+        max_iterations: 12,
+        ..Default::default()
+    }
+}
+
+/// Replays the reference's decisions for `cfg` from `start` (the seed's
+/// layout when it has one) and checks each scored candidate's fold against
+/// its bracket. Returns the candidates checked and the largest
+/// `|fold − approx| / error`.
+fn bracket_ratios(
+    inst: &Instance,
+    cfg: &TsGreedyConfig,
+    start: &Layout,
+    label: &str,
+) -> (usize, f64) {
+    let start = cfg.seed.as_ref().unwrap_or(start);
+    let reference = reference_step2(&inst.workload, &inst.disks, cfg, start);
+    let moved = |layout: &Layout, d: &Decision| {
+        let mut set: Vec<usize> = layout.disks_of(d.objects[0]);
+        set.retain(|&j| Some(j) != d.drop);
+        set.extend_from_slice(&d.add);
+        let mut trial = layout.clone();
+        for &i in &d.objects {
+            trial.place_proportional(i, &set, &inst.disks);
+        }
+        trial
+    };
+    let mut layout = start.clone();
+    let (mut touched, mut values) = (Vec::new(), Vec::new());
+    let mut scratch = EvalScratch::new();
+    let (mut checked, mut worst) = (0usize, 0.0f64);
+    for d in &reference.decisions {
+        if d.adopt {
+            layout = moved(&layout, d);
+            continue;
+        }
+        let Outcome::Costed(want) = d.outcome else {
+            continue;
+        };
+        let eval = cfg
+            .cost_model
+            .delta_evaluator(&inst.workload, &layout, &inst.disks);
+        let trial = moved(&layout, d);
+        eval.touched(&d.objects, &mut touched);
+        values.clear();
+        eval.recost_into(&trial, &touched, &mut values, &mut scratch);
+        let fold = eval.fold(&touched, &values);
+        assert_eq!(
+            fold.to_bits(),
+            want.to_bits(),
+            "{label}: fold off the reference"
+        );
+        let delta = eval.delta(&touched, &values);
+        let bracket = eval
+            .bracket(touched.len())
+            .expect("weights and costs are finite and non-negative");
+        let (gap, error) = ((fold - bracket.approx(delta)).abs(), bracket.error(delta));
+        assert!(
+            gap <= error,
+            "{label}: fold {fold} is {gap} from its approximation, bound {error}"
+        );
+        worst = worst.max(gap / error);
+        checked += 1;
+    }
+    (checked, worst)
 }
 
 /// Replays an unpruned search from its trace and counts the candidates
