@@ -17,7 +17,7 @@
 //!   increasing); old segments are pruned once the configured bound is
 //!   exceeded; a partial line left by an interrupted append is dropped
 //!   when the log is next opened.
-//! * [`replay`] — the verification pass: re-runs the recorded search
+//! * [`replay`](mod@replay) — the verification pass: re-runs the recorded search
 //!   from the record's inputs, bit-compares the reproduced layout
 //!   against the recorded one, then runs the recorded layout through
 //!   `dblayout-disksim` and reports the predicted-vs-simulated relative
@@ -45,7 +45,7 @@ pub mod log;
 pub mod record;
 pub mod replay;
 
-pub use crate::log::{DecisionLog, DecisionSummary, LogConfig};
+pub use crate::log::{DecisionLog, DecisionSummary};
 pub use record::{
     record_budgeted, record_recommendation, DecisionKind, DecisionOutcome, DecisionRecord, Digests,
     DiskCost, DiskSpecRecord, GraphSnapshot, PhaseRecord, RecordInputs, SearchSettings,

@@ -15,8 +15,7 @@
 //!   the newest, so ids keep increasing across process restarts and
 //!   pruning — a decision id is forever unique within a log directory.
 //! * **Size-bounded.** A segment is closed once appending would push it
-//!   past [`LogConfig::max_segment_bytes`]; when more than
-//!   [`LogConfig::max_segments`] segments exist, the oldest is deleted.
+//!   past 1 MiB; when more than 8 segments exist, the oldest is deleted.
 //!   The log can therefore run unattended on a long-lived server.
 //! * **Crash-tolerant open.** An append is one `write_all` of one line,
 //!   so a process killed mid-append leaves at most a partial last line
@@ -35,15 +34,16 @@ use serde_json::{Value, ValueExt};
 use crate::record::DecisionRecord;
 use crate::AuditError;
 
-/// Rotation bounds for a decision log.
+/// Rotation bounds for a decision log. Every log uses the defaults; the
+/// rotation tests shrink them.
 #[derive(Debug, Clone)]
-pub struct LogConfig {
+struct LogConfig {
     /// Segment size at which rotation happens (a single oversized record
     /// still gets written — into its own segment).
-    pub max_segment_bytes: u64,
+    max_segment_bytes: u64,
     /// Segments kept; the oldest beyond this is deleted. At least one is
     /// always kept (0 reads as 1), so the newest id survives pruning.
-    pub max_segments: usize,
+    max_segments: usize,
 }
 
 impl Default for LogConfig {
@@ -116,15 +116,13 @@ fn io_err(path: &Path, source: std::io::Error) -> AuditError {
 }
 
 impl DecisionLog {
-    /// Opens (creating missing parent directories) with default rotation
-    /// bounds.
+    /// Opens a log directory, creating it (and any missing parents) if
+    /// needed, and recovers the id high-water mark and segment list.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, AuditError> {
         Self::open_with(dir, LogConfig::default())
     }
 
-    /// Opens a log directory, creating it (and any missing parents) if
-    /// needed, and recovers the id high-water mark and segment list.
-    pub fn open_with(dir: impl AsRef<Path>, mut cfg: LogConfig) -> Result<Self, AuditError> {
+    fn open_with(dir: impl AsRef<Path>, mut cfg: LogConfig) -> Result<Self, AuditError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
         cfg.max_segments = cfg.max_segments.max(1);

@@ -9,7 +9,7 @@
 //! field order, nested structs as objects, tuples as arrays. The vendored
 //! `serde_json` prints `f64`s in shortest-round-trip form, so fraction
 //! and weight bits survive a write/read cycle exactly — the property
-//! [`crate::replay`]'s bit-identity check rests on.
+//! [`crate::replay()`]'s bit-identity check rests on.
 
 use dblayout_core::advisor::Recommendation;
 use dblayout_core::costmodel::{decompose_workload, CostModel};
@@ -278,7 +278,7 @@ pub struct DecisionRecord {
     /// Raw constraints file text when the decision ran under placement
     /// constraints. Recorded for provenance; constrained records are not
     /// currently replayable (the constraint compiler lives above this
-    /// crate) and [`crate::replay`] says so explicitly.
+    /// crate) and [`crate::replay()`] says so explicitly.
     pub constraints_text: Option<String>,
     /// Value-complete disk specs.
     pub disks: Vec<DiskSpecRecord>,

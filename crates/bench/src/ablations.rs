@@ -5,7 +5,7 @@
 //! * **A2** — TS-GREEDY vs. exhaustive enumeration on small instances:
 //!   the optimality gap.
 //! * **A3** — step contributions: step-1-only (pure clustering, cf. the
-//!   Livny et al. [12] comparison in §8) vs. full TS-GREEDY vs. FULL
+//!   Livny et al. \[12\] comparison in §8) vs. full TS-GREEDY vs. FULL
 //!   STRIPING.
 //! * **A4** — value of co-access information: the real access graph vs. an
 //!   edgeless graph vs. a label-scrambled graph driving step 1.

@@ -1,5 +1,5 @@
 //! Ablation A3: contribution of TS-GREEDY's two steps (step-1-only is the
-//! pure-clustering strategy of Livny et al. [12] discussed in §8).
+//! pure-clustering strategy of Livny et al. \[12\] discussed in §8).
 
 fn main() {
     println!("Ablation A3: step contributions on TPCH-22");

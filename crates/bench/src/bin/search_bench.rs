@@ -1,7 +1,8 @@
 //! TS-GREEDY wall times on `tpch_mix.sql` at each requested thread count.
 //!
 //! Usage: `search_bench [threads...]` (default `1 2 4 8`). Runs the search
-//! at each thread count (1 first when the list lacks it), writes
+//! at each thread count (1 first when the list lacks it) in 5 rounds that
+//! each run every count once, keeps each count's best time, writes
 //! `results/search_bench.json`, appends one observatory entry to the
 //! repo-root `BENCH_search.json` history (see `dblayout benchdiff`), and
 //! exits non-zero if any thread count's layout or cost diverges from the

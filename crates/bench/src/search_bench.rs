@@ -147,8 +147,39 @@ pub fn tpch_mix_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/workloads/tpch_mix.sql")
 }
 
+/// Times `run` at each of `thread_counts` over `reps` rounds, each round
+/// running every count once, so a drift of the host's speed during the
+/// run reaches every count alike. Returns each count's best time (ms) and
+/// its last value, in `thread_counts` order.
+fn best_of_interleaved<T>(
+    thread_counts: &[usize],
+    reps: usize,
+    mut run: impl FnMut(&TsGreedyConfig) -> T,
+) -> Vec<(f64, T)> {
+    let configs: Vec<TsGreedyConfig> = thread_counts
+        .iter()
+        .map(|&threads| TsGreedyConfig {
+            threads,
+            ..Default::default()
+        })
+        .collect();
+    let mut best: Vec<(f64, Option<T>)> = configs.iter().map(|_| (f64::INFINITY, None)).collect();
+    for _ in 0..reps.max(1) {
+        for (cfg, (best_ms, last)) in configs.iter().zip(&mut best) {
+            let t0 = Instant::now();
+            let value = run(cfg);
+            *best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+            *last = Some(value);
+        }
+    }
+    best.into_iter()
+        .map(|(ms, last)| (ms, last.expect("at least one repetition ran")))
+        .collect()
+}
+
 /// Runs the bench: the search at each of `thread_counts` (1 first when
-/// the list lacks it, as the identity baseline), `reps` repetitions each.
+/// the list lacks it, as the identity baseline), `reps` interleaved
+/// rounds.
 pub fn run_with(thread_counts: &[usize], reps: usize) -> SearchBenchReport {
     let reps = reps.max(1);
     let prof = PhaseTimer::new();
@@ -178,33 +209,17 @@ pub fn run_with(thread_counts: &[usize], reps: usize) -> SearchBenchReport {
         decompose_workload(&plans)
     };
 
-    let measure = |cfg: &TsGreedyConfig| {
-        let _search = prof.phase("search");
-        let mut best_ms = f64::INFINITY;
-        let mut result = None;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let r = ts_greedy(&sizes, &graph, &workload, &disks, cfg).expect("search succeeds");
-            best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-            result = Some(r);
-        }
-        (best_ms, result.expect("at least one repetition ran"))
-    };
-
     let mut counts = thread_counts.iter().map(|&t| t.max(1)).collect::<Vec<_>>();
     if !counts.contains(&1) {
         counts.insert(0, 1);
     }
-    let runs: Vec<_> = counts
-        .iter()
-        .map(|&threads| {
-            let cfg = TsGreedyConfig {
-                threads,
-                ..Default::default()
-            };
-            (threads, measure(&cfg))
-        })
-        .collect();
+    let runs: Vec<_> = {
+        let _search = prof.phase("search");
+        let best = best_of_interleaved(&counts, reps, |cfg| {
+            ts_greedy(&sizes, &graph, &workload, &disks, cfg).expect("search succeeds")
+        });
+        counts.iter().copied().zip(best).collect()
+    };
     let (_, (_, baseline)) = runs
         .iter()
         .find(|(threads, _)| *threads == 1)
@@ -269,22 +284,14 @@ pub fn run_with(thread_counts: &[usize], reps: usize) -> SearchBenchReport {
     let tpch64_disks = uniform_disks(64, 400_000, 10.0, 20.0);
     let tpch64_graph = build_access_graph(sizes.len(), &tpch22_plans);
     let tpch64_workload = decompose_workload(&tpch22_plans);
-    let tpch64_search_best_ms = [1usize, 2]
+    let tpch64_threads = [1usize, 2];
+    let tpch64_best = best_of_interleaved(&tpch64_threads, reps, |cfg| {
+        ts_greedy(&sizes, &tpch64_graph, &tpch64_workload, &tpch64_disks, cfg)
+            .expect("search succeeds");
+    });
+    let tpch64_search_best_ms = tpch64_threads
         .into_iter()
-        .map(|threads| {
-            let cfg = TsGreedyConfig {
-                threads,
-                ..Default::default()
-            };
-            let mut best_ms = f64::INFINITY;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                ts_greedy(&sizes, &tpch64_graph, &tpch64_workload, &tpch64_disks, &cfg)
-                    .expect("search succeeds");
-                best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-            }
-            (threads, best_ms)
-        })
+        .zip(tpch64_best.into_iter().map(|(ms, ())| ms))
         .collect();
     SearchBenchReport {
         workload: "examples/workloads/tpch_mix.sql".to_string(),

@@ -28,18 +28,6 @@ pub enum ColType {
     Date,
 }
 
-impl ColType {
-    /// Average stored width in bytes.
-    pub fn avg_width(self) -> u32 {
-        match self {
-            ColType::Int => 8,
-            ColType::Float => 8,
-            ColType::Str(n) => n as u32,
-            ColType::Date => 4,
-        }
-    }
-}
-
 /// Optimizer statistics for one column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
@@ -275,12 +263,5 @@ mod tests {
     fn uniform_stats_clamp_zero_distinct() {
         let s = ColumnStats::uniform(0);
         assert_eq!(s.distinct_count, 1);
-    }
-
-    #[test]
-    fn coltype_widths() {
-        assert_eq!(ColType::Int.avg_width(), 8);
-        assert_eq!(ColType::Str(25).avg_width(), 25);
-        assert_eq!(ColType::Date.avg_width(), 4);
     }
 }

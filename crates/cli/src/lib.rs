@@ -15,25 +15,3 @@
 
 pub mod constraints_file;
 pub mod disks_file;
-
-use dblayout_disksim::DiskSpec;
-
-/// Resolves the `--database` argument to a built-in catalog (shared with the
-/// server; see [`dblayout_catalog::resolve_catalog`]).
-pub use dblayout_catalog::resolve_catalog;
-
-/// The paper's example 8-drive array, used when `--disks` is omitted.
-pub fn default_disks() -> Vec<DiskSpec> {
-    dblayout_disksim::paper_disks()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn resolve_reexport_still_works() {
-        assert_eq!(resolve_catalog("tpch:0.1").unwrap().tables().len(), 8);
-        assert!(resolve_catalog("oracle").is_err());
-    }
-}

@@ -5,9 +5,9 @@ use std::io::BufRead;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use dblayout_catalog::resolve_catalog;
 use dblayout_cli::constraints_file::parse_constraints_file;
 use dblayout_cli::disks_file::parse_disks_file;
-use dblayout_cli::{default_disks, resolve_catalog};
 use dblayout_core::advisor::{Advisor, AdvisorConfig};
 use dblayout_core::deploy::render_script;
 use dblayout_core::tsgreedy::TsGreedyConfig;
@@ -410,7 +410,7 @@ fn load_inputs(args: &Args) -> Result<Inputs, String> {
                 .map_err(|e| format!("cannot read drives `{path}`: {e}"))?;
             parse_disks_file(&text)?
         }
-        None => default_disks(),
+        None => dblayout_disksim::paper_disks(),
     };
     let mut constraints_text = None;
     let constraints = match &args.constraints {

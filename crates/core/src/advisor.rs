@@ -210,7 +210,8 @@ impl<'a> Advisor<'a> {
     /// incrementally and skip the per-request *Analyze Workload* pass).
     ///
     /// `graph` and `workload` must correspond to `plans` — i.e. be what
-    /// [`build_access_graph`] / [`decompose_workload`] would produce from
+    /// [`build_access_graph`](crate::build_access_graph) /
+    /// [`decompose_workload`] would produce from
     /// them — or the costs reported will not match the layout searched.
     pub fn recommend_prepared(
         &self,

@@ -350,7 +350,7 @@ impl EvalScratch {
 /// fractions on `S` depend only on that total; uniform drives have one).
 /// [`DeltaEvaluator::price_widening`] takes the largest of these and of
 /// the candidate's own terms on `A`: the terms the kernel maximizes,
-/// each computed by the kernel's [`drive_term`], and `max` neither rounds
+/// each computed by the kernel's `drive_term`, and `max` neither rounds
 /// nor depends on order — so the price is the kernel's, bit for bit.
 #[derive(Debug, Clone, Default)]
 pub struct WideningTable {

@@ -794,14 +794,8 @@ impl Step2<'_> {
                 let chunks = pool.dispatch_to(shared.clone(), workers);
                 job = Arc::unwrap_or_clone(shared);
                 let cost = job.cost;
-                let Some(best) = self.reduce(
-                    &mut job,
-                    chunks,
-                    &active,
-                    pruned_search,
-                    &iter_span,
-                    pool.threads(),
-                ) else {
+                let Some(best) = self.reduce(&mut job, chunks, &active, pruned_search, &iter_span)
+                else {
                     if pruning {
                         // The pruned frontier is dry; one full sweep
                         // decides between another adoption and
@@ -1106,7 +1100,6 @@ impl Step2<'_> {
         active: &[bool],
         per_group: bool,
         iter_span: &Span,
-        threads: usize,
     ) -> Option<Best> {
         job.verdicts.clear();
         let mut transient = Vec::new();
@@ -1186,19 +1179,6 @@ impl Step2<'_> {
                     ),
                 );
             });
-            // Per-worker item counts are scheduling detail: they vary with
-            // the thread count, so they only appear on timed (wall-clock)
-            // collectors, never in deterministic traces.
-            if self.cfg.collector.timed() {
-                let counts: Vec<usize> = chunks.iter().map(|ch| ch.verdicts.len()).collect();
-                iter_span.event(
-                    "tsgreedy.workers",
-                    vec![
-                        f("threads", threads),
-                        f("candidates_per_worker", id_list(&counts)),
-                    ],
-                );
-            }
         }
         let best = self.select(job, active, per_group);
         for (g, c) in transient {
@@ -2091,8 +2071,6 @@ mod tests {
             reference.iter().any(|l| l.contains("tsgreedy.candidate")),
             "trace records no candidates"
         );
-        // No per-worker scheduling detail leaks into deterministic traces.
-        assert!(reference.iter().all(|l| !l.contains("tsgreedy.workers")));
         for threads in [2usize, 4, 8] {
             assert_eq!(trace_at(threads), reference, "threads={threads}");
         }
@@ -2304,32 +2282,6 @@ mod tests {
                 "weight {weight}"
             );
             assert!(r.work.get(Counter::TsgreedyCandidatesScored) > 10);
-        }
-    }
-
-    /// Timed collectors do get the per-worker scheduling event.
-    #[test]
-    fn timed_trace_records_per_worker_candidate_counts() {
-        use dblayout_obs::RingSink;
-        let (sizes, graph, workload, disks) = parallel_fixture();
-        let ring = Arc::new(RingSink::new(usize::MAX));
-        let cfg = TsGreedyConfig {
-            threads: 4,
-            min_chunk: 0, // force full fan-out on this small fixture
-            collector: Collector::new(ring.clone()),
-            ..Default::default()
-        };
-        ts_greedy(&sizes, &graph, &workload, &disks, &cfg).unwrap();
-        let workers: Vec<_> = ring
-            .drain()
-            .into_iter()
-            .filter(|r| r.name == "tsgreedy.workers")
-            .collect();
-        assert!(!workers.is_empty());
-        for w in workers {
-            assert_eq!(w.field_u64("threads"), Some(4));
-            let counts = w.field_str("candidates_per_worker").unwrap_or("");
-            assert_eq!(counts.split(',').count(), 4, "counts = {counts:?}");
         }
     }
 }

@@ -16,8 +16,6 @@ pub struct BufferPool {
     /// key -> LRU tick of last touch
     resident: HashMap<(u32, u64), u64>,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl BufferPool {
@@ -27,8 +25,6 @@ impl BufferPool {
             capacity: capacity_blocks,
             resident: HashMap::new(),
             tick: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -37,16 +33,13 @@ impl BufferPool {
     pub fn access(&mut self, object: u32, block: u64) -> bool {
         self.tick += 1;
         if self.capacity == 0 {
-            self.misses += 1;
             return false;
         }
         let key = (object, block);
         if let Some(t) = self.resident.get_mut(&key) {
             *t = self.tick;
-            self.hits += 1;
             return true;
         }
-        self.misses += 1;
         if self.resident.len() >= self.capacity {
             // Evict the least recently used entry. A linear scan keeps the
             // structure simple; pool sizes are a few thousand entries and
@@ -64,16 +57,6 @@ impl BufferPool {
     pub fn clear(&mut self) {
         self.resident.clear();
     }
-
-    /// Blocks currently cached.
-    pub fn resident_blocks(&self) -> usize {
-        self.resident.len()
-    }
-
-    /// `(hits, misses)` since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +68,6 @@ mod tests {
         let mut p = BufferPool::new(10);
         assert!(!p.access(1, 5));
         assert!(p.access(1, 5));
-        assert_eq!(p.stats(), (1, 1));
     }
 
     #[test]
@@ -114,7 +96,6 @@ mod tests {
         let mut p = BufferPool::new(10);
         p.access(1, 1);
         p.clear();
-        assert_eq!(p.resident_blocks(), 0);
         assert!(!p.access(1, 1));
     }
 

@@ -2,7 +2,7 @@
 //!
 //! R6 needs "is this function reachable from the deterministic search
 //! paths?" without type checking. The graph is built from the scan-phase
-//! [`FnFact`]s: nodes are function definitions, and a call links to a
+//! [`FnFact`](crate::summary::FnFact)s: nodes are function definitions, and a call links to a
 //! definition when
 //!
 //! * the call is path-qualified and the qualifier+name matches the

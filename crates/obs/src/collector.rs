@@ -94,16 +94,6 @@ impl Collector {
         self.0.is_some()
     }
 
-    /// Whether this collector records wall-clock/timing-dependent detail
-    /// (true for [`Collector::new`], false for
-    /// [`Collector::deterministic`] and [`Collector::disabled`]). Guard
-    /// run-to-run-variable fields — e.g. per-worker scheduling detail —
-    /// behind this so deterministic traces stay byte-identical.
-    #[inline]
-    pub fn timed(&self) -> bool {
-        self.0.as_ref().is_some_and(|inner| inner.timing)
-    }
-
     /// Emits a point event outside any span (span id 0).
     pub fn event(&self, name: &str, fields: Vec<(String, FieldValue)>) {
         self.emit_event(0, name, fields);

@@ -158,8 +158,8 @@ impl Record {
         }
     }
 
-    /// The record as a JSON value with fixed key order
-    /// (`seq`, `kind`, `span`, [`parent`], `name`, [`elapsed_us`],
+    /// The record as a JSON value with fixed key order (`seq`, `kind`,
+    /// `span`, `parent` when set, `name`, `elapsed_us` when set,
     /// `fields`).
     pub fn to_json(&self) -> Value {
         let mut pairs: Vec<(String, Value)> = Vec::with_capacity(7);

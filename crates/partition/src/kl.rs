@@ -4,115 +4,14 @@
 //! locked pairs and keeping the best prefix of the swap sequence. The
 //! paper's step 1 wants the *opposite* objective — maximize the weight of
 //! edges **across** partitions so co-accessed objects separate — which is
-//! the same algorithm with gains negated. For `m > 2` partitions we use a
-//! generalized single-move KL (Fiduccia–Mattheyses-style passes): each pass
-//! tentatively moves every node once (best gain first, negative gains
-//! allowed), then rolls back to the best prefix; passes repeat until no
-//! improvement. Greedy seeding places heavy nodes first in the partition
+//! the same algorithm with gains negated. For any number of partitions we
+//! use a generalized single-move KL (Fiduccia–Mattheyses-style passes):
+//! each pass tentatively moves every node once (best gain first, negative
+//! gains allowed), then rolls back to the best prefix; passes repeat until
+//! no improvement. Greedy seeding places heavy nodes first in the partition
 //! minimizing internal co-access.
 
 use crate::graph::Graph;
-
-/// Two-way Kernighan–Lin maximizing the cut. Returns partition labels 0/1.
-///
-/// Starts from an even-odd split and applies KL swap passes until a pass
-/// yields no improvement.
-pub fn kl_bipartition(g: &Graph) -> Vec<usize> {
-    let n = g.len();
-    let mut assignment: Vec<usize> = (0..n).map(|u| u % 2).collect();
-    loop {
-        let improved = kl_swap_pass(g, &mut assignment);
-        if !improved {
-            return assignment;
-        }
-    }
-}
-
-/// One classic KL pass over a bipartition: compute the best sequence of
-/// pair swaps (with locking) and keep the prefix with the highest cumulative
-/// cut gain. Returns whether the cut strictly improved.
-fn kl_swap_pass(g: &Graph, assignment: &mut [usize]) -> bool {
-    let n = g.len();
-    let mut locked = vec![false; n];
-    // D[u] = gain in cut from moving u to the other side
-    //      = internal(u) − external(u)   [for max-cut]
-    let mut d = vec![0.0f64; n];
-    let recompute = |d: &mut [f64], assignment: &[usize], locked: &[bool]| {
-        for u in 0..n {
-            if locked[u] {
-                continue;
-            }
-            let mut internal = 0.0;
-            let mut external = 0.0;
-            for (v, w) in g.neighbors(u) {
-                if assignment[v] == assignment[u] {
-                    internal += w;
-                } else {
-                    external += w;
-                }
-            }
-            d[u] = internal - external;
-        }
-    };
-    recompute(&mut d, assignment, &locked);
-
-    let mut swaps: Vec<(usize, usize, f64)> = Vec::new();
-    let mut work = assignment.to_vec();
-    let pairs = {
-        let a_count = work.iter().filter(|&&p| p == 0).count();
-        a_count.min(n - a_count)
-    };
-    for _ in 0..pairs {
-        // Pick the unlocked cross pair (a in 0, b in 1) with max combined gain.
-        let mut best: Option<(usize, usize, f64)> = None;
-        for a in 0..n {
-            if locked[a] || work[a] != 0 {
-                continue;
-            }
-            for b in 0..n {
-                if locked[b] || work[b] != 1 {
-                    continue;
-                }
-                // The (a,b) edge crosses the cut both before and after a
-                // simultaneous swap, but d[a] and d[b] each counted it as a
-                // −w loss (they assume the other endpoint stays put), so the
-                // pair gain needs a +2w correction — the max-cut mirror of
-                // classic KL's g = D[a] + D[b] − 2·c(a,b).
-                let gain = d[a] + d[b] + 2.0 * g.edge_weight(a, b);
-                if best.is_none_or(|(_, _, best_gain)| gain > best_gain) {
-                    best = Some((a, b, gain));
-                }
-            }
-        }
-        let Some((a, b, gain)) = best else { break };
-        work[a] = 1;
-        work[b] = 0;
-        locked[a] = true;
-        locked[b] = true;
-        swaps.push((a, b, gain));
-        recompute(&mut d, &work, &locked);
-    }
-
-    // Best prefix of cumulative gains.
-    let mut best_k = 0;
-    let mut best_sum = 0.0;
-    let mut sum = 0.0;
-    for (k, &(_, _, gain)) in swaps.iter().enumerate() {
-        sum += gain;
-        if sum > best_sum + 1e-12 {
-            best_sum = sum;
-            best_k = k + 1;
-        }
-    }
-    if best_k == 0 {
-        return false;
-    }
-    for &(a, b, _) in &swaps[..best_k] {
-        assignment[a] = 1;
-        assignment[b] = 0;
-    }
-    true
-}
 
 /// Multiway max-cut partitioning into `parts` parts.
 ///
@@ -296,7 +195,7 @@ mod tests {
     #[test]
     fn bipartition_separates_hot_pairs() {
         let g = two_pairs();
-        let a = kl_bipartition(&g);
+        let a = max_cut_partition(&g, 2);
         // Max cut must separate 0 from 1 and 2 from 3 (cut = 200 + maybe 2).
         assert_ne!(a[0], a[1]);
         assert_ne!(a[2], a[3]);
@@ -306,7 +205,7 @@ mod tests {
     #[test]
     fn bipartition_matches_exhaustive_on_small_graphs() {
         let g = two_pairs();
-        let heuristic = g.cut_weight(&kl_bipartition(&g));
+        let heuristic = g.cut_weight(&max_cut_partition(&g, 2));
         let optimal = g.cut_weight(&exhaustive_max_cut(&g, 2));
         assert!(heuristic >= optimal - 1e-9, "{heuristic} < {optimal}");
     }
@@ -359,7 +258,6 @@ mod tests {
     fn empty_graph() {
         let g = Graph::new(0);
         assert!(max_cut_partition(&g, 4).is_empty());
-        assert!(kl_bipartition(&g).is_empty());
         assert!(exhaustive_max_cut(&g, 2).is_empty());
     }
 

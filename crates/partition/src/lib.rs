@@ -16,12 +16,10 @@
 //! edge weights across partitions" — i.e. **max-cut** multiway partitioning:
 //! objects that are heavily co-accessed should land in *different*
 //! partitions (different disks). The paper uses the Kernighan–Lin heuristic
-//! [KL70]; we provide:
+//! \[KL70\]; we provide:
 //!
 //! * [`Graph`] — an undirected weighted graph with node weights (total
 //!   blocks accessed) and edge weights (co-accessed blocks);
-//! * [`kl_bipartition`] — the classic two-way Kernighan–Lin pass structure,
-//!   adapted to maximize the cut;
 //! * [`max_cut_partition`] — multiway partitioning: greedy seeding plus
 //!   KL-style refinement passes with locking and best-prefix rollback;
 //! * [`exhaustive_max_cut`] — brute force for small instances, used to
@@ -37,7 +35,7 @@ pub mod graph;
 pub mod kl;
 pub mod multilevel;
 
-pub use coarsen::{coarsen as coarsen_graph, heavy_edge_matching, Coarsening};
+pub use coarsen::{heavy_edge_matching, Coarsening};
 pub use graph::Graph;
-pub use kl::{exhaustive_max_cut, greedy_seed, kl_bipartition, max_cut_partition};
+pub use kl::{exhaustive_max_cut, greedy_seed, max_cut_partition};
 pub use multilevel::{balance_pass, multilevel_max_cut, refine_max_cut};

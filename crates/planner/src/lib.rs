@@ -32,7 +32,7 @@
 //! * **Block-access estimation** per object per sub-plan — `B(|R_i|, P)` in
 //!   the paper's cost model — including random-I/O block-touch estimates via
 //!   the Cardenas formula ([`access`]);
-//! * a Showplan-style **EXPLAIN** renderer ([`explain`]).
+//! * a Showplan-style **EXPLAIN** renderer ([`explain`](mod@explain)).
 
 pub mod access;
 pub mod error;
@@ -40,11 +40,9 @@ pub mod explain;
 pub mod optimizer;
 pub mod physical;
 pub mod selectivity;
-pub mod showplan;
 
 pub use access::{AccessKind, ObjectAccess, Subplan};
 pub use error::{PlanError, PlanResult};
 pub use explain::explain;
 pub use optimizer::{plan_statement, Optimizer};
 pub use physical::{PhysicalPlan, PlanNode};
-pub use showplan::parse_explain;

@@ -240,17 +240,6 @@ impl PlanNode {
         }
     }
 
-    /// Whether this operator introduces a pipeline cut toward *any* child.
-    pub fn is_blocking(&self) -> bool {
-        matches!(
-            self,
-            PlanNode::Sort { .. }
-                | PlanNode::HashAggregate { .. }
-                | PlanNode::HashJoin { .. }
-                | PlanNode::Apply { .. }
-        )
-    }
-
     /// Immediate children, in (outer/build/left first) order.
     pub fn children(&self) -> Vec<&PlanNode> {
         match self {
@@ -271,29 +260,6 @@ impl PlanNode {
             PlanNode::HashJoin { build, probe, .. } => vec![build, probe],
             PlanNode::Apply { sub, main, .. } => vec![sub, main],
             PlanNode::Insert { child, .. } => child.iter().map(|c| c.as_ref()).collect(),
-        }
-    }
-
-    /// Short operator name for explain output.
-    pub fn op_name(&self) -> &'static str {
-        match self {
-            PlanNode::TableScan { .. } => "TableScan",
-            PlanNode::Seek { .. } => "Seek",
-            PlanNode::ClusteredRangeScan { .. } => "ClusteredRangeScan",
-            PlanNode::IndexSeek { .. } => "IndexSeek",
-            PlanNode::RidLookup { .. } => "RidLookup",
-            PlanNode::Filter { .. } => "Filter",
-            PlanNode::NestedLoops { .. } => "NestedLoops",
-            PlanNode::MergeJoin { .. } => "MergeJoin",
-            PlanNode::HashJoin { .. } => "HashJoin",
-            PlanNode::Sort { .. } => "Sort",
-            PlanNode::StreamAggregate { .. } => "StreamAggregate",
-            PlanNode::HashAggregate { .. } => "HashAggregate",
-            PlanNode::Top { .. } => "Top",
-            PlanNode::Apply { .. } => "Apply",
-            PlanNode::Insert { .. } => "Insert",
-            PlanNode::Update { .. } => "Update",
-            PlanNode::Delete { .. } => "Delete",
         }
     }
 }

@@ -17,7 +17,6 @@
 
 use dblayout_obs::counters::{self, Counter};
 use dblayout_partition::Graph;
-use dblayout_planner::PhysicalPlan;
 
 /// Multiplies every node and edge weight of `graph` by `decay`, the
 /// epoch-advance primitive. Returns `true` when the graph was scaled;
@@ -37,71 +36,6 @@ pub fn advance_epoch(graph: &mut Graph, decay: f64) -> bool {
     graph.scale(decay);
     counters::incr(Counter::RelayoutEpochAdvances);
     true
-}
-
-/// An access graph with epoch-bucketed exponential decay: the offline
-/// (CLI / test harness) counterpart of the server session's decayed graph.
-///
-/// Usage per epoch: [`DecayedGraph::advance_epoch`] once, then
-/// [`DecayedGraph::fold`] the epoch's plans.
-#[derive(Debug, Clone)]
-pub struct DecayedGraph {
-    graph: Graph,
-    decay: f64,
-    epoch: u64,
-}
-
-impl DecayedGraph {
-    /// An empty decayed graph over `n_objects` catalog objects.
-    ///
-    /// # Panics
-    /// Asserts `0 < decay <= 1`.
-    pub fn new(n_objects: usize, decay: f64) -> Self {
-        assert!(
-            decay > 0.0 && decay <= 1.0,
-            "decay must be in (0, 1], got {decay}"
-        );
-        Self {
-            graph: Graph::new(n_objects),
-            decay,
-            epoch: 0,
-        }
-    }
-
-    /// Closes the current epoch: ages all existing weights by the decay
-    /// factor (see [`advance_epoch`]) and bumps the epoch counter.
-    /// Returns `true` when weights were actually scaled.
-    pub fn advance_epoch(&mut self) -> bool {
-        self.epoch += 1;
-        advance_epoch(&mut self.graph, self.decay)
-    }
-
-    /// Folds weighted plans into the current epoch at full weight — the
-    /// same Figure-6 accumulation as
-    /// [`extend_access_graph`](dblayout_core::extend_access_graph).
-    pub fn fold(&mut self, plans: &[(PhysicalPlan, f64)]) {
-        dblayout_core::extend_access_graph(&mut self.graph, plans);
-    }
-
-    /// The decayed graph, ready for drift detection or advising.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// The configured decay factor.
-    pub fn decay(&self) -> f64 {
-        self.decay
-    }
-
-    /// Epochs advanced so far (= `advance_epoch` calls).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Consumes the wrapper, yielding the underlying graph.
-    pub fn into_graph(self) -> Graph {
-        self.graph
-    }
 }
 
 /// Canonical byte serialization of a graph: node count, every node
@@ -127,7 +61,7 @@ pub fn graph_bytes(g: &Graph) -> Vec<u8> {
 mod tests {
     use super::*;
     use dblayout_catalog::ObjectId;
-    use dblayout_planner::PlanNode;
+    use dblayout_planner::{PhysicalPlan, PlanNode};
 
     fn scan(obj: u32, blocks: u64) -> PlanNode {
         PlanNode::TableScan {
@@ -153,31 +87,33 @@ mod tests {
         let mut plain = Graph::new(3);
         dblayout_core::extend_access_graph(&mut plain, &plans);
 
-        let mut dg = DecayedGraph::new(3, 1.0);
+        let mut decayed = Graph::new(3);
         for p in &plans {
-            assert!(!dg.advance_epoch(), "decay=1.0 must never scale");
-            dg.fold(std::slice::from_ref(p));
+            assert!(
+                !advance_epoch(&mut decayed, 1.0),
+                "decay=1.0 must never scale"
+            );
+            dblayout_core::extend_access_graph(&mut decayed, std::slice::from_ref(p));
         }
-        assert_eq!(graph_bytes(dg.graph()), graph_bytes(&plain));
-        assert_eq!(dg.epoch(), 2);
+        assert_eq!(graph_bytes(&decayed), graph_bytes(&plain));
     }
 
     #[test]
     fn decay_scales_old_epochs_only() {
-        let mut dg = DecayedGraph::new(2, 0.5);
-        dg.fold(&[(join(0, 100, 1, 100), 1.0)]);
-        let w0 = dg.graph().edge_weight(0, 1);
-        assert!(dg.advance_epoch());
-        assert_eq!(dg.graph().edge_weight(0, 1), w0 * 0.5);
+        let mut g = Graph::new(2);
+        dblayout_core::extend_access_graph(&mut g, &[(join(0, 100, 1, 100), 1.0)]);
+        let w0 = g.edge_weight(0, 1);
+        assert!(advance_epoch(&mut g, 0.5));
+        assert_eq!(g.edge_weight(0, 1), w0 * 0.5);
         // New folds land at full weight on top of the decayed base.
-        dg.fold(&[(join(0, 100, 1, 100), 1.0)]);
-        assert_eq!(dg.graph().edge_weight(0, 1), w0 * 0.5 + w0);
+        dblayout_core::extend_access_graph(&mut g, &[(join(0, 100, 1, 100), 1.0)]);
+        assert_eq!(g.edge_weight(0, 1), w0 * 0.5 + w0);
     }
 
     #[test]
     #[should_panic(expected = "decay must be in")]
     fn zero_decay_rejected() {
-        DecayedGraph::new(2, 0.0);
+        advance_epoch(&mut Graph::new(2), 0.0);
     }
 
     #[test]

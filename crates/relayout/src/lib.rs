@@ -29,7 +29,7 @@
 //! * [`drift`] — a **drift detector** comparing the decayed graph against
 //!   the graph the deployed layout was advised on (normalized edge-weight
 //!   distance + top-k co-access rank churn), firing a typed
-//!   [`DriftReport`](drift::DriftReport).
+//!   [`DriftReport`].
 //! * [`budget`] — **movement-budgeted advising**: "improve cost ≥ X% while
 //!   moving ≤ Y MB", reusing the seeded TS-GREEDY search and the paper's
 //!   §2.3.1 incremental data-movement constraint.
@@ -48,6 +48,6 @@ pub mod drift;
 pub mod planner;
 
 pub use budget::{recommend_budgeted, BudgetConfig, BudgetStrategy, BudgetedOutcome};
-pub use decay::{advance_epoch, graph_bytes, DecayedGraph};
+pub use decay::{advance_epoch, graph_bytes};
 pub use drift::{detect_drift, DriftConfig, DriftReport};
 pub use planner::{plan_migration, MigrationPlan, PlanError, PlanStep};

@@ -92,11 +92,6 @@ impl Engine {
         Ok(())
     }
 
-    /// Whether decision recording is active.
-    pub fn audit_enabled(&self) -> bool {
-        self.audit.is_some()
-    }
-
     /// Appends a freshly built record to the decision log. Only called on
     /// paths that already checked `self.audit.is_some()`.
     fn append_record(&self, mut record: DecisionRecord) -> Result<u64, ApiError> {
@@ -790,7 +785,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut engine = Engine::new(4, 16);
         engine.enable_audit(&dir).expect("open decision log");
-        assert!(engine.audit_enabled());
         let open = exec(
             &engine,
             Request::OpenSession {

@@ -79,13 +79,6 @@ impl Histogram {
         self.inner.record(us.max(1));
     }
 
-    /// Bucket-resolution percentile: the upper bound of the bucket
-    /// containing the q-quantile observation (0 when empty), at most
-    /// 12.5% above the true value.
-    pub fn percentile_us(&self, q: f64) -> u64 {
-        self.inner.snapshot().quantile(q)
-    }
-
     /// Reads count, sum, and the standard percentiles at once.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let s = self.inner.snapshot();
@@ -219,11 +212,6 @@ pub struct MetricsSnapshot {
 }
 
 impl Metrics {
-    /// Records one served request's end-to-end latency.
-    pub fn observe_latency(&self, took: Duration) {
-        self.latency.observe(took);
-    }
-
     /// Records one served request's end-to-end latency against both the
     /// overall histogram and its wire-op family (`None`: a request that
     /// did not parse).
@@ -450,16 +438,16 @@ mod tests {
         let m = Metrics::default();
         for _ in 0..99 {
             // 100 µs: octave 6 (64..128), sub-bucket [96, 104) — bound 103.
-            m.observe_latency(Duration::from_micros(100));
+            m.observe_op_latency(Some(Op::Stats), Duration::from_micros(100));
         }
-        m.observe_latency(Duration::from_millis(50)); // far slower outlier
+        m.observe_op_latency(Some(Op::Stats), Duration::from_millis(50)); // far slower outlier
         let s = m.snapshot().stats.latency;
         assert_eq!(s.p50_us, 103);
         assert!(s.p99_us <= 103, "p99 is still the common case");
         // Log-linear resolution: p50 within 12.5% of the true 100 µs.
         assert!((s.p50_us as f64) <= 100.0 * 1.125);
         for _ in 0..100 {
-            m.observe_latency(Duration::from_millis(50));
+            m.observe_op_latency(Some(Op::Stats), Duration::from_millis(50));
         }
         let p99 = m.snapshot().stats.latency.p99_us;
         assert!(p99 >= 50_000 && (p99 as f64) <= 50_000.0 * 1.125, "{p99}");
@@ -482,14 +470,14 @@ mod tests {
             let h = Histogram::default();
             h.observe_us(1u64 << k);
             assert_eq!(
-                h.percentile_us(0.5),
+                h.snapshot().p50_us,
                 (1u64 << k) + (1u64 << (k - SUB_BITS)) - 1,
                 "2^{k} µs reports its sub-bucket's bound"
             );
             let h = Histogram::default();
             h.observe_us((1u64 << k) - 1);
             assert_eq!(
-                h.percentile_us(0.5),
+                h.snapshot().p50_us,
                 (1u64 << k) - 1,
                 "2^{k}-1 µs is an exact octave top"
             );
@@ -498,7 +486,7 @@ mod tests {
         for v in 1u64..8 {
             let h = Histogram::default();
             h.observe_us(v);
-            assert_eq!(h.percentile_us(0.5), v);
+            assert_eq!(h.snapshot().p50_us, v);
         }
     }
 
@@ -522,7 +510,7 @@ mod tests {
     fn duration_max_saturates_into_last_bucket() {
         let h = Histogram::default();
         h.observe(Duration::MAX);
-        assert_eq!(h.percentile_us(0.5), LAST_BUCKET_BOUND_US);
+        assert_eq!(h.snapshot().p50_us, LAST_BUCKET_BOUND_US);
         assert_eq!(h.snapshot().p99_us, LAST_BUCKET_BOUND_US);
     }
 
@@ -566,7 +554,7 @@ mod tests {
         let m = Metrics::default();
         m.requests_total.fetch_add(5, Ordering::Relaxed);
         m.rejected_total.fetch_add(3, Ordering::Relaxed);
-        m.observe_latency(Duration::from_micros(100));
+        m.observe_op_latency(Some(Op::Stats), Duration::from_micros(100));
         m.stage_compute.observe(Duration::from_micros(80));
         m.stage_serialize.observe(Duration::from_micros(5));
         let text = render_prometheus(&m.snapshot_with_gauges(Gauges {
@@ -673,7 +661,7 @@ mod tests {
     #[test]
     fn every_family_has_a_type_line_and_legal_name() {
         let m = Metrics::default();
-        m.observe_latency(Duration::from_micros(50));
+        m.observe_op_latency(Some(Op::Stats), Duration::from_micros(50));
         m.observe_op_latency(Some(Op::WhatifCost), Duration::from_micros(120));
         let text = render_prometheus(&m.snapshot());
         let mut typed: Vec<String> = Vec::new();
@@ -764,7 +752,7 @@ mod tests {
         assert_eq!(escape_label_value("a\nb"), "a\\nb");
         // The rendered quantile labels parse as quoted strings.
         let m = Metrics::default();
-        m.observe_latency(Duration::from_micros(10));
+        m.observe_op_latency(Some(Op::Stats), Duration::from_micros(10));
         let text = render_prometheus(&m.snapshot());
         assert!(text.contains("{quantile=\"0.5\"}"), "{text}");
         assert!(text.contains("{quantile=\"0.99\"}"), "{text}");

@@ -18,7 +18,7 @@
 //! owns the transport: sockets, admission control, and shutdown.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -259,17 +259,71 @@ fn serve_connection(shared: &Shared, id: u64, stream: TcpStream) {
     crate::lock_unpoisoned(&shared.open).remove(&id);
 }
 
+/// The longest request line the server reads, newline excluded. The
+/// largest line the repository's own clients send is the TPC-H 22
+/// `add_statements` of the loopback tests and the server bench (8,572
+/// bytes); a longer line is answered `bad_request` and skipped.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Reads the next request line into `buf`, which is reused from line to
+/// line; `None` at EOF. A line longer than [`MAX_LINE_BYTES`] is skipped
+/// through its newline without being kept. Such a line, and one that is
+/// not UTF-8, comes back as the error to answer it with.
+fn read_request_line<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<Result<&'b str, ApiError>>> {
+    buf.clear();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    let n = reader.take(limit).read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if n as u64 == limit {
+        skip_line(reader)?;
+        return Ok(Some(Err(ApiError::bad_request(format!(
+            "request line longer than {MAX_LINE_BYTES} bytes"
+        )))));
+    }
+    Ok(Some(std::str::from_utf8(buf).map_err(|_| {
+        ApiError::new("parse_error", "request line is not UTF-8")
+    })))
+}
+
+/// Consumes input through the next newline (or to EOF), keeping none of it.
+fn skip_line(reader: &mut impl BufRead) -> io::Result<()> {
+    loop {
+        let available = reader.fill_buf()?;
+        if available.is_empty() {
+            return Ok(());
+        }
+        if let Some(at) = available.iter().position(|&b| b == b'\n') {
+            reader.consume(at + 1);
+            return Ok(());
+        }
+        let len = available.len();
+        reader.consume(len);
+    }
+}
+
 fn serve_requests(shared: &Shared, stream: &TcpStream) {
     let mut writer = stream;
-    for line in BufReader::new(stream).lines() {
-        let Ok(line) = line else { break }; // EOF, reset, or idle timeout.
-        if line.trim().is_empty() {
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    // EOF, reset, or idle timeout ends the connection.
+    while let Ok(Some(line)) = read_request_line(&mut reader, &mut buf) {
+        if line.as_ref().is_ok_and(|text| text.trim().is_empty()) {
             continue;
         }
         let started = Instant::now();
         let span = shared.engine.collector.span("server.request", Vec::new());
         let mut op = None;
-        let outcome = parse_request(&line).and_then(|req| {
+        let outcome = line.and_then(parse_request).and_then(|req| {
             op = Some(req.op());
             // Gauges are only read by `stats`/`metrics`; fetch them lazily
             // so every other op skips the `open` lock.
@@ -596,6 +650,38 @@ mod tests {
             Some("unknown_session")
         );
 
+        server.shutdown();
+    }
+
+    /// Writes `bytes`, then a `stats` line, on one fresh connection.
+    /// Asserts that `stats` is answered and returns the error code the
+    /// bad line got.
+    fn bad_line_then_stats(server: &ServerHandle, bytes: &[u8]) -> String {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(bytes).unwrap();
+        stream.write_all(b"{\"op\":\"stats\"}\n").unwrap();
+        let mut replies = BufReader::new(stream).lines().map(Result::unwrap);
+        let refused: Value = serde_json::from_str(&replies.next().unwrap()).unwrap();
+        result(&replies.next().unwrap());
+        let code = refused.get("error").and_then(|e| e.get("code"));
+        code.and_then(|c| c.as_str())
+            .unwrap_or_default()
+            .to_string()
+    }
+
+    #[test]
+    fn over_long_line_is_refused_and_the_connection_keeps_serving() {
+        let server = start();
+        let mut line = vec![b'x'; MAX_LINE_BYTES + 1];
+        line.push(b'\n');
+        assert_eq!(bad_line_then_stats(&server, &line), "bad_request");
+        server.shutdown();
+    }
+
+    #[test]
+    fn non_utf8_line_is_a_parse_error_and_the_connection_keeps_serving() {
+        let server = start();
+        assert_eq!(bad_line_then_stats(&server, b"\xff\n"), "parse_error");
         server.shutdown();
     }
 }

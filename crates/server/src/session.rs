@@ -9,7 +9,7 @@
 //! * the parsed-and-optimized plans (`plans`),
 //! * the plan→sub-plan decomposition the cost model consumes (`workload`),
 //! * the Figure-6 access graph (`graph`), via
-//!   [`extend_access_graph`](dblayout_core::extend_access_graph) — which
+//!   [`extend_access_graph`] — which
 //!   accumulates in arrival order, so the incremental graph is bit-identical
 //!   to a batch rebuild.
 //!
@@ -92,20 +92,10 @@ pub struct Session {
 }
 
 impl Session {
-    /// Opens a session over a catalog and disk set with single-threaded
-    /// search (see [`Session::with_threads`]).
-    pub fn new(catalog: Catalog, disks: Vec<DiskSpec>) -> Self {
-        Self::with_threads(catalog, disks, 1)
-    }
-
-    /// Opens a session whose searches score candidates on `threads`
-    /// workers (clamped to at least 1).
-    pub fn with_threads(catalog: Catalog, disks: Vec<DiskSpec>, threads: usize) -> Self {
-        Self::with_relayout(catalog, disks, threads, 1.0)
-    }
-
-    /// [`Self::with_threads`] plus an access-graph decay factor in
-    /// `(0, 1]` (1.0 = no aging; see DESIGN.md §9).
+    /// Opens a session over a catalog and disk set whose searches score
+    /// candidates on `threads` workers (clamped to at least 1) and whose
+    /// access graph ages by `decay` in `(0, 1]` per ingestion (1.0 = no
+    /// aging; see DESIGN.md §9).
     ///
     /// # Panics
     /// Asserts the decay range — the protocol layer rejects out-of-range
@@ -420,9 +410,11 @@ mod tests {
     use dblayout_core::build_access_graph;
 
     fn tpch_session() -> Session {
-        Session::new(
+        Session::with_relayout(
             resolve_catalog("tpch:0.01").unwrap(),
             dblayout_disksim::paper_disks(),
+            1,
+            1.0,
         )
     }
 

@@ -268,14 +268,6 @@ impl Expr {
         }
     }
 
-    /// Convenience constructor for a qualified column.
-    pub fn qcol(qualifier: &str, name: &str) -> Expr {
-        Expr::Column {
-            qualifier: Some(qualifier.to_string()),
-            name: name.to_string(),
-        }
-    }
-
     /// Splits a conjunctive expression into its `AND`-connected conjuncts.
     pub fn conjuncts(&self) -> Vec<&Expr> {
         let mut out = Vec::new();
@@ -593,16 +585,6 @@ impl Statement {
     pub fn is_query(&self) -> bool {
         matches!(self, Statement::Select(_))
     }
-
-    /// The table written by this statement, if it is a write.
-    pub fn write_target(&self) -> Option<&str> {
-        match self {
-            Statement::Insert { table, .. }
-            | Statement::Update { table, .. }
-            | Statement::Delete { table, .. } => Some(table),
-            Statement::Select(_) => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -636,7 +618,10 @@ mod tests {
     #[test]
     fn referenced_columns_walks_everything() {
         let e = Expr::Between {
-            expr: Box::new(Expr::qcol("l", "l_qty")),
+            expr: Box::new(Expr::Column {
+                qualifier: Some("l".into()),
+                name: "l_qty".into(),
+            }),
             low: Box::new(Expr::Literal(Literal::Int(1))),
             high: Box::new(Expr::col("x")),
             negated: false,
@@ -726,12 +711,11 @@ mod tests {
         assert_eq!(Literal::Str("o'b".into()).to_string(), "'o''b'");
     }
 
+    /// The planner reads a write's target table straight from the
+    /// statement's `table` field.
     #[test]
     fn write_target() {
-        let s = Statement::Delete {
-            table: "orders".into(),
-            where_clause: None,
-        };
-        assert_eq!(s.write_target(), Some("orders"));
+        let s = crate::parse_statement("DELETE FROM orders WHERE o_orderkey < 5").unwrap();
+        assert!(matches!(s, Statement::Delete { table, .. } if table == "orders"));
     }
 }

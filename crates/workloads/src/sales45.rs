@@ -2,7 +2,7 @@
 //!
 //! Matches the paper's description (§7.1/§7.2): real-world sales analysis
 //! where "the queries … reference 8 tables on average" and "the two largest
-//! tables in the database [are] joined in almost all the queries".
+//! tables in the database \[are\] joined in almost all the queries".
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -1,6 +1,6 @@
 //! Identifier-level table-name substitution.
 //!
-//! Figure 12's TPCH-88-N workloads are built by "randomly replac[ing] table
+//! Figure 12's TPCH-88-N workloads are built by "randomly replac\[ing\] table
 //! names in a query with one of the N copies of table names" (§7.2). A
 //! plain string replace would corrupt columns (`part` inside `ps_partkey`),
 //! so substitution happens on whole identifiers, skipping string literals

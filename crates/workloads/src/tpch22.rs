@@ -22,16 +22,6 @@ pub fn tpch22() -> Vec<String> {
     (1..=22).map(tpch_query).collect()
 }
 
-/// TPCH-22 against the TPCH1G-N copy with suffix `_i` (tables renamed
-/// `lineitem_i` etc.).
-pub fn tpch22_with_suffix(i: usize) -> Vec<String> {
-    let map = suffix_map(&TPCH_TABLES, &format!("_{i}"));
-    tpch22()
-        .into_iter()
-        .map(|q| substitute_tables(&q, &map))
-        .collect()
-}
-
 /// The TPCH-88-N workloads of Figure 12: 88 queries (four passes over the
 /// 22 templates), each with its table names replaced by a randomly chosen
 /// copy out of `n` (deterministic in `seed`).
@@ -334,11 +324,13 @@ mod tests {
     #[test]
     fn suffixed_queries_plan_against_replicated_catalog() {
         let catalog = replicate_tpch(0.1, 2);
-        for (i, (stmt, _)) in parse_all(&tpch22_with_suffix(2))
-            .unwrap()
+        // The renaming `tpch88_n` applies to each query it draws for copy 2.
+        let map = suffix_map(&TPCH_TABLES, "_2");
+        let suffixed: Vec<String> = tpch22()
             .iter()
-            .enumerate()
-        {
+            .map(|q| substitute_tables(q, &map))
+            .collect();
+        for (i, (stmt, _)) in parse_all(&suffixed).unwrap().iter().enumerate() {
             plan_statement(&catalog, stmt)
                 .unwrap_or_else(|e| panic!("suffixed Q{} failed: {e}", i + 1));
         }
