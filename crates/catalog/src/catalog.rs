@@ -1,6 +1,6 @@
 //! The [`Catalog`] container.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::types::{Index, MaterializedView, ObjectId, ObjectKind, ObjectMeta, Table};
 
@@ -15,7 +15,7 @@ pub struct Catalog {
     indexes: Vec<Index>,
     views: Vec<MaterializedView>,
     /// name (lowercased) -> object id
-    by_name: HashMap<String, ObjectId>,
+    by_name: BTreeMap<String, ObjectId>,
     /// object id -> (kind, index into the per-kind vec)
     slots: Vec<(ObjectKind, usize)>,
 }

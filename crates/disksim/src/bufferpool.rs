@@ -7,14 +7,14 @@
 //! capturing effects of buffering"). The simulator models it so that the
 //! reproduction exhibits the same estimated-vs-actual gap.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A fixed-capacity LRU cache of 64 KB blocks keyed by `(object, block)`.
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
     /// key -> LRU tick of last touch
-    resident: HashMap<(u32, u64), u64>,
+    resident: BTreeMap<(u32, u64), u64>,
     tick: u64,
 }
 
@@ -23,7 +23,7 @@ impl BufferPool {
     pub fn new(capacity_blocks: usize) -> Self {
         Self {
             capacity: capacity_blocks,
-            resident: HashMap::new(),
+            resident: BTreeMap::new(),
             tick: 0,
         }
     }
@@ -44,7 +44,6 @@ impl BufferPool {
             // Evict the least recently used entry. A linear scan keeps the
             // structure simple; pool sizes are a few thousand entries and
             // eviction only happens once the pool is full.
-            // dblayout::allow(R6, reason = "ticks are unique (incremented on every access), so min_by_key has a single minimum and iteration order cannot change the victim")
             if let Some((&victim, _)) = self.resident.iter().min_by_key(|(_, &t)| t) {
                 self.resident.remove(&victim);
             }

@@ -1,19 +1,19 @@
-//! dblayout-lint: a syntax-aware workspace static-analysis pass for the
+//! dblayout-lint: a token-level workspace static-analysis pass for the
 //! properties clippy cannot express — float hygiene, lock order,
 //! determinism zones and atomics policy.
 //!
-//! Token-stream rules catch local shapes; a lightweight parser (items, fn
-//! signatures, bodies, call/method-chain expressions — no full Rust
-//! grammar) feeds the semantic rules guarding the workspace's headline
-//! property: TS-GREEDY layouts, costs, counters, and migration plans are
-//! byte-identical at any thread count.
+//! Each rule matches token shapes in one lexed file, scoped by the
+//! file's crate or path and by its test regions; R4 also joins the lock
+//! edges it finds across files. Together they guard the workspace's
+//! headline property: TS-GREEDY layouts, costs, counters, and migration
+//! plans are byte-identical at any thread count.
 //!
 //! | id  | rule |
 //! |-----|------|
 //! | R3  | no `partial_cmp`, no `==`/`!=` against float literals |
 //! | R4  | lock-acquisition order across `crates/server` is cycle-free |
-//! | R6  | no hash-order iteration / wall-clock values / thread identity reachable from the deterministic paths |
-//! | R7  | raw atomics only in sanctioned zones, `Ordering`s per the declared policy table |
+//! | R6  | no std hash containers, wall-clock values or thread identity in the deterministic zone (every crate the search depends on) |
+//! | R7  | raw atomics only in the declared zones, `Ordering`s per the declared policy table |
 //!
 //! R1 (no panic shortcuts), R2 (poison-safe locking), R8 (lossy casts)
 //! and R9 (swallowed errors) are clippy lints, denied at the root of the
@@ -26,7 +26,7 @@
 //!
 //! Every rule runs a per-file **scan** (local findings + cross-file
 //! facts; a pure function of the file text) and a whole-workspace
-//! **finish** (graph joins over the facts). Suppression matching and
+//! **finish** (R4's graph join over the facts). Suppression matching and
 //! unused-suppression detection run after both phases.
 //!
 //! Findings are warnings (fatal under `--deny-warnings`); infrastructure
@@ -43,10 +43,8 @@
 //! `dblayout lint [--deny-warnings] [--root <dir>]`.
 
 pub mod lexer;
-pub mod parse;
 pub mod report;
 pub mod rules;
-pub mod sema;
 pub mod summary;
 pub mod suppress;
 pub mod workspace;
@@ -176,7 +174,7 @@ pub fn analyze(files: &[InputFile]) -> LintReport {
     report
 }
 
-/// Lexes, parses, and runs every rule's scan phase over one file.
+/// Lexes one file and runs every rule's scan phase over it.
 fn scan_file(f: &InputFile, rules: &[Box<dyn Rule>]) -> FileSummary {
     let ctx = match build_file_ctx(f) {
         Ok(ctx) => ctx,
@@ -190,11 +188,7 @@ fn scan_file(f: &InputFile, rules: &[Box<dyn Rule>]) -> FileSummary {
             }
         }
     };
-    let parsed = parse::parse(&ctx.toks);
-    let scan_ctx = ScanCtx {
-        file: &ctx,
-        parsed: &parsed,
-    };
+    let scan_ctx = ScanCtx { file: &ctx };
     let mut facts = Facts::default();
     let mut findings: Vec<RawFinding> = Vec::new();
     for rule in rules {

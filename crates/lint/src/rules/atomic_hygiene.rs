@@ -7,9 +7,9 @@
 //! monotonic tallies whose readers tolerate staleness), the server's
 //! metrics mirrors (`Relaxed`, same argument) and its shutdown flag
 //! (`SeqCst`: a rare store that must be seen promptly by every acceptor
-//! and worker, where the cost of the strongest ordering is irrelevant and
-//! the cost of reasoning about a weaker one is not), and `core::par`'s
-//! test-only panic tripwires.
+//! and connection thread, where the cost of the strongest ordering is
+//! irrelevant and the cost of reasoning about a weaker one is not), and
+//! the load driver's error/shed tallies (`Relaxed`).
 //!
 //! Everything else is flagged: a raw atomic in `core` or `relayout` is
 //! almost always a hand-rolled work counter that belongs in the
@@ -46,8 +46,6 @@ const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"
 
 /// What a file is allowed to do with atomics.
 enum Policy {
-    /// Any atomic, any ordering (`core::par`'s scheduling internals).
-    Sanctioned,
     /// Atomics allowed, but `Ordering` choices restricted to this set.
     Orderings(&'static [&'static str]),
     /// No raw atomics at all.
@@ -57,9 +55,7 @@ enum Policy {
 /// The declared policy table (mirrored in DESIGN.md §5). First match
 /// wins; longest/most-specific prefixes come first.
 fn policy_for(path: &str) -> Policy {
-    if path == "crates/core/src/par.rs" {
-        Policy::Sanctioned
-    } else if path.starts_with("crates/obs/src/") {
+    if path.starts_with("crates/obs/src/") {
         Policy::Orderings(&["Relaxed"])
     } else if path == "crates/server/src/server.rs" {
         Policy::Orderings(&["Relaxed", "SeqCst"])
@@ -89,9 +85,6 @@ impl Rule for AtomicHygiene {
             return;
         }
         let policy = policy_for(path);
-        if matches!(policy, Policy::Sanctioned) {
-            return;
-        }
         let toks = &ctx.file.toks;
         let mut last_flagged_line = 0u32;
         let mut i = 0usize;
@@ -128,10 +121,10 @@ impl Rule for AtomicHygiene {
                                 line: t.line,
                                 message: format!(
                                     "raw atomic (`{name}`) outside the sanctioned zones \
-                                     (obs, core::par, crates/server); work counters belong in \
-                                     the `obs::counters` registry so they join the \
-                                     deterministic fingerprint and the Prometheus exposition \
-                                     — otherwise use a lock or a channel"
+                                     (obs, crates/server, loadgen/src/driver.rs); work \
+                                     counters belong in the `obs::counters` registry so they \
+                                     join the deterministic fingerprint and the Prometheus \
+                                     exposition — otherwise use a lock or a channel"
                                 ),
                             });
                         }
@@ -156,7 +149,6 @@ impl Rule for AtomicHygiene {
                             }
                         }
                     }
-                    Policy::Sanctioned => {}
                 }
             }
             i += 1;
@@ -171,10 +163,6 @@ mod tests {
     #[test]
     fn policy_table_matches_design_doc() {
         assert!(matches!(
-            policy_for("crates/core/src/par.rs"),
-            Policy::Sanctioned
-        ));
-        assert!(matches!(
             policy_for("crates/obs/src/counters.rs"),
             Policy::Orderings(["Relaxed"])
         ));
@@ -186,7 +174,12 @@ mod tests {
             policy_for("crates/server/src/metrics.rs"),
             Policy::Orderings(["Relaxed"])
         ));
+        assert!(matches!(
+            policy_for("crates/loadgen/src/driver.rs"),
+            Policy::Orderings(["Relaxed"])
+        ));
         for forbidden in [
+            "crates/core/src/par.rs",
             "crates/core/src/tsgreedy.rs",
             "crates/relayout/src/budget.rs",
             "crates/planner/src/optimizer.rs",

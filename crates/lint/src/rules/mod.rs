@@ -1,19 +1,17 @@
-//! The rule engine: the two-phase [`Rule`] trait, the registry, and
-//! shared token-matching helpers.
+//! The rule engine: the two-phase [`Rule`] trait and the registry.
 //!
-//! Since `dblayout-sema`, every rule runs in two phases:
+//! Every rule runs in two phases:
 //!
-//! * **scan** — per file, seeing only that file's tokens, parsed syntax,
-//!   and test regions. Scan output (local findings + cross-file [`Facts`])
-//!   is a pure function of the file text.
-//! * **finish** — once, over every file's facts. Cross-file rules (R4
-//!   lock-order graph, R6 determinism-zone reachability) do their joins
-//!   here; purely local rules keep the default empty finish.
+//! * **scan** — per file, seeing only that file's tokens and test
+//!   regions. Scan output (local findings + cross-file [`Facts`]) is a
+//!   pure function of the file text.
+//! * **finish** — once, over every file's facts. The cross-file rule (R4's
+//!   lock-order graph) does its join here; per-file rules keep the default
+//!   empty finish.
 //!
 //! The engine in [`crate`] applies suppressions after both phases, so
 //! rules never need to think about them.
 
-use crate::parse::ParsedFile;
 use crate::summary::{Facts, FileSummary};
 use crate::workspace::FileCtx;
 
@@ -27,12 +25,10 @@ mod lock_order;
 /// hold by construction (DESIGN.md §5).
 pub const RULE_IDS: &[&str] = &["R3", "R4", "R6", "R7"];
 
-/// What a rule's scan phase sees: one lexed + parsed file.
+/// What a rule's scan phase sees: one lexed file.
 pub struct ScanCtx<'a> {
     /// Lexed file with test regions and suppressions.
     pub file: &'a FileCtx,
-    /// Recovered syntax (items, fns, calls, bindings).
-    pub parsed: &'a ParsedFile,
 }
 
 /// What a rule's finish phase sees: every file's summary, facts included.

@@ -110,30 +110,24 @@ fn suppression_without_reason_is_fatal() {
 
 #[test]
 fn r6_hash_iteration_and_reachable_wall_clock() {
-    let files = [
-        file(
-            "crates/core/src/tsgreedy.rs",
-            include_str!("fixtures/r6_det_zone.rs"),
-        ),
-        file(
-            "crates/core/src/costmodel.rs",
-            include_str!("fixtures/r6_time_helper.rs"),
-        ),
-    ];
-    let report = analyze(&files);
-    // One HashMap iteration in the seed file, one Instant::now in the
-    // helper it calls — and nothing from the #[cfg(test)] module.
-    assert_eq!(rules_hit(&report), ["R6", "R6"], "{}", report.render());
-    let clock = report
-        .diagnostics
-        .iter()
-        .find(|d| d.file.ends_with("costmodel.rs"))
-        .expect("wall-clock finding");
-    assert!(
-        clock.message.contains("ts_greedy -> score_candidates"),
-        "finding explains the zone membership: {}",
-        clock.message
-    );
+    // Every hazard in a zone file is a finding, one per line, and none
+    // comes from the `use` lines or the #[cfg(test)] module.
+    let report = analyze(&[file(
+        "crates/core/src/tsgreedy.rs",
+        include_str!("fixtures/r6_det_zone.rs"),
+    )]);
+    assert_eq!(rules_hit(&report), ["R6"; 5], "{}", report.render());
+    let lines: Vec<u32> = report.diagnostics.iter().map(|d| d.line).collect();
+    assert_eq!(lines, [7, 8, 9, 10, 11], "{}", report.render());
+    for (d, hazard) in report.diagnostics.iter().zip([
+        "`HashMap`",
+        "`HashSet`",
+        "`Instant::now`",
+        "`SystemTime::now`",
+        "`thread::current`",
+    ]) {
+        assert!(d.message.contains(hazard), "{hazard}: {}", d.message);
+    }
 
     let clean = analyze(&[file(
         "crates/core/src/tsgreedy.rs",
@@ -144,13 +138,44 @@ fn r6_hash_iteration_and_reachable_wall_clock() {
 
 #[test]
 fn r6_is_scoped_to_the_deterministic_zone() {
-    // The same hash iteration outside the zone (no seed file defines or
-    // reaches it) is not R6's business.
-    let report = analyze(&[file(
+    let hazards = include_str!("fixtures/r6_det_zone.rs");
+    // A whole zone crate, however far its file sits from the search, and
+    // the load harness's schedule are zoned...
+    for zoned in [
         "crates/catalog/src/fixture.rs",
-        include_str!("fixtures/r6_det_zone.rs"),
+        "crates/loadgen/src/schedule.rs",
+    ] {
+        let report = analyze(&[file(zoned, hazards)]);
+        assert_eq!(
+            rules_hit(&report),
+            ["R6"; 5],
+            "{zoned}: {}",
+            report.render()
+        );
+    }
+    // ...while the same text in a crate the search does not depend on,
+    // or elsewhere in loadgen, is not R6's business.
+    for outside in [
+        "crates/server/src/fixture.rs",
+        "crates/loadgen/src/driver.rs",
+    ] {
+        let report = analyze(&[file(outside, hazards)]);
+        assert!(report.is_clean(true), "{outside}: {}", report.render());
+    }
+}
+
+#[test]
+fn r6_reasoned_suppression_silences_the_finding() {
+    let report = analyze(&[file(
+        "crates/obs/src/fixture.rs",
+        include_str!("fixtures/r6_suppressed.rs"),
     )]);
     assert!(report.is_clean(true), "{}", report.render());
+    assert_eq!(report.suppressed.len(), 1);
+    assert_eq!(report.suppressed[0].rule, "R6");
+    assert!(report.suppressed[0]
+        .message
+        .contains("[allowed: feeds only the timing report"));
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! JSON protocol. Three properties drive the design (DESIGN.md §12):
 //!
 //! 1. **Deterministic schedules.** The op sequence is a pure function of
-//!    `(seed, requests, weights)` — a seeded LCG in [`schedule`], an R6
-//!    determinism-zone seed file with no wall-clock input. Identical
+//!    `(seed, requests, weights)` — a seeded LCG in [`schedule`], a file
+//!    in R6's determinism zone with no wall-clock input. Identical
 //!    seeds give identical request mixes on every host, so the mix
 //!    counters stamped into `BENCH_server.json` gate exactly.
 //! 2. **Honest tails.** Open-loop mode fixes the arrival process and

@@ -4,8 +4,9 @@
 //! No wall-clock feeds the schedule — the same seed yields the same op
 //! sequence (and therefore the same mix counters) on every host, which is
 //! what lets `BENCH_server.json` rows carry *exact* mix counters that
-//! `dblayout benchdiff` gates. This file is an R6 determinism-zone seed: nothing here (or reachable from here) may
-//! read a clock, iterate a hash map, or branch on thread identity.
+//! `dblayout benchdiff` gates. This file is in R6's determinism zone on
+//! its own (it imports nothing from the rest of `loadgen`): nothing here
+//! may read a clock, use a hash container, or branch on thread identity.
 
 /// One request kind in the load mix, a subset of the wire vocabulary
 /// chosen to cover the advisory loop: session churn, workload ingestion,

@@ -138,49 +138,49 @@ fn multiway_pass(g: &Graph, parts: usize, assignment: &mut [usize]) -> bool {
     true
 }
 
-/// Exhaustive max-cut over all `parts^n` assignments (first node pinned to
-/// partition 0 to break symmetry). Only for small instances — used to
-/// validate [`max_cut_partition`] in tests and the A2 ablation.
-///
-/// # Panics
-/// Panics when `parts^n` exceeds ~10⁷ states.
-pub fn exhaustive_max_cut(g: &Graph, parts: usize) -> Vec<usize> {
-    let n = g.len();
-    assert!(parts >= 1);
-    if n == 0 {
-        return Vec::new();
-    }
-    let states = (parts as f64).powi((n as i32 - 1).max(0));
-    assert!(states <= 1e7, "instance too large for exhaustive search");
-
-    let mut best = vec![0; n];
-    let mut best_cut = f64::NEG_INFINITY;
-    let mut current = vec![0usize; n];
-    loop {
-        let cut = g.cut_weight(&current);
-        if cut > best_cut {
-            best_cut = cut;
-            best = current.clone();
-        }
-        // Odometer increment over positions 1..n (position 0 pinned).
-        let mut i = 1;
-        loop {
-            if i >= n {
-                return best;
-            }
-            current[i] += 1;
-            if current[i] < parts {
-                break;
-            }
-            current[i] = 0;
-            i += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Exhaustive max-cut over all `parts^n` assignments (first node pinned to
+    /// partition 0 to break symmetry): the oracle these tests hold
+    /// [`max_cut_partition`] to on small instances.
+    ///
+    /// # Panics
+    /// Panics when `parts^n` exceeds ~10⁷ states.
+    fn exhaustive_max_cut(g: &Graph, parts: usize) -> Vec<usize> {
+        let n = g.len();
+        assert!(parts >= 1);
+        if n == 0 {
+            return Vec::new();
+        }
+        let states = (parts as f64).powi((n as i32 - 1).max(0));
+        assert!(states <= 1e7, "instance too large for exhaustive search");
+
+        let mut best = vec![0; n];
+        let mut best_cut = f64::NEG_INFINITY;
+        let mut current = vec![0usize; n];
+        loop {
+            let cut = g.cut_weight(&current);
+            if cut > best_cut {
+                best_cut = cut;
+                best = current.clone();
+            }
+            // Odometer increment over positions 1..n (position 0 pinned).
+            let mut i = 1;
+            loop {
+                if i >= n {
+                    return best;
+                }
+                current[i] += 1;
+                if current[i] < parts {
+                    break;
+                }
+                current[i] = 0;
+                i += 1;
+            }
+        }
+    }
 
     /// Two hot pairs: (0,1) and (2,3) heavily co-accessed; cross edges tiny.
     fn two_pairs() -> Graph {

@@ -22,20 +22,17 @@
 //!   blocks accessed) and edge weights (co-accessed blocks);
 //! * [`max_cut_partition`] — multiway partitioning: greedy seeding plus
 //!   KL-style refinement passes with locking and best-prefix rollback;
-//! * [`exhaustive_max_cut`] — brute force for small instances, used to
-//!   validate heuristic quality in tests and the A2 ablation;
-//! * [`coarsen`] / [`multilevel`] — METIS-style multilevel scaling: deterministic
+//! * [`multilevel_max_cut`] — METIS-style multilevel scaling: deterministic
 //!   heavy-edge matching and contraction ([`coarsen::coarsen`]), then
-//!   coarsen → direct KL → uncoarsen-with-refinement
-//!   ([`multilevel_max_cut`]) for mega-scale access graphs where the
-//!   O(n²) direct search is the bottleneck (DESIGN.md §11).
+//!   coarsen → direct KL → uncoarsen-with-refinement, for mega-scale
+//!   access graphs where the O(n²) direct search is the bottleneck
+//!   (DESIGN.md §11).
 
 pub mod coarsen;
-pub mod graph;
-pub mod kl;
-pub mod multilevel;
+mod graph;
+mod kl;
+mod multilevel;
 
-pub use coarsen::{heavy_edge_matching, Coarsening};
 pub use graph::Graph;
-pub use kl::{exhaustive_max_cut, greedy_seed, max_cut_partition};
-pub use multilevel::{balance_pass, multilevel_max_cut, refine_max_cut};
+pub use kl::max_cut_partition;
+pub use multilevel::multilevel_max_cut;

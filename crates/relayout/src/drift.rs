@@ -21,6 +21,8 @@
 //! Either metric crossing its threshold fires
 //! [`DriftReport::drifted`].
 
+use std::collections::BTreeSet;
+
 use dblayout_obs::counters::{self, Counter};
 use dblayout_partition::Graph;
 use serde_json::Value;
@@ -136,7 +138,7 @@ pub fn detect_drift(current: &Graph, advised: &Graph, cfg: &DriftConfig) -> Drif
 
     // Edge distance over the union of both edge sets.
     let mut edge_pairs: Vec<(f64, f64)> = Vec::new();
-    let mut seen: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
+    let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
     for (u, v, w) in current.edges() {
         edge_pairs.push((w, advised.edge_weight(u, v)));
         seen.insert((u, v));
@@ -160,8 +162,7 @@ pub fn detect_drift(current: &Graph, advised: &Graph, cfg: &DriftConfig) -> Drif
     let rank_churn = if k_eff == 0 {
         0.0
     } else {
-        let now: std::collections::HashSet<(usize, usize)> =
-            top_k_edges(current, k_eff).into_iter().collect();
+        let now: BTreeSet<(usize, usize)> = top_k_edges(current, k_eff).into_iter().collect();
         let overlap = top_k_edges(advised, k_eff)
             .into_iter()
             .filter(|e| now.contains(e))

@@ -53,8 +53,8 @@ pub struct Engine {
     /// drops oldest records at capacity, so tracing never grows memory.
     pub collector: Collector,
     /// Always-on wall-clock phase profile (`dblayout-prof`): analyze /
-    /// build-graph / search / cost accumulate here across requests (the
-    /// transport adds `serialize`); the `profile` op reads it. A
+    /// build-graph / search / cost / migrate / replay accumulate here
+    /// across requests; the `profile` op reads it. A
     /// recommendation times its phases on a timer of its own, records
     /// them, and then folds them in here.
     pub prof: PhaseTimer,
@@ -601,6 +601,7 @@ fn fraction_rows(layout: &Layout) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Op;
     use serde_json::ValueExt;
     use std::time::Duration;
 
@@ -668,10 +669,11 @@ mod tests {
     #[test]
     fn metrics_op_renders_prometheus_text() {
         let engine = Engine::new(4, 16);
-        engine
-            .metrics
-            .requests_total
-            .fetch_add(7, Ordering::Relaxed);
+        for _ in 0..7 {
+            engine
+                .metrics
+                .observe_op_latency(Some(Op::Stats), Duration::from_micros(1));
+        }
         let m = exec(&engine, Request::Metrics);
         let text = m.get("text").and_then(|v| v.as_str()).unwrap();
         assert!(text.contains("dblayout_requests_total 7\n"), "{text}");

@@ -120,8 +120,6 @@ pub struct Gauges {
 /// Shared metric counters (all relaxed atomics — monitoring, not
 /// synchronization).
 pub struct Metrics {
-    /// Requests fully served (success or structured error).
-    pub requests_total: AtomicU64,
     /// Requests answered with a structured error.
     pub errors_total: AtomicU64,
     /// Connections accepted.
@@ -132,7 +130,8 @@ pub struct Metrics {
     pub cache_hits: AtomicU64,
     /// What-if cost cache misses.
     pub cache_misses: AtomicU64,
-    /// End-to-end request latency.
+    /// End-to-end request latency, one observation per served request
+    /// (success or structured error); its count is `requests_total`.
     pub latency: Histogram,
     /// Stage: request parse + engine execution.
     pub stage_compute: Histogram,
@@ -149,7 +148,6 @@ pub struct Metrics {
 impl Default for Metrics {
     fn default() -> Self {
         Self {
-            requests_total: AtomicU64::new(0),
             errors_total: AtomicU64::new(0),
             connections_total: AtomicU64::new(0),
             rejected_total: AtomicU64::new(0),
@@ -168,7 +166,7 @@ impl Default for Metrics {
 /// histograms it quotes percentiles of.
 #[derive(Debug, Clone, Copy)]
 pub struct StatsSnapshot {
-    /// Requests fully served.
+    /// Requests fully served: the end-to-end latency histogram's count.
     pub requests_total: u64,
     /// Structured errors answered.
     pub errors_total: u64,
@@ -234,8 +232,9 @@ impl Metrics {
         let hits = self.cache_hits.load(Ordering::Relaxed);
         let misses = self.cache_misses.load(Ordering::Relaxed);
         let lookups = hits + misses;
+        let latency = self.latency.snapshot();
         StatsSnapshot {
-            requests_total: self.requests_total.load(Ordering::Relaxed),
+            requests_total: latency.count,
             errors_total: self.errors_total.load(Ordering::Relaxed),
             connections_total: self.connections_total.load(Ordering::Relaxed),
             rejected_total: self.rejected_total.load(Ordering::Relaxed),
@@ -246,7 +245,7 @@ impl Metrics {
             } else {
                 0.0
             },
-            latency: self.latency.snapshot(),
+            latency,
             stage_compute: self.stage_compute.snapshot(),
             stage_serialize: self.stage_serialize.snapshot(),
             gauges,
@@ -552,9 +551,10 @@ mod tests {
     #[test]
     fn prometheus_exposition_contains_all_families() {
         let m = Metrics::default();
-        m.requests_total.fetch_add(5, Ordering::Relaxed);
         m.rejected_total.fetch_add(3, Ordering::Relaxed);
-        m.observe_op_latency(Some(Op::Stats), Duration::from_micros(100));
+        for _ in 0..5 {
+            m.observe_op_latency(Some(Op::Stats), Duration::from_micros(100));
+        }
         m.stage_compute.observe(Duration::from_micros(80));
         m.stage_serialize.observe(Duration::from_micros(5));
         let text = render_prometheus(&m.snapshot_with_gauges(Gauges {

@@ -342,14 +342,8 @@ fn serve_requests(shared: &Shared, stream: &TcpStream) {
             .metrics
             .stage_compute
             .observe(started.elapsed());
-        shared
-            .engine
-            .metrics
-            .requests_total
-            .fetch_add(1, Ordering::Relaxed);
         let ok = outcome.is_ok();
         let serialize_started = Instant::now();
-        let serialize_phase = shared.engine.prof.phase("serialize");
         let mut response = match outcome {
             Ok(result) => ok_line(result),
             Err(err) => {
@@ -362,7 +356,6 @@ fn serve_requests(shared: &Shared, stream: &TcpStream) {
             }
         };
         response.push('\n');
-        drop(serialize_phase);
         // Serialize stage: response-line construction.
         shared
             .engine

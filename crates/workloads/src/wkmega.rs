@@ -5,9 +5,9 @@
 //! The paper's workloads top out at dozens of objects, where the O(n²) KL
 //! pass and the full greedy-widening sweep are cheap. WK-MEGA generates
 //! instances where they are the bottleneck, exercising the multilevel
-//! partitioner (`dblayout-partition::multilevel`) and the pruned widening
-//! path (`TsGreedyConfig::prune_width`). Statements are emitted directly
-//! as non-blocking sub-plan sets (no SQL round-trip); feed them to
+//! partitioner (`dblayout_partition::multilevel_max_cut`) and the pruned
+//! widening path (`TsGreedyConfig::prune_width`). Statements are emitted
+//! directly as non-blocking sub-plan sets (no SQL round-trip); feed them to
 //! `dblayout_core::build_access_graph_subplans` and `ts_greedy`.
 //!
 //! Everything is a pure function of [`MegaConfig`]: sizes, disks, and the
